@@ -68,6 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig.add_argument("--symbolic", action="store_true",
                        help="leave the weight as indeterminates lam[i]")
     p_eig.add_argument("--via", choices=("pfaffian", "product", "both"), default="product")
+    p_eig.add_argument("--force", action="store_true",
+                       help="lift the default size bound of --via pfaffian|both")
 
     p_forms = sub.add_parser("forms", help="print the canonical 2-forms")
     p_forms.add_argument("--mode", choices=("uea", "commutative"), default="uea")
@@ -103,6 +105,8 @@ def cmd_eigenvalue(args) -> int:
     if args.n < 1:
         print("eigenvalue: --n must be at least 1", file=sys.stderr)
         return 2
+    if args.via != "product":
+        verify.check_n_bound(args.n, args.force)
     if args.symbolic:
         weight = HighestWeight.symbolic(args.n)
     else:

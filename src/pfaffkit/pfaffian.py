@@ -1,11 +1,11 @@
 """Pfaffians of alternating matrices and their minor expansions.
 
-Two independent evaluation routes are kept side by side: a brute-force
-sum over perfect matchings whose signs come from explicit inversion
-counting, and a recursive first-row cofactor expansion.  The rest of the
-module builds the block decomposition of anti-alternating matrices and
-the minor summation identity that expands their Pfaffian into
-determinant times sub-Pfaffian contributions.
+Three independent evaluation routes are kept side by side: a recursive
+first-row cofactor expansion, a brute-force sum over perfect matchings
+whose signs come from explicit inversion counting, and, for
+anti-alternating matrices, the right-hand side of the minor summation
+identity, which expands the Pfaffian into determinant times
+sub-Pfaffian contributions over the block decomposition.
 """
 
 from __future__ import annotations

@@ -24,11 +24,8 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .indexing import complement_sign, signed_value
 from .linalg import det_leibniz
-from .pfaffian import AlternatingMatrix, ShapeError, all_pairings, permutation_sign, pfaffian
+from .pfaffian import AlternatingMatrix, ShapeError, permutation_sign, pfaffian
 from .rings import (
-    CARTAN,
-    LOWERING,
-    RAISING,
     Poly,
     PolyParseError,
     _GENERATOR_NAME,
@@ -40,39 +37,49 @@ from .rings import (
 ScalarLike = Union[int, Fraction]
 
 _KINDS = ("a", "b", "c")
+_GENERATORS: dict[tuple[str, int, int], "Generator"] = {}
 
 
-@dataclass(frozen=True)
 class Generator:
-    """One basis generator of the Lie algebra, named kind[i,j]."""
+    """One basis generator of the Lie algebra, named kind[i,j].
 
-    kind: str
-    i: int
-    j: int
+    Generators are immutable and interned: equal names give the same
+    object, so words hash and compare by identity, and the PBW position
+    `sort_key` (root class, kind, i, j) is computed once per generator."""
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.i < 1 or self.j < 1:
-            raise ValueError("generator indices are 1-based positive integers")
-        if self.kind in ("b", "c") and not self.i < self.j:
-            raise ValueError(f"{self.kind}[i,j] generators need i < j, got ({self.i}, {self.j})")
+    __slots__ = ("kind", "i", "j", "sort_key")
+
+    def __new__(cls, kind: str, i: int, j: int) -> "Generator":
+        g = _GENERATORS.get((kind, i, j))
+        if g is None:
+            if kind not in _KINDS:
+                raise ValueError(f"unknown generator kind {kind!r}")
+            if i < 1 or j < 1:
+                raise ValueError("generator indices are 1-based positive integers")
+            if kind in ("b", "c") and not i < j:
+                raise ValueError(f"{kind}[i,j] generators need i < j, got ({i}, {j})")
+            g = _GENERATORS[(kind, i, j)] = super().__new__(cls)
+            sort_key = display_key(f"{kind}[{i},{j}]")[:4]
+            for attr, value in (("kind", kind), ("i", i), ("j", j), ("sort_key", sort_key)):
+                object.__setattr__(g, attr, value)
+        return g
+
+    def __setattr__(self, attr, value):
+        raise AttributeError("generators are immutable")
+
+    def __reduce__(self):
+        return Generator, (self.kind, self.i, self.j)
+
+    def __repr__(self) -> str:
+        return f"Generator({self.kind!r}, {self.i}, {self.j})"
 
     @property
     def name(self) -> str:
         return f"{self.kind}[{self.i},{self.j}]"
 
     @property
-    def root_class(self) -> int:
-        return self.sort_key[0]
-
-    @property
     def is_cartan(self) -> bool:
         return self.kind == "a" and self.i == self.j
-
-    @property
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return display_key(self.name)[:4]
 
     def __str__(self) -> str:
         return self.name
@@ -97,23 +104,42 @@ def _signed_pair(g: Generator) -> tuple[int, int]:
     return -g.j, g.i
 
 
+def _rational(c: ScalarLike) -> ScalarLike:
+    """c as an exact rational: an int when integral, else a Fraction."""
+    if isinstance(c, int):
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class UEAElement:
-    """Linear combination of PBW words with Fraction coefficients."""
+    """Linear combination of PBW words with exact rational coefficients.
+
+    Scalars enter as ints when integral and as Fractions otherwise (the two
+    compare and hash alike), so products of integral elements never leave
+    int arithmetic."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Word, ScalarLike] | None = None):
-        cleaned: dict[Word, Fraction] = {}
+        cleaned: dict[Word, ScalarLike] = {}
         if terms:
             for word, coeff in terms.items():
-                c = Fraction(coeff)
+                c = _rational(coeff)
                 if c:
-                    s = cleaned.get(word, Fraction(0)) + c
+                    s = cleaned.get(word, 0) + c
                     if s:
                         cleaned[word] = s
                     else:
                         del cleaned[word]
         self.terms = cleaned
+
+    @staticmethod
+    def _wrap(terms: dict[Word, ScalarLike]) -> "UEAElement":
+        """Element owning `terms`, which must already hold no zero coefficient."""
+        res = UEAElement.__new__(UEAElement)
+        res.terms = terms
+        return res
 
     @classmethod
     def zero(cls) -> "UEAElement":
@@ -121,11 +147,11 @@ class UEAElement:
 
     @classmethod
     def one(cls) -> "UEAElement":
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def from_generator(cls, g: Generator) -> "UEAElement":
-        return cls({(g,): Fraction(1)})
+        return cls({(g,): 1})
 
     def degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
@@ -138,7 +164,7 @@ class UEAElement:
         if isinstance(other, UEAElement):
             return other
         if isinstance(other, (int, Fraction)):
-            return UEAElement({(): Fraction(other)})
+            return UEAElement({(): other})
         return None
 
     def __add__(self, other):
@@ -147,21 +173,17 @@ class UEAElement:
             return NotImplemented
         out = dict(self.terms)
         for w, c in o.terms.items():
-            s = out.get(w, Fraction(0)) + c
+            s = out.get(w, 0) + c
             if s:
                 out[w] = s
             else:
                 out.pop(w, None)
-        res = UEAElement.__new__(UEAElement)
-        res.terms = out
-        return res
+        return UEAElement._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = UEAElement.__new__(UEAElement)
-        res.terms = {w: -c for w, c in self.terms.items()}
-        return res
+        return UEAElement._wrap({w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -177,17 +199,11 @@ class UEAElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            s = Fraction(other)
-            res = UEAElement.__new__(UEAElement)
-            res.terms = {w: c * s for w, c in self.terms.items()} if s else {}
-            return res
+            s = _rational(other)
+            return UEAElement._wrap({w: _rational(c * s) for w, c in self.terms.items()} if s else {})
         if not isinstance(other, UEAElement):
             return NotImplemented
-        total = UEAElement.zero()
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                total = total + normal_order(w1 + w2, c1 * c2)
-        return total
+        return UEAElement._wrap(_product_into({}, self.terms, other.terms))
 
     def __rmul__(self, other):
         # only scalars reach here, and they commute with everything
@@ -238,7 +254,7 @@ class UEAElement:
                 runs.append((g, 1))
         return runs
 
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Word, ScalarLike]]:
         def key(word: Word):
             return (-len(word), tuple(tuple(-x for x in g.sort_key) for g in word))
 
@@ -302,57 +318,84 @@ def signed_generator(i: int, j: int) -> UEAElement:
     return -UEAElement.from_generator(Generator("a", -j, -i))
 
 
+# Bracket terms by generator pair.  They are kept as tuples, so no caller
+# can change them; bracket() hands out a fresh element on every call.
+_BRACKETS: dict[tuple[Generator, Generator], tuple[tuple[Word, ScalarLike], ...]] = {}
+
+
+def _bracket_terms(g: Generator, h: Generator) -> tuple[tuple[Word, ScalarLike], ...]:
+    terms = _BRACKETS.get((g, h))
+    if terms is None:
+        i, j = _signed_pair(g)
+        k, l = _signed_pair(h)
+        total = UEAElement.zero()
+        if j == k:
+            total = total + signed_generator(i, l)
+        if i == l:
+            total = total + signed_generator(-j, -k)
+        if j == -l:
+            total = total - signed_generator(i, -k)
+        if i == -k:
+            total = total - signed_generator(-j, l)
+        terms = _BRACKETS[(g, h)] = tuple(total.terms.items())
+    return terms
+
+
 def bracket(g: Generator, h: Generator) -> UEAElement:
     """Lie bracket of two basis generators, expanded in the basis."""
-    i, j = _signed_pair(g)
-    k, l = _signed_pair(h)
-    total = UEAElement.zero()
-    if j == k:
-        total = total + signed_generator(i, l)
-    if i == l:
-        total = total + signed_generator(-j, -k)
-    if j == -l:
-        total = total - signed_generator(i, -k)
-    if i == -k:
-        total = total - signed_generator(-j, l)
-    return total
+    return UEAElement._wrap(dict(_bracket_terms(g, h)))
 
 
-def _first_inversion(word: Word) -> int | None:
-    for t in range(len(word) - 1):
-        if word[t].sort_key > word[t + 1].sort_key:
-            return t
-    return None
+def _normal_order_into(out: dict[Word, ScalarLike],
+                       stack: list[tuple[Word, ScalarLike, int]]) -> dict[Word, ScalarLike]:
+    """Drain a stack of (word, coeff, start) into `out`, in the PBW basis.
+
+    The first out-of-order adjacent pair x y at or after `start` becomes
+    y x + [x, y]; the bracket terms are strictly shorter, so the rewrite
+    terminates.  Both rewrites leave the word sorted before the pair, so
+    they are pushed back with the scan restarting one step to its left.
+    Sorted words are added into `out`, and cancelled words leave it."""
+    pop, push = stack.pop, stack.append
+    while stack:
+        w, c, t = pop()
+        last = len(w) - 1
+        while t < last and w[t].sort_key <= w[t + 1].sort_key:
+            t += 1
+        if t >= last:
+            s = out.get(w)
+            if s is None:
+                out[w] = c
+            elif s := s + c:
+                out[w] = s
+            else:
+                del out[w]
+            continue
+        x, y = w[t], w[t + 1]
+        head, tail = w[:t], w[t + 2:]
+        back = t - 1 if t else 0
+        push((head + (y, x) + tail, c, back))
+        for bw, bc in _bracket_terms(x, y):
+            push((head + bw + tail, c * bc, back))
+    return out
+
+
+def _product_into(out: dict[Word, ScalarLike], left: Mapping[Word, ScalarLike],
+                  right: Mapping[Word, ScalarLike], scale: ScalarLike = 1) -> dict[Word, ScalarLike]:
+    """Add scale * left * right into `out` through one normal-ordering stack,
+    drained after each left term so it never holds more than one row of
+    term pairs."""
+    stack: list[tuple[Word, ScalarLike, int]] = []
+    for w1, c1 in left.items():
+        c1 = scale * c1
+        stack.extend((w1 + w2, c1 * c2, 0) for w2, c2 in right.items())
+        _normal_order_into(out, stack)
+    return out
 
 
 def normal_order(word: Iterable[Generator], coeff: ScalarLike = 1) -> UEAElement:
-    """Rewrite a word into the PBW basis.
-
-    Repeatedly swaps the first out-of-order adjacent pair x y into
-    y x + [x, y]; the bracket terms are strictly shorter, so the rewrite
-    terminates.  Addition of the resulting words is exact and
-    order-independent."""
-    out: dict[Word, Fraction] = {}
-    stack: list[tuple[Word, Fraction]] = [(tuple(word), Fraction(coeff))]
-    while stack:
-        w, c = stack.pop()
-        if not c:
-            continue
-        pos = _first_inversion(w)
-        if pos is None:
-            s = out.get(w, Fraction(0)) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-            continue
-        x, y = w[pos], w[pos + 1]
-        stack.append((w[:pos] + (y, x) + w[pos + 2:], c))
-        for bw, bc in bracket(x, y).terms.items():
-            stack.append((w[:pos] + bw + w[pos + 2:], c * bc))
-    res = UEAElement.__new__(UEAElement)
-    res.terms = out
-    return res
+    """Rewrite coeff * word into the PBW basis."""
+    c = _rational(coeff)
+    return UEAElement._wrap(_normal_order_into({}, [(tuple(word), c, 0)]) if c else {})
 
 
 class UEAMatrix:
@@ -402,24 +445,30 @@ def _alternating_times_j(M: UEAMatrix) -> list[list[UEAElement]]:
 
 
 def nc_pfaffian(M: UEAMatrix) -> UEAElement:
-    """Pf X = (1/n!) sum over column-ordered pair sequences of sgn * products.
+    """Pf X = F(1..2n) / n!, F by recursion on position subsets S.
 
-    The sum runs over permutations with s(2i-1) < s(2i) for every pair;
-    factors multiply left to right in pair order.  Input must be
-    anti-alternating."""
+    F(S) = sum over u < v in S of (-1)^(pos u + pos v - 1) X[u,v] F(S - {u,v})
+    with F of the empty set 1, where pos is the 1-based position within S
+    and X[u,v] is entry (u, v) of X J.  Unrolled, this is the sum over
+    ordered pair sequences of sgn * products with factors multiplied left
+    to right in pair order; F is built one subset size at a time, keeping
+    only the previous size.  Input must be anti-alternating."""
     if not M.is_anti_alternating():
         raise ShapeError("matrix is not anti-alternating")
     n = M.n
     at = _alternating_times_j(M)
-    total = UEAElement.zero()
-    for pairs in all_pairings(tuple(range(1, 2 * n + 1))):
-        for ordered in permutations(pairs):
-            sign = permutation_sign([x for pair in ordered for x in pair])
-            prod = UEAElement.one()
-            for u, v in ordered:
-                prod = prod * at[u - 1][v - 1]
-            total = total + (sign * prod if sign == 1 else -prod)
-    return total * Fraction(1, factorial(n))
+    level: dict[tuple[int, ...], dict[Word, ScalarLike]] = {(): {(): 1}}
+    for size in range(2, 2 * n + 1, 2):
+        below, level = level, {}
+        for S in combinations(range(2 * n), size):
+            out: dict[Word, ScalarLike] = {}
+            for a, b in combinations(range(size), 2):
+                entry = at[S[a]][S[b]].terms
+                rest = below[S[:a] + S[a + 1:b] + S[b + 1:]]
+                if entry and rest:
+                    _product_into(out, entry, rest, -1 if (a + b) % 2 == 0 else 1)
+            level[S] = out
+    return UEAElement._wrap(level[tuple(range(2 * n))]) * Fraction(1, factorial(n))
 
 
 def nc_pfaffian_unrestricted(M: UEAMatrix) -> UEAElement:
@@ -505,7 +554,7 @@ def centrality_failures(z: UEAElement, n: int) -> list[Generator]:
     failures = []
     for g in canonical_generators(n):
         ge = UEAElement.from_generator(g)
-        if ge * z - z * ge:
+        if ge * z != z * ge:
             failures.append(g)
     return failures
 
@@ -603,7 +652,7 @@ def parse_element(text: str) -> UEAElement:
     name^exp with '^exp' optional.  Factors multiply left to right and are
     normal ordered, so any factor order is accepted."""
     tokens = tokenize(text)
-    total = UEAElement.zero()
+    out: dict[Word, ScalarLike] = {}
     k = 0
 
     def peek():
@@ -649,9 +698,10 @@ def parse_element(text: str) -> UEAElement:
             factors.extend([g] * e)
         if not saw_body:
             raise PolyParseError(f"expected a term, found {lex!r}" if kind else "unexpected end of input", pos)
-        total = total + normal_order(tuple(factors), sign * coeff)
+        if coeff:
+            _normal_order_into(out, [(tuple(factors), _rational(sign * coeff), 0)])
         kind, lex, pos = peek()
         if kind is None:
-            return total
+            return UEAElement._wrap(out)
         if not (kind == "op" and lex in "+-"):
             raise PolyParseError(f"unexpected token {lex!r}", pos)

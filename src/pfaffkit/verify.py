@@ -208,14 +208,19 @@ def msf_suite(pq: tuple[int, int] | None = None, seed: int = 0, force: bool = Fa
     return report
 
 
-def _check_n_bound(n: int | None, force: bool):
-    if n is not None and n > DEFAULT_UEA_BOUND and not force:
-        raise BoundExceededError(f"n = {n} exceeds the bound {DEFAULT_UEA_BOUND}")
+def check_n_bound(n: int | None, force: bool, bound: int = DEFAULT_UEA_BOUND):
+    """Reject a rank below 1, or above `bound` unless forced."""
+    if n is None:
+        return
+    if n < 1:
+        raise ValueError("--n must be at least 1")
+    if n > bound and not force:
+        raise BoundExceededError(f"n = {n} exceeds the bound {bound}")
 
 
 def ncmsf_suite(n: int | None = None, force: bool = False) -> VerificationReport:
     """Enveloping-algebra engine: the noncommutative minor summation."""
-    _check_n_bound(n, force)
+    check_n_bound(n, force)
     report = VerificationReport("ncmsf")
     ns = (n,) if n is not None else tuple(range(1, DEFAULT_UEA_BOUND + 1))
     for k in ns:
@@ -241,7 +246,7 @@ def ncmsf_suite(n: int | None = None, force: bool = False) -> VerificationReport
 
 def central_suite(n: int | None = None, force: bool = False) -> VerificationReport:
     """Centrality of the Pfaffian and its highest-weight eigenvalue."""
-    _check_n_bound(n, force)
+    check_n_bound(n, force)
     report = VerificationReport("central")
     ns = (n,) if n is not None else tuple(range(1, DEFAULT_UEA_BOUND + 1))
     for k in ns:
@@ -273,8 +278,7 @@ def _u_points(n: int) -> list[Fraction]:
 
 def forms_suite(n: int | None = None, force: bool = False) -> VerificationReport:
     """Exterior-calculus checks in both coefficient modes."""
-    if n is not None and n > 4 and not force:
-        raise BoundExceededError(f"n = {n} exceeds the bound 4")
+    check_n_bound(n, force, bound=4)
     report = VerificationReport("forms")
     uea_ns = (n,) if n is not None else (1, 2, 3)
     comm_ns = (n,) if n is not None else (1, 2, 3, 4)
@@ -324,6 +328,7 @@ def run_suite(name: str, n: int | None = None, pq: tuple[int, int] | None = None
     if name == "forms":
         return forms_suite(n=n, force=force)
     if name == "all":
+        check_n_bound(n, force)  # before the long msf suite, not after it
         combined = VerificationReport("all")
         combined.checks.extend(msf_suite(pq=pq, seed=seed, force=force).checks)
         combined.checks.extend(ncmsf_suite(n=n, force=force).checks)

@@ -111,6 +111,15 @@ def test_verify_bound_exceeded_suggests_force(capsys):
     assert "--force" in err
 
 
+@pytest.mark.parametrize("suite", ["ncmsf", "central", "forms"])
+def test_verify_rank_below_one_is_usage_error(suite, capsys):
+    for n in ("0", "-2"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", n)
+        assert code == 2
+        assert "--n must be at least 1" in err
+        assert out == ""
+
+
 def test_verify_bad_suite_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--suite", "bogus")
     assert code == 2
@@ -153,6 +162,20 @@ def test_eigenvalue_via_pfaffian(capsys):
     code, out, _ = run(capsys, "eigenvalue", "--n", "2", "--lambda", "3,1", "--via", "pfaffian")
     assert code == 0
     assert out.strip() == "4"
+
+
+def test_eigenvalue_pfaffian_route_bound_suggests_force(capsys):
+    for via in ("pfaffian", "both"):
+        code, out, err = run(capsys, "eigenvalue", "--n", "4", "--symbolic", "--via", via)
+        assert code == 2
+        assert "--force" in err
+        assert out == ""
+
+
+def test_eigenvalue_forced_over_bound(capsys):
+    code, out, _ = run(capsys, "eigenvalue", "--n", "4", "--symbolic", "--via", "both", "--force")
+    assert code == 0
+    assert out.strip().endswith(" = (lam[1]+3)*(lam[2]+2)*(lam[3]+1)*lam[4]")
 
 
 def test_eigenvalue_weight_length_mismatch(capsys):

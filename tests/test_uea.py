@@ -130,6 +130,30 @@ def test_multiplication_associative_seeded():
         assert (xs[0] * xs[1]) * xs[2] == xs[0] * (xs[1] * xs[2])
 
 
+def test_product_matches_termwise_normal_order():
+    gens = canonical_generators(2)
+    rng = random.Random(11)
+    words = [tuple(rng.choice(gens) for _ in range(rng.randint(0, 3))) for _ in range(8)]
+    x = UEAElement({w: Fraction(k - 3, 2) for k, w in enumerate(words[:4])})
+    y = UEAElement({w: k - 2 for k, w in enumerate(words[4:])})
+    expected = UEAElement.zero()
+    for w1, c1 in x.terms.items():
+        for w2, c2 in y.terms.items():
+            expected = expected + normal_order(w1 + w2, c1 * c2)
+    assert x * y == expected
+    assert all((x * y).terms.values())
+    # (b + c)(b - c) = b^2 - c^2 - [b, c]: the c b words cancel inside one product
+    got = (el(B12) + el(C12)) * (el(B12) - el(C12))
+    assert got == el(B12, B12) - el(C12, C12) - bracket(B12, C12)
+    assert (C12, B12) not in got.terms
+    assert all(got.terms.values())
+    # the bracket cache hands out fresh elements
+    first = bracket(B12, C12)
+    first.terms.clear()
+    first.terms[(A12,)] = Fraction(5)
+    assert bracket(B12, C12) == el(A22) + el(A11)
+
+
 def test_scalar_and_sum_arithmetic():
     e = el(A11) + 2 * el(B12)
     assert e - e == UEAElement.zero()
@@ -160,12 +184,13 @@ def test_canonical_matrix_is_anti_alternating():
 
 
 def test_minor_summation_matches():
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         assert nc_pfaffian(build_canonical_x(n)) == nc_minor_summation_rhs(n)
 
 
 def test_restricted_equals_unrestricted():
-    for n in (1, 2):
+    # the subset recursion against the independent full permutation sum
+    for n in (1, 2, 3):
         M = build_canonical_x(n)
         assert nc_pfaffian(M) == nc_pfaffian_unrestricted(M)
 
