@@ -6,8 +6,8 @@ through 2-form powers, and the central-element eigenvalue identity, all
 over exact rationals.
 """
 
-from .rings import MissingIndeterminateError, Poly, PolyParseError, Scalar, parse_poly, parse_rational, poly_eval
-from .indexing import IndexSet, SignedIndex, complement_sign, position, signed_value, split_sign
+from .rings import MissingIndeterminateError, Poly, PolyParseError, Scalar, parse_poly, parse_rational
+from .indexing import complement_sign, position, signed_value, split_sign
 from .linalg import SingularMatrixError
 from .pfaffian import (
     AlternatingMatrix,

@@ -34,7 +34,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,6 +146,7 @@ def cmd_eigenvalue(args) -> int:
 
 
 def cmd_forms(args) -> int:
+    verify.check_n_bound(args.n, force=True)  # forms has no upper bound, only n >= 1
     if args.mode == "uea":
         if args.n is None:
             print("forms: --mode uea needs --n", file=sys.stderr)
@@ -191,7 +192,7 @@ def main(argv=None) -> int:
     except ShapeError as exc:
         print(f"pfaffkit: shape violation: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing file, a directory, no permission
         print(f"pfaffkit: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

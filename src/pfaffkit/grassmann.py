@@ -20,7 +20,7 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .pfaffian import AntiAlternatingMatrix, pfaffian, pfaffian_of_anti_alternating
-from .rings import Poly
+from .rings import Combination, Poly, add_into
 from .uea import (
     UEAElement,
     UEAMatrix,
@@ -45,23 +45,30 @@ def _merge_sign(left_mask: int, right_mask: int) -> int:
     return -1 if count & 1 else 1
 
 
-class GrassmannElement:
+class GrassmannElement(Combination):
     """Sparse exterior-algebra element over the coloring (p, q).
 
     ``terms`` maps slot bitmasks to coefficients; a mask encodes the
-    ascending product of its slots."""
+    ascending product of its slots, and mask 0 holds the scalar part."""
 
-    __slots__ = ("p", "q", "terms")
+    __slots__ = ("p", "q")
+
+    _UNIT = 0
 
     def __init__(self, p: int, q: int, terms: Mapping[int, object] | None = None):
         self.p = p
         self.q = q
-        cleaned: dict[int, object] = {}
-        if terms:
-            for mask, coeff in terms.items():
-                if not coeff == 0:
-                    cleaned[mask] = coeff
-        self.terms = cleaned
+        super().__init__(terms)
+
+    def _wrap(self, terms: dict) -> "GrassmannElement":
+        res = GrassmannElement.__new__(GrassmannElement)
+        res.p, res.q, res.terms = self.p, self.q, terms
+        return res
+
+    def _coerce(self, other):
+        if isinstance(other, GrassmannElement) and (self.p, self.q) != (other.p, other.q):
+            raise ValueError("mixed colorings")
+        return Combination._coerce(self, other)
 
     @property
     def slots(self) -> int:
@@ -88,78 +95,40 @@ class GrassmannElement:
         return cls(p, q, {0: coeff})
 
     @classmethod
-    def from_word(cls, p: int, q: int, labels: Sequence[int], coeff) -> "GrassmannElement":
-        """coeff times the product of e_label factors, left to right."""
+    def from_words(cls, p: int, q: int, words: Iterable[tuple[Sequence[int], object]]) -> "GrassmannElement":
+        """Sum of coeff times the product of e_label factors, left to right,
+        over the (labels, coeff) pairs, added in place."""
         elt = cls(p, q)
-        if coeff == 0:
-            return elt
-        mask, sign = 0, 1
-        for label in labels:
-            bit = 1 << (elt._slot(label) - 1)
-            if mask & bit:
-                return cls(p, q)
-            if (mask >> elt._slot(label)).bit_count() % 2:
-                sign = -sign
-            mask |= bit
-        elt.terms[mask] = coeff if sign == 1 else -coeff
+        for labels, coeff in words:
+            mask, sign = 0, 1
+            for label in labels:
+                slot = elt._slot(label)
+                bit = 1 << (slot - 1)
+                if mask & bit:
+                    break
+                if (mask >> slot).bit_count() % 2:
+                    sign = -sign
+                mask |= bit
+            else:
+                add_into(elt.terms, {mask: coeff}, sign)
         return elt
 
-    def _compatible(self, other: "GrassmannElement"):
-        if (self.p, self.q) != (other.p, other.q):
-            raise ValueError("mixed colorings")
-
-    def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
-        self._compatible(other)
-        out = dict(self.terms)
-        for mask, c in other.terms.items():
-            s = out.get(mask, 0) + c
-            if s == 0:
-                out.pop(mask, None)
-            else:
-                out[mask] = s
-        res = GrassmannElement.__new__(GrassmannElement)
-        res.p, res.q, res.terms = self.p, self.q, out
-        return res
-
-    def __neg__(self) -> "GrassmannElement":
-        res = GrassmannElement.__new__(GrassmannElement)
-        res.p, res.q = self.p, self.q
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
-        return self + (-other)
-
-    def scale(self, s) -> "GrassmannElement":
-        """Multiply every coefficient by the central scalar s (on the left)."""
-        res = GrassmannElement.__new__(GrassmannElement)
-        res.p, res.q = self.p, self.q
-        res.terms = {}
-        for m, c in self.terms.items():
-            sc = s * c
-            if not sc == 0:
-                res.terms[m] = sc
-        return res
+    @classmethod
+    def from_word(cls, p: int, q: int, labels: Sequence[int], coeff) -> "GrassmannElement":
+        """coeff times the product of e_label factors, left to right."""
+        return cls.from_words(p, q, [(labels, coeff)])
 
     def __mul__(self, other: "GrassmannElement") -> "GrassmannElement":
-        self._compatible(other)
+        if not isinstance(other, GrassmannElement):
+            return NotImplemented
+        self._coerce(other)  # rejects mixed colorings
         out: dict[int, object] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    continue
-                coeff = c1 * c2
-                if _merge_sign(m1, m2) == -1:
-                    coeff = -coeff
-                mask = m1 | m2
-                s = out.get(mask, 0) + coeff
-                if s == 0:
-                    out.pop(mask, None)
-                else:
-                    out[mask] = s
-        res = GrassmannElement.__new__(GrassmannElement)
-        res.p, res.q, res.terms = self.p, self.q, out
-        return res
+            # m2 -> m1 | m2 is injective on the masks disjoint from m1
+            row = {m1 | m2: c2 if _merge_sign(m1, m2) == 1 else -c2
+                   for m2, c2 in other.terms.items() if not m1 & m2}
+            add_into(out, row, c1)
+        return self._wrap(out)
 
     def power(self, exp: int, one=None) -> "GrassmannElement":
         if exp < 0:
@@ -168,27 +137,7 @@ class GrassmannElement:
             if one is None:
                 raise ValueError("power 0 needs the coefficient ring's one")
             return GrassmannElement.scalar(self.p, self.q, one)
-        result = self
-        for _ in range(exp - 1):
-            result = result * self
-        return result
-
-    def commutator(self, other: "GrassmannElement") -> "GrassmannElement":
-        return self * other - other * self
-
-    def __eq__(self, other):
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
-        return (self.p, self.q) == (other.p, other.q) and self.terms == other.terms
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    __hash__ = None
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+        return self**exp
 
     def top_coefficient(self):
         """Coefficient of the full ascending product e_1...e_p e_-q...e_-1."""
@@ -211,9 +160,6 @@ class GrassmannElement:
             else:
                 pieces.append(f"{cstr} {estr}" if plain else f"({cstr}) {estr}")
         return " + ".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"GrassmannElement({self})"
 
 
 @dataclass
@@ -241,61 +187,44 @@ class Forms:
 
 def build_forms(mode: str = "uea", n: int | None = None, p: int | None = None, q: int | None = None) -> Forms:
     """Construct Omega, Xi, Theta, Theta' (and tau when square) for a
-    canonical enveloping-algebra matrix or a generic commutative one."""
+    canonical enveloping-algebra matrix or a generic commutative one.
+
+    Both modes read the signed entries X[i,j] (rows 1..p, -q..-1, columns
+    1..q, -p..-1) through one accessor `entry(i, j)`."""
     if mode == "uea":
         if n is None:
             raise ValueError("uea mode needs n")
         p = q = n
-        M = build_canonical_x(n)
+        source: object = build_canonical_x(n)
+        entry = source.entry
         ring_one: object = UEAElement.one()
-        labels = [s for s in range(1, n + 1)] + [s for s in range(-n, 0)]
-        omega = GrassmannElement.zero(p, q)
-        for i in labels:
-            for j in labels:
-                omega = omega + GrassmannElement.from_word(p, q, (i, -j), M.entry(i, j))
-        xi = GrassmannElement.zero(p, q)
-        theta = GrassmannElement.zero(p, q)
-        theta_prime = GrassmannElement.zero(p, q)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                xi = xi + GrassmannElement.from_word(p, q, (i, -j), M.a_block(i, j))
-                theta = theta + GrassmannElement.from_word(p, q, (i, j), M.entry(i, -j))
-                theta_prime = theta_prime + GrassmannElement.from_word(p, q, (-j, -i), M.entry(-j, i))
-        source: object = M
     elif mode == "commutative":
         if p is None or q is None:
             if n is None:
                 raise ValueError("commutative mode needs (p, q) or n")
             p = q = n
-        X = AntiAlternatingMatrix.generic(p, q)
+        source = AntiAlternatingMatrix.generic(p, q)
+        full = source.full()
+        row = {label: r for r, label in enumerate(source.row_labels())}
+        col = {label: c for c, label in enumerate(source.col_labels())}
+
+        def entry(i: int, j: int):
+            return full[row[i]][col[j]]
+
         ring_one = Poly.const(1)
-        full = X.full()
-        rows = X.row_labels()
-        cols = X.col_labels()
-        omega = GrassmannElement.zero(p, q)
-        for ri, rlab in enumerate(rows):
-            for ci, clab in enumerate(cols):
-                omega = omega + GrassmannElement.from_word(p, q, (rlab, -clab), full[ri][ci])
-        xi = GrassmannElement.zero(p, q)
-        for i in range(1, p + 1):
-            for j in range(1, q + 1):
-                xi = xi + GrassmannElement.from_word(p, q, (i, -j), X.a[i - 1][j - 1])
-        theta = GrassmannElement.zero(p, q)
-        for i in range(1, p + 1):
-            for j in range(1, p + 1):
-                theta = theta + GrassmannElement.from_word(p, q, (i, j), X.b[i - 1][j - 1])
-        theta_prime = GrassmannElement.zero(p, q)
-        for i in range(1, q + 1):
-            for j in range(1, q + 1):
-                theta_prime = theta_prime + GrassmannElement.from_word(p, q, (-j, -i), X.c[i - 1][j - 1])
-        source = X
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    tau = None
-    if p == q:
-        tau = GrassmannElement.zero(p, q)
-        for i in range(1, p + 1):
-            tau = tau + GrassmannElement.from_word(p, q, (i, -i), ring_one)
+    rows = list(range(1, p + 1)) + list(range(-q, 0))
+    cols = list(range(1, q + 1)) + list(range(-p, 0))
+
+    def form(words) -> GrassmannElement:
+        return GrassmannElement.from_words(p, q, words)
+
+    omega = form(((i, -j), entry(i, j)) for i in rows for j in cols)
+    xi = form(((i, -j), entry(i, j)) for i in range(1, p + 1) for j in range(1, q + 1))
+    theta = form(((i, j), entry(i, -j)) for i in range(1, p + 1) for j in range(1, p + 1))
+    theta_prime = form(((-j, -i), entry(-j, i)) for i in range(1, q + 1) for j in range(1, q + 1))
+    tau = form(((i, -i), ring_one) for i in range(1, p + 1)) if p == q else None
     return Forms(mode, p, q, omega, xi, theta, theta_prime, tau, source, ring_one)
 
 
@@ -341,27 +270,19 @@ def check_xi_power_formula(n: int, u, r: int, forms: Forms | None = None) -> boo
         forms = build_forms("uea", n=n)
     M: UEAMatrix = forms.source
     lhs = xi_shifted_power(forms, Fraction(u) + r - 1, r)
-    rhs = GrassmannElement.zero(forms.p, forms.q)
     scale = Fraction(factorial(r))
-    for I in combinations(range(1, n + 1), r):
-        for J in combinations(range(1, n + 1), r):
-            word = list(I) + [-j for j in reversed(J)]
-            det = shifted_minor_determinant(M, I, J, u)
-            rhs = rhs + GrassmannElement.from_word(forms.p, forms.q, word, scale * det)
+    rhs = GrassmannElement.from_words(forms.p, forms.q, (
+        (list(I) + [-j for j in reversed(J)], scale * shifted_minor_determinant(M, I, J, u))
+        for I in combinations(range(1, n + 1), r) for J in combinations(range(1, n + 1), r)))
     return lhs == rhs
 
 
 def eta(forms: Forms, j: int, u) -> GrassmannElement:
     """The one-form eta_j(u) = sum_i e_i (a[i,j] + u delta_ij)."""
     M: UEAMatrix = forms.source
-    n = forms.p
-    out = GrassmannElement.zero(forms.p, forms.q)
-    for i in range(1, n + 1):
-        coeff = M.a_block(i, j)
-        if i == j:
-            coeff = coeff + Fraction(u)
-        out = out + GrassmannElement.from_word(forms.p, forms.q, (i,), coeff)
-    return out
+    return GrassmannElement.from_words(forms.p, forms.q, (
+        ((i,), M.a_block(i, j) + Fraction(u) if i == j else M.a_block(i, j))
+        for i in range(1, forms.p + 1)))
 
 
 def check_eta_anticommute(n: int, u, forms: Forms | None = None) -> bool:
@@ -395,18 +316,16 @@ def check_theta_powers(n: int, s: int, t: int, mode: str = "uea",
         forms = build_forms(mode, n=n, p=p, q=q)
     one = forms.ring_one
     lhs_b = forms.theta.power(s, one)
-    rhs_b = GrassmannElement.zero(forms.p, forms.q)
     coeff = Fraction(2**s * factorial(s))
-    for I in combinations(range(1, forms.p + 1), 2 * s):
-        rhs_b = rhs_b + GrassmannElement.from_word(forms.p, forms.q, I, coeff * _block_pfaffian(forms, "b", I))
+    rhs_b = GrassmannElement.from_words(forms.p, forms.q, (
+        (I, coeff * _block_pfaffian(forms, "b", I)) for I in combinations(range(1, forms.p + 1), 2 * s)))
     if lhs_b != rhs_b:
         return False
     lhs_c = forms.theta_prime.power(t, one)
-    rhs_c = GrassmannElement.zero(forms.p, forms.q)
     coeff = Fraction(2**t * factorial(t))
-    for J in combinations(range(1, forms.q + 1), 2 * t):
-        word = [-j for j in reversed(J)]
-        rhs_c = rhs_c + GrassmannElement.from_word(forms.p, forms.q, word, coeff * _block_pfaffian(forms, "c", J))
+    rhs_c = GrassmannElement.from_words(forms.p, forms.q, (
+        ([-j for j in reversed(J)], coeff * _block_pfaffian(forms, "c", J))
+        for J in combinations(range(1, forms.q + 1), 2 * t)))
     return lhs_c == rhs_c
 
 

@@ -9,8 +9,7 @@ rearranges it, computed here by counting crossings.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def position(value: int, n: int) -> int:
@@ -27,64 +26,12 @@ def signed_value(pos: int, n: int) -> int:
     return pos if pos <= n else pos - (2 * n + 1)
 
 
-@dataclass(frozen=True)
-class SignedIndex:
-    """A signed index together with its ambient half-size n."""
-
-    value: int
-    ambient: int
-
-    def __post_init__(self):
-        position(self.value, self.ambient)  # range check
-
-    @property
-    def pos(self) -> int:
-        return position(self.value, self.ambient)
-
-    def __neg__(self) -> "SignedIndex":
-        return SignedIndex(-self.value, self.ambient)
-
-
 def _check_sorted_unique(elements: Sequence[int], what: str) -> tuple[int, ...]:
     elems = tuple(elements)
     for a, b in zip(elems, elems[1:]):
         if a >= b:
             raise ValueError(f"{what} must be strictly increasing, got {elems}")
     return elems
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """A strictly increasing subset of a declared universe."""
-
-    elements: tuple[int, ...]
-    universe: tuple[int, ...]
-
-    def __init__(self, elements: Iterable[int], universe: Iterable[int]):
-        elems = _check_sorted_unique(tuple(elements), "index set")
-        univ = _check_sorted_unique(tuple(universe), "universe")
-        missing = set(elems) - set(univ)
-        if missing:
-            raise ValueError(f"elements {sorted(missing)} not in universe")
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "universe", univ)
-
-    def complement(self) -> "IndexSet":
-        inside = set(self.elements)
-        return IndexSet(tuple(x for x in self.universe if x not in inside), self.universe)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.elements
-
-    def split_sign_with(self, other: "IndexSet") -> int:
-        """Sign of sorting (self, other) back into their union."""
-        return split_sign(tuple(self.elements) + tuple(other.elements), self.elements, other.elements)
 
 
 def _crossings(left: Sequence[int], right: Sequence[int]) -> int:

@@ -42,14 +42,6 @@ def mat_sub(A: Matrix, B: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def mat_neg(A: Matrix) -> Matrix:
-    return tuple(tuple(-x for x in row) for row in A)
-
-
-def mat_scale(A: Matrix, s) -> Matrix:
-    return tuple(tuple(s * x for x in row) for row in A)
-
-
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     if A and B and len(A[0]) != len(B):
         raise ValueError("inner dimensions do not match")

@@ -29,7 +29,6 @@ from .linalg import (
     is_zero_matrix,
     mat_add,
     mat_mul,
-    mat_neg,
     mat_sub,
     transpose,
 )
@@ -118,10 +117,6 @@ class AlternatingMatrix:
 
     def __repr__(self):
         return f"AlternatingMatrix(size={self.size})"
-
-
-# The co-Pfaffian matrix is itself alternating; no extra structure needed.
-CoPfaffianMatrix = AlternatingMatrix
 
 
 def all_pairings(items: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:

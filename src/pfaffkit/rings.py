@@ -1,16 +1,18 @@
-"""Exact scalars and sparse multivariate polynomials.
+"""Exact scalars, the sparse-combination core, and polynomials.
 
-Every computation in the package runs over arbitrary-precision rationals
-(`fractions.Fraction`, aliased ``Scalar``) or over the polynomial ring
-``Poly`` built on top of them.  No floats anywhere: all comparisons in the
-verification suites are exact equalities.
+Every computation in the package runs over exact rationals (ints when
+integral, `fractions.Fraction` otherwise; ``Scalar`` aliases Fraction) or
+over rings built on them.  ``Combination`` is the dict-of-terms base of
+``Poly``, of the enveloping algebra and of the exterior algebra, and
+``parse_expression`` is the one expression parser.  No floats anywhere:
+all comparisons in the verification suites are exact equalities.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 Scalar = Fraction
 
@@ -108,37 +110,166 @@ def format_monomial(mono: Monomial, sep: str = "*") -> str:
     return sep.join(n if e == 1 else f"{n}^{e}" for n, e in factors)
 
 
-class Poly:
-    """Sparse polynomial with Fraction coefficients.
+def _rational(c):
+    """The scalar rule: an integral Fraction becomes an int.
 
-    ``terms`` maps monomials to nonzero coefficients.  Instances are
+    Ints, other Fractions and ring elements pass unchanged.  An int and
+    the equal Fraction compare and hash alike, and int arithmetic is much
+    cheaper."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def add_into(out: dict, terms: Mapping, scale=1) -> dict:
+    """Add scale * terms into `out` in place and return `out`.
+
+    `scale` multiplies each coefficient on the left, and the products
+    follow the scalar rule of `_rational`.  Zero coefficients of `terms`
+    are skipped and keys whose sum cancels leave `out`, so `out` never
+    holds a zero coefficient if it started without."""
+    if not scale:
+        return out
+    unscaled = scale == 1
+    for key, c in terms.items():
+        if not unscaled:
+            c = _rational(scale * c)
+        s = out.get(key)
+        if s is None:
+            if c:
+                out[key] = c
+        elif s := s + c:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
+class Combination:
+    """Sparse linear combination: ``terms`` maps keys to nonzero coefficients.
+
+    The base owns the module operations: sums, differences, negation,
+    scaling, equality and binary powering, plus the sign/magnitude printer.
+    A scalar (int or Fraction) stands for the coefficient of the unit key
+    ``_UNIT``, so ``x == 0`` or ``x + 1`` compares or adds dicts without
+    building an element.  Subclasses supply the product, the print order
+    ``sorted_terms`` and the key printer ``_format_key``.  Instances are
     treated as immutable; all arithmetic returns fresh objects.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, ScalarLike] | None = None):
-        cleaned: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = Fraction(coeff)
-                if c:
-                    cleaned[mono] = cleaned.get(mono, Fraction(0)) + c
-                    if not cleaned[mono]:
-                        del cleaned[mono]
-        self.terms = cleaned
+    _UNIT: object = ()
+
+    def __init__(self, terms: Mapping | None = None):
+        self.terms = add_into({}, {k: _rational(c) for k, c in (terms or {}).items()})
 
     @classmethod
-    def zero(cls) -> "Poly":
+    def _wrap(cls, terms: dict):
+        """Element owning `terms`, which must already hold no zero coefficient."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
+
+    @classmethod
+    def zero(cls):
         return cls()
 
     @classmethod
-    def const(cls, c: ScalarLike) -> "Poly":
-        return cls({_ONE_MONO: Fraction(c)})
+    def const(cls, c: ScalarLike):
+        return cls({cls._UNIT: c})
+
+    def _coerce(self, other) -> Mapping | None:
+        """The terms of `other` as a combination of this type, or None."""
+        if isinstance(other, type(self)):
+            return other.terms
+        if isinstance(other, (int, Fraction)):
+            return {self._UNIT: _rational(other)} if other else {}
+        return None
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._wrap(add_into(dict(self.terms), o))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._wrap({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._wrap(add_into(dict(self.terms), o, -1))
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._wrap(add_into(dict(o), self.terms, -1))
+
+    def scale(self, s):
+        """s times every coefficient, with s on the left."""
+        return self._wrap(add_into({}, self.terms, s))
+
+    def __pow__(self, exp: int):
+        if not isinstance(exp, int) or exp < 0:
+            raise ValueError("powers need a nonnegative integer exponent")
+        result = None
+        base = self
+        while exp:
+            if exp & 1:
+                result = base if result is None else result * base
+            exp >>= 1
+            if exp:
+                base = base * base
+        return self._wrap({self._UNIT: 1}) if result is None else result
+
+    def commutator(self, other):
+        return self * other - other * self
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.terms == o
+
+    __hash__ = None
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        pieces = []
+        for key, coeff in self.sorted_terms():
+            neg = coeff < 0
+            mag = -coeff if neg else coeff
+            if key == self._UNIT:
+                body = str(mag)
+            else:
+                factors = self._format_key(key)
+                body = factors if mag == 1 else f"{mag}*{factors}"
+            pieces.append(f" - {body}" if neg else f" + {body}")
+        text = "".join(pieces)
+        return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class Poly(Combination):
+    """Sparse polynomial with exact rational coefficients.
+
+    ``terms`` maps monomials to nonzero coefficients, stored as ints when
+    integral and as Fractions otherwise."""
+
+    __slots__ = ()
 
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls._wrap({((name, 1),): 1})
 
     def variables(self) -> set[str]:
         return {name for mono in self.terms for name, _ in mono}
@@ -151,80 +282,29 @@ class Poly:
         return max(_mono_degree(m) for m in self.terms)
 
     @property
-    def constant_term(self) -> Fraction:
-        return self.terms.get(_ONE_MONO, Fraction(0))
+    def constant_term(self) -> ScalarLike:
+        return self.terms.get(_ONE_MONO, 0)
 
     def homogeneous_part(self, d: int) -> "Poly":
         """The sum of the terms of total degree exactly d."""
-        res = Poly.__new__(Poly)
-        res.terms = {m: c for m, c in self.terms.items() if _mono_degree(m) == d}
-        return res
+        return self._wrap({m: c for m, c in self.terms.items() if _mono_degree(m) == d})
 
     @property
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ONE_MONO in self.terms)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    @staticmethod
-    def _coerce(other) -> "Poly | None":
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for mono, c in o.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        res = Poly.__new__(Poly)
-        res.terms = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        res = Poly.__new__(Poly)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+    __add__ = __radd__ = Combination.__add__
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, ScalarLike] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in o.terms.items():
-                mono = _mono_mul(m1, m2)
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        res = Poly.__new__(Poly)
-        res.terms = out
-        return res
+            # m2 -> m1*m2 is injective, so each row is a valid term dict
+            add_into(out, {_mono_mul(m1, m2): c2 for m2, c2 in other.terms.items()}, c1)
+        return self._wrap(out)
 
     __rmul__ = __mul__
 
@@ -236,31 +316,7 @@ class Poly:
             other = other.constant_term
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self * (Fraction(1) / Fraction(other))
-
-    def __pow__(self, exp: int):
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("polynomial powers need a nonnegative integer exponent")
-        result = Poly.const(1)
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    __hash__ = None
+        return self.scale(1 / Fraction(other))
 
     def evaluate(self, assignment: Mapping[str, ScalarLike]) -> Fraction:
         """Evaluate at an exact point; every variable must get a value."""
@@ -277,9 +333,9 @@ class Poly:
 
     def substitute(self, assignment: Mapping[str, "Poly | ScalarLike"]) -> "Poly":
         """Replace variables by polynomials; unlisted variables stay."""
-        total = Poly.zero()
+        out: dict[Monomial, ScalarLike] = {}
         for mono, coeff in self.terms.items():
-            term = Poly.const(coeff)
+            term = Poly.const(1)
             for name, e in mono:
                 repl = assignment.get(name)
                 if repl is None:
@@ -287,37 +343,13 @@ class Poly:
                 elif not isinstance(repl, Poly):
                     repl = Poly.const(repl)
                 term = term * repl**e
-            total = total + term
-        return total
+            add_into(out, term.terms, coeff)
+        return self._wrap(out)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, ScalarLike]]:
         return sorted(self.terms.items(), key=lambda kv: _mono_print_key(kv[0]))
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces: list[str] = []
-        for k, (mono, coeff) in enumerate(self.sorted_terms()):
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = format_monomial(mono)
-            else:
-                body = f"{mag}*{format_monomial(mono)}"
-            if k == 0:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f" - {body}" if neg else f" + {body}")
-        return "".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"Poly({self})"
-
-
-def poly_eval(p: Poly, assignment: Mapping[str, ScalarLike]) -> Fraction:
-    return p.evaluate(assignment)
+    _format_key = staticmethod(format_monomial)
 
 
 # --- shared tokenizer / parser -------------------------------------------
@@ -350,84 +382,90 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _TokenStream:
-    def __init__(self, tokens, text):
-        self.tokens = tokens
-        self.text = text
-        self.k = 0
+def parse_expression(text: str, var: Callable[[str], Combination],
+                     const: Callable[[ScalarLike], Combination]) -> Combination:
+    """Parse a plain ASCII expression into a ring element.
 
-    def peek(self):
-        return self.tokens[self.k] if self.k < len(self.tokens) else (None, None, len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.k += 1
-        return tok
-
-
-def parse_poly(text: str) -> Poly:
-    """Parse a plain ASCII polynomial expression.
-
-    Grammar: terms joined by '+'/'-', each term a '*'-separated product of
-    rational literals and names with optional '^exponent'.  Matches the
-    package's own printing, so str(p) parses back to p.
+    Recursive descent over the shared tokenizer: terms joined by '+'/'-',
+    where a run of signs folds into one (so "x + -1 * y" and "x - -y"
+    parse); a term is a product of factors joined by '*' or by
+    juxtaposition; a factor is a rational literal, a name or a
+    parenthesised expression, with an optional '^' and nonnegative
+    integer exponent.  Names become elements through `var` and literals
+    through `const`; the ring's own product does the rest.
     """
-    stream = _TokenStream(tokenize(text), text)
-    result = _parse_sum(stream)
-    kind, lex, pos = stream.peek()
+    tokens = tokenize(text)
+    k = 0
+
+    def peek():
+        return tokens[k] if k < len(tokens) else (None, None, len(text))
+
+    def is_op(tok, ops: str) -> bool:
+        return tok[0] == "op" and tok[1] in ops
+
+    def signs() -> int:
+        nonlocal k
+        sign = 1
+        while is_op(peek(), "+-"):
+            if peek()[1] == "-":
+                sign = -sign
+            k += 1
+        return sign
+
+    def expression():
+        if peek()[0] is None:
+            raise PolyParseError("empty expression", len(text))
+        sign = signs()
+        total = term()
+        if sign < 0:
+            total = -total
+        while is_op(peek(), "+-"):
+            sign = signs()
+            total = total + term() if sign > 0 else total - term()
+        return total
+
+    def term():
+        nonlocal k
+        product = factor()
+        while True:
+            tok = peek()
+            if is_op(tok, "*"):
+                k += 1
+            elif not (tok[0] in ("number", "name") or is_op(tok, "(")):
+                return product
+            product = product * factor()
+
+    def factor():
+        nonlocal k
+        kind, lex, pos = peek()
+        k += 1
+        if kind == "number":
+            base = const(parse_rational(lex))
+        elif kind == "name":
+            base = var(lex)
+        elif kind == "op" and lex == "(":
+            base = expression()
+            if not is_op(peek(), ")"):
+                raise PolyParseError("expected ')'", peek()[2])
+            k += 1
+        else:
+            raise PolyParseError(f"expected a factor, found {lex!r}" if kind else "unexpected end of input", pos)
+        if is_op(peek(), "^"):
+            k += 1
+            ek, el, epos = peek()
+            if ek != "number" or "/" in el:
+                raise PolyParseError("exponent must be a nonnegative integer", epos)
+            k += 1
+            return base ** int(el)
+        return base
+
+    result = expression()
+    kind, lex, pos = peek()
     if kind is not None:
         raise PolyParseError(f"trailing input starting at {lex!r}", pos)
     return result
 
 
-def _parse_sum(stream: _TokenStream) -> Poly:
-    total = Poly.zero()
-    sign = 1
-    kind, lex, pos = stream.peek()
-    if kind is None:
-        raise PolyParseError("empty expression", pos)
-    if kind == "op" and lex in "+-":
-        sign = -1 if lex == "-" else 1
-        stream.next()
-    while True:
-        total = total + sign * _parse_term(stream)
-        kind, lex, pos = stream.peek()
-        if kind == "op" and lex in "+-":
-            sign = -1 if lex == "-" else 1
-            stream.next()
-            continue
-        return total
-
-
-def _parse_term(stream: _TokenStream) -> Poly:
-    factor = _parse_factor(stream)
-    while True:
-        kind, lex, _ = stream.peek()
-        if kind == "op" and lex == "*":
-            stream.next()
-            factor = factor * _parse_factor(stream)
-        else:
-            return factor
-
-
-def _parse_factor(stream: _TokenStream) -> Poly:
-    kind, lex, pos = stream.next()
-    if kind == "number":
-        base = Poly.const(parse_rational(lex))
-    elif kind == "name":
-        base = Poly.var(lex)
-    elif kind == "op" and lex == "(":
-        base = _parse_sum(stream)
-        ck, cl, cpos = stream.next()
-        if ck != "op" or cl != ")":
-            raise PolyParseError("expected ')'", cpos)
-    else:
-        raise PolyParseError(f"expected a factor, found {lex!r}" if kind else "unexpected end of input", pos)
-    k2, l2, _ = stream.peek()
-    if k2 == "op" and l2 == "^":
-        stream.next()
-        ek, el, epos = stream.next()
-        if ek != "number" or "/" in el:
-            raise PolyParseError("exponent must be a nonnegative integer", epos)
-        return base ** int(el)
-    return base
+def parse_poly(text: str) -> Poly:
+    """Parse a polynomial with parse_expression; str(p) parses back to p."""
+    return parse_expression(text, Poly.var, Poly.const)

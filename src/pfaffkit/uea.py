@@ -16,25 +16,26 @@ increasing under the order lowering < diagonal < raising, ties broken by
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .indexing import complement_sign, signed_value
 from .linalg import det_leibniz
 from .pfaffian import AlternatingMatrix, ShapeError, permutation_sign, pfaffian
 from .rings import (
+    Combination,
     Poly,
     PolyParseError,
+    ScalarLike,
     _GENERATOR_NAME,
+    add_into,
     display_key,
-    parse_rational,
-    tokenize,
+    parse_expression,
 )
-
-ScalarLike = Union[int, Fraction]
 
 _KINDS = ("a", "b", "c")
 _GENERATORS: dict[tuple[str, int, int], "Generator"] = {}
@@ -104,103 +105,31 @@ def _signed_pair(g: Generator) -> tuple[int, int]:
     return -g.j, g.i
 
 
-def _rational(c: ScalarLike) -> ScalarLike:
-    """c as an exact rational: an int when integral, else a Fraction."""
-    if isinstance(c, int):
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-class UEAElement:
+class UEAElement(Combination):
     """Linear combination of PBW words with exact rational coefficients.
 
     Scalars enter as ints when integral and as Fractions otherwise (the two
     compare and hash alike), so products of integral elements never leave
     int arithmetic."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Word, ScalarLike] | None = None):
-        cleaned: dict[Word, ScalarLike] = {}
-        if terms:
-            for word, coeff in terms.items():
-                c = _rational(coeff)
-                if c:
-                    s = cleaned.get(word, 0) + c
-                    if s:
-                        cleaned[word] = s
-                    else:
-                        del cleaned[word]
-        self.terms = cleaned
-
-    @staticmethod
-    def _wrap(terms: dict[Word, ScalarLike]) -> "UEAElement":
-        """Element owning `terms`, which must already hold no zero coefficient."""
-        res = UEAElement.__new__(UEAElement)
-        res.terms = terms
-        return res
-
-    @classmethod
-    def zero(cls) -> "UEAElement":
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def one(cls) -> "UEAElement":
-        return cls({(): 1})
+        return cls._wrap({(): 1})
 
     @classmethod
     def from_generator(cls, g: Generator) -> "UEAElement":
-        return cls({(g,): 1})
+        return cls._wrap({(g,): 1})
 
     def degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    @staticmethod
-    def _coerce(other) -> "UEAElement | None":
-        if isinstance(other, UEAElement):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return UEAElement({(): other})
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in o.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return UEAElement._wrap(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return UEAElement._wrap({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+    __add__ = __radd__ = Combination.__add__
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            s = _rational(other)
-            return UEAElement._wrap({w: _rational(c * s) for w, c in self.terms.items()} if s else {})
+            return self.scale(other)
         if not isinstance(other, UEAElement):
             return NotImplemented
         return UEAElement._wrap(_product_into({}, self.terms, other.terms))
@@ -208,41 +137,15 @@ class UEAElement:
     def __rmul__(self, other):
         # only scalars reach here, and they commute with everything
         if isinstance(other, (int, Fraction)):
-            return self * other
+            return self.scale(other)
         return NotImplemented
-
-    def __pow__(self, exp: int):
-        if not isinstance(exp, int) or exp < 0:
-            raise ValueError("powers need a nonnegative integer exponent")
-        result = UEAElement.one()
-        for _ in range(exp):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    __hash__ = None
-
-    def commutator(self, other: "UEAElement") -> "UEAElement":
-        return self * other - other * self
 
     def abelianized(self) -> Poly:
         """Image in the symmetric algebra: each generator to its name variable."""
-        total = Poly.zero()
+        out: dict = {}
         for word, coeff in self.terms.items():
-            term = Poly.const(coeff)
-            for g in word:
-                term = term * Poly.var(g.name)
-            total = total + term
-        return total
+            add_into(out, {tuple(sorted(Counter(g.name for g in word).items())): coeff})
+        return Poly._wrap(out)
 
     @staticmethod
     def _run_lengths(word: Word) -> list[tuple[Generator, int]]:
@@ -273,28 +176,8 @@ class UEAElement:
                 pieces.append(f"{coeff} * {factors}")
         return " + ".join(pieces)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for k, (word, coeff) in enumerate(self.sorted_terms()):
-            neg = coeff < 0
-            mag = -coeff if neg else coeff
-            if not word:
-                body = str(mag)
-            else:
-                factors = " ".join(
-                    g.name if e == 1 else f"{g.name}^{e}" for g, e in self._run_lengths(word)
-                )
-                body = factors if mag == 1 else f"{mag}*{factors}"
-            if k == 0:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f" - {body}" if neg else f" + {body}")
-        return "".join(pieces)
-
-    def __repr__(self) -> str:
-        return f"UEAElement({self})"
+    def _format_key(self, word: Word) -> str:
+        return " ".join(g.name if e == 1 else f"{g.name}^{e}" for g, e in self._run_lengths(word))
 
 
 def signed_generator(i: int, j: int) -> UEAElement:
@@ -328,16 +211,12 @@ def _bracket_terms(g: Generator, h: Generator) -> tuple[tuple[Word, ScalarLike],
     if terms is None:
         i, j = _signed_pair(g)
         k, l = _signed_pair(h)
-        total = UEAElement.zero()
-        if j == k:
-            total = total + signed_generator(i, l)
-        if i == l:
-            total = total + signed_generator(-j, -k)
-        if j == -l:
-            total = total - signed_generator(i, -k)
-        if i == -k:
-            total = total - signed_generator(-j, l)
-        terms = _BRACKETS[(g, h)] = tuple(total.terms.items())
+        out: dict[Word, ScalarLike] = {}
+        for hit, x, y, sign in ((j == k, i, l, 1), (i == l, -j, -k, 1),
+                                (j == -l, i, -k, -1), (i == -k, -j, l, -1)):
+            if hit:
+                add_into(out, signed_generator(x, y).terms, sign)
+        terms = _BRACKETS[(g, h)] = tuple(out.items())
     return terms
 
 
@@ -346,29 +225,24 @@ def bracket(g: Generator, h: Generator) -> UEAElement:
     return UEAElement._wrap(dict(_bracket_terms(g, h)))
 
 
-def _normal_order_into(out: dict[Word, ScalarLike],
+def _normal_order_sums(sums: dict[Word, ScalarLike],
                        stack: list[tuple[Word, ScalarLike, int]]) -> dict[Word, ScalarLike]:
-    """Drain a stack of (word, coeff, start) into `out`, in the PBW basis.
+    """Drain a stack of (word, coeff, start) into `sums`, in the PBW basis.
 
     The first out-of-order adjacent pair x y at or after `start` becomes
     y x + [x, y]; the bracket terms are strictly shorter, so the rewrite
     terminates.  Both rewrites leave the word sorted before the pair, so
     they are pushed back with the scan restarting one step to its left.
-    Sorted words are added into `out`, and cancelled words leave it."""
-    pop, push = stack.pop, stack.append
+    Sorted words are summed into `sums` as they come; a cancelled word
+    stays there with coefficient 0 until add_into merges the sums."""
+    pop, push, get = stack.pop, stack.append, sums.get
     while stack:
         w, c, t = pop()
         last = len(w) - 1
         while t < last and w[t].sort_key <= w[t + 1].sort_key:
             t += 1
         if t >= last:
-            s = out.get(w)
-            if s is None:
-                out[w] = c
-            elif s := s + c:
-                out[w] = s
-            else:
-                del out[w]
+            sums[w] = get(w, 0) + c
             continue
         x, y = w[t], w[t + 1]
         head, tail = w[:t], w[t + 2:]
@@ -376,7 +250,7 @@ def _normal_order_into(out: dict[Word, ScalarLike],
         push((head + (y, x) + tail, c, back))
         for bw, bc in _bracket_terms(x, y):
             push((head + bw + tail, c * bc, back))
-    return out
+    return sums
 
 
 def _product_into(out: dict[Word, ScalarLike], left: Mapping[Word, ScalarLike],
@@ -385,17 +259,17 @@ def _product_into(out: dict[Word, ScalarLike], left: Mapping[Word, ScalarLike],
     drained after each left term so it never holds more than one row of
     term pairs."""
     stack: list[tuple[Word, ScalarLike, int]] = []
+    sums: dict[Word, ScalarLike] = {}
     for w1, c1 in left.items():
         c1 = scale * c1
         stack.extend((w1 + w2, c1 * c2, 0) for w2, c2 in right.items())
-        _normal_order_into(out, stack)
-    return out
+        _normal_order_sums(sums, stack)
+    return add_into(out, sums)
 
 
 def normal_order(word: Iterable[Generator], coeff: ScalarLike = 1) -> UEAElement:
     """Rewrite coeff * word into the PBW basis."""
-    c = _rational(coeff)
-    return UEAElement._wrap(_normal_order_into({}, [(tuple(word), c, 0)]) if c else {})
+    return UEAElement._wrap(add_into({}, _normal_order_sums({}, [(tuple(word), 1, 0)]), coeff))
 
 
 class UEAMatrix:
@@ -468,7 +342,7 @@ def nc_pfaffian(M: UEAMatrix) -> UEAElement:
                 if entry and rest:
                     _product_into(out, entry, rest, -1 if (a + b) % 2 == 0 else 1)
             level[S] = out
-    return UEAElement._wrap(level[tuple(range(2 * n))]) * Fraction(1, factorial(n))
+    return UEAElement._wrap(level[tuple(range(2 * n))]).scale(Fraction(1, factorial(n)))
 
 
 def nc_pfaffian_unrestricted(M: UEAMatrix) -> UEAElement:
@@ -477,14 +351,13 @@ def nc_pfaffian_unrestricted(M: UEAMatrix) -> UEAElement:
         raise ShapeError("matrix is not anti-alternating")
     n = M.n
     at = _alternating_times_j(M)
-    total = UEAElement.zero()
+    out: dict[Word, ScalarLike] = {}
     for perm in permutations(range(1, 2 * n + 1)):
-        sign = permutation_sign(perm)
         prod = UEAElement.one()
         for t in range(0, 2 * n, 2):
             prod = prod * at[perm[t] - 1][perm[t + 1] - 1]
-        total = total + (prod if sign == 1 else -prod)
-    return total * Fraction(1, 2**n * factorial(n))
+        add_into(out, prod.terms, permutation_sign(perm))
+    return UEAElement._wrap(out).scale(Fraction(1, 2**n * factorial(n)))
 
 
 def column_determinant(rows: Sequence[Sequence[UEAElement]]) -> UEAElement:
@@ -534,7 +407,7 @@ def nc_minor_summation_rhs(n: int, M: UEAMatrix | None = None) -> UEAElement:
     if M is None:
         M = build_canonical_x(n)
     universe = tuple(range(1, n + 1))
-    total = UEAElement.zero()
+    out: dict[Word, ScalarLike] = {}
     for size in range(0, n + 1, 2):
         for I in combinations(universe, size):
             sign_i = complement_sign(I, universe)
@@ -545,8 +418,8 @@ def nc_minor_summation_rhs(n: int, M: UEAMatrix | None = None) -> UEAElement:
                 comp_j = tuple(k for k in universe if k not in set(J))
                 pf_c = _commuting_block_pfaffian(lambda x, y: _c_entry(M, x, y), J)
                 det = shifted_minor_determinant(M, comp_i, comp_j, 0)
-                total = total + (sign_i * sign_j) * (det * pf_c * pf_b)
-    return total
+                add_into(out, (det * pf_c * pf_b).terms, sign_i * sign_j)
+    return UEAElement._wrap(out)
 
 
 def centrality_failures(z: UEAElement, n: int) -> list[Generator]:
@@ -637,71 +510,17 @@ def eigenvalue_factored_str(weight: HighestWeight) -> str:
 # --- text round-trip -------------------------------------------------------
 
 
-def _generator_from_name(name: str) -> Generator:
+def _generator_element(name: str) -> UEAElement:
     m = _GENERATOR_NAME.match(name)
     if m is None:
         raise PolyParseError(f"{name!r} is not a generator name (expected kind[i,j])")
-    return Generator(m.group(1), int(m.group(2)), int(m.group(3)))
+    return UEAElement.from_generator(Generator(m.group(1), int(m.group(2)), int(m.group(3))))
 
 
 def parse_element(text: str) -> UEAElement:
     """Parse the textual PBW format produced by UEAElement.to_text.
 
-    Terms are joined by '+'/'-'; each term is an optional rational
-    coefficient (followed by '*' or whitespace) and a run of factors
-    name^exp with '^exp' optional.  Factors multiply left to right and are
+    The grammar is that of rings.parse_expression with generator names
+    kind[i,j] as the variables.  Factors multiply left to right and are
     normal ordered, so any factor order is accepted."""
-    tokens = tokenize(text)
-    out: dict[Word, ScalarLike] = {}
-    k = 0
-
-    def peek():
-        return tokens[k] if k < len(tokens) else (None, None, len(text))
-
-    if peek()[0] is None:
-        raise PolyParseError("empty element text")
-    while True:
-        # fold any run of leading sign tokens into the term's sign, so the
-        # lossless form "x + -1 * y" parses
-        sign = 1
-        kind, lex, pos = peek()
-        while kind == "op" and lex in "+-":
-            if lex == "-":
-                sign = -sign
-            k += 1
-            kind, lex, pos = peek()
-        coeff = Fraction(1)
-        factors: list[Generator] = []
-        saw_body = False
-        if kind == "number":
-            coeff = parse_rational(lex)
-            saw_body = True
-            k += 1
-            kind, lex, pos = peek()
-            if kind == "op" and lex == "*":
-                k += 1
-                kind, lex, pos = peek()
-        while kind == "name":
-            saw_body = True
-            g = _generator_from_name(lex)
-            k += 1
-            e = 1
-            kind, lex, pos = peek()
-            if kind == "op" and lex == "^":
-                k += 1
-                ek, el, epos = peek()
-                if ek != "number" or "/" in el:
-                    raise PolyParseError("exponent must be a nonnegative integer", epos)
-                e = int(el)
-                k += 1
-                kind, lex, pos = peek()
-            factors.extend([g] * e)
-        if not saw_body:
-            raise PolyParseError(f"expected a term, found {lex!r}" if kind else "unexpected end of input", pos)
-        if coeff:
-            _normal_order_into(out, [(tuple(factors), _rational(sign * coeff), 0)])
-        kind, lex, pos = peek()
-        if kind is None:
-            return UEAElement._wrap(out)
-        if not (kind == "op" and lex in "+-"):
-            raise PolyParseError(f"unexpected token {lex!r}", pos)
+    return parse_expression(text, _generator_element, UEAElement.const)

@@ -319,6 +319,11 @@ def forms_suite(n: int | None = None, force: bool = False) -> VerificationReport
 
 def run_suite(name: str, n: int | None = None, pq: tuple[int, int] | None = None,
               seed: int = 0, force: bool = False) -> VerificationReport:
+    """Run one named suite; an option the suite would ignore is an error."""
+    if name == "msf" and n is not None:
+        raise ValueError("--n does not apply to the msf suite; use --pq")
+    if name in ("ncmsf", "central", "forms") and pq is not None:
+        raise ValueError(f"--pq does not apply to the {name} suite; use --n")
     if name == "msf":
         return msf_suite(pq=pq, seed=seed, force=force)
     if name == "ncmsf":

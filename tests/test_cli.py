@@ -76,6 +76,13 @@ def test_pfaffian_missing_file(capsys):
     assert code == 2
 
 
+def test_pfaffian_directory_is_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "pfaffian", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "directory" in err
+
+
 # --- verify --------------------------------------------------------------------
 
 
@@ -120,6 +127,27 @@ def test_verify_rank_below_one_is_usage_error(suite, capsys):
         assert out == ""
 
 
+def test_verify_msf_rejects_n(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "msf", "--n", "2")
+    assert code == 2
+    assert "--n does not apply" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("suite", ["ncmsf", "central", "forms"])
+def test_verify_rank_suites_reject_pq(suite, capsys):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--pq", "3", "5")
+    assert code == 2
+    assert "--pq does not apply" in err
+    assert out == ""
+
+
+def test_verify_all_takes_n_and_pq(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--n", "1", "--pq", "1", "1")
+    assert code == 0
+    assert "msf:identity:p1q1" in out and "ncmsf:identity:n1" in out
+
+
 def test_verify_bad_suite_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--suite", "bogus")
     assert code == 2
@@ -129,6 +157,14 @@ def test_verify_seed_env_default(capsys, monkeypatch):
     monkeypatch.setenv("PFAFFKIT_SEED", "17")
     code, out, _ = run(capsys, "verify", "--suite", "msf", "--pq", "1", "1")
     assert code == 0
+
+
+def test_verify_bad_seed_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("PFAFFKIT_SEED", "abc")
+    code, out, err = run(capsys, "verify", "--suite", "msf", "--pq", "1", "1")
+    assert code == 2
+    assert "PFAFFKIT_SEED must be an integer" in err
+    assert out == ""
 
 
 # --- eigenvalue ------------------------------------------------------------------
@@ -203,6 +239,14 @@ def test_forms_uea(capsys):
     assert code == 0
     assert "omega = 2*a[1,1] e[1]e[-1]" in out
     assert "tau = e[1]e[-1]" in out
+
+
+@pytest.mark.parametrize("mode", ["uea", "commutative"])
+def test_forms_rank_below_one_is_usage_error(mode, capsys):
+    code, out, err = run(capsys, "forms", "--mode", mode, "--n", "0")
+    assert code == 2
+    assert "--n must be at least 1" in err
+    assert out == ""
 
 
 def test_forms_commutative_needs_size(capsys):

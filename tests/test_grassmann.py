@@ -233,3 +233,8 @@ def test_accumulation_order_does_not_matter():
         for labels, c in shuffled:
             acc = acc + w(labels, Fraction(c))
         assert acc == ref
+        assert GrassmannElement.from_words(2, 2, [(labels, Fraction(c)) for labels, c in shuffled]) == acc
+    # in from_words too, a repeated label gives nothing and a reordered word cancels
+    extra = words + [([2, 2], 6), ([2, 1], 3)]
+    assert GrassmannElement.from_words(2, 2, extra) == ref + w([2, 1], Fraction(3))
+    assert 3 not in GrassmannElement.from_words(2, 2, extra).terms

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfaffkit.indexing import (
-    IndexSet,
     complement_sign,
     position,
     signed_value,
@@ -73,12 +72,6 @@ def test_complement_sign_is_split_with_complement_first():
         for part in combinations(universe, k):
             rest = tuple(v for v in universe if v not in part)
             assert complement_sign(part, universe) == split_sign(universe, rest, part)
-
-
-def test_index_set_complement():
-    s = IndexSet((2, 4), (1, 2, 3, 4))
-    assert s.complement().elements == (1, 3)
-    assert s.split_sign_with(s.complement()) in (-1, 1)
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())

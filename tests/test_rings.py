@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfaffkit.grassmann import GrassmannElement
 from pfaffkit.rings import (
+    Combination,
     MissingIndeterminateError,
     Poly,
     PolyParseError,
     parse_poly,
     parse_rational,
 )
+from pfaffkit.uea import Generator, UEAElement
 
 x = Poly.var("x")
 y = Poly.var("y")
@@ -87,6 +90,8 @@ def test_str_goldens():
 def test_parse_roundtrip_goldens():
     for text in ("0", "x - y", "2*x^2 - x + 1", "x*y + 3", "-3/4"):
         assert str(parse_poly(text)) == text
+    assert parse_poly("x y") == x * y
+    assert parse_poly("x - -y") == x + y
 
 
 def test_parse_parens_and_powers():
@@ -105,6 +110,44 @@ def test_parse_rational():
     assert parse_rational("-3/4") == Fraction(-3, 4)
     with pytest.raises(PolyParseError):
         parse_rational("x")
+
+
+def _gen(kind, i, j):
+    return UEAElement.from_generator(Generator(kind, i, j))
+
+
+def _poly_case():
+    return x * x - 3 * y + Fraction(1, 2), Poly.var("z") * y, Poly.const(1)
+
+
+def _uea_case():
+    a11, b12, c12 = _gen("a", 1, 1), _gen("b", 1, 2), _gen("c", 1, 2)
+    return c12 * b12 + a11 * 2 - Fraction(3, 4), _gen("a", 2, 1), UEAElement.one()
+
+
+def _grassmann_case():
+    a11, b12 = _gen("a", 1, 1), _gen("b", 1, 2)
+    x = GrassmannElement.from_words(2, 2, [([1], a11), ([-1, 2], b12 + 1), ((), a11 * b12)])
+    return x, GrassmannElement.from_word(2, 2, [2, -2], a11), GrassmannElement.scalar(2, 2, UEAElement.one())
+
+
+@pytest.mark.parametrize("case", [_poly_case, _uea_case, _grassmann_case], ids=["poly", "uea", "grassmann"])
+def test_combination_core(case, monkeypatch):
+    x, t, unit = case()
+    assert not set(t.terms) & set(x.terms)
+    assert (x - x).terms == {}
+    assert (x + t) - t == x and set(((x + t) + (-t)).terms) == set(x.terms)
+    assert x.scale(3) == x + x + x
+    assert x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2)) == x
+    assert x**3 == x * x * x and x**1 == x and x**0 == unit
+    zero = x - x
+    # comparing with a scalar reads the terms dicts and builds no element
+    for cls in (Combination, GrassmannElement):
+        for name in ("__init__", "_wrap"):
+            monkeypatch.setattr(cls, name, lambda *a, **k: pytest.fail("built an element"))
+    with pytest.raises(pytest.fail.Exception):
+        x + x
+    assert x != 0 and x != 1 and zero == 0 and unit == 1 and unit != 0
 
 
 @given(small_polys(), small_polys(), small_polys())
