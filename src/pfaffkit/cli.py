@@ -151,8 +151,14 @@ def cmd_forms(args) -> int:
         if args.n is None:
             print("forms: --mode uea needs --n", file=sys.stderr)
             return 2
+        if args.pq is not None:
+            print("forms: --mode uea takes --n, not --pq", file=sys.stderr)
+            return 2
         forms = grassmann.build_forms("uea", n=args.n)
     else:
+        if args.pq is not None and args.n is not None:
+            print("forms: give --n or --pq, not both", file=sys.stderr)
+            return 2
         if args.pq is not None:
             p, q = args.pq
         elif args.n is not None:

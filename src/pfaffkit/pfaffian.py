@@ -6,6 +6,13 @@ whose signs come from explicit inversion counting, and, for
 anti-alternating matrices, the right-hand side of the minor summation
 identity, which expands the Pfaffian into determinant times
 sub-Pfaffian contributions over the block decomposition.
+
+The recursion `_pf` reads and fills a memo keyed by index tuples of one
+matrix, so every Pfaffian taken of that matrix's principal submatrices
+shares it: `pfaffian` starts a fresh memo, the co-Pfaffian matrix reads
+each cofactor Pf(A without i, j) from the memo that computed Pf A, and
+`complementary_minor_check` computes Pf A, the scaled co-Pfaffian matrix
+and their memos once per matrix and keeps them on the matrix.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ class AlternatingMatrix:
     1-based to match the usual matrix conventions.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_minors")
 
     def __init__(self, rows: Sequence[Sequence]):
         rows = freeze(rows)
@@ -69,6 +76,15 @@ class AlternatingMatrix:
                         (j + 1, i + 1),
                     )
         self.rows = rows
+        self._minors = None  # per-matrix data of complementary_minor_check
+
+    @classmethod
+    def _trusted(cls, rows: tuple) -> "AlternatingMatrix":
+        """Wrap a tuple of row tuples already known to be alternating."""
+        out = cls.__new__(cls)
+        out.rows = rows
+        out._minors = None
+        return out
 
     @classmethod
     def from_upper(cls, size: int, value_at: Callable[[int, int], object]) -> "AlternatingMatrix":
@@ -101,14 +117,10 @@ class AlternatingMatrix:
     def submatrix(self, indices: Iterable[int]) -> "AlternatingMatrix":
         """Principal submatrix on the given sorted 1-based indices."""
         idx = tuple(indices)
-        out = AlternatingMatrix.__new__(AlternatingMatrix)
-        out.rows = tuple(tuple(self.rows[i - 1][j - 1] for j in idx) for i in idx)
-        return out
+        return AlternatingMatrix._trusted(tuple(tuple(self.rows[i - 1][j - 1] for j in idx) for i in idx))
 
     def scale(self, s) -> "AlternatingMatrix":
-        out = AlternatingMatrix.__new__(AlternatingMatrix)
-        out.rows = tuple(tuple(s * x for x in row) for row in self.rows)
-        return out
+        return AlternatingMatrix._trusted(tuple(tuple(s * x for x in row) for row in self.rows))
 
     def __eq__(self, other):
         return isinstance(other, AlternatingMatrix) and self.rows == other.rows
@@ -160,62 +172,71 @@ def pfaffian_definitional(A: AlternatingMatrix):
     return total
 
 
-def pfaffian(A: AlternatingMatrix):
-    """Pfaffian by recursive expansion along the first remaining row.
+def _pf(A: AlternatingMatrix, indices: tuple[int, ...], memo: dict):
+    """Pfaffian of the principal submatrix of A on the sorted 1-based
+    `indices`, by expansion along its first row.
 
-    Memoised on index subsets, so repeated sub-Pfaffians of the same
-    matrix cost nothing extra.
+    `memo` maps index tuples of A to their Pfaffians; every call on the
+    same A may share it, so each sub-Pfaffian is computed once.
     """
-    memo: dict[tuple[int, ...], object] = {}
-
-    def pf(indices: tuple[int, ...]):
-        if not indices:
-            return Fraction(1)
-        cached = memo.get(indices)
-        if cached is not None:
-            return cached
-        first, rest = indices[0], indices[1:]
-        total = None
-        for k, j in enumerate(rest):
-            a = A.entry(first, j)
-            if a == 0:
-                continue
-            sub = pf(rest[:k] + rest[k + 1:])
-            term = a * sub
-            if k % 2:
-                term = -term
-            total = term if total is None else total + term
-        if total is None:
-            total = Fraction(0)
-        memo[indices] = total
-        return total
-
-    return pf(tuple(range(1, A.size + 1)))
+    if not indices:
+        return Fraction(1)
+    cached = memo.get(indices)
+    if cached is not None:
+        return cached
+    first, rest = indices[0], indices[1:]
+    row = A.rows[first - 1]
+    total = None
+    for k, j in enumerate(rest):
+        a = row[j - 1]
+        if a == 0:
+            continue
+        term = a * _pf(A, rest[:k] + rest[k + 1:], memo)
+        if k % 2:
+            term = -term
+        total = term if total is None else total + term
+    if total is None:
+        total = Fraction(0)
+    memo[indices] = total
+    return total
 
 
-def cofactor_pfaffian(A: AlternatingMatrix, i: int, j: int):
+def pfaffian(A: AlternatingMatrix):
+    """Pfaffian by recursive expansion along the first remaining row,
+    memoised on index subsets of A."""
+    return _pf(A, tuple(range(1, A.size + 1)), {})
+
+
+def cofactor_pfaffian(A: AlternatingMatrix, i: int, j: int, memo: dict | None = None):
     """Entry (i, j) of the co-Pfaffian matrix.
 
     Zero on the diagonal; off the diagonal it is the Pfaffian of A with
     rows/columns i and j removed, carrying the sign (-1)^(i+j-1) for
-    i < j and (-1)^(i+j) for i > j.
+    i < j and (-1)^(i+j) for i > j.  `memo` is a sub-Pfaffian memo of A
+    (see `_pf`) to read from and add to.
     """
     if i == j:
         return Fraction(0)
     lo, hi = min(i, j), max(i, j)
     keep = tuple(k for k in range(1, A.size + 1) if k != lo and k != hi)
-    pf = pfaffian(A.submatrix(keep))
+    pf = _pf(A, keep, {} if memo is None else memo)
     exponent = i + j - 1 if i < j else i + j
     return -pf if exponent % 2 else pf
 
 
-def copfaffian_matrix(A: AlternatingMatrix) -> AlternatingMatrix:
-    """The alternating matrix of all Pfaffian cofactors."""
+def copfaffian_matrix(A: AlternatingMatrix, memo: dict | None = None) -> AlternatingMatrix:
+    """The alternating matrix of all Pfaffian cofactors.
+
+    All cofactors share one sub-Pfaffian memo of A: `memo` if given
+    (say, the one that computed Pf A), else a fresh one.
+    """
+    if memo is None:
+        memo = {}
     m = A.size
     grid = [[Fraction(0)] * m for _ in range(m)]
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
-            g = cofactor_pfaffian(A, i, j)
+            g = cofactor_pfaffian(A, i, j, memo)
             grid[i - 1][j - 1] = g
             grid[j - 1][i - 1] = -g
     return AlternatingMatrix(grid)
@@ -227,8 +248,9 @@ def copfaffian_expansion_residuals(A: AlternatingMatrix) -> dict[tuple[int, int]
     All residuals are zero exactly when the expansion holds; the full grid
     is returned so failures name their (i, j)."""
     m = A.size
-    pf = pfaffian(A)
-    gamma = copfaffian_matrix(A)
+    memo: dict = {}
+    pf = _pf(A, tuple(range(1, m + 1)), memo)
+    gamma = copfaffian_matrix(A, memo)
     out = {}
     for i in range(1, m + 1):
         for j in range(1, m + 1):
@@ -244,23 +266,40 @@ def copfaffian_expansion_check(A: AlternatingMatrix) -> bool:
     return all(r == 0 for r in copfaffian_expansion_residuals(A).values())
 
 
+def _minor_data(A: AlternatingMatrix) -> tuple:
+    """(Pf A, its memo, Ahat/Pf A, the memo of that) for A, computed on the
+    first call and kept on A; raises while Pf A vanishes."""
+    data = A._minors
+    if data is None:
+        memo: dict = {}
+        pf = _pf(A, tuple(range(1, A.size + 1)), memo)
+        if pf == 0:
+            raise SingularMatrixError("Pfaffian vanishes; relation needs an invertible matrix")
+        scaled = copfaffian_matrix(A, memo).scale(Fraction(1) / pf)
+        data = A._minors = (pf, memo, scaled, {})
+    return data
+
+
 def complementary_minor_check(A: AlternatingMatrix, I: Iterable[int]) -> bool:
     """Check Pf(A_I)/Pf(A) == sgn(I, Ic) * Pf((Ahat/Pf A)_Ic) for rational A.
 
     Ahat is the co-Pfaffian matrix; Ic the complement of I.  Requires an
-    invertible matrix and an even index set.
+    invertible matrix and an even index set of distinct indices 1..m.
+    Pf A, Ahat/Pf A and the sub-Pfaffian memos of both are computed once
+    per matrix and kept on A, so a sweep over every I of one matrix
+    computes each sub-Pfaffian once; each I is still compared exactly.
     """
     I = tuple(sorted(I))
     if len(I) % 2:
         raise ValueError(f"index set must have even size, got {len(I)}")
-    pf = pfaffian(A)
-    if pf == 0:
-        raise SingularMatrixError("Pfaffian vanishes; relation needs an invertible matrix")
     universe = tuple(range(1, A.size + 1))
-    comp = tuple(k for k in universe if k not in set(I))
-    lhs = pfaffian(A.submatrix(I)) / pf
-    scaled = copfaffian_matrix(A).scale(Fraction(1) / pf)
-    rhs = split_sign(universe, I, comp) * pfaffian(scaled.submatrix(comp))
+    members = set(I)
+    comp = tuple(k for k in universe if k not in members)
+    if len(members) != len(I) or len(I) + len(comp) != len(universe):
+        raise ValueError(f"index set must hold distinct indices in 1..{A.size}, got {I}")
+    pf, memo, scaled, scaled_memo = _minor_data(A)
+    lhs = _pf(A, I, memo) / pf
+    rhs = split_sign(universe, I, comp) * _pf(scaled, comp, scaled_memo)
     return lhs == rhs
 
 
@@ -374,14 +413,10 @@ class AntiAlternatingMatrix:
         return tuple(tuple(self.a[i - 1][j - 1] for j in cols) for i in rows)
 
     def b_minor(self, I: Sequence[int]) -> AlternatingMatrix:
-        out = AlternatingMatrix.__new__(AlternatingMatrix)
-        out.rows = tuple(tuple(self.b[i - 1][j - 1] for j in I) for i in I)
-        return out
+        return AlternatingMatrix._trusted(tuple(tuple(self.b[i - 1][j - 1] for j in I) for i in I))
 
     def c_minor(self, J: Sequence[int]) -> AlternatingMatrix:
-        out = AlternatingMatrix.__new__(AlternatingMatrix)
-        out.rows = tuple(tuple(self.c[i - 1][j - 1] for j in J) for i in J)
-        return out
+        return AlternatingMatrix._trusted(tuple(tuple(self.c[i - 1][j - 1] for j in J) for i in J))
 
 
 def pfaffian_of_anti_alternating(X: AntiAlternatingMatrix):

@@ -385,9 +385,7 @@ def shifted_minor_determinant(M: UEAMatrix, I: Sequence[int], J: Sequence[int], 
 
 def _commuting_block_pfaffian(entry_at, I: Sequence[int]) -> UEAElement:
     """Pfaffian of a skew block of mutually commuting entries."""
-    out = AlternatingMatrix.__new__(AlternatingMatrix)
-    out.rows = tuple(tuple(entry_at(i, j) for j in I) for i in I)
-    return pfaffian(out)
+    return pfaffian(AlternatingMatrix._trusted(tuple(tuple(entry_at(i, j) for j in I) for i in I)))
 
 
 def _b_entry(M: UEAMatrix, i: int, j: int) -> UEAElement:

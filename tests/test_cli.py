@@ -1,6 +1,10 @@
 """Command line behavior: output goldens and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -254,6 +258,20 @@ def test_forms_commutative_needs_size(capsys):
     assert code == 2
 
 
+def test_forms_uea_rejects_pq(capsys):
+    code, out, err = run(capsys, "forms", "--mode", "uea", "--n", "1", "--pq", "5", "7")
+    assert code == 2
+    assert err == "forms: --mode uea takes --n, not --pq\n"
+    assert out == ""
+
+
+def test_forms_commutative_rejects_n_with_pq(capsys):
+    code, out, err = run(capsys, "forms", "--mode", "commutative", "--n", "9", "--pq", "1", "1")
+    assert code == 2
+    assert err == "forms: give --n or --pq, not both\n"
+    assert out == ""
+
+
 def test_unknown_command(capsys):
     code, _, _ = run(capsys, "bogus")
     assert code == 2
@@ -261,3 +279,13 @@ def test_unknown_command(capsys):
 
 def test_no_command(capsys):
     assert main([]) == 2
+
+
+def test_python_m_pfaffkit():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "pfaffkit", "verify", "--suite", "ncmsf", "--n", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "suite ncmsf: PASS" in proc.stdout

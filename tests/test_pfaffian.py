@@ -1,13 +1,15 @@
 """Pfaffians, copfaffians, the minor summation, and orthogonal equivariance."""
 
+import gc
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfaffkit.linalg import anti_identity, det_exact, mat_mul, transpose
+from pfaffkit.linalg import SingularMatrixError, anti_identity, det_exact, mat_mul, transpose
 from pfaffkit.pfaffian import (
     AlternatingMatrix,
     AntiAlternatingMatrix,
@@ -132,16 +134,74 @@ def test_expansion_random():
 
 
 def test_complementary_minor_all_subsets():
-    from itertools import combinations
-
-    rng = random.Random(5)
-    while True:
-        A = AlternatingMatrix.random_rational(6, rng)
-        if pfaffian(A) != 0:
-            break
+    A = _nonsingular_rational(6, 5)
     for m in (0, 2, 4, 6):
         for I in combinations(range(1, 7), m):
             assert complementary_minor_check(A, I)
+
+
+def _nonsingular_rational(size, seed):
+    rng = random.Random(seed)
+    while True:
+        A = AlternatingMatrix.random_rational(size, rng)
+        if pfaffian(A) != 0:
+            return A
+
+
+@pytest.mark.parametrize("A", [AlternatingMatrix.random_rational(8, random.Random(11)),
+                               AlternatingMatrix.generic(6)], ids=["rational-8", "generic-6"])
+def test_copfaffian_matrix_matches_fresh_cofactors(A):
+    G = copfaffian_matrix(A)
+    m = A.size
+    for i in range(1, m + 1):
+        assert G.entry(i, i) == 0
+        for j in range(1, m + 1):
+            if i == j:
+                continue
+            keep = tuple(k for k in range(1, m + 1) if k not in (i, j))
+            sign = (-1) ** (i + j - 1 if i < j else i + j)
+            fresh = pfaffian(A.submatrix(keep))
+            assert G.entry(i, j) == sign * fresh
+            assert cofactor_pfaffian(A, i, j) == sign * fresh
+
+
+def test_complementary_minor_reused_matrix_matches_fresh():
+    A = _nonsingular_rational(8, 12)
+    for m in range(0, 9, 2):
+        for I in combinations(range(1, 9), m):
+            reused = complementary_minor_check(A, I)
+            assert reused == complementary_minor_check(AlternatingMatrix(A.rows), I)
+            assert reused
+
+
+def test_complementary_minor_rejects_singular_and_bad_index_sets():
+    # Pf = a12*a34 - a13*a24 + a14*a23 = 1*1 - 1*1 + 0 = 0
+    S = AlternatingMatrix.from_upper(4, lambda i, j: Fraction(0) if (i, j) in ((1, 4), (2, 3)) else Fraction(1))
+    assert pfaffian(S) == 0
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError):
+            complementary_minor_check(S, (1, 2))
+    A = _nonsingular_rational(4, 13)
+    for bad in ((1,), (1, 2, 3), (1, 1), (0, 1), (4, 5)):
+        with pytest.raises(ValueError):
+            complementary_minor_check(A, bad)
+
+
+def test_pfaffian_memo_leaves_no_cyclic_garbage():
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        pfaffian(AntiAlternatingMatrix.generic(4, 4).to_alternating())
+        assert gc.collect() == 0
+        A = _nonsingular_rational(6, 14)
+        assert copfaffian_expansion_check(A)
+        assert complementary_minor_check(A, (1, 2))
+        del A
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # --- anti-alternating matrices ---------------------------------------------
