@@ -33,7 +33,6 @@ from .uea import (
     Generator,
     HighestWeight,
     UEAElement,
-    UEAMatrix,
     bracket,
     build_canonical_x,
     canonical_generators,

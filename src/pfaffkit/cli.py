@@ -161,6 +161,7 @@ def cmd_forms(args) -> int:
             return 2
         if args.pq is not None:
             p, q = args.pq
+            verify.check_coloring(p, q)
         elif args.n is not None:
             p = q = args.n
         else:

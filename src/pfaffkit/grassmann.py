@@ -21,16 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .pfaffian import AntiAlternatingMatrix, pfaffian, pfaffian_of_anti_alternating
 from .rings import Combination, Poly, add_into
-from .uea import (
-    UEAElement,
-    UEAMatrix,
-    build_canonical_x,
-    nc_pfaffian,
-    shifted_minor_determinant,
-    _commuting_block_pfaffian,
-    _b_entry,
-    _c_entry,
-)
+from .uea import UEAElement, build_canonical_x, nc_pfaffian, shifted_minor_determinant
 
 
 def _merge_sign(left_mask: int, right_mask: int) -> int:
@@ -174,7 +165,7 @@ class Forms:
     theta: GrassmannElement
     theta_prime: GrassmannElement
     tau: GrassmannElement | None
-    source: object  # UEAMatrix or AntiAlternatingMatrix
+    source: AntiAlternatingMatrix  # UEAElement entries in uea mode, Poly ones otherwise
     ring_one: object
 
     @property
@@ -190,13 +181,11 @@ def build_forms(mode: str = "uea", n: int | None = None, p: int | None = None, q
     canonical enveloping-algebra matrix or a generic commutative one.
 
     Both modes read the signed entries X[i,j] (rows 1..p, -q..-1, columns
-    1..q, -p..-1) through one accessor `entry(i, j)`."""
+    1..q, -p..-1) through `AntiAlternatingMatrix.entry`."""
     if mode == "uea":
         if n is None:
             raise ValueError("uea mode needs n")
-        p = q = n
-        source: object = build_canonical_x(n)
-        entry = source.entry
+        source = build_canonical_x(n)
         ring_one: object = UEAElement.one()
     elif mode == "commutative":
         if p is None or q is None:
@@ -204,18 +193,11 @@ def build_forms(mode: str = "uea", n: int | None = None, p: int | None = None, q
                 raise ValueError("commutative mode needs (p, q) or n")
             p = q = n
         source = AntiAlternatingMatrix.generic(p, q)
-        full = source.full()
-        row = {label: r for r, label in enumerate(source.row_labels())}
-        col = {label: c for c, label in enumerate(source.col_labels())}
-
-        def entry(i: int, j: int):
-            return full[row[i]][col[j]]
-
         ring_one = Poly.const(1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    rows = list(range(1, p + 1)) + list(range(-q, 0))
-    cols = list(range(1, q + 1)) + list(range(-p, 0))
+    p, q, entry = source.p, source.q, source.entry
+    rows, cols = source.row_labels(), source.col_labels()
 
     def form(words) -> GrassmannElement:
         return GrassmannElement.from_words(p, q, words)
@@ -268,20 +250,19 @@ def check_xi_power_formula(n: int, u, r: int, forms: Forms | None = None) -> boo
     matched indices."""
     if forms is None:
         forms = build_forms("uea", n=n)
-    M: UEAMatrix = forms.source
     lhs = xi_shifted_power(forms, Fraction(u) + r - 1, r)
     scale = Fraction(factorial(r))
     rhs = GrassmannElement.from_words(forms.p, forms.q, (
-        (list(I) + [-j for j in reversed(J)], scale * shifted_minor_determinant(M, I, J, u))
+        (list(I) + [-j for j in reversed(J)], scale * shifted_minor_determinant(forms.source, I, J, u))
         for I in combinations(range(1, n + 1), r) for J in combinations(range(1, n + 1), r)))
     return lhs == rhs
 
 
 def eta(forms: Forms, j: int, u) -> GrassmannElement:
     """The one-form eta_j(u) = sum_i e_i (a[i,j] + u delta_ij)."""
-    M: UEAMatrix = forms.source
+    a = forms.source.a
     return GrassmannElement.from_words(forms.p, forms.q, (
-        ((i,), M.a_block(i, j) + Fraction(u) if i == j else M.a_block(i, j))
+        ((i,), a[i - 1][j - 1] + Fraction(u) if i == j else a[i - 1][j - 1])
         for i in range(1, forms.p + 1)))
 
 
@@ -299,11 +280,7 @@ def check_eta_anticommute(n: int, u, forms: Forms | None = None) -> bool:
 
 
 def _block_pfaffian(forms: Forms, which: str, I: Sequence[int]):
-    if forms.mode == "uea":
-        M: UEAMatrix = forms.source
-        entry = (lambda x, y: _b_entry(M, x, y)) if which == "b" else (lambda x, y: _c_entry(M, x, y))
-        return _commuting_block_pfaffian(entry, I)
-    X: AntiAlternatingMatrix = forms.source
+    X = forms.source
     return pfaffian(X.b_minor(I) if which == "b" else X.c_minor(I))
 
 

@@ -3,7 +3,9 @@
 Matrices of size 2n are addressed by signed indices i in {1..n, -n..-1};
 the negative label -k stands for row/column 2n+1-k.  Splitting a sorted
 index set into two pieces carries the sign of the permutation that
-rearranges it, computed here by counting crossings.
+rearranges it, computed here by counting crossings; `permutation_sign`
+is the one brute inversion count, shared by the Leibniz determinant and
+the matching-sum Pfaffian.
 """
 
 from __future__ import annotations
@@ -32,6 +34,20 @@ def _check_sorted_unique(elements: Sequence[int], what: str) -> tuple[int, ...]:
         if a >= b:
             raise ValueError(f"{what} must be strictly increasing, got {elems}")
     return elems
+
+
+def index_set(indices: Iterable[int], size: int) -> tuple[int, ...]:
+    """`indices` as a tuple, checked to be strictly increasing within 1..size."""
+    idx = _check_sorted_unique(indices, "indices")
+    if idx and not (idx[0] >= 1 and idx[-1] <= size):
+        raise ValueError(f"indices must lie in 1..{size}, got {idx}")
+    return idx
+
+
+def permutation_sign(seq: Sequence[int]) -> int:
+    """Sign of the permutation sorting `seq`, by brute inversion count."""
+    inv = sum(1 for s in range(len(seq)) for t in range(s + 1, len(seq)) if seq[s] > seq[t])
+    return -1 if inv % 2 else 1
 
 
 def _crossings(left: Sequence[int], right: Sequence[int]) -> int:

@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Sequence
 
+from .indexing import permutation_sign
+
 Matrix = tuple
 
 
@@ -87,11 +89,10 @@ def det_leibniz(M: Matrix):
         return Fraction(1)
     total = None
     for perm in permutations(range(m)):
-        inv = sum(1 for s in range(m) for t in range(s + 1, m) if perm[s] > perm[t])
         prod = M[perm[0]][0]
         for t in range(1, m):
             prod = prod * M[perm[t]][t]
-        signed = -prod if inv % 2 else prod
+        signed = prod if permutation_sign(perm) == 1 else -prod
         total = signed if total is None else total + signed
     return total
 

@@ -7,6 +7,13 @@ anti-alternating matrices, the right-hand side of the minor summation
 identity, which expands the Pfaffian into determinant times
 sub-Pfaffian contributions over the block decomposition.
 
+`AntiAlternatingMatrix` is the one anti-alternating matrix type of the
+package: its entries may be Fractions, `Poly` or enveloping-algebra
+elements (`uea.build_canonical_x`), and `entry(i, j)` reads them by
+signed row and column labels.  `minor_summation_rhs` is the one block sum
+of both identities; the commutative and the enveloping-algebra versions
+differ only in the minor determinant they pass in.
+
 The recursion `_pf` reads and fills a memo keyed by index tuples of one
 matrix, so every Pfaffian taken of that matrix's principal submatrices
 shares it: `pfaffian` starts a fresh memo, the co-Pfaffian matrix reads
@@ -22,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .indexing import complement_sign, split_sign
+from .indexing import complement_sign, index_set, permutation_sign, split_sign
 from .linalg import (
     SingularMatrixError,
     anti_identity,
@@ -115,8 +122,8 @@ class AlternatingMatrix:
         return self.rows[i - 1][j - 1]
 
     def submatrix(self, indices: Iterable[int]) -> "AlternatingMatrix":
-        """Principal submatrix on the given sorted 1-based indices."""
-        idx = tuple(indices)
+        """Principal submatrix on the given increasing 1-based indices."""
+        idx = index_set(indices, self.size)
         return AlternatingMatrix._trusted(tuple(tuple(self.rows[i - 1][j - 1] for j in idx) for i in idx))
 
     def scale(self, s) -> "AlternatingMatrix":
@@ -143,12 +150,6 @@ def all_pairings(items: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
         remaining = rest[:k] + rest[k + 1:]
         for tail in all_pairings(remaining):
             yield ((first, partner),) + tail
-
-
-def permutation_sign(seq: Sequence[int]) -> int:
-    """Sign of the permutation sorting `seq`, by brute inversion count."""
-    inv = sum(1 for s in range(len(seq)) for t in range(s + 1, len(seq)) if seq[s] > seq[t])
-    return -1 if inv % 2 else 1
 
 
 def pfaffian_definitional(A: AlternatingMatrix):
@@ -213,8 +214,10 @@ def cofactor_pfaffian(A: AlternatingMatrix, i: int, j: int, memo: dict | None = 
     Zero on the diagonal; off the diagonal it is the Pfaffian of A with
     rows/columns i and j removed, carrying the sign (-1)^(i+j-1) for
     i < j and (-1)^(i+j) for i > j.  `memo` is a sub-Pfaffian memo of A
-    (see `_pf`) to read from and add to.
+    (see `_pf`) to read from and add to.  Both indices must lie in 1..size.
     """
+    if not (1 <= i <= A.size and 1 <= j <= A.size):
+        raise ValueError(f"cofactor ({i}, {j}) out of range for size {A.size}")
     if i == j:
         return Fraction(0)
     lo, hi = min(i, j), max(i, j)
@@ -310,6 +313,8 @@ class AntiAlternatingMatrix:
     skew p x p block `b`, a skew q x q block `c`, and a fourth block that
     is determined by `a`.  Rows carry the signed labels 1..p, -q..-1 and
     columns 1..q, -p..-1, so anti-alternation holds by construction.
+    Entries may come from any ring with exact equality, commutative or
+    not (Fractions, `Poly`, `uea.UEAElement`).
     """
 
     __slots__ = ("p", "q", "a", "b", "c")
@@ -385,23 +390,20 @@ class AntiAlternatingMatrix:
     def col_labels(self) -> tuple[int, ...]:
         return tuple(range(1, self.q + 1)) + tuple(range(-self.p, 0))
 
+    def entry(self, i: int, j: int):
+        """X[i,j] at the signed row label i and column label j:
+        a[i][j], b[i][-j], c[j][-i] or -a[-j][-i] by the signs of i, j."""
+        p, q = self.p, self.q
+        if not (1 <= i <= p or -q <= i <= -1) or not (1 <= j <= q or -p <= j <= -1):
+            raise ValueError(f"signed entry ({i}, {j}) out of range for coloring ({p}, {q})")
+        if i > 0:
+            return self.a[i - 1][j - 1] if j > 0 else self.b[i - 1][-j - 1]
+        return self.c[j - 1][-i - 1] if j > 0 else -self.a[-j - 1][-i - 1]
+
     def full(self) -> tuple:
         """The 2n x 2n matrix in its signed row/column layout."""
-        n2 = self.size
-        grid = []
-        for r in range(1, n2 + 1):
-            row = []
-            for c in range(1, n2 + 1):
-                if r <= self.p and c <= self.q:
-                    row.append(self.a[r - 1][c - 1])
-                elif r <= self.p:
-                    row.append(self.b[r - 1][n2 - c])
-                elif c <= self.q:
-                    row.append(self.c[c - 1][n2 - r])
-                else:
-                    row.append(-self.a[n2 - c][n2 - r])
-            grid.append(tuple(row))
-        return tuple(grid)
+        cols = self.col_labels()
+        return tuple(tuple(self.entry(i, j) for j in cols) for i in self.row_labels())
 
     def to_alternating(self) -> AlternatingMatrix:
         """X J, which is alternating; its Pfaffian is Pf X by definition."""
@@ -413,9 +415,13 @@ class AntiAlternatingMatrix:
         return tuple(tuple(self.a[i - 1][j - 1] for j in cols) for i in rows)
 
     def b_minor(self, I: Sequence[int]) -> AlternatingMatrix:
+        """Principal minor of b on the increasing indices I in 1..p."""
+        I = index_set(I, self.p)
         return AlternatingMatrix._trusted(tuple(tuple(self.b[i - 1][j - 1] for j in I) for i in I))
 
     def c_minor(self, J: Sequence[int]) -> AlternatingMatrix:
+        """Principal minor of c on the increasing indices J in 1..q."""
+        J = index_set(J, self.q)
         return AlternatingMatrix._trusted(tuple(tuple(self.c[i - 1][j - 1] for j in J) for i in J))
 
 
@@ -424,13 +430,20 @@ def pfaffian_of_anti_alternating(X: AntiAlternatingMatrix):
     return pfaffian(X.to_alternating())
 
 
-def minor_summation_rhs(X: AntiAlternatingMatrix):
-    """Expansion of Pf X as a sum of det(a-minor) * Pf(b-minor) * Pf(c-minor).
+def minor_summation_rhs(X: AntiAlternatingMatrix,
+                        det: Callable[[tuple[int, ...], tuple[int, ...]], object] | None = None):
+    """Expansion of Pf X as a sum of det(a-minor) * Pf(c-minor) * Pf(b-minor).
 
     The sum runs over even subsets I of the b-rows and J of the c-rows of
     matching co-size; each term carries the shuffle signs of (complement,
-    subset) on both sides.
+    subset) on both sides.  `det(rows, cols)` gives the determinant of the
+    a-minor on the complements of I and J, by default `det_leibniz` of it;
+    the enveloping-algebra identity passes its shifted column determinant.
+    Factors multiply in the order written, which that identity needs.
     """
+    if det is None:
+        def det(rows, cols):
+            return det_leibniz(X.a_minor(rows, cols))
     p, q = X.p, X.q
     rows_p = tuple(range(1, p + 1))
     cols_q = tuple(range(1, q + 1))
@@ -451,8 +464,7 @@ def minor_summation_rhs(X: AntiAlternatingMatrix):
                     continue
                 sign_j = complement_sign(J, cols_q)
                 comp_j = tuple(k for k in cols_q if k not in set(J))
-                det = det_leibniz(X.a_minor(comp_i, comp_j))
-                term = (sign_i * sign_j) * (det * pf_b * pf_c)
+                term = (sign_i * sign_j) * (det(comp_i, comp_j) * pf_c * pf_b)
                 total = term if total is None else total + term
     return Fraction(0) if total is None else total
 

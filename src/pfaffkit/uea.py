@@ -12,6 +12,12 @@ b[i,j] = X[i,-j] (i < j), c[i,j] = X[-j,i] (i < j); everything else
 reduces to these.  Elements are kept in the PBW basis: words weakly
 increasing under the order lowering < diagonal < raising, ties broken by
 (kind, i, j) with kind order c < a < b, so raising factors sit rightmost.
+
+The canonical matrix X = (X[i,j]) is a `pfaffian.AntiAlternatingMatrix`
+in the square coloring (n, n) with `UEAElement` entries, so its signed
+layout, X J and the minor summation block sum are those of the
+commutative layer; only the Pfaffian (ordered products) and the shifted
+column determinant are specific to the enveloping algebra.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from .indexing import complement_sign, signed_value
+from .indexing import permutation_sign
 from .linalg import det_leibniz
-from .pfaffian import AlternatingMatrix, ShapeError, permutation_sign, pfaffian
+from .pfaffian import AntiAlternatingMatrix, minor_summation_rhs
 from .rings import (
     Combination,
     Poly,
@@ -272,53 +278,24 @@ def normal_order(word: Iterable[Generator], coeff: ScalarLike = 1) -> UEAElement
     return UEAElement._wrap(add_into({}, _normal_order_sums({}, [(tuple(word), 1, 0)]), coeff))
 
 
-class UEAMatrix:
-    """Matrix of enveloping-algebra entries addressed by signed indices."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n: int, entries: Mapping[tuple[int, int], UEAElement]):
-        self.n = n
-        self.entries = dict(entries)
-        labels = [s for s in range(-n, n + 1) if s]
-        for i in labels:
-            for j in labels:
-                if (i, j) not in self.entries:
-                    raise ShapeError(f"missing entry ({i}, {j})")
-
-    def entry(self, i: int, j: int) -> UEAElement:
-        return self.entries[(i, j)]
-
-    def entry_pos(self, r: int, c: int) -> UEAElement:
-        return self.entry(signed_value(r, self.n), signed_value(c, self.n))
-
-    # canonical block accessors, all 1-based with i, j in [n]
-    def a_block(self, i: int, j: int) -> UEAElement:
-        return self.entry(i, j)
-
-    def b_block(self, i: int, j: int) -> UEAElement:
-        return self.entry(i, -j)
-
-    def c_block(self, i: int, j: int) -> UEAElement:
-        return self.entry(-j, i)
-
-    def is_anti_alternating(self) -> bool:
-        labels = [s for s in range(-self.n, self.n + 1) if s]
-        return all(self.entry(-j, -i) == -self.entry(i, j) for i in labels for j in labels)
+# `bench/workloads.py` names the type of the canonical X by this alias.
+UEAMatrix = AntiAlternatingMatrix
 
 
-def build_canonical_x(n: int) -> UEAMatrix:
-    """The matrix X = (X[i,j]) whose entries generate the Lie algebra."""
-    labels = [s for s in range(-n, n + 1) if s]
-    return UEAMatrix(n, {(i, j): signed_generator(i, j) for i in labels for j in labels})
+def build_canonical_x(n: int) -> AntiAlternatingMatrix:
+    """The matrix X = (X[i,j]) whose entries generate the Lie algebra, in
+    the square coloring (n, n): a[i][j] = X[i,j], b[i][j] = X[i,-j] and
+    c[i][j] = X[-j,i], so that X.entry(i, j) is X[i,j]."""
+    idx = range(1, n + 1)
+    return AntiAlternatingMatrix(
+        n, n,
+        [[signed_generator(i, j) for j in idx] for i in idx],
+        [[signed_generator(i, -j) for j in idx] for i in idx],
+        [[signed_generator(-j, i) for j in idx] for i in idx],
+    )
 
 
-def _alternating_times_j(M: UEAMatrix) -> list[list[UEAElement]]:
-    size = 2 * M.n
-    return [[M.entry_pos(r, size + 1 - c) for c in range(1, size + 1)] for r in range(1, size + 1)]
-
-
-def nc_pfaffian(M: UEAMatrix) -> UEAElement:
+def nc_pfaffian(X: AntiAlternatingMatrix) -> UEAElement:
     """Pf X = F(1..2n) / n!, F by recursion on position subsets S.
 
     F(S) = sum over u < v in S of (-1)^(pos u + pos v - 1) X[u,v] F(S - {u,v})
@@ -326,11 +303,9 @@ def nc_pfaffian(M: UEAMatrix) -> UEAElement:
     and X[u,v] is entry (u, v) of X J.  Unrolled, this is the sum over
     ordered pair sequences of sgn * products with factors multiplied left
     to right in pair order; F is built one subset size at a time, keeping
-    only the previous size.  Input must be anti-alternating."""
-    if not M.is_anti_alternating():
-        raise ShapeError("matrix is not anti-alternating")
-    n = M.n
-    at = _alternating_times_j(M)
+    only the previous size."""
+    n = X.half
+    at = X.to_alternating().rows
     level: dict[tuple[int, ...], dict[Word, ScalarLike]] = {(): {(): 1}}
     for size in range(2, 2 * n + 1, 2):
         below, level = level, {}
@@ -345,12 +320,10 @@ def nc_pfaffian(M: UEAMatrix) -> UEAElement:
     return UEAElement._wrap(level[tuple(range(2 * n))]).scale(Fraction(1, factorial(n)))
 
 
-def nc_pfaffian_unrestricted(M: UEAMatrix) -> UEAElement:
+def nc_pfaffian_unrestricted(X: AntiAlternatingMatrix) -> UEAElement:
     """Same Pfaffian through the full permutation sum with weight 1/(2^n n!)."""
-    if not M.is_anti_alternating():
-        raise ShapeError("matrix is not anti-alternating")
-    n = M.n
-    at = _alternating_times_j(M)
+    n = X.half
+    at = X.to_alternating().rows
     out: dict[Word, ScalarLike] = {}
     for perm in permutations(range(1, 2 * n + 1)):
         prod = UEAElement.one()
@@ -365,7 +338,8 @@ def column_determinant(rows: Sequence[Sequence[UEAElement]]) -> UEAElement:
     return det_leibniz(tuple(tuple(row) for row in rows))
 
 
-def shifted_minor_determinant(M: UEAMatrix, I: Sequence[int], J: Sequence[int], u: ScalarLike = 0) -> UEAElement:
+def shifted_minor_determinant(X: AntiAlternatingMatrix, I: Sequence[int], J: Sequence[int],
+                              u: ScalarLike = 0) -> UEAElement:
     """Column determinant of the a-block minor rows I, columns J with the
     diagonal shift u + r - t added in column t (r = len(J))."""
     if len(I) != len(J):
@@ -375,7 +349,7 @@ def shifted_minor_determinant(M: UEAMatrix, I: Sequence[int], J: Sequence[int], 
     for i in I:
         row = []
         for t, j in enumerate(J, start=1):
-            entry = M.a_block(i, j)
+            entry = X.a[i - 1][j - 1]
             if i == j:
                 entry = entry + (Fraction(u) + r - t)
             row.append(entry)
@@ -383,41 +357,19 @@ def shifted_minor_determinant(M: UEAMatrix, I: Sequence[int], J: Sequence[int], 
     return column_determinant(rows)
 
 
-def _commuting_block_pfaffian(entry_at, I: Sequence[int]) -> UEAElement:
-    """Pfaffian of a skew block of mutually commuting entries."""
-    return pfaffian(AlternatingMatrix._trusted(tuple(tuple(entry_at(i, j) for j in I) for i in I)))
-
-
-def _b_entry(M: UEAMatrix, i: int, j: int) -> UEAElement:
-    return M.b_block(i, j) if i != j else UEAElement.zero()
-
-
-def _c_entry(M: UEAMatrix, i: int, j: int) -> UEAElement:
-    return M.c_block(i, j) if i != j else UEAElement.zero()
-
-
-def nc_minor_summation_rhs(n: int, M: UEAMatrix | None = None) -> UEAElement:
+def nc_minor_summation_rhs(n: int, X: AntiAlternatingMatrix | None = None) -> UEAElement:
     """Expansion of Pf X into shifted determinants times commuting Pfaffians.
 
-    Sums over equal-size even subsets I, J of [n]; each term is
-    sgn(Ic, I) sgn(Jc, J) det(a-minor on complements, shifted) Pf(c_J) Pf(b_I),
-    multiplied in exactly that order."""
-    if M is None:
-        M = build_canonical_x(n)
-    universe = tuple(range(1, n + 1))
-    out: dict[Word, ScalarLike] = {}
-    for size in range(0, n + 1, 2):
-        for I in combinations(universe, size):
-            sign_i = complement_sign(I, universe)
-            comp_i = tuple(k for k in universe if k not in set(I))
-            pf_b = _commuting_block_pfaffian(lambda x, y: _b_entry(M, x, y), I)
-            for J in combinations(universe, size):
-                sign_j = complement_sign(J, universe)
-                comp_j = tuple(k for k in universe if k not in set(J))
-                pf_c = _commuting_block_pfaffian(lambda x, y: _c_entry(M, x, y), J)
-                det = shifted_minor_determinant(M, comp_i, comp_j, 0)
-                add_into(out, (det * pf_c * pf_b).terms, sign_i * sign_j)
-    return UEAElement._wrap(out)
+    The block sum of `pfaffian.minor_summation_rhs` over equal-size even
+    subsets I, J of [n], each term sgn(Ic, I) sgn(Jc, J) det(a-minor on
+    complements, shifted) Pf(c_J) Pf(b_I), multiplied in exactly that
+    order; the entries of b_I (and of c_J) commute, so their Pfaffians are
+    the commutative ones."""
+    if X is None:
+        X = build_canonical_x(n)
+    elif (X.p, X.q) != (n, n):
+        raise ValueError(f"X has coloring ({X.p}, {X.q}), expected ({n}, {n})")
+    return minor_summation_rhs(X, lambda rows, cols: shifted_minor_determinant(X, rows, cols, 0))
 
 
 def centrality_failures(z: UEAElement, n: int) -> list[Generator]:

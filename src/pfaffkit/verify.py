@@ -140,8 +140,7 @@ def msf_suite(pq: tuple[int, int] | None = None, seed: int = 0, force: bool = Fa
     report = VerificationReport("msf")
     if pq is not None:
         p, q = pq
-        if p < 1 or q < 1 or (p + q) % 2:
-            raise ValueError(f"coloring ({p}, {q}) needs p, q >= 1 with p + q even")
+        check_coloring(p, q)
         if p + q > DEFAULT_COMMUTATIVE_BOUND and not force:
             raise BoundExceededError(f"p + q = {p + q} exceeds the bound {DEFAULT_COMMUTATIVE_BOUND}")
         _run_check(report, f"msf:identity:p{p}q{q}", lambda: verify_minor_summation(p, q))
@@ -206,6 +205,12 @@ def msf_suite(pq: tuple[int, int] | None = None, seed: int = 0, force: bool = Fa
     _run_check(report, "msf:equivariance:J6", equivariance(anti_identity(6), "J6"))
     _run_check(report, "msf:equivariance:S-generic", equivariance(GENERIC_SYMMETRIC_S, "S"))
     return report
+
+
+def check_coloring(p: int, q: int):
+    """Reject a coloring (p, q) that is not p, q >= 1 with p + q even."""
+    if p < 1 or q < 1 or (p + q) % 2:
+        raise ValueError(f"coloring ({p}, {q}) needs p, q >= 1 with p + q even")
 
 
 def check_n_bound(n: int | None, force: bool, bound: int = DEFAULT_UEA_BOUND):

@@ -116,6 +116,19 @@ def test_verify_single_coloring(capsys):
     assert "msf:identity:p2q2" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("forms", "--mode", "commutative", "--pq", "1", "2"),
+    ("forms", "--mode", "commutative", "--pq", "0", "2"),
+    ("forms", "--mode", "commutative", "--pq", "-1", "3"),
+    ("verify", "--suite", "msf", "--pq", "1", "2"),
+], ids=["forms-odd", "forms-zero", "forms-negative", "verify-odd"])
+def test_bad_coloring_is_usage_error(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "needs p, q >= 1 with p + q even" in err
+
+
 def test_verify_bound_exceeded_suggests_force(capsys):
     code, _, err = run(capsys, "verify", "--suite", "ncmsf", "--n", "4")
     assert code == 2

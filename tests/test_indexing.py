@@ -1,6 +1,6 @@
 """Signed indices and interleaving signs."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from pfaffkit.indexing import (
     complement_sign,
+    index_set,
+    permutation_sign,
     position,
     signed_value,
     split_sign,
@@ -83,3 +85,37 @@ def test_split_sign_multiplicativity(n, data):
     right = tuple(v for v in whole if v not in left)
     assert split_sign(whole, left, right) * split_sign(whole, left, right) == 1
     assert split_sign(whole, left, right) == _perm_sign(left + right)
+
+
+def _cycle_sign(perm):
+    # (-1)^(length - number of cycles), independent of inversion counting
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            k = start
+            while k not in seen:
+                seen.add(k)
+                k = perm[k]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def test_permutation_sign_matches_cycle_count():
+    for n in range(6):
+        for perm in permutations(range(n)):
+            assert permutation_sign(perm) == _cycle_sign(perm)
+    # only the relative order counts, so 1-based and gapped values agree
+    assert permutation_sign((3, 1, 2)) == permutation_sign((30, 10, 20)) == 1
+    assert permutation_sign((2, 1)) == -1
+
+
+def test_index_set_accepts_increasing_in_range():
+    assert index_set((), 0) == ()
+    assert index_set([1, 3, 4], 4) == (1, 3, 4)
+    assert index_set(iter((2,)), 2) == (2,)
+
+
+@pytest.mark.parametrize("indices", [(0, 1), (1, 5), (-1,), (2, 1), (1, 1)])
+def test_index_set_rejects_out_of_range_or_unordered(indices):
+    with pytest.raises(ValueError):
+        index_set(indices, 4)

@@ -115,6 +115,18 @@ def test_cofactor_goldens():
     assert cofactor_pfaffian(A4, 3, 1) == a(2, 4)
 
 
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 9), (5, 1), (-1, 2), (0, 0)])
+def test_cofactor_rejects_out_of_range(i, j):
+    with pytest.raises(ValueError):
+        cofactor_pfaffian(AlternatingMatrix.generic(4), i, j)
+
+
+@pytest.mark.parametrize("indices", [(0, 1), (1, 5), (3, 2), (2, 2)])
+def test_submatrix_rejects_bad_indices(indices):
+    with pytest.raises(ValueError):
+        AlternatingMatrix.generic(4).submatrix(indices)
+
+
 def test_copfaffian_matrix_is_alternating():
     A = AlternatingMatrix.generic(4)
     G = copfaffian_matrix(A)
@@ -224,6 +236,37 @@ def test_full_layout_golden():
         (Poly.zero(), -c, -a(2, 1), -a(1, 1)),
     )
     assert X.full() == expected
+
+
+def test_signed_entry_golden():
+    # coloring (2, 4): X[i,j] = a[i][j], b[i][-j], c[j][-i] or -a[-j][-i]
+    X = AntiAlternatingMatrix.generic(2, 4)
+    assert X.entry(2, 3) == a(2, 3)
+    assert X.entry(1, -2) == Poly.var("b[1,2]")
+    assert X.entry(2, -1) == -Poly.var("b[1,2]")
+    assert X.entry(-3, 2) == Poly.var("c[2,3]")
+    assert X.entry(-2, 3) == -Poly.var("c[2,3]")
+    assert X.entry(-4, -1) == -a(1, 4)
+    assert X.entry(-1, -1) == -a(1, 1)
+    assert X.entry(1, -1) == X.entry(-3, 3) == 0
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (3, 1), (-5, 1), (1, 5), (1, -3)])
+def test_signed_entry_rejects_out_of_range(i, j):
+    # coloring (2, 4): rows 1..2, -4..-1; columns 1..4, -2..-1
+    X = AntiAlternatingMatrix.generic(2, 4)
+    assert X.entry(2, 4) == a(2, 4) and X.entry(-4, -2) == -a(2, 4)
+    with pytest.raises(ValueError):
+        X.entry(i, j)
+
+
+@pytest.mark.parametrize("block", ["b_minor", "c_minor"])
+@pytest.mark.parametrize("indices", [(0, 1), (1, 4), (2, 1), (1, 1)])
+def test_block_minors_reject_bad_indices(block, indices):
+    X = AntiAlternatingMatrix.generic(3, 3)
+    with pytest.raises(ValueError):
+        getattr(X, block)(indices)
+    assert getattr(X, block)((1, 3)).size == 2
 
 
 def test_full_satisfies_defining_relation():

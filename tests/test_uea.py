@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfaffkit.pfaffian import AntiAlternatingMatrix
 from pfaffkit.rings import Poly
 from pfaffkit.uea import (
     Generator,
@@ -27,6 +28,7 @@ from pfaffkit.uea import (
     nc_pfaffian_unrestricted,
     normal_order,
     parse_element,
+    shifted_minor_determinant,
     signed_generator,
 )
 
@@ -178,14 +180,37 @@ def test_nc_pfaffian_n2_terms():
     assert str(z) == "a[1,1] a[2,2] - a[2,1] a[1,2] + c[1,2] b[1,2] + a[2,2]"
 
 
-def test_canonical_matrix_is_anti_alternating():
+def test_canonical_matrix_layout():
+    # X is the shared anti-alternating type, and its signed entry X[i,j] is
+    # the generator element X[i,j] at every pair of signed labels
     for n in (1, 2, 3):
-        assert build_canonical_x(n).is_anti_alternating()
+        X = build_canonical_x(n)
+        assert isinstance(X, AntiAlternatingMatrix)
+        assert (X.p, X.q) == (n, n)
+        labels = [s for s in range(-n, n + 1) if s]
+        for i in labels:
+            for j in labels:
+                assert X.entry(i, j) == signed_generator(i, j), (i, j)
 
 
 def test_minor_summation_matches():
     for n in (1, 2, 3, 4):
         assert nc_pfaffian(build_canonical_x(n)) == nc_minor_summation_rhs(n)
+
+
+def test_minor_summation_explicit_matrix():
+    # an explicit X is summed as given: the canonical one agrees with the
+    # default, and with b and c set to zero only the I = J = {} term, the
+    # shifted determinant of the whole a block, is left
+    for n in (2, 3):
+        X = build_canonical_x(n)
+        assert nc_minor_summation_rhs(n, X) == nc_minor_summation_rhs(n)
+        zero = [[UEAElement.zero()] * n for _ in range(n)]
+        no_bc = AntiAlternatingMatrix(n, n, X.a, zero, zero)
+        full = tuple(range(1, n + 1))
+        assert nc_minor_summation_rhs(n, no_bc) == shifted_minor_determinant(X, full, full, 0)
+        with pytest.raises(ValueError):
+            nc_minor_summation_rhs(n + 1, X)
 
 
 def test_restricted_equals_unrestricted():
