@@ -9,11 +9,23 @@ in products the left factor's coefficient multiplies on the left.
 The module builds the canonical 2-forms attached to an (anti-alternating)
 matrix and verifies the closed formulas for their powers, including the
 top-degree route to the Pfaffian.
+
+Products are fused with the coefficient ring: each ring supplies the raw
+`_product_into(out, left, right, scale)` of `rings.Combination`, and
+`GrassmannElement.__mul__` adds every coefficient pair of disjoint masks
+into one raw term dict per output mask, signed by `_merge_sign`, wrapping
+each dict once at the end; no coefficient element is built per pair.
+Powers of an element are memoised on it, Omega^m as Omega^(m-1) Omega, and
+the falling products Xi(v) ... Xi(v-r+1) on their `Forms`, each the one
+with r - 1 factors times Xi(v-r+1).  So every check that asks for a power
+or falling product already computed reads it back, and each
+`build_forms` call starts with fresh forms and empty memos.  Both sides of
+every identity are still computed independently and compared exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -36,13 +48,21 @@ def _merge_sign(left_mask: int, right_mask: int) -> int:
     return -1 if count & 1 else 1
 
 
+def _coefficient_ring(*term_dicts: Mapping[int, object]):
+    """The Combination type of the coefficients, None if all are scalars."""
+    rings = {type(c) for terms in term_dicts for c in terms.values() if isinstance(c, Combination)}
+    if len(rings) > 1:
+        raise TypeError(f"mixed coefficient rings: {sorted(r.__name__ for r in rings)}")
+    return rings.pop() if rings else None
+
+
 class GrassmannElement(Combination):
     """Sparse exterior-algebra element over the coloring (p, q).
 
     ``terms`` maps slot bitmasks to coefficients; a mask encodes the
     ascending product of its slots, and mask 0 holds the scalar part."""
 
-    __slots__ = ("p", "q")
+    __slots__ = ("p", "q", "_powers")  # _powers: see power(); unset until then
 
     _UNIT = 0
 
@@ -110,25 +130,52 @@ class GrassmannElement(Combination):
         return cls.from_words(p, q, [(labels, coeff)])
 
     def __mul__(self, other: "GrassmannElement") -> "GrassmannElement":
+        """Fused product: every coefficient pair of disjoint masks m1, m2 is
+        added, with the sign of merging m2 into m1, straight into one raw
+        term dict of the coefficient ring per output mask m1 | m2; each
+        dict becomes a coefficient once, at the end."""
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         self._coerce(other)  # rejects mixed colorings
-        out: dict[int, object] = {}
-        for m1, c1 in self.terms.items():
-            # m2 -> m1 | m2 is injective on the masks disjoint from m1
-            row = {m1 | m2: c2 if _merge_sign(m1, m2) == 1 else -c2
-                   for m2, c2 in other.terms.items() if not m1 & m2}
-            add_into(out, row, c1)
-        return self._wrap(out)
+        ring = _coefficient_ring(self.terms, other.terms)
+        product_into = (ring or Poly)._product_into  # Poly's unit key () carries scalars
+
+        def raw(terms):
+            return [(m, c.terms if isinstance(c, Combination) else {(): c}) for m, c in terms.items()]
+
+        right = raw(other.terms)
+        sums: dict[int, dict] = {}
+        for m1, t1 in raw(self.terms):
+            for m2, t2 in right:
+                if not m1 & m2:
+                    out = sums.get(m1 | m2)
+                    if out is None:
+                        out = sums[m1 | m2] = {}
+                    product_into(out, t1, t2, _merge_sign(m1, m2))
+        if ring is None:
+            return self._wrap({m: t[()] for m, t in sums.items() if t})
+        return self._wrap({m: ring._wrap(t) for m, t in sums.items() if t})
 
     def power(self, exp: int, one=None) -> "GrassmannElement":
+        """self^exp; self^0 is the scalar `one` of the coefficient ring.
+
+        Positive powers are memoised on the element, each computed as the
+        one below times self, so self^m after self^k costs m - k products."""
         if exp < 0:
             raise ValueError("negative Grassmann powers do not exist")
         if exp == 0:
             if one is None:
                 raise ValueError("power 0 needs the coefficient ring's one")
             return GrassmannElement.scalar(self.p, self.q, one)
-        return self**exp
+        if exp == 1:
+            return self
+        # self^2, self^3, ...; holding self too would make a reference cycle
+        powers = getattr(self, "_powers", None)
+        if powers is None:
+            powers = self._powers = [self * self]
+        while len(powers) < exp - 1:
+            powers.append(powers[-1] * self)
+        return powers[exp - 2]
 
     def top_coefficient(self):
         """Coefficient of the full ascending product e_1...e_p e_-q...e_-1."""
@@ -167,6 +214,8 @@ class Forms:
     tau: GrassmannElement | None
     source: AntiAlternatingMatrix  # UEAElement entries in uea mode, Poly ones otherwise
     ring_one: object
+    # falling Xi products by top argument v: falling[v][r] = Xi(v) ... Xi(v-r+1)
+    falling: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def half(self) -> int:
@@ -216,10 +265,10 @@ def check_structure(forms: Forms) -> bool:
     return forms.omega == forms.theta_prime + two_xi + forms.theta
 
 
-def check_sl2(n: int) -> bool:
+def check_sl2(n: int, forms: Forms | None = None) -> bool:
     """[Theta, Theta'] = 4 tau Xi, [Theta, Xi] = 2 tau Theta,
-    [Theta', Xi] = -2 tau Theta'."""
-    f = build_forms("uea", n=n)
+    [Theta', Xi] = -2 tau Theta' in the uea forms."""
+    f = build_forms("uea", n=n) if forms is None else forms
     tau = f.tau
     ok1 = f.theta.commutator(f.theta_prime) == (tau * f.xi).scale(Fraction(4))
     ok2 = f.theta.commutator(f.xi) == (tau * f.theta).scale(Fraction(2))
@@ -235,12 +284,16 @@ def xi_at(forms: Forms, u) -> GrassmannElement:
 
 
 def xi_shifted_power(n_or_forms, u, r: int) -> GrassmannElement:
-    """Falling product Xi(u) Xi(u-1) ... Xi(u-r+1) in the uea forms."""
+    """Falling product Xi(u) Xi(u-1) ... Xi(u-r+1) in the uea forms.
+
+    The products are memoised on the forms by u, each computed as the one
+    with r - 1 factors times Xi(u-r+1)."""
     forms = n_or_forms if isinstance(n_or_forms, Forms) else build_forms("uea", n=n_or_forms)
-    result = forms.one()
-    for k in range(r):
-        result = result * xi_at(forms, Fraction(u) - k)
-    return result
+    u = Fraction(u)
+    falling = forms.falling.setdefault(u, [forms.one()])
+    while len(falling) <= r:
+        falling.append(falling[-1] * xi_at(forms, u - (len(falling) - 1)))
+    return falling[r]
 
 
 def check_xi_power_formula(n: int, u, r: int, forms: Forms | None = None) -> bool:
@@ -353,9 +406,11 @@ def pfaffian_from_top_form(mode: str = "uea", n: int | None = None,
 
 
 def check_top_form_route(mode: str = "uea", n: int | None = None,
-                         p: int | None = None, q: int | None = None) -> bool:
+                         p: int | None = None, q: int | None = None,
+                         forms: Forms | None = None) -> bool:
     """The top-form route agrees with the direct Pfaffian."""
-    forms = build_forms(mode, n=n, p=p, q=q)
+    if forms is None:
+        forms = build_forms(mode, n=n, p=p, q=q)
     via_top = pfaffian_from_top_form(forms=forms)
     if forms.mode == "uea":
         return via_top == nc_pfaffian(forms.source)

@@ -452,18 +452,19 @@ def minor_summation_rhs(X: AntiAlternatingMatrix,
         jsize = q - p + isize
         if jsize < 0 or jsize > q:
             continue
+        # the c side does not depend on I: Pf(c_J) once per J, zeros dropped
+        c_side = []
+        for J in combinations(cols_q, jsize):
+            pf_c = pfaffian(X.c_minor(J))
+            if pf_c != 0:
+                c_side.append((complement_sign(J, cols_q), tuple(k for k in cols_q if k not in set(J)), pf_c))
         for I in combinations(rows_p, isize):
             pf_b = pfaffian(X.b_minor(I))
             if pf_b == 0:
                 continue
             sign_i = complement_sign(I, rows_p)
             comp_i = tuple(k for k in rows_p if k not in set(I))
-            for J in combinations(cols_q, jsize):
-                pf_c = pfaffian(X.c_minor(J))
-                if pf_c == 0:
-                    continue
-                sign_j = complement_sign(J, cols_q)
-                comp_j = tuple(k for k in cols_q if k not in set(J))
+            for sign_j, comp_j, pf_c in c_side:
                 term = (sign_i * sign_j) * (det(comp_i, comp_j) * pf_c * pf_b)
                 total = term if total is None else total + term
     return Fraction(0) if total is None else total

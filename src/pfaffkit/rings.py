@@ -153,6 +153,12 @@ class Combination:
     building an element.  Subclasses supply the product, the print order
     ``sorted_terms`` and the key printer ``_format_key``.  Instances are
     treated as immutable; all arithmetic returns fresh objects.
+
+    A coefficient ring (``Poly``, the enveloping algebra) supplies its
+    product as the raw ``_product_into(out, left, right, scale)``: add
+    scale * left * right, all three term dicts, into `out` in place and
+    return it.  Its ``*`` is that call into an empty dict, and the exterior
+    algebra multiplies its coefficients through the same call.
     """
 
     __slots__ = ("terms",)
@@ -295,16 +301,20 @@ class Poly(Combination):
 
     __add__ = __radd__ = Combination.__add__
 
+    @staticmethod
+    def _product_into(out: dict, left: Mapping, right: Mapping, scale: ScalarLike = 1) -> dict:
+        """Add scale * left * right into `out`, one row per left term."""
+        for m1, c1 in left.items():
+            # m2 -> m1*m2 is injective, so each row is a valid term dict
+            add_into(out, {_mono_mul(m1, m2): c2 for m2, c2 in right.items()}, scale * c1)
+        return out
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[Monomial, ScalarLike] = {}
-        for m1, c1 in self.terms.items():
-            # m2 -> m1*m2 is injective, so each row is a valid term dict
-            add_into(out, {_mono_mul(m1, m2): c2 for m2, c2 in other.terms.items()}, c1)
-        return self._wrap(out)
+        return self._wrap(self._product_into({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 

@@ -273,6 +273,10 @@ def _product_into(out: dict[Word, ScalarLike], left: Mapping[Word, ScalarLike],
     return add_into(out, sums)
 
 
+# the raw product of the coefficient-ring protocol (see rings.Combination)
+UEAElement._product_into = staticmethod(_product_into)
+
+
 def normal_order(word: Iterable[Generator], coeff: ScalarLike = 1) -> UEAElement:
     """Rewrite coeff * word into the PBW basis."""
     return UEAElement._wrap(add_into({}, _normal_order_sums({}, [(tuple(word), 1, 0)]), coeff))

@@ -31,6 +31,9 @@ from .pfaffian import (
 from .uea import Generator, HighestWeight
 
 DEFAULT_UEA_BOUND = 3
+# the permutation-sum oracle sums (2n)! products: about 1 s at n = 4, 90 times
+# as many products at n = 5
+UNRESTRICTED_ORACLE_MAX = 3
 DEFAULT_COMMUTATIVE_BOUND = 8
 SUITE_NAMES = ("msf", "ncmsf", "central", "forms", "all")
 
@@ -59,10 +62,18 @@ class BoundExceededError(ValueError):
 
 @dataclass
 class CheckResult:
+    """One check's outcome.  A skipped check was not run, `residual` says
+    why; it neither passes nor fails the report."""
+
     check_id: str
     passed: bool
     residual: str
     millis: float
+    skipped: bool = False
+
+    @property
+    def status(self) -> str:
+        return "skip" if self.skipped else "pass" if self.passed else "fail"
 
 
 @dataclass
@@ -72,7 +83,7 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.passed or c.skipped for c in self.checks)
 
     def sorted_checks(self) -> list[CheckResult]:
         return sorted(self.checks, key=lambda c: c.check_id)
@@ -85,7 +96,7 @@ class VerificationReport:
             "checks": [
                 {
                     "id": c.check_id,
-                    "status": "pass" if c.passed else "fail",
+                    "status": c.status,
                     "residual": c.residual,
                     "millis": round(c.millis, 3),
                 }
@@ -98,12 +109,12 @@ class VerificationReport:
         total = 0.0
         for c in self.sorted_checks():
             total += c.millis
-            status = "PASS" if c.passed else "FAIL"
             suffix = f"  [{c.residual}]" if c.residual else ""
-            lines.append(f"{status} {c.check_id} ({c.millis:.1f} ms){suffix}")
+            lines.append(f"{c.status.upper()} {c.check_id} ({c.millis:.1f} ms){suffix}")
+        skipped = sum(c.skipped for c in self.checks)
         lines.append(
             f"suite {self.suite}: {'PASS' if self.passed else 'FAIL'}"
-            f" ({len(self.checks)} checks, {total / 1000:.2f} s)"
+            f" ({len(self.checks)} checks{f', {skipped} skipped' if skipped else ''}, {total / 1000:.2f} s)"
         )
         return "\n".join(lines)
 
@@ -233,8 +244,13 @@ def ncmsf_suite(n: int | None = None, force: bool = False) -> VerificationReport
         z = uea.nc_pfaffian(M)
         _run_check(report, f"ncmsf:identity:n{k}",
                    lambda k=k, z=z: z == uea.nc_minor_summation_rhs(k))
-        _run_check(report, f"ncmsf:restricted-vs-unrestricted:n{k}",
-                   lambda M=M, z=z: uea.nc_pfaffian_unrestricted(M) == z)
+        if k <= UNRESTRICTED_ORACLE_MAX:
+            _run_check(report, f"ncmsf:restricted-vs-unrestricted:n{k}",
+                       lambda M=M, z=z: uea.nc_pfaffian_unrestricted(M) == z)
+        else:
+            report.checks.append(CheckResult(
+                f"ncmsf:restricted-vs-unrestricted:n{k}", False,
+                f"the (2n)!-term oracle runs only at n <= {UNRESTRICTED_ORACLE_MAX}", 0.0, skipped=True))
         _run_check(report, f"ncmsf:symbol:n{k}",
                    lambda k=k, z=z: z.abelianized().homogeneous_part(k)
                    == pfaffian_of_anti_alternating(AntiAlternatingMatrix.generic(k, k)))
@@ -293,7 +309,7 @@ def forms_suite(n: int | None = None, force: bool = False) -> VerificationReport
         f = grassmann.build_forms("uea", n=k)
         us = _u_points(k)
         _run_check(report, f"forms:structure:uea-n{k}", lambda f=f: grassmann.check_structure(f))
-        _run_check(report, f"forms:sl2:n{k}", lambda k=k: grassmann.check_sl2(k))
+        _run_check(report, f"forms:sl2:n{k}", lambda k=k, f=f: grassmann.check_sl2(k, forms=f))
         _run_check(report, f"forms:xi-power:n{k}",
                    lambda k=k, f=f, us=us: all(
                        grassmann.check_xi_power_formula(k, u, r, forms=f)
@@ -305,9 +321,10 @@ def forms_suite(n: int | None = None, force: bool = False) -> VerificationReport
                                         for s in range(k + 1) for t in range(k + 1)))
         _run_check(report, f"forms:trinomial:uea-n{k}",
                    lambda k=k, f=f: all(grassmann.check_trinomial(k, m, forms=f) for m in range(k + 1)))
-        _run_check(report, f"forms:top-route:uea-n{k}", lambda k=k: grassmann.check_top_form_route("uea", n=k))
+        _run_check(report, f"forms:top-route:uea-n{k}", lambda f=f: grassmann.check_top_form_route(forms=f))
+    comm_forms = {}  # by coloring, so the square top routes reuse the forms and their powers
     for k in comm_ns:
-        f = grassmann.build_forms("commutative", p=k, q=k)
+        f = comm_forms[(k, k)] = grassmann.build_forms("commutative", p=k, q=k)
         _run_check(report, f"forms:structure:comm-n{k}", lambda f=f: grassmann.check_structure(f))
         _run_check(report, f"forms:theta-powers:comm-n{k}",
                    lambda k=k, f=f: all(grassmann.check_theta_powers(k, s, t, mode="commutative", forms=f)
@@ -318,7 +335,8 @@ def forms_suite(n: int | None = None, force: bool = False) -> VerificationReport
     pairs = _coloring_pairs((2, 4, 6)) if n is None else [(p, 2 * n - p) for p in range(1, 2 * n)]
     for p, q in pairs:
         _run_check(report, f"forms:top-route:comm-p{p}q{q}",
-                   lambda p=p, q=q: grassmann.check_top_form_route("commutative", p=p, q=q))
+                   lambda p=p, q=q: grassmann.check_top_form_route("commutative", p=p, q=q,
+                                                                   forms=comm_forms.get((p, q))))
     return report
 
 

@@ -1,5 +1,6 @@
 """Exterior algebra with module coefficients: canonical 2-forms and their identities."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -21,8 +22,10 @@ from pfaffkit.grassmann import (
     xi_at,
     xi_shifted_power,
 )
+from pfaffkit.indexing import permutation_sign
 from pfaffkit.pfaffian import AntiAlternatingMatrix, pfaffian_of_anti_alternating
-from pfaffkit.rings import Poly
+from pfaffkit.rings import Combination, Poly
+from pfaffkit.uea import UEAElement, canonical_generators
 
 
 def w(labels, coeff=Fraction(1), p=2, q=2):
@@ -88,6 +91,149 @@ def test_coefficients_ride_along():
     assert lhs == GrassmannElement.from_word(2, 2, [1, 2], x * y)
 
 
+# --- the fused product against a term-by-term reference ------------------------
+
+
+def _slots(mask):
+    return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+
+def reference_product(x, y):
+    """Sum of sign * c1 * c2 over disjoint mask pairs, through the ring's own
+    * and +, with the sign of sorting the concatenated slot lists."""
+    out = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            if m1 & m2:
+                continue
+            term = c1 * c2 * permutation_sign(_slots(m1) + _slots(m2))
+            out[m1 | m2] = out[m1 | m2] + term if m1 | m2 in out else term
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def _random_uea(rng):
+    gens = canonical_generators(2)
+    total = UEAElement.zero()
+    for _ in range(rng.randint(1, 3)):
+        word = UEAElement.one()
+        for _ in range(rng.randint(0, 2)):
+            word = word * UEAElement.from_generator(rng.choice(gens))
+        total = total + word.scale(rng.randint(-3, 3))
+    return total
+
+
+def _random_poly(rng):
+    x, y = Poly.var("x"), Poly.var("y")
+    return sum((Fraction(rng.randint(-3, 3), rng.randint(1, 2)) * x**rng.randint(0, 2) * y**rng.randint(0, 1)
+                for _ in range(rng.randint(1, 3))), Poly.zero())
+
+
+def _random_fraction(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _random_element(rng, p, q, coeff):
+    terms = {rng.randrange(1 << (p + q)): coeff(rng) for _ in range(rng.randint(1, 6))}
+    return GrassmannElement(p, q, terms)
+
+
+@pytest.mark.parametrize("coeff", [_random_uea, _random_poly, _random_fraction], ids=["uea", "poly", "fraction"])
+@pytest.mark.parametrize("pq", [(2, 2), (1, 3), (3, 1)], ids=["p2q2", "p1q3", "p3q1"])
+def test_fused_product_matches_reference(coeff, pq):
+    rng = random.Random(f"fused:{coeff.__name__}:{pq}")
+    for _ in range(30):
+        x, y = _random_element(rng, *pq, coeff), _random_element(rng, *pq, coeff)
+        prod = x * y
+        assert prod.terms == reference_product(x, y)
+        assert (prod.p, prod.q) == pq
+        for c in prod.terms.values():
+            assert c != 0
+            if isinstance(c, Combination):  # no zero inside a coefficient either
+                assert all(v != 0 for v in c.terms.values())
+
+
+def test_fused_product_drops_cancelled_masks():
+    c = UEAElement.from_generator(canonical_generators(2)[0])
+    x = GrassmannElement.from_words(2, 2, [([1], c), ([2], c)])
+    assert (x * x).terms == {}  # c c e1 e2 + c c e2 e1 cancels on mask e1 e2
+    y = GrassmannElement.from_words(2, 2, [([1], c), ([-1], UEAElement.one())])
+    assert set((y * x).terms) == {0b0011, 0b1001, 0b1010}  # e1e2, e1e-1, e2e-1
+    assert all((y * x).terms.values())
+
+
+def test_fused_product_mixes_scalars_into_a_ring():
+    # a scalar coefficient multiplies ring coefficients through the ring's product
+    x = Poly.var("x")
+    lhs = GrassmannElement.from_word(2, 2, [1], Fraction(3)) * GrassmannElement.from_word(2, 2, [2], x)
+    assert lhs == GrassmannElement.from_word(2, 2, [1, 2], 3 * x)
+    assert isinstance(lhs.terms[0b11], Poly)
+    scalars = w([1], Fraction(1, 2)) * w([2], Fraction(4))
+    assert scalars.terms == {0b11: 2} and type(scalars.terms[0b11]) is int
+
+
+def test_product_rejects_mixed_colorings_and_rings():
+    with pytest.raises(ValueError):
+        GrassmannElement.from_word(2, 2, [1], 1) * GrassmannElement.from_word(1, 3, [1], 1)
+    uea = GrassmannElement.from_word(2, 2, [1], UEAElement.one())
+    poly = GrassmannElement.from_word(2, 2, [2], Poly.var("x"))
+    with pytest.raises(TypeError):
+        uea * poly
+
+
+# --- memoised powers and falling products ----------------------------------------
+
+
+@pytest.mark.parametrize("mode,n", [("uea", 2), ("uea", 3), ("commutative", 3)])
+def test_memoised_powers_equal_binary_powers(mode, n):
+    f = build_forms(mode, n=n)
+    for form in (f.omega, f.theta, f.theta_prime, f.xi):
+        # ask out of order, so later powers extend a memo that skipped ahead
+        for m in (2, n + 1, 1, n):
+            assert form.power(m, f.ring_one) == form**m
+        assert form.power(n, f.ring_one) is form.power(n, f.ring_one)
+        assert form.power(0, f.ring_one) == f.one()
+
+
+def test_memoised_falling_product_equals_loop():
+    f = build_forms("uea", n=3)
+    for u in (Fraction(-1), Fraction(1, 2), Fraction(2), 3):
+        for r in (3, 0, 1, 4, 2):
+            loop = f.one()
+            for k in range(r):
+                loop = loop * xi_at(f, Fraction(u) - k)
+            assert xi_shifted_power(f, u, r) == loop
+    assert set(f.falling) == {Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(3)}
+
+
+def test_forms_from_separate_builds_share_no_memo():
+    f1 = build_forms("uea", n=2)
+    f1.omega.power(2, f1.ring_one)
+    xi_shifted_power(f1, Fraction(1), 2)
+    assert check_trinomial(2, 2, forms=f1)
+    f2 = build_forms("uea", n=2)
+    assert f2.falling == {} and f2.falling is not f1.falling
+    for name in ("omega", "xi", "theta", "theta_prime", "tau"):
+        a, b = getattr(f1, name), getattr(f2, name)
+        assert a is not b and a == b
+        assert getattr(b, "_powers", None) is None
+    assert f2.omega.power(2, f2.ring_one) is not f1.omega.power(2, f1.ring_one)
+
+
+def test_memos_leave_no_cyclic_garbage():
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        f = build_forms("uea", n=2)
+        assert check_trinomial(2, 2, forms=f) and check_xi_power_formula(2, Fraction(1), 2, forms=f)
+        assert check_top_form_route(forms=f)
+        del f
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # --- canonical forms ----------------------------------------------------------
 
 
@@ -135,6 +281,7 @@ def test_structure_all_modes():
 def test_sl2_relations():
     for n in (1, 2, 3):
         assert check_sl2(n)
+        assert check_sl2(n, forms=build_forms("uea", n=n))
 
 
 def test_omega_power_past_top_vanishes():
@@ -215,8 +362,10 @@ def test_top_form_recovers_pfaffian_commutative():
 def test_top_form_route_checks():
     for n in (1, 2):
         assert check_top_form_route("uea", n=n)
+        assert check_top_form_route(forms=build_forms("uea", n=n))
     for p, q in ((1, 1), (2, 2), (2, 4)):
         assert check_top_form_route("commutative", p=p, q=q)
+        assert check_top_form_route(forms=build_forms("commutative", p=p, q=q))
 
 
 def test_accumulation_order_does_not_matter():

@@ -1,6 +1,7 @@
 """Pfaffians, copfaffians, the minor summation, and orthogonal equivariance."""
 
 import gc
+import importlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfaffkit.linalg import SingularMatrixError, anti_identity, det_exact, mat_mul, transpose
+from pfaffkit.indexing import complement_sign
+from pfaffkit.linalg import SingularMatrixError, anti_identity, det_exact, det_leibniz, mat_mul, transpose
 from pfaffkit.pfaffian import (
     AlternatingMatrix,
     AntiAlternatingMatrix,
@@ -313,6 +315,53 @@ def test_minor_summation_random_points():
         for _ in range(5):
             X = AntiAlternatingMatrix.random_rational(p, q, rng)
             assert pfaffian_of_anti_alternating(X) == minor_summation_rhs(X)
+
+
+def _unhoisted_minor_summation_rhs(X):
+    """The block sum with every Pfaffian taken inside the (I, J) loop."""
+    rows, cols = tuple(range(1, X.p + 1)), tuple(range(1, X.q + 1))
+    total = Fraction(0)
+    for isize in range(0, X.p + 1, 2):
+        jsize = X.q - X.p + isize
+        if not 0 <= jsize <= X.q:
+            continue
+        for I in combinations(rows, isize):
+            for J in combinations(cols, jsize):
+                ci = tuple(k for k in rows if k not in I)
+                cj = tuple(k for k in cols if k not in J)
+                sign = complement_sign(I, rows) * complement_sign(J, cols)
+                total = total + sign * (det_leibniz(X.a_minor(ci, cj)) * pfaffian(X.c_minor(J))
+                                        * pfaffian(X.b_minor(I)))
+    return total
+
+
+def test_minor_summation_rhs_takes_each_block_pfaffian_once(monkeypatch):
+    module = importlib.import_module("pfaffkit.pfaffian")  # the package re-exports a function by this name
+    calls = []
+    real = module.pfaffian
+
+    def counting(A):
+        calls.append(A.size)
+        return real(A)
+
+    X = AntiAlternatingMatrix.generic(5, 5)
+    monkeypatch.setattr(module, "pfaffian", counting)
+    rhs = minor_summation_rhs(X)
+    monkeypatch.undo()
+    # 16 b-blocks and 16 c-blocks (sizes 0, 2, 4 of 5 indices), each once;
+    # 142 calls when the c-blocks were taken once per (I, J)
+    assert len(calls) == 32
+    assert sorted(calls) == sorted(2 * ([0] + [2] * 10 + [4] * 5))
+    assert rhs == pfaffian_of_anti_alternating(X)
+
+
+def test_minor_summation_rhs_equals_unhoisted_sum():
+    rng = random.Random(16)
+    for p, q in ((2, 4), (3, 3), (4, 2), (1, 5)):
+        X = AntiAlternatingMatrix.generic(p, q)
+        assert minor_summation_rhs(X) == _unhoisted_minor_summation_rhs(X)
+        Y = AntiAlternatingMatrix.random_rational(p, q, rng)
+        assert minor_summation_rhs(Y) == _unhoisted_minor_summation_rhs(Y)
 
 
 # --- orthogonal group action ------------------------------------------------

@@ -11,11 +11,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("argv", [
-    ["benchmark_routes.py", "--max-total", "4", "--repeats", "1"],
     ["form_expansion.py", "--rank", "2", "--mode", "uea"],
     ["form_expansion.py", "--rank", "2", "--mode", "commutative"],
     ["weight_table.py", "--rank", "2", "--max-part", "2"],
-], ids=["benchmark_routes", "form_expansion-uea", "form_expansion-commutative", "weight_table"])
+], ids=["form_expansion-uea", "form_expansion-commutative", "weight_table"])
 def test_script_runs(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

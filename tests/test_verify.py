@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pfaffkit import uea
 from pfaffkit.verify import (
     BoundExceededError,
     CheckResult,
@@ -72,6 +73,44 @@ def test_bound_error_mentions_force():
     with pytest.raises(BoundExceededError) as err:
         ncmsf_suite(n=4)
     assert "--force" in str(err.value)
+
+
+def test_unrestricted_oracle_runs_at_small_rank(monkeypatch):
+    ranks = []
+    real = uea.nc_pfaffian_unrestricted
+
+    def counting(X):
+        ranks.append(X.half)
+        return real(X)
+
+    monkeypatch.setattr(uea, "nc_pfaffian_unrestricted", counting)
+    rep = ncmsf_suite()
+    assert rep.passed and ranks == [1, 2, 3]
+    assert {c.status for c in rep.checks} == {"pass"}
+
+
+def test_unrestricted_oracle_is_skipped_above_its_cap(monkeypatch):
+    def oracle(X):
+        raise AssertionError("the (2n)!-term oracle must not run at n = 4")
+
+    monkeypatch.setattr(uea, "nc_pfaffian_unrestricted", oracle)
+    rep = ncmsf_suite(n=4, force=True)
+    assert rep.passed
+    skipped = [c for c in rep.checks if c.skipped]
+    assert [c.check_id for c in skipped] == ["ncmsf:restricted-vs-unrestricted:n4"]
+    assert skipped[0].status == "skip" and "n <= 3" in skipped[0].residual
+    assert "SKIP ncmsf:restricted-vs-unrestricted:n4" in rep.to_text()
+    assert "1 skipped" in rep.to_text().splitlines()[-1]
+
+
+def test_skip_neither_passes_nor_fails():
+    rep = VerificationReport("demo")
+    rep.checks.append(CheckResult("a", True, "", 1.0))
+    rep.checks.append(CheckResult("b", False, "not run", 0.0, skipped=True))
+    assert rep.passed
+    assert [c["status"] for c in rep.to_dict()["checks"]] == ["pass", "skip"]
+    rep.checks.append(CheckResult("c", False, "boom", 0.0))
+    assert not rep.passed
 
 
 def test_single_n_runs():
