@@ -7,7 +7,7 @@ over exact rationals.
 """
 
 from .rings import MissingIndeterminateError, Poly, PolyParseError, Scalar, parse_poly, parse_rational
-from .indexing import complement_sign, position, signed_value, split_sign
+from .indexing import complement_sign, split_sign
 from .linalg import SingularMatrixError
 from .pfaffian import (
     AlternatingMatrix,
@@ -21,7 +21,6 @@ from .pfaffian import (
     copfaffian_expansion_residuals,
     copfaffian_matrix,
     equivariance_check,
-    lie_algebra_membership,
     minor_summation_rhs,
     pfaffian,
     pfaffian_definitional,
@@ -36,9 +35,7 @@ from .uea import (
     bracket,
     build_canonical_x,
     canonical_generators,
-    centrality_check,
     centrality_failures,
-    column_determinant,
     eigenvalue_product,
     hc_coefficient,
     nc_minor_summation_rhs,

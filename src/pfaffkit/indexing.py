@@ -1,8 +1,7 @@
-"""Signed index bookkeeping and shuffle signs.
+"""Index sets and shuffle signs.
 
-Matrices of size 2n are addressed by signed indices i in {1..n, -n..-1};
-the negative label -k stands for row/column 2n+1-k.  Splitting a sorted
-index set into two pieces carries the sign of the permutation that
+Index sets are strictly increasing tuples of 1-based indices.  Splitting
+a sorted index set into two pieces carries the sign of the permutation that
 rearranges it, computed here by counting crossings; `permutation_sign`
 is the one brute inversion count, shared by the Leibniz determinant and
 the matching-sum Pfaffian.
@@ -12,20 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from typing import Iterable, Sequence
-
-
-def position(value: int, n: int) -> int:
-    """1-based slot of a signed index in a 2n-sized matrix."""
-    if not 1 <= abs(value) <= n or value == 0:
-        raise ValueError(f"signed index {value} out of range for n={n}")
-    return value if value > 0 else 2 * n + 1 + value
-
-
-def signed_value(pos: int, n: int) -> int:
-    """Inverse of :func:`position`."""
-    if not 1 <= pos <= 2 * n:
-        raise ValueError(f"slot {pos} out of range for n={n}")
-    return pos if pos <= n else pos - (2 * n + 1)
 
 
 def _check_sorted_unique(elements: Sequence[int], what: str) -> tuple[int, ...]:

@@ -1,8 +1,10 @@
 """Dense exact matrix helpers.
 
-Matrices are tuples of tuples.  Entries are Fractions or any commutative
-ring elements supporting +, -, *, == (polynomials in particular); the
-division-based routines require Fractions.
+Matrices are tuples of tuples.  Rational entries follow the rings' scalar
+rule (an int when integral, else a Fraction); entries may also be any
+commutative ring elements supporting +, -, *, == (polynomials in
+particular).  The division-based routines require rational entries, and
+all-int matrices are eliminated fraction-free, so integer work stays in int.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from itertools import permutations
 from typing import Sequence
 
 from .indexing import permutation_sign
+from .rings import _rational
 
 Matrix = tuple
 
@@ -25,12 +28,12 @@ def freeze(rows: Sequence[Sequence]) -> Matrix:
 
 
 def identity(m: int) -> Matrix:
-    return tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(m)) for i in range(m))
+    return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
 
 
 def anti_identity(m: int) -> Matrix:
     """J_m: ones on the anti-diagonal."""
-    return tuple(tuple(Fraction(1) if i + j == m - 1 else Fraction(0) for j in range(m)) for i in range(m))
+    return tuple(tuple(1 if i + j == m - 1 else 0 for j in range(m)) for i in range(m))
 
 
 def transpose(M: Matrix) -> Matrix:
@@ -86,7 +89,7 @@ def det_leibniz(M: Matrix):
     """
     m = len(M)
     if m == 0:
-        return Fraction(1)
+        return 1
     total = None
     for perm in permutations(range(m)):
         prod = M[perm[0]][0]
@@ -99,6 +102,37 @@ def det_leibniz(M: Matrix):
 
 def _all_rational(M: Matrix) -> bool:
     return all(isinstance(x, (int, Fraction)) for row in M for x in row)
+
+
+def _all_int(M: Matrix) -> bool:
+    return all(type(x) is int for row in M for x in row)
+
+
+def det_bareiss(M: Matrix) -> int:
+    """Fraction-free (Bareiss) elimination determinant for int matrices.
+
+    After step k every entry of the trailing block is a (k+1)-minor of M,
+    so each division by the previous pivot is exact and every
+    intermediate stays an int (Bareiss 1968, Math. Comp. 22)."""
+    m = len(M)
+    rows = [list(row) for row in M]
+    sign, prev = 1, 1
+    for k in range(m - 1):
+        if not rows[k][k]:
+            swap = next((r for r in range(k + 1, m) if rows[r][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, m):
+            row = rows[i]
+            a = row[k]
+            for j in range(k + 1, m):
+                row[j] = (pivot * row[j] - a * pivot_row[j]) // prev
+        prev = pivot
+    return sign * rows[-1][-1] if m else 1
 
 
 def det_fraction(M: Matrix) -> Fraction:
@@ -123,12 +157,17 @@ def det_fraction(M: Matrix) -> Fraction:
 
 
 def det_exact(M: Matrix):
-    """Determinant, eliminating when entries are rational, Leibniz otherwise."""
+    """Determinant: fraction-free elimination when every entry is an int
+    (the result is then an int), Fraction elimination when entries are
+    rational, the Leibniz sum otherwise."""
+    if _all_int(M):
+        return det_bareiss(M)
     return det_fraction(M) if _all_rational(M) else det_leibniz(M)
 
 
 def inverse_fraction(M: Matrix) -> Matrix:
-    """Exact inverse of a rational matrix; raises SingularMatrixError."""
+    """Exact inverse of a rational matrix, its entries under the scalar
+    rule; raises SingularMatrixError."""
     m = len(M)
     rows = [[Fraction(x) for x in row] + [Fraction(1) if i == j else Fraction(0) for j in range(m)]
             for i, row in enumerate(M)]
@@ -143,4 +182,4 @@ def inverse_fraction(M: Matrix) -> Matrix:
             if r != col and rows[r][col]:
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(tuple(row[m:]) for row in rows)
+    return tuple(tuple(_rational(x) for x in row[m:]) for row in rows)

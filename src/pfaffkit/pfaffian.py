@@ -8,7 +8,7 @@ identity, which expands the Pfaffian into determinant times
 sub-Pfaffian contributions over the block decomposition.
 
 `AntiAlternatingMatrix` is the one anti-alternating matrix type of the
-package: its entries may be Fractions, `Poly` or enveloping-algebra
+package: its entries may be rationals, `Poly` or enveloping-algebra
 elements (`uea.build_canonical_x`), and `entry(i, j)` reads them by
 signed row and column labels.  `minor_summation_rhs` is the one block sum
 of both identities; the commutative and the enveloping-algebra versions
@@ -20,6 +20,10 @@ shares it: `pfaffian` starts a fresh memo, the co-Pfaffian matrix reads
 each cofactor Pf(A without i, j) from the memo that computed Pf A, and
 `complementary_minor_check` computes Pf A, the scaled co-Pfaffian matrix
 and their memos once per matrix and keeps them on the matrix.
+
+Rational entries follow the rings' scalar rule (an int when integral,
+else a Fraction), and so do the identities and zero fills here, so an
+all-int matrix is expanded in int arithmetic from input to result.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ from .linalg import (
     freeze,
     identity,
     inverse_fraction,
-    is_alternating,
-    is_symmetric,
     is_zero_matrix,
     mat_add,
     mat_mul,
@@ -95,9 +97,9 @@ class AlternatingMatrix:
 
     @classmethod
     def from_upper(cls, size: int, value_at: Callable[[int, int], object]) -> "AlternatingMatrix":
-        """Build from a callable giving the strict upper triangle (1-based)."""
-        zero = Fraction(0)
-        grid = [[zero] * size for _ in range(size)]
+        """Build from a callable giving the strict upper triangle (1-based);
+        the diagonal is the int 0."""
+        grid = [[0] * size for _ in range(size)]
         for i in range(1, size + 1):
             for j in range(i + 1, size + 1):
                 v = value_at(i, j)
@@ -112,7 +114,7 @@ class AlternatingMatrix:
 
     @classmethod
     def random_rational(cls, size: int, rng: random.Random, lo: int = -9, hi: int = 9) -> "AlternatingMatrix":
-        return cls.from_upper(size, lambda i, j: Fraction(rng.randint(lo, hi)))
+        return cls.from_upper(size, lambda i, j: rng.randint(lo, hi))
 
     @property
     def size(self) -> int:
@@ -161,7 +163,7 @@ def pfaffian_definitional(A: AlternatingMatrix):
     """
     m = A.size
     if m == 0:
-        return Fraction(1)
+        return 1
     total = None
     for pairs in all_pairings(tuple(range(1, m + 1))):
         flat = [x for pair in pairs for x in pair]
@@ -178,10 +180,12 @@ def _pf(A: AlternatingMatrix, indices: tuple[int, ...], memo: dict):
     `indices`, by expansion along its first row.
 
     `memo` maps index tuples of A to their Pfaffians; every call on the
-    same A may share it, so each sub-Pfaffian is computed once.
+    same A may share it, so each sub-Pfaffian is computed once.  The
+    empty Pfaffian is the int 1 and a vanishing one the int 0, so an
+    all-int matrix has int sub-Pfaffians throughout.
     """
     if not indices:
-        return Fraction(1)
+        return 1
     cached = memo.get(indices)
     if cached is not None:
         return cached
@@ -197,7 +201,7 @@ def _pf(A: AlternatingMatrix, indices: tuple[int, ...], memo: dict):
             term = -term
         total = term if total is None else total + term
     if total is None:
-        total = Fraction(0)
+        total = 0
     memo[indices] = total
     return total
 
@@ -219,7 +223,7 @@ def cofactor_pfaffian(A: AlternatingMatrix, i: int, j: int, memo: dict | None = 
     if not (1 <= i <= A.size and 1 <= j <= A.size):
         raise ValueError(f"cofactor ({i}, {j}) out of range for size {A.size}")
     if i == j:
-        return Fraction(0)
+        return 0
     lo, hi = min(i, j), max(i, j)
     keep = tuple(k for k in range(1, A.size + 1) if k != lo and k != hi)
     pf = _pf(A, keep, {} if memo is None else memo)
@@ -236,7 +240,7 @@ def copfaffian_matrix(A: AlternatingMatrix, memo: dict | None = None) -> Alterna
     if memo is None:
         memo = {}
     m = A.size
-    grid = [[Fraction(0)] * m for _ in range(m)]
+    grid = [[0] * m for _ in range(m)]
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             g = cofactor_pfaffian(A, i, j, memo)
@@ -257,10 +261,10 @@ def copfaffian_expansion_residuals(A: AlternatingMatrix) -> dict[tuple[int, int]
     out = {}
     for i in range(1, m + 1):
         for j in range(1, m + 1):
-            acc = Fraction(0)
+            acc = 0
             for k in range(1, m + 1):
                 acc = acc + A.entry(i, k) * gamma.entry(j, k)
-            expected = pf if i == j else Fraction(0)
+            expected = pf if i == j else 0
             out[(i, j)] = acc - expected
     return out
 
@@ -301,7 +305,7 @@ def complementary_minor_check(A: AlternatingMatrix, I: Iterable[int]) -> bool:
     if len(members) != len(I) or len(I) + len(comp) != len(universe):
         raise ValueError(f"index set must hold distinct indices in 1..{A.size}, got {I}")
     pf, memo, scaled, scaled_memo = _minor_data(A)
-    lhs = _pf(A, I, memo) / pf
+    lhs = Fraction(_pf(A, I, memo), pf)  # exact: int / int would be a float
     rhs = split_sign(universe, I, comp) * _pf(scaled, comp, scaled_memo)
     return lhs == rhs
 
@@ -314,7 +318,7 @@ class AntiAlternatingMatrix:
     is determined by `a`.  Rows carry the signed labels 1..p, -q..-1 and
     columns 1..q, -p..-1, so anti-alternation holds by construction.
     Entries may come from any ring with exact equality, commutative or
-    not (Fractions, `Poly`, `uea.UEAElement`).
+    not (rationals, `Poly`, `uea.UEAElement`).
     """
 
     __slots__ = ("p", "q", "a", "b", "c")
@@ -349,7 +353,7 @@ class AntiAlternatingMatrix:
         def mirror(size, upper, name):
             if len(upper) != max(size - 1, 0):
                 raise ShapeError(f"block {name} needs {size - 1} triangle rows, got {len(upper)}")
-            grid = [[Fraction(0)] * size for _ in range(size)]
+            grid = [[0] * size for _ in range(size)]
             for i, row in enumerate(upper, start=1):
                 if len(row) != size - i:
                     raise ShapeError(f"block {name} row {i} needs {size - i} entries, got {len(row)}")
@@ -371,9 +375,9 @@ class AntiAlternatingMatrix:
 
     @classmethod
     def random_rational(cls, p: int, q: int, rng: random.Random, lo: int = -9, hi: int = 9) -> "AntiAlternatingMatrix":
-        a_rows = [[Fraction(rng.randint(lo, hi)) for _ in range(q)] for _ in range(p)]
-        b_upper = [[Fraction(rng.randint(lo, hi)) for _ in range(i + 1, p + 1)] for i in range(1, p)]
-        c_upper = [[Fraction(rng.randint(lo, hi)) for _ in range(i + 1, q + 1)] for i in range(1, q)]
+        a_rows = [[rng.randint(lo, hi) for _ in range(q)] for _ in range(p)]
+        b_upper = [[rng.randint(lo, hi) for _ in range(i + 1, p + 1)] for i in range(1, p)]
+        c_upper = [[rng.randint(lo, hi) for _ in range(i + 1, q + 1)] for i in range(1, q)]
         return cls.from_upper_blocks(p, q, a_rows, b_upper, c_upper)
 
     @property
@@ -467,7 +471,7 @@ def minor_summation_rhs(X: AntiAlternatingMatrix,
             for sign_j, comp_j, pf_c in c_side:
                 term = (sign_i * sign_j) * (det(comp_i, comp_j) * pf_c * pf_b)
                 total = term if total is None else total + term
-    return Fraction(0) if total is None else total
+    return 0 if total is None else total
 
 
 def verify_minor_summation(p: int, q: int) -> bool:
@@ -478,15 +482,6 @@ def verify_minor_summation(p: int, q: int) -> bool:
 
 class NotInLieAlgebraError(ValueError):
     """Raised when a matrix fails tY S + S Y = 0 for the given form S."""
-
-
-def lie_algebra_membership(X, S) -> tuple[bool, bool]:
-    """Report (tX S + S X == 0, X S^{-1} alternating); the two must agree."""
-    if not is_symmetric(S):
-        raise ShapeError("the bilinear form must be symmetric")
-    in_algebra = is_zero_matrix(mat_add(mat_mul(transpose(X), S), mat_mul(S, X)))
-    product_alternating = is_alternating(mat_mul(X, inverse_fraction(S)))
-    return in_algebra, product_alternating
 
 
 def cayley_orthogonal(Y, S):
@@ -508,7 +503,7 @@ def random_orthogonal_cayley(S, rng: random.Random, lo: int = -3, hi: int = 3):
     m = len(S)
     s_inv = inverse_fraction(S)
     while True:
-        W = AlternatingMatrix.from_upper(m, lambda i, j: Fraction(rng.randint(lo, hi))).rows
+        W = AlternatingMatrix.from_upper(m, lambda i, j: rng.randint(lo, hi)).rows
         Y = mat_mul(s_inv, W)
         try:
             return cayley_orthogonal(Y, S)

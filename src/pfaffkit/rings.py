@@ -41,10 +41,14 @@ class MissingIndeterminateError(KeyError):
         super().__init__(f"no value supplied for: {', '.join(self.names)}")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' into a Fraction."""
+def parse_rational(text: str) -> ScalarLike:
+    """Parse a rational literal ('p', 'p/q', '1.5', '1e3', ...) under the
+    scalar rule: an int when integral, else a Fraction.
+
+    `Fraction` decides which texts are accepted; the result then goes
+    through `_rational`."""
     try:
-        return Fraction(text.strip())
+        return _rational(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise PolyParseError(f"bad rational literal {text!r}: {exc}") from None
 

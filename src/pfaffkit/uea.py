@@ -337,15 +337,12 @@ def nc_pfaffian_unrestricted(X: AntiAlternatingMatrix) -> UEAElement:
     return UEAElement._wrap(out).scale(Fraction(1, 2**n * factorial(n)))
 
 
-def column_determinant(rows: Sequence[Sequence[UEAElement]]) -> UEAElement:
-    """sum_s sgn(s) M[s(1)][1] M[s(2)][2] ... with factors kept in column order."""
-    return det_leibniz(tuple(tuple(row) for row in rows))
-
-
 def shifted_minor_determinant(X: AntiAlternatingMatrix, I: Sequence[int], J: Sequence[int],
                               u: ScalarLike = 0) -> UEAElement:
     """Column determinant of the a-block minor rows I, columns J with the
-    diagonal shift u + r - t added in column t (r = len(J))."""
+    diagonal shift u + r - t added in column t (r = len(J)):
+    sum_s sgn(s) M[s(1)][1] M[s(2)][2] ..., factors kept in column order,
+    which is the order `det_leibniz` multiplies in."""
     if len(I) != len(J):
         raise ValueError("shifted minors must be square")
     r = len(J)
@@ -357,8 +354,8 @@ def shifted_minor_determinant(X: AntiAlternatingMatrix, I: Sequence[int], J: Seq
             if i == j:
                 entry = entry + (Fraction(u) + r - t)
             row.append(entry)
-        rows.append(row)
-    return column_determinant(rows)
+        rows.append(tuple(row))
+    return det_leibniz(tuple(rows))
 
 
 def nc_minor_summation_rhs(n: int, X: AntiAlternatingMatrix | None = None) -> UEAElement:
@@ -384,10 +381,6 @@ def centrality_failures(z: UEAElement, n: int) -> list[Generator]:
         if ge * z != z * ge:
             failures.append(g)
     return failures
-
-
-def centrality_check(z: UEAElement, n: int) -> bool:
-    return not centrality_failures(z, n)
 
 
 @dataclass(frozen=True)

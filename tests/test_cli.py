@@ -52,6 +52,21 @@ def test_pfaffian_full_rational(tmp_path, capsys):
     assert out.strip() == "1/2"
 
 
+@pytest.mark.parametrize("text,expected", [
+    # integral and non-integral entries in every literal form; an integral
+    # Pfaffian prints as an int, a non-integral one as p/q
+    ("full 4\n0 1/2 3 -1\n-1/2 0 5/2 1.5\n-3 -5/2 0 4\n1 -1.5 -4 0\n", "-5\n"),
+    ("full 6\n0 1/2 3 -1 1e1 6/2\n-1/2 0 2 +3 0 -7\n-3 -2 0 5 1.5 1_0\n"
+     "1 -3 -5 0 -0 2\n-10 0 -1.5 0 0 -4/3\n-3 7 -10 -2 4/3 0\n", "3701/6\n"),
+    ("3 2 4\na\n1 -2/3 3 0.5\n2 1e1 -1 6/2\nb\n+3\nc\n1 -1 2\n1_0 -0\n5/2\n", "179/3\n"),
+])
+def test_pfaffian_rational_mixed_entries_output(tmp_path, capsys, text, expected):
+    f = tmp_path / "mixed.txt"
+    f.write_text(text)
+    code, out, err = run(capsys, "pfaffian", "--ring", "rational", str(f))
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_pfaffian_odd_size_is_shape_violation(tmp_path, capsys):
     f = tmp_path / "odd.txt"
     f.write_text("full 3\n0 1 2\n-1 0 3\n-2 -3 0\n")

@@ -1,4 +1,4 @@
-"""Signed indices and interleaving signs."""
+"""Index sets and interleaving signs."""
 
 from itertools import combinations, permutations
 
@@ -10,29 +10,8 @@ from pfaffkit.indexing import (
     complement_sign,
     index_set,
     permutation_sign,
-    position,
-    signed_value,
     split_sign,
 )
-
-
-def test_position_layout():
-    # positive labels first, then negatives in reverse: 1..n, -n..-1
-    assert [position(v, 2) for v in (1, 2, -2, -1)] == [1, 2, 3, 4]
-    assert [position(v, 3) for v in (1, 2, 3, -3, -2, -1)] == [1, 2, 3, 4, 5, 6]
-
-
-def test_position_roundtrip():
-    for n in (1, 2, 3, 5):
-        for pos in range(1, 2 * n + 1):
-            assert position(signed_value(pos, n), n) == pos
-
-
-def test_position_rejects_zero():
-    with pytest.raises(ValueError):
-        position(0, 3)
-    with pytest.raises(ValueError):
-        position(4, 3)
 
 
 def test_split_sign_goldens():

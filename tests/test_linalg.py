@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfaffkit.linalg import (
     SingularMatrixError,
     anti_identity,
+    det_bareiss,
     det_exact,
     det_fraction,
     det_leibniz,
@@ -71,3 +74,62 @@ def test_predicates():
     assert not is_alternating([[0, 2], [2, 0]])
     assert not is_alternating([[1, 2], [-2, 0]])
     assert is_symmetric(transpose([[1, 5], [5, 2]]))
+
+
+# --- integer entries ------------------------------------------------------------
+
+
+def int_matrices(max_size=5, bound=20):
+    return st.integers(min_value=0, max_value=max_size).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@given(int_matrices())
+@settings(max_examples=200, deadline=None)
+def test_bareiss_matches_fraction_and_leibniz(m):
+    d = det_bareiss(m)
+    assert type(d) is int
+    assert d == det_fraction(m) == det_leibniz(m)
+    assert det_exact(m) == d and type(det_exact(m)) is int
+
+
+@given(int_matrices(max_size=4), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_bareiss_on_singular_matrices(m, rng):
+    # a repeated row (or a zero row at size 1) makes any matrix singular
+    if not m:
+        return
+    rows = [list(r) for r in m]
+    if len(rows) == 1:
+        rows[0] = [0]
+    else:
+        i, j = rng.sample(range(len(rows)), 2)
+        rows[j] = list(rows[i])
+    assert det_bareiss(rows) == 0 == det_leibniz(rows)
+
+
+def test_bareiss_goldens():
+    assert det_bareiss([]) == 1 and type(det_bareiss([])) is int
+    assert det_bareiss([[-7]]) == -7
+    # zero leading pivots need a row swap, once and twice
+    assert det_bareiss([[0, 1], [1, 0]]) == -1
+    assert det_bareiss([[0, 2, 0], [0, 0, 3], [5, 0, 0]]) == 30
+    assert det_bareiss([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    # a zero pivot column below the pivot: singular without finishing
+    assert det_bareiss([[1, 2, 3], [2, 4, 6], [1, 1, 1]]) == 0
+    big = [[10**9 + 7, 3, 10**9], [2, 10**9 - 1, 5], [10**9 + 9, 1, 10**9 + 3]]
+    assert det_bareiss(big) == det_leibniz(big)
+
+
+def test_det_exact_routes_by_entry_type():
+    m = [[2, 1], [1, 3]]
+    assert type(det_exact(m)) is int
+    assert type(det_exact([[Fraction(2), 1], [1, 3]])) is Fraction
+    assert det_exact([[Fraction(2), 1], [1, 3]]) == det_exact(m) == 5
+
+
+def test_scalar_rule_for_constructed_entries():
+    assert all(type(x) is int for M in (identity(3), anti_identity(4)) for row in M for x in row)
+    inv = inverse_fraction([[2, 0], [1, 1]])
+    assert inv == ((Fraction(1, 2), 0), (Fraction(-1, 2), 1))
+    assert [type(x) for row in inv for x in row] == [Fraction, int, Fraction, int]

@@ -15,6 +15,7 @@ from pfaffkit.linalg import SingularMatrixError, anti_identity, det_exact, det_l
 from pfaffkit.pfaffian import (
     AlternatingMatrix,
     AntiAlternatingMatrix,
+    NotInLieAlgebraError,
     ShapeError,
     all_pairings,
     cayley_orthogonal,
@@ -23,7 +24,7 @@ from pfaffkit.pfaffian import (
     copfaffian_expansion_check,
     copfaffian_matrix,
     equivariance_check,
-    lie_algebra_membership,
+    copfaffian_expansion_residuals,
     minor_summation_rhs,
     pfaffian,
     pfaffian_definitional,
@@ -392,12 +393,9 @@ def test_cayley_golden_n1():
     assert [list(r) for r in g] == [[Fraction(-1, 3), Fraction(0)], [Fraction(0), Fraction(-3)]]
 
 
-def test_membership_reports():
-    S = anti_identity(4)
-    X = AntiAlternatingMatrix.generic(2, 2)
-    full = [list(r) for r in X.full()]
-    ok_right, ok_left = lie_algebra_membership(full, S)
-    assert ok_right and ok_left
+def test_cayley_rejects_non_members():
+    with pytest.raises(NotInLieAlgebraError):
+        cayley_orthogonal(((1, 0), (0, 1)), anti_identity(2))
 
 
 def test_equivariance():
@@ -421,3 +419,73 @@ def test_pfaffian_vanishes_on_rank_two_updates(m, rng):
     A = AlternatingMatrix(rows)
     if m > 1:
         assert pfaffian(A) == 0
+
+
+# --- integer entries ----------------------------------------------------------
+
+
+def _int_alternating(size, rng, lo=-9, hi=9):
+    return AlternatingMatrix.from_upper(size, lambda i, j: rng.randint(lo, hi))
+
+
+def _fraction_copy(A):
+    return AlternatingMatrix([[Fraction(x) for x in row] for row in A.rows])
+
+
+def _all_int(rows):
+    return all(type(x) is int for row in rows for x in row)
+
+
+def test_integral_constructors_store_ints():
+    rng = random.Random(21)
+    assert _all_int(AlternatingMatrix.random_rational(6, rng).rows)
+    assert _all_int(AntiAlternatingMatrix.random_rational(3, 5, rng).full())
+    X = AntiAlternatingMatrix.from_upper_blocks(2, 2, [[1, 2], [3, 4]], [[5]], [[6]])
+    assert _all_int(X.full())
+    # polynomial entries keep the int 0 on the diagonal
+    assert AlternatingMatrix.generic(4).rows[0][0] == 0 and type(AlternatingMatrix.generic(4).rows[0][0]) is int
+
+
+@given(st.integers(min_value=0, max_value=4), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_int_and_fraction_entries_agree(half, rng):
+    A = _int_alternating(2 * half, rng)
+    F = _fraction_copy(A)
+    pf = pfaffian(A)
+    assert type(pf) is int and type(pfaffian_definitional(A)) is int
+    assert pf == pfaffian(F) == pfaffian_definitional(A) == pfaffian_definitional(F)
+    G = copfaffian_matrix(A)
+    assert _all_int(G.rows) and G == copfaffian_matrix(F)
+    d = det_exact(A.rows)
+    assert type(d) is int and d == det_exact(F.rows) == pf * pf
+    residuals = copfaffian_expansion_residuals(A)
+    assert all(type(r) is int and r == 0 for r in residuals.values())
+
+
+def test_int_identities_of_the_commutative_layer():
+    assert type(pfaffian(AlternatingMatrix([]))) is int
+    assert type(pfaffian_definitional(AlternatingMatrix([]))) is int
+    A = _int_alternating(4, random.Random(22))
+    assert type(cofactor_pfaffian(A, 2, 2)) is int
+    zero = AlternatingMatrix.from_upper(4, lambda i, j: 0)
+    assert pfaffian(zero) == 0 and type(pfaffian(zero)) is int
+    X = AntiAlternatingMatrix.random_rational(3, 3, random.Random(23))
+    rhs = minor_summation_rhs(X)
+    assert type(rhs) is int and rhs == pfaffian_of_anti_alternating(X)
+    # a coloring whose block sum is empty: every b- and c-Pfaffian vanishes
+    Z = AntiAlternatingMatrix.from_upper_blocks(2, 2, [[1, 2], [3, 4]], [[0]], [[0]])
+    assert type(minor_summation_rhs(Z)) is int
+
+
+def test_complementary_minor_stays_exact_on_large_ints():
+    # entries near 10^9: Pf A is near 10^27 and no quotient of these
+    # Pfaffians is a float, so only an exact quotient passes
+    rng = random.Random(24)
+    while True:
+        A = _int_alternating(6, rng, 10**9 - 50, 10**9 + 50)
+        if pfaffian(A) != 0:
+            break
+    assert _all_int(A.rows)
+    for m in range(0, 7, 2):
+        for I in combinations(range(1, 7), m):
+            assert complementary_minor_check(A, I)

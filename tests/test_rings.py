@@ -112,6 +112,23 @@ def test_parse_rational():
         parse_rational("x")
 
 
+@pytest.mark.parametrize("text,value", [
+    ("1_0", 10), ("1e3", 1000), ("6/2", 3), ("+3", 3), ("-0", 0), (" 4 ", 4), ("3.", 3),
+    ("1E2", 100), ("\t5\n", 5),
+    ("1.5", Fraction(3, 2)), ("1e-3", Fraction(1, 1000)), (".5", Fraction(1, 2)), ("-7/14", Fraction(-1, 2)),
+])
+def test_parse_rational_accepts_under_the_scalar_rule(text, value):
+    # Fraction decides what parses; an integral value comes back as an int
+    got = parse_rational(text)
+    assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("text", ["1/0", "x", "", "1 / 2", "1__0", "_1", "1/2/3", "0x10", "inf", "nan", "4/-2"])
+def test_parse_rational_rejects(text):
+    with pytest.raises(PolyParseError):
+        parse_rational(text)
+
+
 def _gen(kind, i, j):
     return UEAElement.from_generator(Generator(kind, i, j))
 
