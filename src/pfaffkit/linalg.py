@@ -67,20 +67,6 @@ def is_zero_matrix(M: Matrix) -> bool:
     return all(x == 0 for row in M for x in row)
 
 
-def is_symmetric(M: Matrix) -> bool:
-    m = len(M)
-    return all(M[i][j] == M[j][i] for i in range(m) for j in range(i + 1, m))
-
-
-def is_alternating(M: Matrix) -> bool:
-    m = len(M)
-    if any(len(row) != m for row in M):
-        return False
-    if any(M[i][i] != 0 for i in range(m)):
-        return False
-    return all(M[i][j] == -M[j][i] for i in range(m) for j in range(i + 1, m))
-
-
 def det_leibniz(M: Matrix):
     """Permutation-sum determinant over any commutative ring.
 

@@ -20,6 +20,10 @@ shares it: `pfaffian` starts a fresh memo, the co-Pfaffian matrix reads
 each cofactor Pf(A without i, j) from the memo that computed Pf A, and
 `complementary_minor_check` computes Pf A, the scaled co-Pfaffian matrix
 and their memos once per matrix and keeps them on the matrix.
+`minor_summation_rhs` keeps one memo per block for a call: Pf(b_I) and
+Pf(c_J) come from `_pf` on the whole b and c blocks, and the default
+a-minor determinant from `_minor_det`, the first-row Laplace expansion
+memoised on (rows, cols), so each block quantity is computed once.
 
 Rational entries follow the rings' scalar rule (an int when integral,
 else a Fraction), and so do the identities and zero fills here, so an
@@ -38,7 +42,6 @@ from .linalg import (
     SingularMatrixError,
     anti_identity,
     det_exact,
-    det_leibniz,
     freeze,
     identity,
     inverse_fraction,
@@ -434,6 +437,36 @@ def pfaffian_of_anti_alternating(X: AntiAlternatingMatrix):
     return pfaffian(X.to_alternating())
 
 
+def _minor_det(M: tuple, rows: tuple[int, ...], cols: tuple[int, ...], memo: dict):
+    """Determinant of the minor of M on the 1-based `rows` and `cols` (equal
+    lengths), by Laplace expansion along its first row.
+
+    `memo` maps (rows, cols) to determinants of minors of M; every call on
+    the same M may share it, so each minor is computed once.  Entries must
+    commute.  The empty minor is the int 1 and a vanishing one the int 0.
+    """
+    if not rows:
+        return 1
+    key = (rows, cols)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    row, rest = M[rows[0] - 1], rows[1:]
+    total = None
+    for k, j in enumerate(cols):
+        a = row[j - 1]
+        if a == 0:
+            continue
+        term = a * _minor_det(M, rest, cols[:k] + cols[k + 1:], memo)
+        if k % 2:
+            term = -term
+        total = term if total is None else total + term
+    if total is None:
+        total = 0
+    memo[key] = total
+    return total
+
+
 def minor_summation_rhs(X: AntiAlternatingMatrix,
                         det: Callable[[tuple[int, ...], tuple[int, ...]], object] | None = None):
     """Expansion of Pf X as a sum of det(a-minor) * Pf(c-minor) * Pf(b-minor).
@@ -441,13 +474,21 @@ def minor_summation_rhs(X: AntiAlternatingMatrix,
     The sum runs over even subsets I of the b-rows and J of the c-rows of
     matching co-size; each term carries the shuffle signs of (complement,
     subset) on both sides.  `det(rows, cols)` gives the determinant of the
-    a-minor on the complements of I and J, by default `det_leibniz` of it;
-    the enveloping-algebra identity passes its shifted column determinant.
+    a-minor on the complements of I and J, by default `_minor_det` of the
+    a block under one memo per call; the enveloping-algebra identity passes
+    its shifted column determinant.  Every Pf(b_I) is read through one
+    sub-Pfaffian memo of the whole b block, and every Pf(c_J) through one
+    of c: the entries within b, and within c, commute in all three rings.
     Factors multiply in the order written, which that identity needs.
     """
     if det is None:
+        det_memo: dict = {}
+
         def det(rows, cols):
-            return det_leibniz(X.a_minor(rows, cols))
+            return _minor_det(X.a, rows, cols, det_memo)
+    B, C = AlternatingMatrix._trusted(X.b), AlternatingMatrix._trusted(X.c)
+    b_memo: dict = {}
+    c_memo: dict = {}
     p, q = X.p, X.q
     rows_p = tuple(range(1, p + 1))
     cols_q = tuple(range(1, q + 1))
@@ -459,17 +500,20 @@ def minor_summation_rhs(X: AntiAlternatingMatrix,
         # the c side does not depend on I: Pf(c_J) once per J, zeros dropped
         c_side = []
         for J in combinations(cols_q, jsize):
-            pf_c = pfaffian(X.c_minor(J))
+            pf_c = _pf(C, J, c_memo)
             if pf_c != 0:
                 c_side.append((complement_sign(J, cols_q), tuple(k for k in cols_q if k not in set(J)), pf_c))
         for I in combinations(rows_p, isize):
-            pf_b = pfaffian(X.b_minor(I))
+            pf_b = _pf(B, I, b_memo)
             if pf_b == 0:
                 continue
             sign_i = complement_sign(I, rows_p)
             comp_i = tuple(k for k in rows_p if k not in set(I))
             for sign_j, comp_j, pf_c in c_side:
-                term = (sign_i * sign_j) * (det(comp_i, comp_j) * pf_c * pf_b)
+                d = det(comp_i, comp_j)
+                if d == 0:
+                    continue
+                term = (sign_i * sign_j) * (d * pf_c * pf_b)
                 total = term if total is None else total + term
     return 0 if total is None else total
 

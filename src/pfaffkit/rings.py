@@ -88,14 +88,48 @@ def display_key(name: str):
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """Product of two monomials: one merge of their sorted factor lists,
+    adding the exponents of a name on both sides."""
     if not m1:
         return m2
     if not m2:
         return m1
-    exps: dict[str, int] = dict(m1)
-    for name, e in m2:
-        exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items()))
+    if len(m1) == 1:
+        m1, m2 = m2, m1
+    if len(m2) == 1:
+        # one factor: insert it, or add its exponent, at its place in m1
+        name = m2[0][0]
+        for k, f in enumerate(m1):
+            if name <= f[0]:
+                if name == f[0]:
+                    return m1[:k] + ((name, f[1] + m2[0][1]),) + m1[k + 1:]
+                return m1[:k] + m2 + m1[k:]
+        return m1 + m2
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    f1, f2 = m1[0], m2[0]
+    while True:
+        if f1[0] < f2[0]:
+            out.append(f1)
+            i += 1
+            if i == n1:
+                break
+            f1 = m1[i]
+        elif f2[0] < f1[0]:
+            out.append(f2)
+            j += 1
+            if j == n2:
+                break
+            f2 = m2[j]
+        else:
+            out.append((f1[0], f1[1] + f2[1]))
+            i += 1
+            j += 1
+            if i == n1 or j == n2:
+                break
+            f1, f2 = m1[i], m2[j]
+    return tuple(out) + m1[i:] + m2[j:]
 
 
 def _mono_degree(mono: Monomial) -> int:
@@ -307,18 +341,37 @@ class Poly(Combination):
 
     @staticmethod
     def _product_into(out: dict, left: Mapping, right: Mapping, scale: ScalarLike = 1) -> dict:
-        """Add scale * left * right into `out`, one row per left term."""
+        """Add scale * left * right into `out` in one fused loop.
+
+        Each coefficient product goes straight into `out` under the scalar
+        rule of `_rational`, and a key whose sum cancels leaves at once, so
+        `out` never holds a zero coefficient if it started without."""
+        if not scale:
+            return out
+        get = out.get
+        rows = right.items()
         for m1, c1 in left.items():
-            # m2 -> m1*m2 is injective, so each row is a valid term dict
-            add_into(out, {_mono_mul(m1, m2): c2 for m2, c2 in right.items()}, scale * c1)
+            c1 = scale * c1
+            for m2, c2 in rows:
+                m = _mono_mul(m1, m2)
+                c = c1 * c2
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
+                s = get(m)
+                if s is None:
+                    out[m] = c
+                elif s := s + c:
+                    out[m] = s
+                else:
+                    del out[m]
         return out
 
     def __mul__(self, other):
+        if isinstance(other, Poly):
+            return self._wrap(self._product_into({}, self.terms, other.terms))
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self._wrap(self._product_into({}, self.terms, other.terms))
+        return NotImplemented
 
     __rmul__ = __mul__
 

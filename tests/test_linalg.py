@@ -16,8 +16,6 @@ from pfaffkit.linalg import (
     det_leibniz,
     identity,
     inverse_fraction,
-    is_alternating,
-    is_symmetric,
     mat_mul,
     transpose,
 )
@@ -65,15 +63,8 @@ def test_inverse():
 def test_anti_identity_shape():
     J = anti_identity(4)
     assert [row.index(1) for row in J] == [3, 2, 1, 0]
-    assert is_symmetric(J)
+    assert J == transpose(J)
     assert mat_mul(J, J) == identity(4)
-
-
-def test_predicates():
-    assert is_alternating([[0, 2], [-2, 0]])
-    assert not is_alternating([[0, 2], [2, 0]])
-    assert not is_alternating([[1, 2], [-2, 0]])
-    assert is_symmetric(transpose([[1, 5], [5, 2]]))
 
 
 # --- integer entries ------------------------------------------------------------

@@ -3,6 +3,7 @@
 import gc
 import importlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from pfaffkit.pfaffian import (
     AntiAlternatingMatrix,
     NotInLieAlgebraError,
     ShapeError,
+    _minor_det,
     all_pairings,
     cayley_orthogonal,
     cofactor_pfaffian,
@@ -336,24 +338,64 @@ def _unhoisted_minor_summation_rhs(X):
     return total
 
 
-def test_minor_summation_rhs_takes_each_block_pfaffian_once(monkeypatch):
+def test_minor_summation_rhs_computes_each_block_quantity_once(monkeypatch):
     module = importlib.import_module("pfaffkit.pfaffian")  # the package re-exports a function by this name
-    calls = []
-    real = module.pfaffian
+    real_pf, real_det = module._pf, module._minor_det
+    computed = Counter()
 
-    def counting(A):
-        calls.append(A.size)
-        return real(A)
+    def content(M, rows, cols):
+        # a minor named by its generic entries, whatever memo or numbering reaches it
+        return tuple(str(M[i - 1][j - 1]) for i in rows for j in cols)
+
+    def counting_pf(A, indices, memo):
+        if indices and indices not in memo:
+            computed["pf", content(A.rows, indices, indices)] += 1
+        return real_pf(A, indices, memo)
+
+    def counting_det(M, rows, cols, memo):
+        if rows and (rows, cols) not in memo:
+            computed["det", content(M, rows, cols)] += 1
+        return real_det(M, rows, cols, memo)
 
     X = AntiAlternatingMatrix.generic(5, 5)
-    monkeypatch.setattr(module, "pfaffian", counting)
+    monkeypatch.setattr(module, "_pf", counting_pf)
+    monkeypatch.setattr(module, "_minor_det", counting_det)
     rhs = minor_summation_rhs(X)
     monkeypatch.undo()
-    # 16 b-blocks and 16 c-blocks (sizes 0, 2, 4 of 5 indices), each once;
-    # 142 calls when the c-blocks were taken once per (I, J)
-    assert len(calls) == 32
-    assert sorted(calls) == sorted(2 * ([0] + [2] * 10 + [4] * 5))
+    assert set(computed.values()) == {1}
+    # every nonempty even principal minor of b and of c: 10 of size 2, 5 of size 4
+    expected = {("pf", content(block, K, K)) for block in (X.b, X.c)
+                for size in (2, 4) for K in combinations(range(1, 6), size)}
+    assert {key for key in computed if key[0] == "pf"} == expected
+    # every a-minor on the complements of I and J (sizes 5, 3, 1)
+    for size in (1, 3, 5):
+        for rows in combinations(range(1, 6), size):
+            for cols in combinations(range(1, 6), size):
+                assert computed["det", content(X.a, rows, cols)] == 1
     assert rhs == pfaffian_of_anti_alternating(X)
+
+
+def _partly_zero_rational(p, q, rng):
+    """Coloring (p, q) with seeded Fraction entries, about a third of them 0."""
+    def entry():
+        return 0 if rng.random() < 1 / 3 else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    return AntiAlternatingMatrix.from_upper_blocks(
+        p, q, [[entry() for _ in range(q)] for _ in range(p)],
+        [[entry() for _ in range(i + 1, p + 1)] for i in range(1, p)],
+        [[entry() for _ in range(i + 1, q + 1)] for i in range(1, q)])
+
+
+@pytest.mark.parametrize("p,q", [(4, 4), (3, 5)])
+def test_memoised_minor_determinant_matches_leibniz(p, q):
+    rng = random.Random(31)
+    for X in (AntiAlternatingMatrix.generic(p, q), _partly_zero_rational(p, q, rng)):
+        memo = {}  # one memo for every minor of the a block, as in minor_summation_rhs
+        for size in range(min(p, q) + 1):
+            for rows in combinations(range(1, p + 1), size):
+                for cols in combinations(range(1, q + 1), size):
+                    assert _minor_det(X.a, rows, cols, memo) == det_leibniz(X.a_minor(rows, cols)), (rows, cols)
+        assert pfaffian_of_anti_alternating(X) == minor_summation_rhs(X)
 
 
 def test_minor_summation_rhs_equals_unhoisted_sum():

@@ -12,6 +12,7 @@ from pfaffkit.rings import (
     MissingIndeterminateError,
     Poly,
     PolyParseError,
+    _mono_mul,
     parse_poly,
     parse_rational,
 )
@@ -165,6 +166,56 @@ def test_combination_core(case, monkeypatch):
     with pytest.raises(pytest.fail.Exception):
         x + x
     assert x != 0 and x != 1 and zero == 0 and unit == 1 and unit != 0
+
+
+def test_product_cancellation_stores_no_zero():
+    # x*y and y*x cancel inside the one product
+    p = (x + y) * (x - y)
+    assert (("x", 1), ("y", 1)) not in p.terms
+    assert p.terms == {(("x", 2),): 1, (("y", 2),): -1}
+    q = (x + y + 1) * (x - y + 1) * (x - 1)
+    assert all(q.terms.values()) and q == (x * x - y * y + 2 * x + 1) * (x - 1)
+    # scaled into an existing dict: every pair cancels what was there
+    out = dict((x * y).terms)
+    assert Poly._product_into(out, x.terms, y.terms, -1) == {}
+
+
+def test_product_of_halves_stores_ints():
+    half = Fraction(1, 2)
+    p = (x * half + y * half) * (x * 2 + 2)
+    assert p == x * x + x * y + x + y
+    assert all(type(c) is int for c in p.terms.values())
+    assert type(((x * half) * (y * half)).terms[(("x", 1), ("y", 1))]) is Fraction
+    assert type((Poly.const(half) * Poly.const(2)).constant_term) is int
+
+
+def _mono_mul_by_dict(m1, m2):
+    # the definition: add exponents name by name, then sort
+    exps = dict(m1)
+    for name, e in m2:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def monomials():
+    names = st.sampled_from(["a[1,2]", "a[2,1]", "b[1,2]", "c[1,3]", "x", "y", "z"])
+    return st.dictionaries(names, st.integers(min_value=1, max_value=3), max_size=5).map(
+        lambda d: tuple(sorted(d.items())))
+
+
+@given(monomials(), monomials())
+@settings(max_examples=300, deadline=None)
+def test_mono_mul_merge_matches_dict_definition(m1, m2):
+    assert _mono_mul(m1, m2) == _mono_mul_by_dict(m1, m2) == _mono_mul(m2, m1)
+
+
+def test_scalar_grassmann_product_stores_ints():
+    # scalar coefficients go through Poly's product on its unit key
+    left = GrassmannElement.from_words(1, 1, [([1], Fraction(1, 2)), ((), Fraction(3, 2))])
+    right = GrassmannElement.from_words(1, 1, [([-1], 2), ((), Fraction(2, 3))])
+    prod = left * right
+    assert prod.terms == {0b11: 1, 0b01: Fraction(1, 3), 0b10: 3, 0: 1}
+    assert type(prod.terms[0b11]) is int and type(prod.terms[0]) is int and type(prod.terms[0b10]) is int
 
 
 @given(small_polys(), small_polys(), small_polys())
