@@ -200,9 +200,12 @@ def _pf(A: AlternatingMatrix, indices: tuple[int, ...], memo: dict):
         if a == 0:
             continue
         term = a * _pf(A, rest[:k] + rest[k + 1:], memo)
-        if k % 2:
-            term = -term
-        total = term if total is None else total + term
+        if total is None:
+            total = -term if k % 2 else term
+        elif k % 2:
+            total = total - term
+        else:
+            total = total + term
     if total is None:
         total = 0
     memo[indices] = total
@@ -458,9 +461,12 @@ def _minor_det(M: tuple, rows: tuple[int, ...], cols: tuple[int, ...], memo: dic
         if a == 0:
             continue
         term = a * _minor_det(M, rest, cols[:k] + cols[k + 1:], memo)
-        if k % 2:
-            term = -term
-        total = term if total is None else total + term
+        if total is None:
+            total = -term if k % 2 else term
+        elif k % 2:
+            total = total - term
+        else:
+            total = total + term
     if total is None:
         total = 0
     memo[key] = total

@@ -160,10 +160,11 @@ def _rational(c):
 def add_into(out: dict, terms: Mapping, scale=1) -> dict:
     """Add scale * terms into `out` in place and return `out`.
 
-    `scale` multiplies each coefficient on the left, and the products
-    follow the scalar rule of `_rational`.  Zero coefficients of `terms`
-    are skipped and keys whose sum cancels leave `out`, so `out` never
-    holds a zero coefficient if it started without."""
+    `scale` multiplies each coefficient on the left; the products and
+    the sums on colliding keys follow the scalar rule of `_rational`.
+    Zero coefficients of `terms` are skipped and keys whose sum cancels
+    leave `out`, so `out` never holds a zero coefficient if it started
+    without."""
     if not scale:
         return out
     unscaled = scale == 1
@@ -174,7 +175,7 @@ def add_into(out: dict, terms: Mapping, scale=1) -> dict:
         if s is None:
             if c:
                 out[key] = c
-        elif s := s + c:
+        elif s := _rational(s + c):
             out[key] = s
         else:
             del out[key]

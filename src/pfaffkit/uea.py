@@ -373,14 +373,46 @@ def nc_minor_summation_rhs(n: int, X: AntiAlternatingMatrix | None = None) -> UE
     return minor_summation_rhs(X, lambda rows, cols: shifted_minor_determinant(X, rows, cols, 0))
 
 
+def chevalley_generators(n: int) -> tuple[Generator, ...]:
+    """A Lie generating set of the half-size-n algebra, in PBW order.
+
+    For n >= 2 these are the 2n Chevalley generators e_i = a[i,i+1] and
+    f_i = a[i+1,i] (i < n), e_n = b[n-1,n] and f_n = c[n-1,n]; the
+    abelian n = 1 algebra is spanned by a[1,1]."""
+    if n == 1:
+        return (Generator("a", 1, 1),)
+    gens = [Generator("a", i, i + 1) for i in range(1, n)]
+    gens += [Generator("a", i + 1, i) for i in range(1, n)]
+    gens += [Generator("b", n - 1, n), Generator("c", n - 1, n)]
+    return tuple(sorted(gens, key=lambda g: g.sort_key))
+
+
+def ad(g: Generator, z: UEAElement) -> UEAElement:
+    """The commutator [g, z] = g z - z g, by the derivation rule.
+
+    ad_g is a derivation, so [g, w_1...w_k] is the sum over positions i of
+    w_1...[g, w_i]...w_k: each bracket term replaces one factor of a sorted
+    word, and the scan of the one normal-ordering stack restarts just left
+    of it.  No product of degree k + 1 is formed."""
+    stack: list[tuple[Word, ScalarLike, int]] = []
+    for w, c in z.terms.items():
+        for i, h in enumerate(w):
+            for bw, bc in _bracket_terms(g, h):
+                stack.append((w[:i] + bw + w[i + 1:], c * bc, i - 1 if i else 0))
+    return UEAElement._wrap(add_into({}, _normal_order_sums({}, stack)))
+
+
 def centrality_failures(z: UEAElement, n: int) -> list[Generator]:
-    """Generators of the half-size-n algebra that fail to commute with z."""
-    failures = []
-    for g in canonical_generators(n):
-        ge = UEAElement.from_generator(g)
-        if ge * z != z * ge:
-            failures.append(g)
-    return failures
+    """Chevalley generators of the half-size-n algebra that fail to commute
+    with z; z is central exactly when the list is empty.
+
+    An element that commutes with a Lie generating set commutes with the
+    whole algebra, and for n >= 2 the 2n Chevalley generators generate it
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    section 18), so `chevalley_generators(n)` is tested, not every basis
+    generator.  Each [g, z] is computed by the derivation rule (`ad`) and
+    compared with zero exactly."""
+    return [g for g in chevalley_generators(n) if ad(g, z)]
 
 
 @dataclass(frozen=True)

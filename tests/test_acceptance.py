@@ -80,12 +80,12 @@ def test_criterion_3_noncommutative_minor_summation():
     assert report("criterion 3: noncommutative minor summation, n in {1,2,3} (<60s)", ok)
 
 
-def test_criterion_4_centrality():
+def test_criterion_4_centrality(all_generator_failures):
     ok = True
     for n in (1, 2, 3):
         z = nc_pfaffian(build_canonical_x(n))
         ok = ok and len(canonical_generators(n)) == n * (2 * n - 1)
-        ok = ok and centrality_failures(z, n) == []
+        ok = ok and centrality_failures(z, n) == [] and all_generator_failures(z, n) == []
     assert report("criterion 4: Pfaffian commutes with every algebra generator, n in {1,2,3}", ok)
 
 

@@ -112,6 +112,12 @@ def test_verify_suite_text(capsys):
     assert out.strip().splitlines()[-1].startswith("suite central: PASS (2 checks")
 
 
+def test_verify_central_forced_n4(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "central", "--n", "4", "--force")
+    assert code == 0
+    assert "PASS central:commutant:n4" in out
+
+
 def test_verify_suite_json_schema(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "ncmsf", "--n", "2", "--format", "json")
     assert code == 0

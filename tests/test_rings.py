@@ -189,6 +189,13 @@ def test_product_of_halves_stores_ints():
     assert type((Poly.const(half) * Poly.const(2)).constant_term) is int
 
 
+def test_sum_of_halves_stores_ints():
+    half = Poly.var("x") / 2
+    assert (half + half).terms == {(("x", 1),): 1}
+    assert type((half + half).terms[(("x", 1),)]) is int
+    assert type((half - Poly.var("x") * Fraction(3, 2)).terms[(("x", 1),)]) is int
+
+
 def _mono_mul_by_dict(m1, m2):
     # the definition: add exponents name by name, then sort
     exps = dict(m1)

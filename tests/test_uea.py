@@ -15,10 +15,12 @@ from pfaffkit.uea import (
     Generator,
     HighestWeight,
     UEAElement,
+    ad,
     bracket,
     build_canonical_x,
     canonical_generators,
     centrality_failures,
+    chevalley_generators,
     eigenvalue_factored_str,
     eigenvalue_product,
     hc_coefficient,
@@ -240,14 +242,68 @@ def test_abelianized_symbol_matches_commutative():
 # --- centrality and the eigenvalue ------------------------------------------
 
 
-def test_centrality():
+def _perturbations(z, n, seed):
+    """z plus seeded words of degree <= 3, and central variants of z."""
+    rng = random.Random(seed)
+    gens = canonical_generators(n)
+    out = [z + 3, Fraction(-2, 3) * z]
+    for _ in range(4):
+        extra = UEAElement.zero()
+        for _ in range(rng.randint(1, 3)):
+            word = el(*(rng.choice(gens) for _ in range(rng.randint(1, 3))))
+            extra = extra + Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)) * word
+        out.append(z + extra)
+    return out
+
+
+def test_chevalley_generators():
+    assert chevalley_generators(1) == (A11,)
+    for n in (2, 3, 4):
+        gens = chevalley_generators(n)
+        assert len(gens) == 2 * n and set(gens) <= set(canonical_generators(n))
+        assert {Generator("b", n - 1, n), Generator("c", n - 1, n)} <= set(gens)
+        assert list(gens) == sorted(gens, key=lambda g: g.sort_key)
+
+
+def test_ad_is_the_commutator():
     for n in (1, 2, 3):
+        z = nc_pfaffian(build_canonical_x(n))
+        for k, w in enumerate([z] + _perturbations(z, n, seed=10 * n)):
+            for g in canonical_generators(n):
+                ge = UEAElement.from_generator(g)
+                assert ad(g, w) == ge * w - w * ge, (n, k, g)
+
+
+def test_centrality():
+    for n in (1, 2, 3, 4, 5):
         z = nc_pfaffian(build_canonical_x(n))
         assert centrality_failures(z, n) == []
 
 
+def test_centrality_matches_all_generator_oracle(all_generator_failures):
+    rejected = 0
+    for n in (1, 2, 3, 4):
+        z = nc_pfaffian(build_canonical_x(n))
+        cases = [z] + (_perturbations(z, n, seed=n) if n < 4 else [z + el(A12), z + 5])
+        for w in cases:
+            fast, oracle = centrality_failures(w, n), all_generator_failures(w, n)
+            assert set(fast) <= set(oracle) and bool(fast) == bool(oracle), (n, w)
+            rejected += bool(fast)
+    assert rejected == 9  # the four seeded words at n = 2 and 3, and a[1,2] at n = 4
+    z2 = nc_pfaffian(build_canonical_x(2))
+    assert centrality_failures(z2 * z2, 2) == all_generator_failures(z2 * z2, 2) == []
+
+
 def test_non_central_element_detected():
     assert centrality_failures(el(A11), 2)
+    z = nc_pfaffian(build_canonical_x(3))
+    assert set(centrality_failures(z + el(A11), 3)) == {A12, A21}
+
+
+def test_rank_one_checks_a11():
+    assert centrality_failures(nc_pfaffian(build_canonical_x(1)), 1) == []
+    # a[1,2] lies outside the rank-1 algebra, so only a[1,1] can see it
+    assert centrality_failures(el(A12), 1) == [A11]
 
 
 def test_hc_coefficient_goldens():
