@@ -300,13 +300,14 @@ def check_xi_power_formula(n: int, u, r: int, forms: Forms | None = None) -> boo
     """Xi^(r)(u+r-1) = r! sum_{|I|=|J|=r} e_I e_-J cdet(a^I_J + shift(u)).
 
     The determinant entry in column t carries the extra u + r - t on
-    matched indices."""
+    matched indices; all the determinants share one memo of minors."""
     if forms is None:
         forms = build_forms("uea", n=n)
     lhs = xi_shifted_power(forms, Fraction(u) + r - 1, r)
     scale = Fraction(factorial(r))
+    memo: dict = {}
     rhs = GrassmannElement.from_words(forms.p, forms.q, (
-        (list(I) + [-j for j in reversed(J)], scale * shifted_minor_determinant(forms.source, I, J, u))
+        (list(I) + [-j for j in reversed(J)], scale * shifted_minor_determinant(forms.source, I, J, u, memo))
         for I in combinations(range(1, n + 1), r) for J in combinations(range(1, n + 1), r)))
     return lhs == rhs
 

@@ -344,9 +344,10 @@ class Poly(Combination):
     def _product_into(out: dict, left: Mapping, right: Mapping, scale: ScalarLike = 1) -> dict:
         """Add scale * left * right into `out` in one fused loop.
 
-        Each coefficient product goes straight into `out` under the scalar
-        rule of `_rational`, and a key whose sum cancels leaves at once, so
-        `out` never holds a zero coefficient if it started without."""
+        Each coefficient product goes straight into `out`; what is stored,
+        a new product or a colliding sum, follows the scalar rule of
+        `_rational`, and a key whose sum cancels leaves at once, so `out`
+        never holds a zero coefficient if it started without."""
         if not scale:
             return out
         get = out.get
@@ -356,15 +357,15 @@ class Poly(Combination):
             for m2, c2 in rows:
                 m = _mono_mul(m1, m2)
                 c = c1 * c2
+                s = get(m)
+                if s is not None:
+                    c = s + c
+                    if not c:
+                        del out[m]
+                        continue
                 if type(c) is Fraction and c.denominator == 1:
                     c = c.numerator
-                s = get(m)
-                if s is None:
-                    out[m] = c
-                elif s := s + c:
-                    out[m] = s
-                else:
-                    del out[m]
+                out[m] = c
         return out
 
     def __mul__(self, other):

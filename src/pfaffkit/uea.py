@@ -30,7 +30,6 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .indexing import permutation_sign
-from .linalg import det_leibniz
 from .pfaffian import AntiAlternatingMatrix, minor_summation_rhs
 from .rings import (
     Combination,
@@ -231,24 +230,34 @@ def bracket(g: Generator, h: Generator) -> UEAElement:
     return UEAElement._wrap(dict(_bracket_terms(g, h)))
 
 
-def _normal_order_sums(sums: dict[Word, ScalarLike],
+def _normal_order_sums(out: dict[Word, ScalarLike],
                        stack: list[tuple[Word, ScalarLike, int]]) -> dict[Word, ScalarLike]:
-    """Drain a stack of (word, coeff, start) into `sums`, in the PBW basis.
+    """Drain a stack of (word, coeff, start) into `out`, in the PBW basis.
 
     The first out-of-order adjacent pair x y at or after `start` becomes
     y x + [x, y]; the bracket terms are strictly shorter, so the rewrite
     terminates.  Both rewrites leave the word sorted before the pair, so
     they are pushed back with the scan restarting one step to its left.
-    Sorted words are summed into `sums` as they come; a cancelled word
-    stays there with coefficient 0 until add_into merges the sums."""
-    pop, push, get = stack.pop, stack.append, sums.get
+    Each sorted word is added into `out` in place under the scalar rule of
+    `rings._rational`, and a word whose sum cancels leaves at once, so
+    `out` never holds a zero coefficient if it started without and no
+    zero coefficient is pushed."""
+    pop, push, get = stack.pop, stack.append, out.get
     while stack:
         w, c, t = pop()
         last = len(w) - 1
         while t < last and w[t].sort_key <= w[t + 1].sort_key:
             t += 1
         if t >= last:
-            sums[w] = get(w, 0) + c
+            s = get(w)
+            if s is not None:
+                c = s + c
+                if not c:
+                    del out[w]
+                    continue
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            out[w] = c
             continue
         x, y = w[t], w[t + 1]
         head, tail = w[:t], w[t + 2:]
@@ -256,21 +265,22 @@ def _normal_order_sums(sums: dict[Word, ScalarLike],
         push((head + (y, x) + tail, c, back))
         for bw, bc in _bracket_terms(x, y):
             push((head + bw + tail, c * bc, back))
-    return sums
+    return out
 
 
 def _product_into(out: dict[Word, ScalarLike], left: Mapping[Word, ScalarLike],
                   right: Mapping[Word, ScalarLike], scale: ScalarLike = 1) -> dict[Word, ScalarLike]:
-    """Add scale * left * right into `out` through one normal-ordering stack,
-    drained after each left term so it never holds more than one row of
-    term pairs."""
+    """Add scale * left * right into `out`: every word pair w1 w2 goes onto
+    one normal-ordering stack with coefficient scale c1 c2, and the stack
+    is drained once, straight into `out`."""
+    if not scale:
+        return out
     stack: list[tuple[Word, ScalarLike, int]] = []
-    sums: dict[Word, ScalarLike] = {}
+    rows = right.items()
     for w1, c1 in left.items():
         c1 = scale * c1
-        stack.extend((w1 + w2, c1 * c2, 0) for w2, c2 in right.items())
-        _normal_order_sums(sums, stack)
-    return add_into(out, sums)
+        stack.extend((w1 + w2, c1 * c2, 0) for w2, c2 in rows)
+    return _normal_order_sums(out, stack)
 
 
 # the raw product of the coefficient-ring protocol (see rings.Combination)
@@ -279,7 +289,7 @@ UEAElement._product_into = staticmethod(_product_into)
 
 def normal_order(word: Iterable[Generator], coeff: ScalarLike = 1) -> UEAElement:
     """Rewrite coeff * word into the PBW basis."""
-    return UEAElement._wrap(add_into({}, _normal_order_sums({}, [(tuple(word), 1, 0)]), coeff))
+    return UEAElement._wrap(_normal_order_sums({}, [(tuple(word), coeff, 0)] if coeff else []))
 
 
 # `bench/workloads.py` names the type of the canonical X by this alias.
@@ -338,24 +348,42 @@ def nc_pfaffian_unrestricted(X: AntiAlternatingMatrix) -> UEAElement:
 
 
 def shifted_minor_determinant(X: AntiAlternatingMatrix, I: Sequence[int], J: Sequence[int],
-                              u: ScalarLike = 0) -> UEAElement:
+                              u: ScalarLike = 0, memo: dict | None = None) -> UEAElement:
     """Column determinant of the a-block minor rows I, columns J with the
     diagonal shift u + r - t added in column t (r = len(J)):
-    sum_s sgn(s) M[s(1)][1] M[s(2)][2] ..., factors kept in column order,
-    which is the order `det_leibniz` multiplies in."""
+    sum_s sgn(s) M[s(1)][1] M[s(2)][2] ..., factors kept in column order.
+
+    It is expanded along the first column, each entry of which multiplies
+    its complementary minor on the left.  The diagonal entry of the first
+    column of a minor on columns `cols` is shifted by u + len(cols) - 1,
+    which is u + r - t on every suffix of J, so a minor depends only on
+    (rows, cols) at a given u.  `memo` maps (rows, cols) to those minors;
+    every call on the same X and u may share it, for any I, J and size r.
+    """
     if len(I) != len(J):
         raise ValueError("shifted minors must be square")
-    r = len(J)
-    rows = []
-    for i in I:
-        row = []
-        for t, j in enumerate(J, start=1):
-            entry = X.a[i - 1][j - 1]
-            if i == j:
-                entry = entry + (Fraction(u) + r - t)
-            row.append(entry)
-        rows.append(tuple(row))
-    return det_leibniz(tuple(rows))
+    if not J:
+        return 1
+    return _shifted_minor(X.a, Fraction(u), tuple(I), tuple(J), {} if memo is None else memo)
+
+
+def _shifted_minor(a, u: Fraction, rows: tuple[int, ...], cols: tuple[int, ...],
+                   memo: dict) -> UEAElement:
+    key = (rows, cols)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    j, rest = cols[0], cols[1:]
+    out: dict[Word, ScalarLike] = {}
+    for k, i in enumerate(rows):
+        entry = a[i - 1][j - 1]
+        if i == j:
+            entry = entry + (u + len(rest))
+        if entry:
+            minor = _shifted_minor(a, u, rows[:k] + rows[k + 1:], rest, memo).terms if rest else {(): 1}
+            _product_into(out, entry.terms, minor, -1 if k % 2 else 1)
+    det = memo[key] = UEAElement._wrap(out)
+    return det
 
 
 def nc_minor_summation_rhs(n: int, X: AntiAlternatingMatrix | None = None) -> UEAElement:
@@ -370,7 +398,8 @@ def nc_minor_summation_rhs(n: int, X: AntiAlternatingMatrix | None = None) -> UE
         X = build_canonical_x(n)
     elif (X.p, X.q) != (n, n):
         raise ValueError(f"X has coloring ({X.p}, {X.q}), expected ({n}, {n})")
-    return minor_summation_rhs(X, lambda rows, cols: shifted_minor_determinant(X, rows, cols, 0))
+    memo: dict = {}
+    return minor_summation_rhs(X, lambda rows, cols: shifted_minor_determinant(X, rows, cols, 0, memo))
 
 
 def chevalley_generators(n: int) -> tuple[Generator, ...]:
@@ -399,7 +428,7 @@ def ad(g: Generator, z: UEAElement) -> UEAElement:
         for i, h in enumerate(w):
             for bw, bc in _bracket_terms(g, h):
                 stack.append((w[:i] + bw + w[i + 1:], c * bc, i - 1 if i else 0))
-    return UEAElement._wrap(add_into({}, _normal_order_sums({}, stack)))
+    return UEAElement._wrap(_normal_order_sums({}, stack))
 
 
 def centrality_failures(z: UEAElement, n: int) -> list[Generator]:

@@ -118,6 +118,15 @@ def test_verify_central_forced_n4(capsys):
     assert "PASS central:commutant:n4" in out
 
 
+def test_verify_ncmsf_forced_n5(capsys):
+    # the rank-5 identity through the memoised shifted determinants; the
+    # (2n)!-term oracle is skipped above n = 3
+    code, out, _ = run(capsys, "verify", "--suite", "ncmsf", "--n", "5", "--force")
+    assert code == 0
+    assert "PASS ncmsf:identity:n5" in out
+    assert "SKIP ncmsf:restricted-vs-unrestricted:n5" in out
+
+
 def test_verify_suite_json_schema(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "ncmsf", "--n", "2", "--format", "json")
     assert code == 0

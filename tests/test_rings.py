@@ -196,6 +196,49 @@ def test_sum_of_halves_stores_ints():
     assert type((half - Poly.var("x") * Fraction(3, 2)).terms[(("x", 1),)]) is int
 
 
+def test_colliding_product_stores_ints():
+    # x y arises twice, as 1/2 + 1/2: the sum is stored as the int 1
+    p = (x / 2 + y / 2) * (x + y)
+    assert p.terms[(("x", 1), ("y", 1))] == 1
+    assert type(p.terms[(("x", 1), ("y", 1))]) is int
+
+
+def _poly_raw():
+    # (ring, left, right, the raw product left * right)
+    left, right = (x + y / 2).terms, (x - y + 1).terms
+    return Poly, left, right, Poly._product_into({}, left, right)
+
+
+def _uea_raw():
+    b12, c12 = _gen("b", 1, 2), _gen("c", 1, 2)
+    left, right = (b12 + c12.scale(Fraction(1, 2))).terms, (b12 - c12 + 1).terms
+    return UEAElement, left, right, UEAElement._product_into({}, left, right)
+
+
+@pytest.mark.parametrize("case", [_poly_raw, _uea_raw], ids=["poly", "uea"])
+def test_raw_product_contract(case):
+    ring, left, right, prod = case()
+    assert prod and all(prod.values())
+    # into a non-empty out whose keys all cancel: nothing is left, no zero stored
+    out = dict(prod)
+    assert ring._product_into(out, left, right, -1) == {}
+    # half of it, then the other half: every key collides and sums to the product
+    out = ring._product_into({}, left, right, Fraction(1, 2))
+    assert ring._product_into(out, left, right, Fraction(1, 2)) == prod
+    assert all(type(c) is int for k, c in out.items() if type(prod[k]) is int)
+    # a zero scale adds nothing and stores nothing
+    out = dict(prod)
+    assert ring._product_into(out, left, right, 0) == prod
+    assert ring._product_into({}, left, right, 0) == {}
+    # an integral colliding sum is stored as an int, within one call and across two
+    g = next(iter(left))
+    out = ring._product_into({}, {(): Fraction(1, 2), g: Fraction(1, 2)}, {(): 1, g: 1})
+    assert out[g] == 1 and type(out[g]) is int
+    out = ring._product_into({}, {g: Fraction(1, 2)}, {(): 1})
+    ring._product_into(out, {g: Fraction(1, 2)}, {(): 1})
+    assert out == {g: 1} and type(out[g]) is int
+
+
 def _mono_mul_by_dict(m1, m2):
     # the definition: add exponents name by name, then sort
     exps = dict(m1)

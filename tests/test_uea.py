@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +145,12 @@ def test_product_matches_termwise_normal_order():
             expected = expected + normal_order(w1 + w2, c1 * c2)
     assert x * y == expected
     assert all((x * y).terms.values())
+    # into a non-empty out: the product adds to what is there, and the words
+    # that cancel against it leave
+    out = dict(y.terms)
+    UEAElement._product_into(out, x.terms, y.terms, -2)
+    assert UEAElement._wrap(out) == y - 2 * expected
+    assert all(out.values())
     # (b + c)(b - c) = b^2 - c^2 - [b, c]: the c b words cancel inside one product
     got = (el(B12) + el(C12)) * (el(B12) - el(C12))
     assert got == el(B12, B12) - el(C12, C12) - bracket(B12, C12)
@@ -222,12 +228,38 @@ def test_restricted_equals_unrestricted():
 
 
 def test_column_determinant_order_matters():
-    # the column determinant of shifted_minor_determinant is det_leibniz:
-    # columns are expanded left to right, so the noncommutative 2x2 golden is
-    # m11 m22 - m21 m12 (first-column entries first)
+    # det_leibniz multiplies columns left to right, so it is the column
+    # determinant: the noncommutative 2x2 golden is m11 m22 - m21 m12
+    # (first-column entries first)
     rows = ((el(A11), el(B12)), (el(C12), el(A22)))
     got = det_leibniz(rows)
     assert got == el(A11, A22) - el(C12, B12)
+    # the same golden through the shifted determinant, whose columns carry
+    # the shifts u + 1 and u: (a11 + 1) a22 - c12 b12 at u = 0, and
+    # a11 (a22 - 1) - c12 b12 at u = -1; with b12 c12 in the last term
+    # either would differ by [b12, c12] = a11 + a22
+    zero = [[UEAElement.zero()] * 2 for _ in range(2)]
+    X = AntiAlternatingMatrix(2, 2, [list(r) for r in rows], zero, zero)
+    assert shifted_minor_determinant(X, (1, 2), (1, 2), 0) == got + el(A22)
+    assert shifted_minor_determinant(X, (1, 2), (1, 2), -1) == got - el(A11)
+
+
+@pytest.mark.parametrize("u", [0, Fraction(-3, 2), 2])
+def test_shifted_determinant_matches_leibniz(u):
+    # every (I, J) at n <= 3, all under one memo per (n, u), against the
+    # column-order Leibniz sum of the explicitly shifted rows
+    for n in (1, 2, 3):
+        X = build_canonical_x(n)
+        memo = {}
+        for r in range(n + 1):
+            for I in combinations(range(1, n + 1), r):
+                for J in combinations(range(1, n + 1), r):
+                    rows = tuple(tuple(X.a[i - 1][j - 1] + (u + r - t if i == j else 0)
+                                       for t, j in enumerate(J, start=1)) for i in I)
+                    assert shifted_minor_determinant(X, I, J, u, memo) == det_leibniz(rows), (n, I, J)
+        assert len(memo) > 0
+    with pytest.raises(ValueError):
+        shifted_minor_determinant(X, (1, 2), (1,), u)
 
 
 def test_abelianized_symbol_matches_commutative():
@@ -272,6 +304,12 @@ def test_ad_is_the_commutator():
             for g in canonical_generators(n):
                 ge = UEAElement.from_generator(g)
                 assert ad(g, w) == ge * w - w * ge, (n, k, g)
+
+
+def test_ad_stores_integral_sums_as_ints():
+    # [a11, a12] = a12, so ad(a11, 1/2 a12^2) = 1/2 (a12 a12 + a12 a12)
+    got = ad(A11, el(A12, A12).scale(Fraction(1, 2)))
+    assert got.terms == {(A12, A12): 1} and type(got.terms[(A12, A12)]) is int
 
 
 def test_centrality():
