@@ -2,9 +2,9 @@
 
 Index sets are strictly increasing tuples of 1-based indices.  Splitting
 a sorted index set into two pieces carries the sign of the permutation that
-rearranges it, computed here by counting crossings; `permutation_sign`
-is the one brute inversion count, shared by the Leibniz determinant and
-the matching-sum Pfaffian.
+rearranges it, computed here by counting crossings; `permutation_sign`,
+shared by the Leibniz determinant and the matching-sum Pfaffian, counts
+the cycles of the sorting permutation.
 """
 
 from __future__ import annotations
@@ -30,9 +30,22 @@ def index_set(indices: Iterable[int], size: int) -> tuple[int, ...]:
 
 
 def permutation_sign(seq: Sequence[int]) -> int:
-    """Sign of the permutation sorting `seq`, by brute inversion count."""
-    inv = sum(1 for s in range(len(seq)) for t in range(s + 1, len(seq)) if seq[s] > seq[t])
-    return -1 if inv % 2 else 1
+    """Sign of the permutation sorting `seq`: (-1)^(m - c) for the c cycles
+    of that permutation of m places.  The sort is stable, so equal values
+    count as in order, as in an inversion count."""
+    order = sorted(range(len(seq)), key=seq.__getitem__)
+    seen = [False] * len(order)
+    even = True
+    for start in range(len(order)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        k = order[start]
+        while k != start:  # a cycle of length L flips the sign L - 1 times
+            seen[k] = True
+            k = order[k]
+            even = not even
+    return 1 if even else -1
 
 
 def _crossings(left: Sequence[int], right: Sequence[int]) -> int:

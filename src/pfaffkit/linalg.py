@@ -4,13 +4,16 @@ Matrices are tuples of tuples.  Rational entries follow the rings' scalar
 rule (an int when integral, else a Fraction); entries may also be any
 commutative ring elements supporting +, -, *, == (polynomials in
 particular).  The division-based routines require rational entries, and
-all-int matrices are eliminated fraction-free, so integer work stays in int.
+all-int matrices are eliminated fraction-free, so integer work stays in int:
+`inverse_fraction` clears the denominators once and takes the adjugate of
+the int matrix, so only its last step divides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 from typing import Sequence
 
 from .indexing import permutation_sign
@@ -151,21 +154,51 @@ def det_exact(M: Matrix):
     return det_fraction(M) if _all_rational(M) else det_leibniz(M)
 
 
+def clear_denominators(M: Matrix) -> tuple[Matrix, int]:
+    """(d*M, d) for a rational matrix M, where d >= 1 is the least common
+    denominator of its entries; d*M is all int."""
+    d = lcm(*(x.denominator for row in M for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in M), d
+
+
+def det_adjugate(M: Matrix) -> tuple[int, Matrix]:
+    """(det M, adj M) of a nonsingular int matrix, all in int, where
+    adj M = det M * M^{-1}; raises SingularMatrixError.
+
+    Fraction-free Gauss-Jordan elimination of [M | I]: step k clears
+    column k above and below the pivot, and every entry then is a minor of
+    [M | I], so each division by the previous pivot is exact (Bareiss 1968,
+    Math. Comp. 22).  The last pivot is det(PM) for the row swaps P, and
+    the right block ends as that pivot times M^{-1}.  Columns left of the
+    pivot are never read again, so they are not updated."""
+    m = len(M)
+    rows = [list(row) + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(M)]
+    sign, prev = 1, 1
+    for k in range(m):
+        if not rows[k][k]:
+            swap = next((r for r in range(k + 1, m) if rows[r][k]), None)
+            if swap is None:
+                raise SingularMatrixError("matrix is singular")
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(m):
+            if i == k:
+                continue
+            row = rows[i]
+            a = row[k]
+            for j in range(k + 1, 2 * m):
+                row[j] = (pivot * row[j] - a * pivot_row[j]) // prev
+        prev = pivot
+    return sign * prev, tuple(tuple(sign * x for x in row[m:]) for row in rows)
+
+
 def inverse_fraction(M: Matrix) -> Matrix:
     """Exact inverse of a rational matrix, its entries under the scalar
-    rule; raises SingularMatrixError."""
-    m = len(M)
-    rows = [[Fraction(x) for x in row] + [Fraction(1) if i == j else Fraction(0) for j in range(m)]
-            for i, row in enumerate(M)]
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col]), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = Fraction(1) / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(m):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(tuple(_rational(x) for x in row[m:]) for row in rows)
+    rule; raises SingularMatrixError.
+
+    With M = Mn/d for the int matrix Mn, M^{-1} = d adj(Mn) / det(Mn)."""
+    Mn, d = clear_denominators(M)
+    det, adj = det_adjugate(Mn)
+    return tuple(tuple(_rational(Fraction(d * x, det)) for x in row) for row in adj)

@@ -18,8 +18,8 @@ The recursion `_pf` reads and fills a memo keyed by index tuples of one
 matrix, so every Pfaffian taken of that matrix's principal submatrices
 shares it: `pfaffian` starts a fresh memo, the co-Pfaffian matrix reads
 each cofactor Pf(A without i, j) from the memo that computed Pf A, and
-`complementary_minor_check` computes Pf A, the scaled co-Pfaffian matrix
-and their memos once per matrix and keeps them on the matrix.
+`complementary_minor_check` computes Pf A, the co-Pfaffian matrix and
+their memos once per matrix and keeps them on the matrix.
 `minor_summation_rhs` keeps one memo per block for a call: Pf(b_I) and
 Pf(c_J) come from `_pf` on the whole b and c blocks, and the default
 a-minor determinant from `_minor_det`, the first-row Laplace expansion
@@ -27,7 +27,10 @@ memoised on (rows, cols), so each block quantity is computed once.
 
 Rational entries follow the rings' scalar rule (an int when integral,
 else a Fraction), and so do the identities and zero fills here, so an
-all-int matrix is expanded in int arithmetic from input to result.
+all-int matrix is expanded in int arithmetic from input to result.  The
+rational checks multiply through by a nonzero integer once and then run
+in ints: the Cayley map by a common denominator of Y, equivariance by one
+of g, and the complementary-minor relation by a power of Pf A.
 """
 
 from __future__ import annotations
@@ -40,18 +43,16 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .indexing import complement_sign, index_set, permutation_sign, split_sign
 from .linalg import (
     SingularMatrixError,
-    anti_identity,
+    clear_denominators,
+    det_adjugate,
     det_exact,
     freeze,
-    identity,
-    inverse_fraction,
     is_zero_matrix,
     mat_add,
     mat_mul,
-    mat_sub,
     transpose,
 )
-from .rings import Poly
+from .rings import Poly, _rational
 
 class ShapeError(ValueError):
     """Raised when a matrix violates the structural constraints of its type."""
@@ -280,7 +281,7 @@ def copfaffian_expansion_check(A: AlternatingMatrix) -> bool:
 
 
 def _minor_data(A: AlternatingMatrix) -> tuple:
-    """(Pf A, its memo, Ahat/Pf A, the memo of that) for A, computed on the
+    """(Pf A, its memo, Ahat, the memo of that) for A, computed on the
     first call and kept on A; raises while Pf A vanishes."""
     data = A._minors
     if data is None:
@@ -288,8 +289,7 @@ def _minor_data(A: AlternatingMatrix) -> tuple:
         pf = _pf(A, tuple(range(1, A.size + 1)), memo)
         if pf == 0:
             raise SingularMatrixError("Pfaffian vanishes; relation needs an invertible matrix")
-        scaled = copfaffian_matrix(A, memo).scale(Fraction(1) / pf)
-        data = A._minors = (pf, memo, scaled, {})
+        data = A._minors = (pf, memo, copfaffian_matrix(A, memo), {})
     return data
 
 
@@ -298,9 +298,12 @@ def complementary_minor_check(A: AlternatingMatrix, I: Iterable[int]) -> bool:
 
     Ahat is the co-Pfaffian matrix; Ic the complement of I.  Requires an
     invertible matrix and an even index set of distinct indices 1..m.
-    Pf A, Ahat/Pf A and the sub-Pfaffian memos of both are computed once
-    per matrix and kept on A, so a sweep over every I of one matrix
-    computes each sub-Pfaffian once; each I is still compared exactly.
+    With |Ic| = 2k, Pf((Ahat/Pf A)_Ic) = Pf(Ahat_Ic)/(Pf A)^k, so the
+    relation is compared multiplied through by (Pf A)^(k+1):
+    Pf(A_I) (Pf A)^k == sgn(I, Ic) Pf(Ahat_Ic) Pf A, which stays in int
+    for an int A.  Pf A, Ahat and the sub-Pfaffian memos of both are
+    computed once per matrix and kept on A, so a sweep over every I of one
+    matrix computes each sub-Pfaffian once; each I is still compared exactly.
     """
     I = tuple(sorted(I))
     if len(I) % 2:
@@ -310,9 +313,9 @@ def complementary_minor_check(A: AlternatingMatrix, I: Iterable[int]) -> bool:
     comp = tuple(k for k in universe if k not in members)
     if len(members) != len(I) or len(I) + len(comp) != len(universe):
         raise ValueError(f"index set must hold distinct indices in 1..{A.size}, got {I}")
-    pf, memo, scaled, scaled_memo = _minor_data(A)
-    lhs = Fraction(_pf(A, I, memo), pf)  # exact: int / int would be a float
-    rhs = split_sign(universe, I, comp) * _pf(scaled, comp, scaled_memo)
+    pf, memo, ahat, ahat_memo = _minor_data(A)
+    lhs = _pf(A, I, memo) * pf ** (len(comp) // 2)
+    rhs = split_sign(universe, I, comp) * _pf(ahat, comp, ahat_memo) * pf
     return lhs == rhs
 
 
@@ -534,34 +537,56 @@ class NotInLieAlgebraError(ValueError):
     """Raised when a matrix fails tY S + S Y = 0 for the given form S."""
 
 
-def cayley_orthogonal(Y, S):
-    """g = (I - Y)(I + Y)^{-1} for Y in the orthogonal Lie algebra of S.
+def _cayley(Yn, d: int, Sn):
+    """The Cayley transform (I - Y)(I + Y)^{-1} of Y = Yn/d, where Yn and
+    the form Sn are int matrices and d != 0.
 
-    The result satisfies tg S g = S exactly; I + Y must be invertible.
-    """
-    m = len(Y)
-    if not is_zero_matrix(mat_add(mat_mul(transpose(Y), S), mat_mul(S, Y))):
+    With M = d I + Yn, I + Y = M/d, and (I - Y)(I + Y)^{-1} = 2(I + Y)^{-1} - I
+    = 2d adj(M)/det(M) - I, so only the last step leaves the ints.  The
+    membership test tY S + S Y = 0 is tested as tYn Sn + Sn Yn = 0."""
+    if not is_zero_matrix(mat_add(mat_mul(transpose(Yn), Sn), mat_mul(Sn, Yn))):
         raise NotInLieAlgebraError("tY S + S Y != 0")
-    return mat_mul(mat_sub(identity(m), Y), inverse_fraction(mat_add(identity(m), Y)))
+    M = tuple(tuple(x + d if i == j else x for j, x in enumerate(row)) for i, row in enumerate(Yn))
+    det, adj = det_adjugate(M)
+    return tuple(tuple(_rational(Fraction(2 * d * x - (det if i == j else 0), det)) for j, x in enumerate(row))
+                 for i, row in enumerate(adj))
+
+
+def cayley_orthogonal(Y, S):
+    """g = (I - Y)(I + Y)^{-1} for rational Y in the orthogonal Lie algebra
+    of the rational form S, its entries under the scalar rule.
+
+    The result satisfies tg S g = S exactly; I + Y must be invertible
+    (else SingularMatrixError).
+    """
+    Yn, d = clear_denominators(Y)
+    return _cayley(Yn, d, clear_denominators(S)[0])
 
 
 def random_orthogonal_cayley(S, rng: random.Random, lo: int = -3, hi: int = 3):
     """Random special-orthogonal test point for the form S via the Cayley map.
 
     Draws Y = S^{-1} W with W alternating and retries until I + Y is
-    invertible."""
+    invertible.  With S = Sn/s for the int matrix Sn, Y = s adj(Sn) W / det(Sn),
+    so the Cayley map gets the int numerator s adj(Sn) W and the
+    denominator det(Sn)."""
     m = len(S)
-    s_inv = inverse_fraction(S)
+    Sn, s = clear_denominators(S)
+    det_s, adj_s = det_adjugate(Sn)
+    s_adj = tuple(tuple(s * x for x in row) for row in adj_s)
     while True:
         W = AlternatingMatrix.from_upper(m, lambda i, j: rng.randint(lo, hi)).rows
-        Y = mat_mul(s_inv, W)
         try:
-            return cayley_orthogonal(Y, S)
+            return _cayley(mat_mul(s_adj, W), det_s, Sn)
         except SingularMatrixError:
             continue
 
 
 def equivariance_check(A: AlternatingMatrix, g) -> bool:
-    """Pf(g A tg) == det(g) Pf(A)."""
-    conjugated = AlternatingMatrix(mat_mul(mat_mul(g, A.rows), transpose(g)))
-    return pfaffian(conjugated) == det_exact(g) * pfaffian(A)
+    """Pf(g A tg) == det(g) Pf(A) for a rational matrix g.
+
+    Tested as Pf(G A tG) == det(G) Pf(A) with the int matrix G = d g, d the
+    common denominator of g: both sides are the former ones times d^m."""
+    G = clear_denominators(g)[0]
+    conjugated = AlternatingMatrix(mat_mul(mat_mul(G, A.rows), transpose(G)))
+    return pfaffian(conjugated) == det_exact(G) * pfaffian(A)

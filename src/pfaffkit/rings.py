@@ -41,13 +41,19 @@ class MissingIndeterminateError(KeyError):
         super().__init__(f"no value supplied for: {', '.join(self.names)}")
 
 
+_INT_LITERAL = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_rational(text: str) -> ScalarLike:
     """Parse a rational literal ('p', 'p/q', '1.5', '1e3', ...) under the
     scalar rule: an int when integral, else a Fraction.
 
     `Fraction` decides which texts are accepted; the result then goes
-    through `_rational`."""
+    through `_rational`.  A plain ASCII integer literal, which `Fraction`
+    accepts with the same value, is read by `int` directly."""
     try:
+        if _INT_LITERAL.fullmatch(text):
+            return int(text)
         return _rational(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise PolyParseError(f"bad rational literal {text!r}: {exc}") from None

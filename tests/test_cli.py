@@ -161,6 +161,23 @@ def test_verify_ncmsf_n4_skips_the_oracle(capsys, monkeypatch):
     assert "SKIP ncmsf:restricted-vs-unrestricted:n4" in out
 
 
+def test_verify_msf_default_suite(capsys):
+    # the whole default msf suite: the identity and route agreement at
+    # p + q <= 6, the co-Pfaffian expansion, the complementary-minor
+    # relation and equivariance under Cayley isometries
+    code, out, _ = run(capsys, "verify", "--suite", "msf", "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["suite"] == "msf" and rep["status"] == "pass"
+    assert all(c["status"] == "pass" for c in rep["checks"])
+    colorings = [f"p{p}q{q}" for p, q in ((1, 1), (1, 3), (1, 5), (2, 2), (2, 4), (3, 1), (3, 3), (4, 2), (5, 1))]
+    expected = {f"msf:{kind}:{pq}" for kind in ("identity", "route-agreement") for pq in colorings}
+    expected |= {f"msf:cofactor-expansion:{tag}" for tag in ("random-8x8", "symbolic-2", "symbolic-4", "symbolic-6")}
+    expected |= {"msf:minor-relation:random"} | {f"msf:equivariance:{tag}" for tag in ("J4", "J6", "S-generic")}
+    ids = [c["id"] for c in rep["checks"]]
+    assert len(ids) == len(set(ids)) and set(ids) == expected
+
+
 def test_verify_single_coloring(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "msf", "--pq", "2", "2")
     assert code == 0

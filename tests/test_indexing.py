@@ -1,6 +1,6 @@
 """Index sets and interleaving signs."""
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -66,26 +66,16 @@ def test_split_sign_multiplicativity(n, data):
     assert split_sign(whole, left, right) == _perm_sign(left + right)
 
 
-def _cycle_sign(perm):
-    # (-1)^(length - number of cycles), independent of inversion counting
-    seen, cycles = set(), 0
-    for start in range(len(perm)):
-        if start not in seen:
-            cycles += 1
-            k = start
-            while k not in seen:
-                seen.add(k)
-                k = perm[k]
-    return -1 if (len(perm) - cycles) % 2 else 1
-
-
-def test_permutation_sign_matches_cycle_count():
-    for n in range(6):
+def test_permutation_sign_matches_inversion_count():
+    for n in range(7):
         for perm in permutations(range(n)):
-            assert permutation_sign(perm) == _cycle_sign(perm)
+            assert permutation_sign(perm) == _perm_sign(perm)
     # only the relative order counts, so 1-based and gapped values agree
     assert permutation_sign((3, 1, 2)) == permutation_sign((30, 10, 20)) == 1
     assert permutation_sign((2, 1)) == -1
+    # equal values count as in order, as in the inversion count
+    for seq in product(range(3), repeat=5):
+        assert permutation_sign(seq) == _perm_sign(seq)
 
 
 def test_index_set_accepts_increasing_in_range():

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from pfaffkit.linalg import (
     SingularMatrixError,
     anti_identity,
+    clear_denominators,
+    det_adjugate,
     det_bareiss,
     det_exact,
     det_fraction,
@@ -124,3 +126,70 @@ def test_scalar_rule_for_constructed_entries():
     inv = inverse_fraction([[2, 0], [1, 1]])
     assert inv == ((Fraction(1, 2), 0), (Fraction(-1, 2), 1))
     assert [type(x) for row in inv for x in row] == [Fraction, int, Fraction, int]
+
+
+# --- the fraction-free adjugate ---------------------------------------------------
+
+
+def _adjugate_oracle(m):
+    # adj[i][j] = (-1)^(i+j) det(m without row j and column i), by Leibniz
+    n = len(m)
+    return tuple(tuple((-1) ** (i + j) * det_leibniz([[m[r][c] for c in range(n) if c != i] for r in range(n) if r != j])
+                       for j in range(n)) for i in range(n))
+
+
+def _check_adjugate(m):
+    d = det_leibniz(m)
+    if d == 0:
+        with pytest.raises(SingularMatrixError):
+            det_adjugate(m)
+        return
+    det, adj = det_adjugate(m)
+    assert det == d and type(det) is int
+    assert all(type(x) is int for row in adj for x in row)
+    assert adj == _adjugate_oracle(m)
+    scalar = tuple(tuple(d if i == j else 0 for j in range(len(m))) for i in range(len(m)))
+    assert mat_mul(m, adj) == scalar == mat_mul(adj, m)
+
+
+@given(int_matrices())
+@settings(max_examples=200, deadline=None)
+def test_det_adjugate_matches_leibniz(m):
+    _check_adjugate(m)
+
+
+@given(int_matrices(max_size=4, bound=3), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_det_adjugate_rejects_singular_matrices(m, rng):
+    # a repeated row makes the matrix singular; small entries also give
+    # singular matrices that need row swaps before elimination stops
+    _check_adjugate(m)
+    if len(m) > 1:
+        rows = [list(r) for r in m]
+        i, j = rng.sample(range(len(rows)), 2)
+        rows[j] = list(rows[i])
+        with pytest.raises(SingularMatrixError):
+            det_adjugate(rows)
+
+
+def test_det_adjugate_goldens():
+    assert det_adjugate([]) == (1, ())
+    assert det_adjugate([[-7]]) == (-7, ((1,),))
+    # zero leading pivots need a row swap, once and twice
+    assert det_adjugate([[0, 1], [1, 0]]) == (-1, ((0, -1), (-1, 0)))
+    for m in ([[0, 2, 0], [0, 0, 3], [5, 0, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[0, 1, 2], [0, 3, 4], [5, 6, 0]]):
+        _check_adjugate(m)
+    big = [[10**9 + 7, 3, 10**9], [2, 10**9 - 1, 5], [10**9 + 9, 1, 10**9 + 3]]
+    _check_adjugate(big)
+    _check_adjugate([[x * 10**20 + 1 for x in row] for row in big])
+    for singular in ([[0]], [[1, 2, 3], [2, 4, 6], [1, 1, 1]], [[0, 1], [0, 2]]):
+        with pytest.raises(SingularMatrixError):
+            det_adjugate(singular)
+
+
+def test_clear_denominators():
+    M = [[Fraction(1, 2), 3], [Fraction(-2, 3), Fraction(4)]]
+    assert clear_denominators(M) == (((3, 18), (-4, 24)), 6)
+    assert clear_denominators([[2, -1]]) == (((2, -1),), 1)
+    assert clear_denominators(()) == ((), 1)
+    assert all(type(x) is int for row in clear_denominators(M)[0] for x in row)

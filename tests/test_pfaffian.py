@@ -11,8 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfaffkit.indexing import complement_sign
-from pfaffkit.linalg import SingularMatrixError, anti_identity, det_exact, det_leibniz, mat_mul, transpose
+from pfaffkit.indexing import complement_sign, split_sign
+from pfaffkit.linalg import (
+    SingularMatrixError,
+    anti_identity,
+    det_exact,
+    det_leibniz,
+    identity,
+    inverse_fraction,
+    mat_add,
+    mat_mul,
+    mat_sub,
+    transpose,
+)
 from pfaffkit.pfaffian import (
     AlternatingMatrix,
     AntiAlternatingMatrix,
@@ -35,6 +46,7 @@ from pfaffkit.pfaffian import (
     verify_minor_summation,
 )
 from pfaffkit.rings import Poly
+from pfaffkit.verify import GENERIC_SYMMETRIC_S
 
 
 def a(i, j):
@@ -531,3 +543,88 @@ def test_complementary_minor_stays_exact_on_large_ints():
     for m in range(0, 7, 2):
         for I in combinations(range(1, 7), m):
             assert complementary_minor_check(A, I)
+
+
+# --- the rational checks over one common denominator --------------------------
+
+FRACTION_FORM = ((Fraction(1, 2), Fraction(1, 3), 0, 0), (Fraction(1, 3), 2, 0, 0),
+                 (0, 0, 0, Fraction(3, 4)), (0, 0, Fraction(3, 4), 0))
+
+
+def _old_random_orthogonal_cayley(S, rng, lo, hi, draws):
+    # the former route: Y = S^-1 W, g = (I - Y)(I + Y)^-1, retried while
+    # I + Y is singular; `draws` counts the W drawn
+    m = len(S)
+    s_inv = inverse_fraction(S)
+    while True:
+        W = AlternatingMatrix.from_upper(m, lambda i, j: rng.randint(lo, hi)).rows
+        draws.append(W)
+        Y = mat_mul(s_inv, W)
+        try:
+            return mat_mul(mat_sub(identity(m), Y), inverse_fraction(mat_add(identity(m), Y)))
+        except SingularMatrixError:
+            continue
+
+
+def test_random_orthogonal_cayley_matches_the_old_formula():
+    forms = (anti_identity(4), anti_identity(6), anti_identity(8), GENERIC_SYMMETRIC_S, FRACTION_FORM)
+    retries = 0
+    for k, S in enumerate(forms):
+        for lo, hi in ((-3, 3), (-1, 1)):
+            new_rng, old_rng = random.Random(k), random.Random(k)
+            draws = []
+            for _ in range(10):
+                g = random_orthogonal_cayley(S, new_rng, lo, hi)
+                assert g == _old_random_orthogonal_cayley(S, old_rng, lo, hi, draws)
+                assert mat_mul(mat_mul(transpose(g), S), g) == tuple(map(tuple, S))
+            assert new_rng.getstate() == old_rng.getstate()
+            retries += len(draws) - 10
+    assert retries > 0  # the retry on a singular I + Y ran
+
+
+def test_cayley_singular_one_plus_y_raises():
+    # Y = diag(-1, 1) lies in o(J2), and I + Y = diag(0, 2) is singular
+    with pytest.raises(SingularMatrixError):
+        cayley_orthogonal(((-1, 0), (0, 1)), anti_identity(2))
+    with pytest.raises(SingularMatrixError):
+        cayley_orthogonal(((Fraction(-1), 0), (0, Fraction(1))), anti_identity(2))
+
+
+def _old_complementary_minor_check(A, I):
+    # the former scaled form: Pf(A_I)/Pf A == sgn(I, Ic) Pf((Ahat/Pf A)_Ic)
+    universe = tuple(range(1, A.size + 1))
+    comp = tuple(k for k in universe if k not in I)
+    pf = pfaffian(A)
+    scaled = copfaffian_matrix(A).scale(Fraction(1) / pf)
+    return Fraction(pfaffian(A.submatrix(I)), pf) == split_sign(universe, I, comp) * pfaffian(scaled.submatrix(comp))
+
+
+@pytest.mark.parametrize("entry", [lambda rng: rng.randint(-9, 9),
+                                   lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 4))],
+                         ids=["int", "fraction"])
+def test_complementary_minor_matches_the_scaled_formula(entry):
+    rng = random.Random(31)
+    while True:
+        A = AlternatingMatrix.from_upper(6, lambda i, j: entry(rng))
+        if pfaffian(A) != 0:
+            break
+    for m in range(0, 7, 2):
+        for I in combinations(range(1, 7), m):
+            assert complementary_minor_check(A, I) is True
+            assert _old_complementary_minor_check(A, I) is True
+
+
+def test_equivariance_with_fraction_entries():
+    rng = random.Random(32)
+    for S in (anti_identity(4), GENERIC_SYMMETRIC_S, FRACTION_FORM):
+        for _ in range(5):
+            g = random_orthogonal_cayley(S, rng)
+            A = AlternatingMatrix.from_upper(4, lambda i, j: Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+            assert equivariance_check(A, g)
+    # the law holds for every g, orthogonal or not, singular or not
+    for _ in range(10):
+        g = tuple(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(4)) for _ in range(4))
+        A = AlternatingMatrix.from_upper(4, lambda i, j: Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        assert equivariance_check(A, g)
+    singular = ((1, 2, 0, 0), (Fraction(1, 2), 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert equivariance_check(A, singular)

@@ -13,6 +13,7 @@ from pfaffkit.rings import (
     Poly,
     PolyParseError,
     _mono_mul,
+    _rational,
     parse_poly,
     parse_rational,
 )
@@ -128,6 +129,27 @@ def test_parse_rational_accepts_under_the_scalar_rule(text, value):
 def test_parse_rational_rejects(text):
     with pytest.raises(PolyParseError):
         parse_rational(text)
+
+
+INT_ROUTE_TABLE = [
+    "0", "-0", "+0", "7", "+3", "-12", "007", "-007", str(10**40), "-" + str(10**40), "9" * 4300, "9" * 4301,
+    "1_0", "1__0", "_1", "1_", "\u0663", "-\u0661\u0662", "1e3", " 7 ", "7\n", "\t-5", "+-1", "--1", "-", "+",
+    "", " ", "1 2", "3/4", "6/2", "1.0", "0x10", "\u00b2",
+]
+
+
+def test_parse_rational_int_route_matches_fraction_route():
+    # the int fast path changes neither the accepted texts nor the values:
+    # each literal parses as `Fraction` reads it, or fails as it fails
+    for text in INT_ROUTE_TABLE:
+        try:
+            expected = _rational(Fraction(text.strip()))
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(PolyParseError):
+                parse_rational(text)
+            continue
+        got = parse_rational(text)
+        assert got == expected and type(got) is type(expected), text[:20]
 
 
 def _gen(kind, i, j):
