@@ -15,12 +15,17 @@ Products are fused with the coefficient ring: each ring supplies the raw
 `GrassmannElement.__mul__` adds every coefficient pair of disjoint masks
 into one raw term dict per output mask, signed by `_merge_sign`, wrapping
 each dict once at the end; no coefficient element is built per pair.
-Powers of an element are memoised on it, Omega^m as Omega^(m-1) Omega, and
-the falling products Xi(v) ... Xi(v-r+1) on their `Forms`, each the one
-with r - 1 factors times Xi(v-r+1).  So every check that asks for a power
-or falling product already computed reads it back, and each
-`build_forms` call starts with fresh forms and empty memos.  Both sides of
-every identity are still computed independently and compared exactly.
+Powers of an element are memoised on it, Omega^m as Omega^(m-1) Omega.
+tau has the ring's one for its coefficients and even degree, so it
+commutes with everything, and a falling product is a linear combination
+of memoised products, Xi(v) ... Xi(v-r+1) = sum_k e_k(v, ..., v-r+1)
+tau^k Xi^(r-k) with e_k the elementary symmetric polynomials: the
+products tau^k Xi^j are memoised on their `Forms`, and every shift v
+reads them back.  Linear combinations of elements, there and in the
+trinomial check, add each coefficient's raw terms into one dict per
+mask.  Each `build_forms` call starts with fresh forms and empty memos.
+Both sides of every identity are still computed independently and
+compared exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .pfaffian import AntiAlternatingMatrix, pfaffian, pfaffian_of_anti_alternating
-from .rings import Combination, Poly, add_into
+from .rings import Combination, Poly, _rational, add_into
 from .uea import UEAElement, build_canonical_x, nc_pfaffian, shifted_minor_determinant
 
 
@@ -54,6 +59,28 @@ def _coefficient_ring(*term_dicts: Mapping[int, object]):
     if len(rings) > 1:
         raise TypeError(f"mixed coefficient rings: {sorted(r.__name__ for r in rings)}")
     return rings.pop() if rings else None
+
+
+def _raw(terms: Mapping[int, object]) -> list[tuple[int, Mapping]]:
+    """(mask, raw coefficient terms) pairs; a scalar sits on the unit key ()."""
+    return [(m, c.terms if isinstance(c, Combination) else {(): c}) for m, c in terms.items()]
+
+
+def _linear_combination(p: int, q: int, scaled: Iterable[tuple[object, "GrassmannElement"]]) -> "GrassmannElement":
+    """Sum of s * x over the (scalar s, element x) pairs.
+
+    Each coefficient's raw terms are added, scaled, straight into one dict
+    per mask, and each dict becomes a coefficient once, at the end."""
+    scaled = [(s, x) for s, x in scaled if s and x]
+    ring = _coefficient_ring(*(x.terms for _, x in scaled))
+    sums: dict[int, dict] = {}
+    for s, x in scaled:
+        for m, t in _raw(x.terms):
+            out = sums.get(m)
+            if out is None:
+                out = sums[m] = {}
+            add_into(out, t, s)
+    return GrassmannElement(p, q)._wrap_sums(sums, ring)
 
 
 class GrassmannElement(Combination):
@@ -139,19 +166,19 @@ class GrassmannElement(Combination):
         self._coerce(other)  # rejects mixed colorings
         ring = _coefficient_ring(self.terms, other.terms)
         product_into = (ring or Poly)._product_into  # Poly's unit key () carries scalars
-
-        def raw(terms):
-            return [(m, c.terms if isinstance(c, Combination) else {(): c}) for m, c in terms.items()]
-
-        right = raw(other.terms)
+        right = _raw(other.terms)
         sums: dict[int, dict] = {}
-        for m1, t1 in raw(self.terms):
+        for m1, t1 in _raw(self.terms):
             for m2, t2 in right:
                 if not m1 & m2:
                     out = sums.get(m1 | m2)
                     if out is None:
                         out = sums[m1 | m2] = {}
                     product_into(out, t1, t2, _merge_sign(m1, m2))
+        return self._wrap_sums(sums, ring)
+
+    def _wrap_sums(self, sums: dict[int, dict], ring) -> "GrassmannElement":
+        """Element of raw coefficient term dicts by mask; empty dicts drop."""
         if ring is None:
             return self._wrap({m: t[()] for m, t in sums.items() if t})
         return self._wrap({m: ring._wrap(t) for m, t in sums.items() if t})
@@ -214,8 +241,8 @@ class Forms:
     tau: GrassmannElement | None
     source: AntiAlternatingMatrix  # UEAElement entries in uea mode, Poly ones otherwise
     ring_one: object
-    # falling Xi products by top argument v: falling[v][r] = Xi(v) ... Xi(v-r+1)
-    falling: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # tau_xi[k, j] = tau^k Xi^j; the falling Xi products are combinations of these
+    tau_xi: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def half(self) -> int:
@@ -270,9 +297,9 @@ def check_sl2(n: int, forms: Forms | None = None) -> bool:
     [Theta', Xi] = -2 tau Theta' in the uea forms."""
     f = build_forms("uea", n=n) if forms is None else forms
     tau = f.tau
-    ok1 = f.theta.commutator(f.theta_prime) == (tau * f.xi).scale(Fraction(4))
-    ok2 = f.theta.commutator(f.xi) == (tau * f.theta).scale(Fraction(2))
-    ok3 = f.theta_prime.commutator(f.xi) == (tau * f.theta_prime).scale(Fraction(-2))
+    ok1 = f.theta.commutator(f.theta_prime) == (tau * f.xi).scale(4)
+    ok2 = f.theta.commutator(f.xi) == (tau * f.theta).scale(2)
+    ok3 = f.theta_prime.commutator(f.xi) == (tau * f.theta_prime).scale(-2)
     return ok1 and ok2 and ok3
 
 
@@ -283,17 +310,40 @@ def xi_at(forms: Forms, u) -> GrassmannElement:
     return forms.xi + forms.tau.scale(Fraction(u))
 
 
+def _tau_xi(forms: Forms, k: int, j: int) -> GrassmannElement:
+    """tau^k Xi^j, memoised on the forms: one product, none by a 0th power."""
+    key = (k, j)
+    got = forms.tau_xi.get(key)
+    if got is None:
+        one = forms.ring_one
+        if not k:
+            got = forms.xi.power(j, one)
+        elif not j:
+            got = forms.tau.power(k, one)
+        else:
+            got = forms.tau.power(k, one) * forms.xi.power(j, one)
+        forms.tau_xi[key] = got
+    return got
+
+
 def xi_shifted_power(n_or_forms, u, r: int) -> GrassmannElement:
     """Falling product Xi(u) Xi(u-1) ... Xi(u-r+1) in the uea forms.
 
-    The products are memoised on the forms by u, each computed as the one
-    with r - 1 factors times Xi(u-r+1)."""
+    tau is central, so the product of the r factors Xi + (u-i) tau is
+    sum_k e_k(u, u-1, ..., u-r+1) tau^k Xi^(r-k), a linear combination of
+    the products memoised by `_tau_xi`.  Past r = n every product of r
+    2-forms vanishes."""
     forms = n_or_forms if isinstance(n_or_forms, Forms) else build_forms("uea", n=n_or_forms)
-    u = Fraction(u)
-    falling = forms.falling.setdefault(u, [forms.one()])
-    while len(falling) <= r:
-        falling.append(falling[-1] * xi_at(forms, u - (len(falling) - 1)))
-    return falling[r]
+    if forms.tau is None:
+        raise ValueError("Xi(u) needs a square coloring")
+    if r > forms.half:
+        return GrassmannElement.zero(forms.p, forms.q)
+    u = _rational(Fraction(u))
+    e = [1]  # e[k] = e_k of the factor arguments so far
+    for i in range(r):
+        a = u - i
+        e = [_rational(x + a * y) for x, y in zip(e + [0], [0] + e)]
+    return _linear_combination(forms.p, forms.q, ((c, _tau_xi(forms, k, r - k)) for k, c in enumerate(e)))
 
 
 def check_xi_power_formula(n: int, u, r: int, forms: Forms | None = None) -> bool:
@@ -304,7 +354,7 @@ def check_xi_power_formula(n: int, u, r: int, forms: Forms | None = None) -> boo
     if forms is None:
         forms = build_forms("uea", n=n)
     lhs = xi_shifted_power(forms, Fraction(u) + r - 1, r)
-    scale = Fraction(factorial(r))
+    scale = factorial(r)
     memo: dict = {}
     rhs = GrassmannElement.from_words(forms.p, forms.q, (
         (list(I) + [-j for j in reversed(J)], scale * shifted_minor_determinant(forms.source, I, J, u, memo))
@@ -347,13 +397,13 @@ def check_theta_powers(n: int, s: int, t: int, mode: str = "uea",
         forms = build_forms(mode, n=n, p=p, q=q)
     one = forms.ring_one
     lhs_b = forms.theta.power(s, one)
-    coeff = Fraction(2**s * factorial(s))
+    coeff = 2**s * factorial(s)
     rhs_b = GrassmannElement.from_words(forms.p, forms.q, (
         (I, coeff * _block_pfaffian(forms, "b", I)) for I in combinations(range(1, forms.p + 1), 2 * s)))
     if lhs_b != rhs_b:
         return False
     lhs_c = forms.theta_prime.power(t, one)
-    coeff = Fraction(2**t * factorial(t))
+    coeff = 2**t * factorial(t)
     rhs_c = GrassmannElement.from_words(forms.p, forms.q, (
         ([-j for j in reversed(J)], coeff * _block_pfaffian(forms, "c", J))
         for J in combinations(range(1, forms.q + 1), 2 * t)))
@@ -373,26 +423,33 @@ def check_trinomial(n: int, m: int, mode: str = "uea",
         forms = build_forms(mode, n=n, p=p, q=q)
     one = forms.ring_one
     lhs = forms.omega.power(m, one)
-    rhs = GrassmannElement.zero(forms.p, forms.q)
+
+    def multinomial(h: int, k: int, r: int) -> int:
+        """m! 2^h / (h! k! r!), an integer since h + k + r = m."""
+        return factorial(m) * 2**h // (factorial(h) * factorial(k) * factorial(r))
+
+    def times_power(x: GrassmannElement, form: GrassmannElement, exp: int) -> GrassmannElement:
+        return x * form.power(exp, one) if exp and x else x
+
+    outer = []
     if forms.mode == "uea":
-        for a in range(m + 1):
-            for b in range(m + 1 - a):
+        # sum_b (sum_a c X(b-a+r-1, r) Theta'^a) Theta^b
+        for b in range(m + 1):
+            inner = []
+            for a in range(m + 1 - b):
                 r = m - a - b
-                coeff = Fraction(factorial(m) * 2**r, factorial(a) * factorial(b) * factorial(r))
-                term = xi_shifted_power(forms, Fraction(b - a + r - 1), r)
-                term = term * forms.theta_prime.power(a, one)
-                term = term * forms.theta.power(b, one)
-                rhs = rhs + term.scale(coeff)
+                term = times_power(xi_shifted_power(forms, b - a + r - 1, r), forms.theta_prime, a)
+                inner.append((multinomial(r, a, b), term))
+            outer.append((1, times_power(_linear_combination(forms.p, forms.q, inner), forms.theta, b)))
     else:
-        for h in range(m + 1):
-            for s in range(m + 1 - h):
-                t = m - h - s
-                coeff = Fraction(factorial(m) * 2**h, factorial(h) * factorial(s) * factorial(t))
-                term = forms.xi.power(h, one)
-                term = term * forms.theta.power(s, one)
-                term = term * forms.theta_prime.power(t, one)
-                rhs = rhs + term.scale(coeff)
-    return lhs == rhs
+        # sum_t (sum_h c Xi^h Theta^s) Theta'^t
+        for t in range(m + 1):
+            inner = []
+            for h in range(m + 1 - t):
+                s = m - h - t
+                inner.append((multinomial(h, s, t), times_power(forms.xi.power(h, one), forms.theta, s)))
+            outer.append((1, times_power(_linear_combination(forms.p, forms.q, inner), forms.theta_prime, t)))
+    return lhs == _linear_combination(forms.p, forms.q, outer)
 
 
 def pfaffian_from_top_form(mode: str = "uea", n: int | None = None,

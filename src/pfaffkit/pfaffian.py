@@ -144,36 +144,40 @@ class AlternatingMatrix:
         return f"AlternatingMatrix(size={self.size})"
 
 
-def all_pairings(items: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All partitions of `items` into unordered pairs, each pair sorted
-    and pairs listed by increasing first element."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], list(items[1:])
-    for k in range(len(rest)):
-        partner = rest[k]
-        remaining = rest[:k] + rest[k + 1:]
-        for tail in all_pairings(remaining):
-            yield ((first, partner),) + tail
+def all_pairings(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All partitions of `items` into unordered pairs, each as one flat
+    tuple (first, partner, first, partner, ...): each pair's first element
+    is the smallest left, so pairs come by increasing first element.
+
+    One depth-first walk over (prefix, rest) states; a state's successors
+    pair the first of its rest with each later element in turn."""
+    stack = [((), tuple(items))]
+    while stack:
+        prefix, rest = stack.pop()
+        if not rest:
+            yield prefix
+            continue
+        first = rest[0]
+        for k in range(len(rest) - 1, 0, -1):  # pushed backwards, popped in order
+            stack.append((prefix + (first, rest[k]), rest[1:k] + rest[k + 1:]))
 
 
 def pfaffian_definitional(A: AlternatingMatrix):
     """Pfaffian as the signed sum over perfect matchings.
 
     Each matching's sign is recomputed from scratch as the sign of the
-    flattened pair sequence, keeping this route independent from the
+    flat pair sequence, keeping this route independent from the
     cofactor recursion.
     """
     m = A.size
     if m == 0:
         return 1
+    rows = A.rows
     total = None
-    for pairs in all_pairings(tuple(range(1, m + 1))):
-        flat = [x for pair in pairs for x in pair]
-        prod = A.entry(*pairs[0])
-        for i, j in pairs[1:]:
-            prod = prod * A.entry(i, j)
+    for flat in all_pairings(range(m)):
+        prod = rows[flat[0]][flat[1]]
+        for t in range(2, m, 2):
+            prod = prod * rows[flat[t]][flat[t + 1]]
         signed = prod if permutation_sign(flat) == 1 else -prod
         total = signed if total is None else total + signed
     return total

@@ -118,6 +118,14 @@ def test_verify_central_forced_n4(capsys):
     assert "PASS central:commutant:n4" in out
 
 
+def test_verify_forms_forced_n4(capsys):
+    # the benchmark's rank: falling Xi products from the tau^k Xi^j memo
+    code, out, _ = run(capsys, "verify", "--suite", "forms", "--n", "4", "--force")
+    assert code == 0
+    assert "PASS forms:xi-power:n4" in out
+    assert "PASS forms:trinomial:uea-n4" in out
+
+
 def test_verify_ncmsf_forced_n5(capsys):
     # the rank-5 identity through the memoised shifted determinants; the
     # (2n)!-term oracle is skipped above n = 3

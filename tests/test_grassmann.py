@@ -2,6 +2,7 @@
 
 import gc
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from pfaffkit.grassmann import (
     Forms,
     GrassmannElement,
+    _linear_combination,
     build_forms,
     check_eta_anticommute,
     check_sl2,
@@ -195,14 +197,24 @@ def test_memoised_powers_equal_binary_powers(mode, n):
 
 
 def test_memoised_falling_product_equals_loop():
-    f = build_forms("uea", n=3)
-    for u in (Fraction(-1), Fraction(1, 2), Fraction(2), 3):
-        for r in (3, 0, 1, 4, 2):
-            loop = f.one()
-            for k in range(r):
-                loop = loop * xi_at(f, Fraction(u) - k)
-            assert xi_shifted_power(f, u, r) == loop
-    assert set(f.falling) == {Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(3)}
+    for n in (3, 4):
+        f = build_forms("uea", n=n)
+        for u in (Fraction(-1), Fraction(1, 2), Fraction(2), 3, Fraction(-3, 2)):
+            loops = [f.one()]  # the direct left-to-right product, factor by factor
+            for k in range(n + 1):
+                loops.append(loops[-1] * xi_at(f, Fraction(u) - k))
+            for r in (3, 0, 1, n + 1, 2, n):
+                assert xi_shifted_power(f, u, r) == loops[r]
+        assert set(f.tau_xi) == {(k, r - k) for r in range(n + 1) for k in range(r + 1)}
+
+
+def test_linear_combination_adds_in_place():
+    f = build_forms("uea", n=2)
+    pairs = [(2, f.omega), (Fraction(-1, 2), f.xi), (-1, f.theta), (0, f.tau), (3, GrassmannElement.zero(2, 2))]
+    expected = f.omega.scale(2) - f.xi.scale(Fraction(1, 2)) - f.theta
+    assert _linear_combination(2, 2, pairs) == expected
+    assert not _linear_combination(2, 2, [(1, f.xi), (-1, f.xi)]).terms  # cancelled masks leave
+    assert not _linear_combination(2, 2, [])
 
 
 def test_forms_from_separate_builds_share_no_memo():
@@ -210,8 +222,9 @@ def test_forms_from_separate_builds_share_no_memo():
     f1.omega.power(2, f1.ring_one)
     xi_shifted_power(f1, Fraction(1), 2)
     assert check_trinomial(2, 2, forms=f1)
+    assert f1.tau_xi
     f2 = build_forms("uea", n=2)
-    assert f2.falling == {} and f2.falling is not f1.falling
+    assert f2.tau_xi == {} and f2.tau_xi is not f1.tau_xi
     for name in ("omega", "xi", "theta", "theta_prime", "tau"):
         a, b = getattr(f1, name), getattr(f2, name)
         assert a is not b and a == b
@@ -341,6 +354,42 @@ def test_trinomial_expansions():
     for n in (1, 2, 3, 4):
         for m in range(n + 1):
             assert check_trinomial(n, m, mode="commutative")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tau_is_central_in_uea_forms(n):
+    # the expansion of the falling products rests on this
+    f = build_forms("uea", n=n)
+    for form in (f.omega, f.xi, f.theta, f.theta_prime):
+        assert f.tau * form == form * f.tau
+
+
+def _corrupted(f, name):
+    """A fresh copy of the forms with one coefficient of `name` changed."""
+    form = getattr(f, name)
+    mask = min(form.terms)
+    return replace(f, **{name: form + GrassmannElement(f.p, f.q, {mask: f.ring_one})})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["xi", "tau"])
+def test_xi_power_and_uea_trinomial_detect_corrupted_forms(n, name):
+    f = _corrupted(build_forms("uea", n=n), name)
+    assert f.tau_xi == {}
+    for r in range(1, n + 1):
+        for u in (Fraction(-1), Fraction(0), Fraction(2)):
+            # tau enters Xi(u+r-1) ... Xi(u) unless the one factor is Xi(0)
+            unseen = name == "tau" and r == 1 and u == 0
+            assert check_xi_power_formula(n, u, r, forms=f) == unseen
+    for m in range(1, n + 1):
+        # the m = 1 expansion, Omega = Theta' + 2 Xi(0) + Theta, has no tau
+        assert check_trinomial(n, m, forms=f) == (name == "tau" and m == 1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_commutative_trinomial_detects_corrupted_xi(n):
+    f = _corrupted(build_forms("commutative", n=n), "xi")
+    assert not any(check_trinomial(n, m, mode="commutative", forms=f) for m in range(1, n + 1))
 
 
 def test_trinomial_rectangular():

@@ -91,6 +91,18 @@ def test_all_pairings_count():
     assert counts == [1, 1, 3, 15, 105]
 
 
+def test_all_pairings_are_flat_sorted_matchings():
+    items = (2, 3, 5, 7, 11, 13)
+    seen = list(all_pairings(items))
+    assert seen[0] == (2, 3, 5, 7, 11, 13) and seen[-1] == (2, 13, 3, 11, 5, 7)
+    assert len(set(seen)) == len(seen) == 15
+    for flat in seen:
+        assert sorted(flat) == list(items)
+        firsts = flat[0::2]
+        assert list(firsts) == sorted(firsts)
+        assert all(a < b for a, b in zip(firsts, flat[1::2]))
+
+
 def test_routes_agree_symbolic():
     for size in (2, 4, 6):
         A = AlternatingMatrix.generic(size)
