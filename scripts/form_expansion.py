@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import factorial
 
 from pfaffkit.grassmann import build_forms, check_trinomial, pfaffian_from_top_form
-from pfaffkit.pfaffian import AntiAlternatingMatrix, pfaffian_of_anti_alternating
-from pfaffkit.uea import build_canonical_x, nc_pfaffian
+from pfaffkit.pfaffian import pfaffian_of_anti_alternating
+from pfaffkit.uea import nc_pfaffian
 
 
 @dataclass
@@ -35,15 +35,11 @@ def run(cfg: Config):
         if not ok:
             raise SystemExit(1)
 
-    top = forms.omega.power(n, one=forms.one()).top_coefficient()
+    top = forms.omega.power(n).top_coefficient()
     scale = Fraction(2**n * factorial(n))
     print(f"\ntop coefficient of omega^{n} = {top}")
-    if mode == "uea":
-        recovered = pfaffian_from_top_form("uea", n=n)
-        reference = nc_pfaffian(build_canonical_x(n))
-    else:
-        recovered = pfaffian_from_top_form("commutative", p=n, q=n)
-        reference = pfaffian_of_anti_alternating(AntiAlternatingMatrix.generic(n, n))
+    recovered = pfaffian_from_top_form(forms=forms)
+    reference = nc_pfaffian(forms.source) if mode == "uea" else pfaffian_of_anti_alternating(forms.source)
     print(f"top / (2^{n} {n}!) = top / {scale} = {recovered}")
     print(f"matches the Pfaffian: {recovered == reference}")
 

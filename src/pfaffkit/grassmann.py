@@ -15,7 +15,8 @@ Products are fused with the coefficient ring: each ring supplies the raw
 `GrassmannElement.__mul__` adds every coefficient pair of disjoint masks
 into one raw term dict per output mask, signed by `_merge_sign`, wrapping
 each dict once at the end; no coefficient element is built per pair.
-Powers of an element are memoised on it, Omega^m as Omega^(m-1) Omega.
+Powers of an element are memoised on it, Omega^m as Omega^(m-1) Omega,
+and its 0th power is the one of the ring its coefficients name.
 tau has the ring's one for its coefficients and even degree, so it
 commutes with everything, and a falling product is a linear combination
 of memoised products, Xi(v) ... Xi(v-r+1) = sum_k e_k(v, ..., v-r+1)
@@ -23,7 +24,9 @@ tau^k Xi^(r-k) with e_k the elementary symmetric polynomials: the
 products tau^k Xi^j are memoised on their `Forms`, and every shift v
 reads them back.  Linear combinations of elements, there and in the
 trinomial check, add each coefficient's raw terms into one dict per
-mask.  Each `build_forms` call starts with fresh forms and empty memos.
+mask.  The block Pfaffians of the Theta power check are read through
+`pfaffian._pf` on the whole b and c blocks, one memo per block per call.
+Each `build_forms` call starts with fresh forms and empty memos.
 Both sides of every identity are still computed independently and
 compared exactly.
 """
@@ -36,7 +39,7 @@ from itertools import combinations
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from .pfaffian import AntiAlternatingMatrix, pfaffian, pfaffian_of_anti_alternating
+from .pfaffian import AlternatingMatrix, AntiAlternatingMatrix, _pf, pfaffian_of_anti_alternating
 from .rings import Combination, Poly, _rational, add_into
 from .uea import UEAElement, build_canonical_x, nc_pfaffian, shifted_minor_determinant
 
@@ -183,17 +186,17 @@ class GrassmannElement(Combination):
             return self._wrap({m: t[()] for m, t in sums.items() if t})
         return self._wrap({m: ring._wrap(t) for m, t in sums.items() if t})
 
-    def power(self, exp: int, one=None) -> "GrassmannElement":
-        """self^exp; self^0 is the scalar `one` of the coefficient ring.
+    def power(self, exp: int) -> "GrassmannElement":
+        """self^exp; self^0 is the one of the coefficient ring that the
+        coefficients name, or the scalar 1 if they are scalars or self is 0.
 
         Positive powers are memoised on the element, each computed as the
         one below times self, so self^m after self^k costs m - k products."""
         if exp < 0:
             raise ValueError("negative Grassmann powers do not exist")
         if exp == 0:
-            if one is None:
-                raise ValueError("power 0 needs the coefficient ring's one")
-            return GrassmannElement.scalar(self.p, self.q, one)
+            ring = _coefficient_ring(self.terms)
+            return GrassmannElement.scalar(self.p, self.q, ring.const(1) if ring else 1)
         if exp == 1:
             return self
         # self^2, self^3, ...; holding self too would make a reference cycle
@@ -240,7 +243,6 @@ class Forms:
     theta_prime: GrassmannElement
     tau: GrassmannElement | None
     source: AntiAlternatingMatrix  # UEAElement entries in uea mode, Poly ones otherwise
-    ring_one: object
     # tau_xi[k, j] = tau^k Xi^j; the falling Xi products are combinations of these
     tau_xi: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -249,7 +251,8 @@ class Forms:
         return (self.p + self.q) // 2
 
     def one(self) -> GrassmannElement:
-        return GrassmannElement.scalar(self.p, self.q, self.ring_one)
+        """The coefficient ring's one, as a scalar form."""
+        return self.omega.power(0)
 
 
 def build_forms(mode: str = "uea", n: int | None = None, p: int | None = None, q: int | None = None) -> Forms:
@@ -262,14 +265,14 @@ def build_forms(mode: str = "uea", n: int | None = None, p: int | None = None, q
         if n is None:
             raise ValueError("uea mode needs n")
         source = build_canonical_x(n)
-        ring_one: object = UEAElement.one()
+        one: object = UEAElement.one()
     elif mode == "commutative":
         if p is None or q is None:
             if n is None:
                 raise ValueError("commutative mode needs (p, q) or n")
             p = q = n
         source = AntiAlternatingMatrix.generic(p, q)
-        ring_one = Poly.const(1)
+        one = Poly.const(1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     p, q, entry = source.p, source.q, source.entry
@@ -282,8 +285,18 @@ def build_forms(mode: str = "uea", n: int | None = None, p: int | None = None, q
     xi = form(((i, -j), entry(i, j)) for i in range(1, p + 1) for j in range(1, q + 1))
     theta = form(((i, j), entry(i, -j)) for i in range(1, p + 1) for j in range(1, p + 1))
     theta_prime = form(((-j, -i), entry(-j, i)) for i in range(1, q + 1) for j in range(1, q + 1))
-    tau = form(((i, -i), ring_one) for i in range(1, p + 1)) if p == q else None
-    return Forms(mode, p, q, omega, xi, theta, theta_prime, tau, source, ring_one)
+    tau = form(((i, -i), one) for i in range(1, p + 1)) if p == q else None
+    return Forms(mode, p, q, omega, xi, theta, theta_prime, tau, source)
+
+
+def _forms_for(n: int, forms: Forms | None, mode: str = "uea",
+               p: int | None = None, q: int | None = None) -> Forms:
+    """`forms`, or fresh forms of rank n; raises if n is not their rank."""
+    if forms is None:
+        forms = build_forms(mode, n=n, p=p, q=q)
+    if n != forms.half:
+        raise ValueError(f"n = {n} contradicts forms of rank {forms.half}")
+    return forms
 
 
 def check_structure(forms: Forms) -> bool:
@@ -295,7 +308,7 @@ def check_structure(forms: Forms) -> bool:
 def check_sl2(n: int, forms: Forms | None = None) -> bool:
     """[Theta, Theta'] = 4 tau Xi, [Theta, Xi] = 2 tau Theta,
     [Theta', Xi] = -2 tau Theta' in the uea forms."""
-    f = build_forms("uea", n=n) if forms is None else forms
+    f = _forms_for(n, forms)
     tau = f.tau
     ok1 = f.theta.commutator(f.theta_prime) == (tau * f.xi).scale(4)
     ok2 = f.theta.commutator(f.xi) == (tau * f.theta).scale(2)
@@ -315,25 +328,23 @@ def _tau_xi(forms: Forms, k: int, j: int) -> GrassmannElement:
     key = (k, j)
     got = forms.tau_xi.get(key)
     if got is None:
-        one = forms.ring_one
         if not k:
-            got = forms.xi.power(j, one)
+            got = forms.xi.power(j)
         elif not j:
-            got = forms.tau.power(k, one)
+            got = forms.tau.power(k)
         else:
-            got = forms.tau.power(k, one) * forms.xi.power(j, one)
+            got = forms.tau.power(k) * forms.xi.power(j)
         forms.tau_xi[key] = got
     return got
 
 
-def xi_shifted_power(n_or_forms, u, r: int) -> GrassmannElement:
+def xi_shifted_power(forms: Forms, u, r: int) -> GrassmannElement:
     """Falling product Xi(u) Xi(u-1) ... Xi(u-r+1) in the uea forms.
 
     tau is central, so the product of the r factors Xi + (u-i) tau is
     sum_k e_k(u, u-1, ..., u-r+1) tau^k Xi^(r-k), a linear combination of
     the products memoised by `_tau_xi`.  Past r = n every product of r
     2-forms vanishes."""
-    forms = n_or_forms if isinstance(n_or_forms, Forms) else build_forms("uea", n=n_or_forms)
     if forms.tau is None:
         raise ValueError("Xi(u) needs a square coloring")
     if r > forms.half:
@@ -351,8 +362,7 @@ def check_xi_power_formula(n: int, u, r: int, forms: Forms | None = None) -> boo
 
     The determinant entry in column t carries the extra u + r - t on
     matched indices; all the determinants share one memo of minors."""
-    if forms is None:
-        forms = build_forms("uea", n=n)
+    forms = _forms_for(n, forms)
     lhs = xi_shifted_power(forms, Fraction(u) + r - 1, r)
     scale = factorial(r)
     memo: dict = {}
@@ -372,8 +382,7 @@ def eta(forms: Forms, j: int, u) -> GrassmannElement:
 
 def check_eta_anticommute(n: int, u, forms: Forms | None = None) -> bool:
     """eta_i(u+1) eta_j(u) + eta_j(u+1) eta_i(u) = 0 for all i, j."""
-    if forms is None:
-        forms = build_forms("uea", n=n)
+    forms = _forms_for(n, forms)
     shifted = [eta(forms, j, Fraction(u) + 1) for j in range(1, n + 1)]
     plain = [eta(forms, j, Fraction(u)) for j in range(1, n + 1)]
     for i in range(n):
@@ -383,31 +392,24 @@ def check_eta_anticommute(n: int, u, forms: Forms | None = None) -> bool:
     return True
 
 
-def _block_pfaffian(forms: Forms, which: str, I: Sequence[int]):
-    X = forms.source
-    return pfaffian(X.b_minor(I) if which == "b" else X.c_minor(I))
-
-
 def check_theta_powers(n: int, s: int, t: int, mode: str = "uea",
                        p: int | None = None, q: int | None = None,
                        forms: Forms | None = None) -> bool:
     """Theta^s = 2^s s! sum_{|I|=2s} e_I Pf(b_I) and the mirror statement
-    Theta'^t = 2^t t! sum_{|J|=2t} e_-J Pf(c_J)."""
-    if forms is None:
-        forms = build_forms(mode, n=n, p=p, q=q)
-    one = forms.ring_one
-    lhs_b = forms.theta.power(s, one)
-    coeff = 2**s * factorial(s)
-    rhs_b = GrassmannElement.from_words(forms.p, forms.q, (
-        (I, coeff * _block_pfaffian(forms, "b", I)) for I in combinations(range(1, forms.p + 1), 2 * s)))
-    if lhs_b != rhs_b:
-        return False
-    lhs_c = forms.theta_prime.power(t, one)
-    coeff = 2**t * factorial(t)
-    rhs_c = GrassmannElement.from_words(forms.p, forms.q, (
-        ([-j for j in reversed(J)], coeff * _block_pfaffian(forms, "c", J))
-        for J in combinations(range(1, forms.q + 1), 2 * t)))
-    return lhs_c == rhs_c
+    Theta'^t = 2^t t! sum_{|J|=2t} e_-J Pf(c_J), each block's Pfaffians
+    read by `_pf` under one memo per call."""
+    forms = _forms_for(n, forms, mode, p, q)
+    X = forms.source
+
+    def expands(form: GrassmannElement, exp: int, block: tuple, word) -> bool:
+        B, memo = AlternatingMatrix._trusted(block), {}
+        coeff = 2**exp * factorial(exp)
+        rhs = GrassmannElement.from_words(forms.p, forms.q, (
+            (word(I), coeff * _pf(B, I, memo)) for I in combinations(range(1, len(block) + 1), 2 * exp)))
+        return form.power(exp) == rhs
+
+    return (expands(forms.theta, s, X.b, lambda I: I)
+            and expands(forms.theta_prime, t, X.c, lambda J: [-j for j in reversed(J)]))
 
 
 def check_trinomial(n: int, m: int, mode: str = "uea",
@@ -419,17 +421,15 @@ def check_trinomial(n: int, m: int, mode: str = "uea",
     over p+q+r = m, with the falling Xi product shifted as shown.
     commutative mode: the unshifted expansion
     Omega^m = sum m!/(h! s! t!) 2^h Xi^h Theta^s Theta'^t."""
-    if forms is None:
-        forms = build_forms(mode, n=n, p=p, q=q)
-    one = forms.ring_one
-    lhs = forms.omega.power(m, one)
+    forms = _forms_for(n, forms, mode, p, q)
+    lhs = forms.omega.power(m)
 
     def multinomial(h: int, k: int, r: int) -> int:
         """m! 2^h / (h! k! r!), an integer since h + k + r = m."""
         return factorial(m) * 2**h // (factorial(h) * factorial(k) * factorial(r))
 
     def times_power(x: GrassmannElement, form: GrassmannElement, exp: int) -> GrassmannElement:
-        return x * form.power(exp, one) if exp and x else x
+        return x * form.power(exp) if exp and x else x
 
     outer = []
     if forms.mode == "uea":
@@ -447,7 +447,7 @@ def check_trinomial(n: int, m: int, mode: str = "uea",
             inner = []
             for h in range(m + 1 - t):
                 s = m - h - t
-                inner.append((multinomial(h, s, t), times_power(forms.xi.power(h, one), forms.theta, s)))
+                inner.append((multinomial(h, s, t), times_power(forms.xi.power(h), forms.theta, s)))
             outer.append((1, times_power(_linear_combination(forms.p, forms.q, inner), forms.theta_prime, t)))
     return lhs == _linear_combination(forms.p, forms.q, outer)
 
@@ -459,7 +459,7 @@ def pfaffian_from_top_form(mode: str = "uea", n: int | None = None,
     if forms is None:
         forms = build_forms(mode, n=n, p=p, q=q)
     half = forms.half
-    top = forms.omega.power(half, forms.ring_one).top_coefficient()
+    top = forms.omega.power(half).top_coefficient()
     return top * Fraction(1, 2**half * factorial(half))
 
 

@@ -3,10 +3,12 @@
 Matrices are tuples of tuples.  Rational entries follow the rings' scalar
 rule (an int when integral, else a Fraction); entries may also be any
 commutative ring elements supporting +, -, *, == (polynomials in
-particular).  The division-based routines require rational entries, and
-all-int matrices are eliminated fraction-free, so integer work stays in int:
-`inverse_fraction` clears the denominators once and takes the adjugate of
-the int matrix, so only its last step divides.
+particular).  The division-based routines require rational entries.  All
+rational work is fraction-free elimination of int matrices (Bareiss): an
+all-int matrix is eliminated as it is, so integer work stays in int, and
+any other rational matrix after its denominators are cleared once, so
+`det_exact` and `inverse_fraction` (through the int adjugate) divide only
+in their last step.  Other entries take the Leibniz sum.
 """
 
 from __future__ import annotations
@@ -89,14 +91,6 @@ def det_leibniz(M: Matrix):
     return total
 
 
-def _all_rational(M: Matrix) -> bool:
-    return all(isinstance(x, (int, Fraction)) for row in M for x in row)
-
-
-def _all_int(M: Matrix) -> bool:
-    return all(type(x) is int for row in M for x in row)
-
-
 def det_bareiss(M: Matrix) -> int:
     """Fraction-free (Bareiss) elimination determinant for int matrices.
 
@@ -124,34 +118,18 @@ def det_bareiss(M: Matrix) -> int:
     return sign * rows[-1][-1] if m else 1
 
 
-def det_fraction(M: Matrix) -> Fraction:
-    """Gaussian-elimination determinant for rational matrices."""
-    m = len(M)
-    rows = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = Fraction(1) / rows[col][col]
-        for r in range(col + 1, m):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
-
-
 def det_exact(M: Matrix):
     """Determinant: fraction-free elimination when every entry is an int
-    (the result is then an int), Fraction elimination when entries are
-    rational, the Leibniz sum otherwise."""
-    if _all_int(M):
+    (the result is then an int), the same on d*M for rational entries with
+    the common denominator d, so det M = det(d*M)/d^m under the scalar
+    rule, and the Leibniz sum otherwise."""
+    kinds = {type(x) for row in M for x in row}
+    if kinds <= {int}:
         return det_bareiss(M)
-    return det_fraction(M) if _all_rational(M) else det_leibniz(M)
+    if kinds <= {int, Fraction}:
+        Mn, d = clear_denominators(M)
+        return _rational(Fraction(det_bareiss(Mn), d ** len(M)))
+    return det_leibniz(M)
 
 
 def clear_denominators(M: Matrix) -> tuple[Matrix, int]:

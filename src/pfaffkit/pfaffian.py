@@ -21,8 +21,9 @@ each cofactor Pf(A without i, j) from the memo that computed Pf A, and
 `complementary_minor_check` computes Pf A, the co-Pfaffian matrix and
 their memos once per matrix and keeps them on the matrix.
 `minor_summation_rhs` keeps one memo per block for a call: Pf(b_I) and
-Pf(c_J) come from `_pf` on the whole b and c blocks, and the default
-a-minor determinant from `_minor_det`, the first-row Laplace expansion
+Pf(c_J) come from `_pf` on the whole b and c blocks (so do the block
+Pfaffians of `grassmann.check_theta_powers`), and the default a-minor
+determinant from `_minor_det`, the first-row Laplace expansion
 memoised on (rows, cols), so each block quantity is computed once.
 
 Rational entries follow the rings' scalar rule (an int when integral,
@@ -31,6 +32,8 @@ all-int matrix is expanded in int arithmetic from input to result.  The
 rational checks multiply through by a nonzero integer once and then run
 in ints: the Cayley map by a common denominator of Y, equivariance by one
 of g, and the complementary-minor relation by a power of Pf A.
+`random_orthogonal_cayley` checks its symmetric form once, not each draw
+Y = S^{-1} W, which lies in the Lie algebra by construction.
 """
 
 from __future__ import annotations
@@ -541,15 +544,12 @@ class NotInLieAlgebraError(ValueError):
     """Raised when a matrix fails tY S + S Y = 0 for the given form S."""
 
 
-def _cayley(Yn, d: int, Sn):
-    """The Cayley transform (I - Y)(I + Y)^{-1} of Y = Yn/d, where Yn and
-    the form Sn are int matrices and d != 0.
+def _cayley(Yn, d: int):
+    """The Cayley transform (I - Y)(I + Y)^{-1} of Y = Yn/d, where Yn is an
+    int matrix and d != 0.
 
     With M = d I + Yn, I + Y = M/d, and (I - Y)(I + Y)^{-1} = 2(I + Y)^{-1} - I
-    = 2d adj(M)/det(M) - I, so only the last step leaves the ints.  The
-    membership test tY S + S Y = 0 is tested as tYn Sn + Sn Yn = 0."""
-    if not is_zero_matrix(mat_add(mat_mul(transpose(Yn), Sn), mat_mul(Sn, Yn))):
-        raise NotInLieAlgebraError("tY S + S Y != 0")
+    = 2d adj(M)/det(M) - I, so only the last step leaves the ints."""
     M = tuple(tuple(x + d if i == j else x for j, x in enumerate(row)) for i, row in enumerate(Yn))
     det, adj = det_adjugate(M)
     return tuple(tuple(_rational(Fraction(2 * d * x - (det if i == j else 0), det)) for j, x in enumerate(row))
@@ -561,10 +561,14 @@ def cayley_orthogonal(Y, S):
     of the rational form S, its entries under the scalar rule.
 
     The result satisfies tg S g = S exactly; I + Y must be invertible
-    (else SingularMatrixError).
+    (else SingularMatrixError).  The membership tY S + S Y = 0 is tested
+    as tYn Sn + Sn Yn = 0 on the int numerators Yn of Y and Sn of S.
     """
     Yn, d = clear_denominators(Y)
-    return _cayley(Yn, d, clear_denominators(S)[0])
+    Sn = clear_denominators(S)[0]
+    if not is_zero_matrix(mat_add(mat_mul(transpose(Yn), Sn), mat_mul(Sn, Yn))):
+        raise NotInLieAlgebraError("tY S + S Y != 0")
+    return _cayley(Yn, d)
 
 
 def random_orthogonal_cayley(S, rng: random.Random, lo: int = -3, hi: int = 3):
@@ -573,15 +577,19 @@ def random_orthogonal_cayley(S, rng: random.Random, lo: int = -3, hi: int = 3):
     Draws Y = S^{-1} W with W alternating and retries until I + Y is
     invertible.  With S = Sn/s for the int matrix Sn, Y = s adj(Sn) W / det(Sn),
     so the Cayley map gets the int numerator s adj(Sn) W and the
-    denominator det(Sn)."""
+    denominator det(Sn).  Each draw has tY S + S Y = tW + W = 0 once S is
+    symmetric, so S is checked before drawing (ShapeError unless square
+    and symmetric, SingularMatrixError if singular), and no draw is."""
     m = len(S)
     Sn, s = clear_denominators(S)
+    if Sn != transpose(Sn):
+        raise ShapeError("the form S must be square and symmetric")
     det_s, adj_s = det_adjugate(Sn)
     s_adj = tuple(tuple(s * x for x in row) for row in adj_s)
     while True:
         W = AlternatingMatrix.from_upper(m, lambda i, j: rng.randint(lo, hi)).rows
         try:
-            return _cayley(mat_mul(s_adj, W), det_s, Sn)
+            return _cayley(mat_mul(s_adj, W), det_s)
         except SingularMatrixError:
             continue
 

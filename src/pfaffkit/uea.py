@@ -483,12 +483,12 @@ def hc_coefficient(z: UEAElement, weight: HighestWeight):
 
     Words containing any raising or lowering factor act by zero there;
     the remaining words are products of diagonal generators a[i,i], each
-    acting by lam_i."""
-    total = Poly.zero() if weight.is_symbolic else Fraction(0)
+    acting by lam_i, a `Poly` variable or a Fraction."""
+    total = 0
     for word, coeff in z.terms.items():
         if any(not g.is_cartan for g in word):
             continue
-        val = coeff if weight.is_symbolic else Fraction(coeff)
+        val = coeff
         for g in word:
             val = weight.component(g.i) * val
         total = total + val
@@ -498,7 +498,7 @@ def hc_coefficient(z: UEAElement, weight: HighestWeight):
 def eigenvalue_product(weight: HighestWeight):
     """The closed-form product prod_i (lam_i + n - i)."""
     n = weight.n
-    total = Poly.const(1) if weight.is_symbolic else Fraction(1)
+    total = 1
     for i in range(1, n + 1):
         total = (weight.component(i) + (n - i)) * total
     return total

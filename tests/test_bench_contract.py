@@ -3,7 +3,7 @@
 The benchmark's workloads build their inputs and items through pfaffkit's
 module attributes, and its tracer wraps pfaffkit functions by name.  A
 renamed or deleted name would only fail when the benchmark runs; here it
-fails in the test suite.  Items are built, not run.
+fails in the test suite, and so does an item whose check fails at seed 0.
 """
 
 import importlib.util
@@ -32,6 +32,15 @@ def test_workload_inputs_and_items_build(workload):
     ids = [item_id for item_id, _ in items]
     assert items and len(set(ids)) == len(ids)
     assert all(callable(check) for _, check in items)
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_workload_items_pass(workload):
+    # in order, as the benchmark runs them: later items may reuse values
+    # that earlier ones built
+    for item_id, check in workloads.items(workload, workloads.make_inputs(workload, 0)):
+        passed, _ = check()
+        assert passed, item_id
 
 
 def test_tracer_targets_resolve():

@@ -186,6 +186,59 @@ def test_verify_msf_default_suite(capsys):
     assert len(ids) == len(set(ids)) and set(ids) == expected
 
 
+UEA_FORM_KINDS = ("structure:uea-", "sl2:", "xi-power:", "eta:", "theta-powers:uea-", "trinomial:uea-", "top-route:uea-")
+
+
+def _default_ids(capsys, suite):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["status"] == "pass" and all(c["status"] == "pass" for c in rep["checks"])
+    ids = [c["id"] for c in rep["checks"]]
+    assert len(ids) == len(set(ids))
+    return set(ids)
+
+
+def test_verify_rank_suites_default_ids(capsys, monkeypatch):
+    # ranks 1-3 in the enveloping algebra, 1-4 commutative; z is built once per rank
+    from pfaffkit import uea
+
+    built = []
+    nc_pfaffian = uea.nc_pfaffian
+    monkeypatch.setattr(uea, "nc_pfaffian", lambda X: built.append(X.p) or nc_pfaffian(X))
+    ranks = (1, 2, 3)
+    assert _default_ids(capsys, "ncmsf") == (
+        {f"ncmsf:{kind}:n{k}" for kind in ("identity", "restricted-vs-unrestricted", "symbol") for k in ranks}
+        | {"ncmsf:intro:commutative-print", "ncmsf:intro:uea-basis"})
+    assert built == [1, 2, 3]
+    assert _default_ids(capsys, "central") == (
+        {f"central:{kind}:n{k}" for kind in ("commutant", "eigenvalue") for k in ranks}
+        | {"central:eigenvalue:spot-n2"})
+    assert built == [1, 2, 3] * 2
+    comm_kinds = ("structure:comm-", "theta-powers:comm-", "trinomial:comm-")
+    colorings = ((1, 1), (1, 3), (1, 5), (2, 2), (2, 4), (3, 1), (3, 3), (4, 2), (5, 1))
+    assert _default_ids(capsys, "forms") == (
+        {f"forms:{kind}n{k}" for kind in UEA_FORM_KINDS for k in ranks}
+        | {f"forms:{kind}n{k}" for kind in comm_kinds for k in (1, 2, 3, 4)}
+        | {f"forms:top-route:comm-p{p}q{q}" for p, q in colorings})
+
+
+def test_verify_forms_n4_reports_the_skipped_uea_checks(capsys):
+    # without --force the rank-4 uea-mode checks are not run, and each says so
+    code, out, _ = run(capsys, "verify", "--suite", "forms", "--n", "4", "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["status"] == "pass"
+    skipped = {c["id"]: c["residual"] for c in rep["checks"] if c["status"] == "skip"}
+    assert set(skipped) == {f"forms:{kind}n4" for kind in UEA_FORM_KINDS}
+    assert all("--force" in why for why in skipped.values())
+    assert all(c["status"] == "pass" for c in rep["checks"] if c["id"] not in skipped)
+    code, out, _ = run(capsys, "verify", "--suite", "forms", "--n", "4")
+    assert code == 0
+    assert "SKIP forms:trinomial:uea-n4" in out
+    assert out.strip().splitlines()[-1].startswith("suite forms: PASS (17 checks, 7 skipped")
+
+
 def test_verify_single_coloring(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "msf", "--pq", "2", "2")
     assert code == 0

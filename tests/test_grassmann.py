@@ -191,9 +191,21 @@ def test_memoised_powers_equal_binary_powers(mode, n):
     for form in (f.omega, f.theta, f.theta_prime, f.xi):
         # ask out of order, so later powers extend a memo that skipped ahead
         for m in (2, n + 1, 1, n):
-            assert form.power(m, f.ring_one) == form**m
-        assert form.power(n, f.ring_one) is form.power(n, f.ring_one)
-        assert form.power(0, f.ring_one) == f.one()
+            assert form.power(m) == form**m
+        assert form.power(n) is form.power(n)
+        assert form.power(0) == f.one()
+
+
+@pytest.mark.parametrize("coeff,one", [(Poly.var("x"), Poly.const(1)),
+                                        (UEAElement.from_generator(canonical_generators(1)[0]), UEAElement.one()),
+                                        (Fraction(3, 2), 1)],
+                         ids=["poly", "uea", "scalar"])
+def test_power_zero_is_the_rings_one(coeff, one):
+    x = w([1, -1], coeff)
+    assert x.power(0).terms == {0: one}
+    assert type(x.power(0).terms[0]) is type(one)
+    assert GrassmannElement.zero(2, 2).power(0).terms == {0: 1}
+    assert x.power(0) * x == x == x * x.power(0)
 
 
 def test_memoised_falling_product_equals_loop():
@@ -219,7 +231,7 @@ def test_linear_combination_adds_in_place():
 
 def test_forms_from_separate_builds_share_no_memo():
     f1 = build_forms("uea", n=2)
-    f1.omega.power(2, f1.ring_one)
+    f1.omega.power(2)
     xi_shifted_power(f1, Fraction(1), 2)
     assert check_trinomial(2, 2, forms=f1)
     assert f1.tau_xi
@@ -229,7 +241,7 @@ def test_forms_from_separate_builds_share_no_memo():
         a, b = getattr(f1, name), getattr(f2, name)
         assert a is not b and a == b
         assert getattr(b, "_powers", None) is None
-    assert f2.omega.power(2, f2.ring_one) is not f1.omega.power(2, f1.ring_one)
+    assert f2.omega.power(2) is not f1.omega.power(2)
 
 
 def test_memos_leave_no_cyclic_garbage():
@@ -300,7 +312,7 @@ def test_sl2_relations():
 def test_omega_power_past_top_vanishes():
     for n in (1, 2):
         f = build_forms("uea", n=n)
-        assert not f.omega.power(n + 1, one=f.one())
+        assert not f.omega.power(n + 1)
 
 
 def test_xi_shift_is_affine_in_u():
@@ -368,7 +380,7 @@ def _corrupted(f, name):
     """A fresh copy of the forms with one coefficient of `name` changed."""
     form = getattr(f, name)
     mask = min(form.terms)
-    return replace(f, **{name: form + GrassmannElement(f.p, f.q, {mask: f.ring_one})})
+    return replace(f, **{name: form + GrassmannElement(f.p, f.q, {mask: f.one().terms[0]})})
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -390,6 +402,21 @@ def test_xi_power_and_uea_trinomial_detect_corrupted_forms(n, name):
 def test_commutative_trinomial_detects_corrupted_xi(n):
     f = _corrupted(build_forms("commutative", n=n), "xi")
     assert not any(check_trinomial(n, m, mode="commutative", forms=f) for m in range(1, n + 1))
+
+
+@pytest.mark.parametrize("check", [
+    lambda n, f: check_eta_anticommute(n, 0, forms=f),
+    lambda n, f: check_xi_power_formula(n, 0, 1, forms=f),
+    lambda n, f: check_sl2(n, forms=f),
+    lambda n, f: check_trinomial(n, 1, forms=f),
+    lambda n, f: check_theta_powers(n, 1, 0, forms=f),
+], ids=["eta", "xi-power", "sl2", "trinomial", "theta-powers"])
+def test_forms_checks_reject_a_rank_that_contradicts_the_forms(check):
+    f = build_forms("uea", n=3)
+    assert check(3, f)
+    for n in (1, 2, 4):
+        with pytest.raises(ValueError, match="contradicts"):
+            check(n, f)
 
 
 def test_trinomial_rectangular():

@@ -14,14 +14,13 @@ from pfaffkit.linalg import (
     det_adjugate,
     det_bareiss,
     det_exact,
-    det_fraction,
     det_leibniz,
     identity,
     inverse_fraction,
     mat_mul,
     transpose,
 )
-from pfaffkit.rings import Poly
+from pfaffkit.rings import Poly, _rational
 
 
 def rand_matrix(n, rng):
@@ -32,7 +31,7 @@ def test_det_goldens():
     assert det_leibniz([]) == 1
     assert det_leibniz([[Fraction(5)]]) == 5
     assert det_leibniz([[1, 2], [3, 4]]) == -2
-    assert det_fraction([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == -2
+    assert det_exact([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]) == -2
 
 
 def test_det_leibniz_matches_elimination():
@@ -40,7 +39,9 @@ def test_det_leibniz_matches_elimination():
     for _ in range(25):
         n = rng.randint(1, 5)
         m = rand_matrix(n, rng)
-        assert det_leibniz(m) == det_fraction(m)
+        # denominators cleared once: det M = det(d M) / d^m, an int when integral
+        d = det_exact(m)
+        assert d == det_leibniz(m) and type(d) is type(_rational(Fraction(d)))
 
 
 def test_det_exact_dispatches_on_entries():
@@ -54,7 +55,7 @@ def test_inverse():
     for _ in range(10):
         n = rng.randint(1, 5)
         m = rand_matrix(n, rng)
-        if det_fraction(m) == 0:
+        if det_exact(m) == 0:
             continue
         inv = inverse_fraction(m)
         assert mat_mul(m, inv) == identity(n)
@@ -82,7 +83,7 @@ def int_matrices(max_size=5, bound=20):
 def test_bareiss_matches_fraction_and_leibniz(m):
     d = det_bareiss(m)
     assert type(d) is int
-    assert d == det_fraction(m) == det_leibniz(m)
+    assert d == det_exact([[Fraction(x) for x in row] for row in m]) == det_leibniz(m)
     assert det_exact(m) == d and type(det_exact(m)) is int
 
 
@@ -117,8 +118,10 @@ def test_bareiss_goldens():
 def test_det_exact_routes_by_entry_type():
     m = [[2, 1], [1, 3]]
     assert type(det_exact(m)) is int
-    assert type(det_exact([[Fraction(2), 1], [1, 3]])) is Fraction
+    # an integral rational determinant is an int under the scalar rule
+    assert type(det_exact([[Fraction(2), 1], [1, 3]])) is int
     assert det_exact([[Fraction(2), 1], [1, 3]]) == det_exact(m) == 5
+    assert det_exact([[Fraction(1, 2), 1], [1, 3]]) == Fraction(1, 2)
 
 
 def test_scalar_rule_for_constructed_entries():

@@ -594,6 +594,21 @@ def test_random_orthogonal_cayley_matches_the_old_formula():
     assert retries > 0  # the retry on a singular I + Y ran
 
 
+def test_random_orthogonal_cayley_checks_the_form_before_drawing():
+    # a symmetric S puts every draw in the Lie algebra; any other S is
+    # refused before the rng is touched
+    for S in (((1, 2), (3, 1)), ((1, 0, 0), (0, 1, 0)), ((0, 1), (Fraction(1, 2), 0))):
+        rng = random.Random(5)
+        state = rng.getstate()
+        with pytest.raises(ShapeError):
+            random_orthogonal_cayley(S, rng)
+        assert rng.getstate() == state
+    rng = random.Random(5)
+    with pytest.raises(SingularMatrixError):
+        random_orthogonal_cayley(((1, 1), (1, 1)), rng)
+    assert rng.getstate() == random.Random(5).getstate()
+
+
 def test_cayley_singular_one_plus_y_raises():
     # Y = diag(-1, 1) lies in o(J2), and I + Y = diag(0, 2) is singular
     with pytest.raises(SingularMatrixError):
