@@ -291,11 +291,16 @@ def build_forms(mode: str = "uea", n: int | None = None, p: int | None = None, q
 
 def _forms_for(n: int, forms: Forms | None, mode: str = "uea",
                p: int | None = None, q: int | None = None) -> Forms:
-    """`forms`, or fresh forms of rank n; raises if n is not their rank."""
+    """`forms`, or fresh forms of rank n; raises if n is not their rank,
+    mode not their mode, or a given p or q not their coloring."""
     if forms is None:
         forms = build_forms(mode, n=n, p=p, q=q)
     if n != forms.half:
         raise ValueError(f"n = {n} contradicts forms of rank {forms.half}")
+    if mode != forms.mode:
+        raise ValueError(f"mode {mode!r} contradicts forms of mode {forms.mode!r}")
+    if (p is not None and p != forms.p) or (q is not None and q != forms.q):
+        raise ValueError(f"coloring ({p}, {q}) contradicts forms of coloring ({forms.p}, {forms.q})")
     return forms
 
 

@@ -26,6 +26,14 @@ Pfaffians of `grassmann.check_theta_powers`), and the default a-minor
 determinant from `_minor_det`, the first-row Laplace expansion
 memoised on (rows, cols), so each block quantity is computed once.
 
+The cofactor sums of `_pf`, `_minor_det`, `minor_summation_rhs` and
+`copfaffian_expansion_residuals` add every signed product straight into
+one `rings.ProductSum`: one raw term dict per sum, filled through the
+coefficient ring's `_product_into` and wrapped once, so no running total
+is copied per term.  A matrix whose entries are all ints
+(`AlternatingMatrix.int_entries`, read once per node) sums in plain int
+arithmetic instead, with no type test per term.
+
 Rational entries follow the rings' scalar rule (an int when integral,
 else a Fraction), and so do the identities and zero fills here, so an
 all-int matrix is expanded in int arithmetic from input to result.  The
@@ -55,7 +63,7 @@ from .linalg import (
     mat_mul,
     transpose,
 )
-from .rings import Poly, _rational
+from .rings import Poly, ProductSum, _rational
 
 class ShapeError(ValueError):
     """Raised when a matrix violates the structural constraints of its type."""
@@ -65,14 +73,20 @@ class ShapeError(ValueError):
         self.cell = cell
 
 
+def _all_int(rows: tuple) -> bool:
+    return all(type(x) is int for row in rows for x in row)
+
+
 class AlternatingMatrix:
     """Even-sized matrix with zero diagonal and A[j][i] == -A[i][j].
 
     Entries live in any commutative ring with exact equality; indexing is
-    1-based to match the usual matrix conventions.
+    1-based to match the usual matrix conventions.  `int_entries` says
+    whether every entry is an int, so that the cofactor sums can stay in
+    int arithmetic without a test per term.
     """
 
-    __slots__ = ("rows", "_minors")
+    __slots__ = ("rows", "int_entries", "_minors")
 
     def __init__(self, rows: Sequence[Sequence]):
         rows = freeze(rows)
@@ -92,6 +106,7 @@ class AlternatingMatrix:
                         (j + 1, i + 1),
                     )
         self.rows = rows
+        self.int_entries = _all_int(rows)
         self._minors = None  # per-matrix data of complementary_minor_check
 
     @classmethod
@@ -99,6 +114,7 @@ class AlternatingMatrix:
         """Wrap a tuple of row tuples already known to be alternating."""
         out = cls.__new__(cls)
         out.rows = rows
+        out.int_entries = _all_int(rows)
         out._minors = None
         return out
 
@@ -191,9 +207,11 @@ def _pf(A: AlternatingMatrix, indices: tuple[int, ...], memo: dict):
     `indices`, by expansion along its first row.
 
     `memo` maps index tuples of A to their Pfaffians; every call on the
-    same A may share it, so each sub-Pfaffian is computed once.  The
-    empty Pfaffian is the int 1 and a vanishing one the int 0, so an
-    all-int matrix has int sub-Pfaffians throughout.
+    same A may share it, so each sub-Pfaffian is computed once, and a
+    memoised value is only read, never added into.  The empty Pfaffian is
+    the int 1 and one whose cofactor entries all vanish the int 0, so an
+    all-int matrix has int sub-Pfaffians throughout.  Each entry
+    multiplies its cofactor Pfaffian on the left.
     """
     if not indices:
         return 1
@@ -202,20 +220,24 @@ def _pf(A: AlternatingMatrix, indices: tuple[int, ...], memo: dict):
         return cached
     first, rest = indices[0], indices[1:]
     row = A.rows[first - 1]
-    total = None
+    ints = A.int_entries
+    total = 0 if ints else ProductSum()  # an int matrix sums in int arithmetic
     for k, j in enumerate(rest):
         a = row[j - 1]
-        if a == 0:
+        if not a:
             continue
-        term = a * _pf(A, rest[:k] + rest[k + 1:], memo)
-        if total is None:
-            total = -term if k % 2 else term
+        minor = rest[:k] + rest[k + 1:]
+        sub = memo.get(minor)
+        if sub is None:
+            sub = _pf(A, minor, memo)
+        if not ints:
+            total.add(a, sub, -1 if k % 2 else 1)
         elif k % 2:
-            total = total - term
+            total -= a * sub
         else:
-            total = total + term
-    if total is None:
-        total = 0
+            total += a * sub
+    if not ints:
+        total = total.value()
     memo[indices] = total
     return total
 
@@ -272,14 +294,19 @@ def copfaffian_expansion_residuals(A: AlternatingMatrix) -> dict[tuple[int, int]
     memo: dict = {}
     pf = _pf(A, tuple(range(1, m + 1)), memo)
     gamma = copfaffian_matrix(A, memo)
+    ints = A.int_entries and gamma.int_entries
     out = {}
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            acc = 0
-            for k in range(1, m + 1):
-                acc = acc + A.entry(i, k) * gamma.entry(j, k)
-            expected = pf if i == j else 0
-            out[(i, j)] = acc - expected
+    for i, row in enumerate(A.rows, start=1):
+        for j, gamma_row in enumerate(gamma.rows, start=1):
+            if ints:
+                total = sum(a * g for a, g in zip(row, gamma_row))
+            else:
+                total = ProductSum()
+                for a, g in zip(row, gamma_row):
+                    if a:
+                        total.add(a, g)
+                total = total.value()
+            out[(i, j)] = total - pf if i == j else total
     return out
 
 
@@ -456,7 +483,9 @@ def _minor_det(M: tuple, rows: tuple[int, ...], cols: tuple[int, ...], memo: dic
 
     `memo` maps (rows, cols) to determinants of minors of M; every call on
     the same M may share it, so each minor is computed once.  Entries must
-    commute.  The empty minor is the int 1 and a vanishing one the int 0.
+    commute.  The empty minor is the int 1 and one whose first-row entries
+    all vanish the int 0.  Every term goes through one `ProductSum`, so a
+    rational minor is under the scalar rule.
     """
     if not rows:
         return 1
@@ -465,21 +494,17 @@ def _minor_det(M: tuple, rows: tuple[int, ...], cols: tuple[int, ...], memo: dic
     if cached is not None:
         return cached
     row, rest = M[rows[0] - 1], rows[1:]
-    total = None
+    total = ProductSum()
     for k, j in enumerate(cols):
         a = row[j - 1]
-        if a == 0:
+        if not a:
             continue
-        term = a * _minor_det(M, rest, cols[:k] + cols[k + 1:], memo)
-        if total is None:
-            total = -term if k % 2 else term
-        elif k % 2:
-            total = total - term
-        else:
-            total = total + term
-    if total is None:
-        total = 0
-    memo[key] = total
+        minor = (rest, cols[:k] + cols[k + 1:])
+        sub = memo.get(minor)
+        if sub is None:
+            sub = _minor_det(M, *minor, memo)
+        total.add(a, sub, -1 if k % 2 else 1)
+    total = memo[key] = total.value()
     return total
 
 
@@ -495,7 +520,8 @@ def minor_summation_rhs(X: AntiAlternatingMatrix,
     its shifted column determinant.  Every Pf(b_I) is read through one
     sub-Pfaffian memo of the whole b block, and every Pf(c_J) through one
     of c: the entries within b, and within c, commute in all three rings.
-    Factors multiply in the order written, which that identity needs.
+    Factors multiply in the order written, which that identity needs:
+    each signed (d Pf(c_J)) Pf(b_I) is added into one `ProductSum`.
     """
     if det is None:
         det_memo: dict = {}
@@ -508,7 +534,7 @@ def minor_summation_rhs(X: AntiAlternatingMatrix,
     p, q = X.p, X.q
     rows_p = tuple(range(1, p + 1))
     cols_q = tuple(range(1, q + 1))
-    total = None
+    total = ProductSum()
     for isize in range(0, p + 1, 2):
         jsize = q - p + isize
         if jsize < 0 or jsize > q:
@@ -517,21 +543,21 @@ def minor_summation_rhs(X: AntiAlternatingMatrix,
         c_side = []
         for J in combinations(cols_q, jsize):
             pf_c = _pf(C, J, c_memo)
-            if pf_c != 0:
-                c_side.append((complement_sign(J, cols_q), tuple(k for k in cols_q if k not in set(J)), pf_c))
+            if pf_c:
+                members = set(J)
+                c_side.append((complement_sign(J, cols_q), tuple(k for k in cols_q if k not in members), pf_c))
         for I in combinations(rows_p, isize):
             pf_b = _pf(B, I, b_memo)
-            if pf_b == 0:
+            if not pf_b:
                 continue
             sign_i = complement_sign(I, rows_p)
-            comp_i = tuple(k for k in rows_p if k not in set(I))
+            members = set(I)
+            comp_i = tuple(k for k in rows_p if k not in members)
             for sign_j, comp_j, pf_c in c_side:
                 d = det(comp_i, comp_j)
-                if d == 0:
-                    continue
-                term = (sign_i * sign_j) * (d * pf_c * pf_b)
-                total = term if total is None else total + term
-    return 0 if total is None else total
+                if d:
+                    total.add(d * pf_c, pf_b, sign_i * sign_j)
+    return total.value()
 
 
 def verify_minor_summation(p: int, q: int) -> bool:

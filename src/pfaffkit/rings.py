@@ -188,6 +188,58 @@ def add_into(out: dict, terms: Mapping, scale=1) -> dict:
     return out
 
 
+class ProductSum:
+    """A sum of signed products sign * left * right, each added in place.
+
+    Products of two scalars (int or Fraction) go into a plain scalar sum.
+    The first factor from a coefficient ring (a `Combination`) fixes
+    the ring and starts one raw term dict owned by this sum; each later
+    product with a ring factor is added straight into it, through the
+    ring's `_product_into` when both factors are ring elements and
+    through `add_into` when one is a scalar, so no element is built per
+    product.  Factors multiply in the order given.  `value` wraps the
+    dict once, with the scalar sum at the ring's unit key."""
+
+    __slots__ = ("scalar", "ring", "terms")
+
+    def __init__(self):
+        self.scalar = 0
+        self.ring = None
+        self.terms = None
+
+    def add(self, left, right, sign: int = 1) -> None:
+        """Add sign * left * right; ring factors all come from one ring.
+
+        A factor is a ring element when it is a `Combination`; testing
+        that class, not Fraction's abstract base, keeps the test cheap."""
+        left_ring = isinstance(left, Combination)
+        right_ring = isinstance(right, Combination)
+        if not (left_ring or right_ring):
+            self.scalar += sign * left * right
+            return
+        if self.terms is None:
+            self.ring = type(left if left_ring else right)
+            self.terms = {}
+        if left_ring and right_ring:
+            self.ring._product_into(self.terms, left.terms, right.terms, sign)
+        elif left_ring:
+            add_into(self.terms, left.terms, sign * right)
+        else:
+            add_into(self.terms, right.terms, sign * left)
+
+    def value(self):
+        """The sum, which ends it: a scalar under the rule of `_rational`
+        while no ring factor was added, else an element of that ring
+        owning the term dict.  A sum that cancelled gets a fresh empty
+        dict, so it does not keep the capacity its products grew."""
+        scalar = _rational(self.scalar)
+        if self.terms is None:
+            return scalar
+        if scalar:
+            add_into(self.terms, {self.ring._UNIT: scalar})
+        return self.ring._wrap(self.terms or {})
+
+
 class Combination:
     """Sparse linear combination: ``terms`` maps keys to nonzero coefficients.
 

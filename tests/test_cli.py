@@ -126,6 +126,13 @@ def test_verify_forms_forced_n4(capsys):
     assert "PASS forms:trinomial:uea-n4" in out
 
 
+def test_verify_msf_forced_pq66(capsys):
+    # the commutative rank frontier: fused cofactor sums in the block sum
+    code, out, _ = run(capsys, "verify", "--suite", "msf", "--pq", "6", "6", "--force")
+    assert code == 0
+    assert "PASS msf:identity:p6q6" in out
+
+
 def test_verify_ncmsf_forced_n5(capsys):
     # the rank-5 identity through the memoised shifted determinants; the
     # (2n)!-term oracle is skipped above n = 3

@@ -419,6 +419,27 @@ def test_forms_checks_reject_a_rank_that_contradicts_the_forms(check):
             check(n, f)
 
 
+@pytest.mark.parametrize("check", [
+    lambda uea, comm: check_trinomial(2, 2, mode="uea", forms=comm),
+    lambda uea, comm: check_trinomial(2, 2, mode="commutative", forms=uea),
+    lambda uea, comm: check_theta_powers(2, 1, 1, mode="commutative", forms=uea),
+    lambda uea, comm: check_theta_powers(2, 1, 1, forms=comm),
+    lambda uea, comm: check_sl2(2, forms=comm),
+    lambda uea, comm: check_xi_power_formula(2, 0, 1, forms=comm),
+    lambda uea, comm: check_eta_anticommute(2, 0, forms=comm),
+    lambda uea, comm: check_trinomial(2, 1, mode="commutative", p=1, q=3, forms=comm),
+    lambda uea, comm: check_theta_powers(2, 1, 0, mode="commutative", q=3, forms=comm),
+], ids=["trinomial-uea", "trinomial-comm", "theta-powers-comm", "theta-powers-uea", "sl2", "xi-power", "eta",
+        "trinomial-pq", "theta-powers-q"])
+def test_forms_checks_reject_a_mode_or_coloring_that_contradicts_the_forms(check):
+    uea, comm = build_forms("uea", n=2), build_forms("commutative", n=2)
+    with pytest.raises(ValueError, match="contradicts"):
+        check(uea, comm)
+    # the same forms with consistent arguments still run their checks
+    assert check_trinomial(2, 2, mode="commutative", p=2, q=2, forms=comm)
+    assert check_theta_powers(2, 1, 1, mode="uea", forms=uea)
+
+
 def test_trinomial_rectangular():
     for p, q in ((1, 3), (2, 4)):
         half = (p + q) // 2

@@ -30,6 +30,7 @@ from pfaffkit.pfaffian import (
     NotInLieAlgebraError,
     ShapeError,
     _minor_det,
+    _pf,
     all_pairings,
     cayley_orthogonal,
     cofactor_pfaffian,
@@ -46,6 +47,7 @@ from pfaffkit.pfaffian import (
     verify_minor_summation,
 )
 from pfaffkit.rings import Poly
+from pfaffkit.uea import build_canonical_x
 from pfaffkit.verify import GENERIC_SYMMETRIC_S
 
 
@@ -429,6 +431,137 @@ def test_minor_summation_rhs_equals_unhoisted_sum():
         assert minor_summation_rhs(X) == _unhoisted_minor_summation_rhs(X)
         Y = AntiAlternatingMatrix.random_rational(p, q, rng)
         assert minor_summation_rhs(Y) == _unhoisted_minor_summation_rhs(Y)
+
+
+# --- fused cofactor sums -----------------------------------------------------
+
+
+def _mixed_entry(rng, name):
+    """An int, a Fraction, a constant or variable Poly, or an int or Poly zero."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.randint(-5, 5)
+    if kind == 1:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    if kind == 2:
+        return Poly.const(rng.randint(-5, 5))
+    if kind == 3:
+        return Poly.var(name)
+    return 0 if kind == 4 else Poly.zero()
+
+
+def _mixed_coloring(p, q, rng):
+    return AntiAlternatingMatrix.from_upper_blocks(
+        p, q, [[_mixed_entry(rng, f"a[{i},{j}]") for j in range(1, q + 1)] for i in range(1, p + 1)],
+        [[_mixed_entry(rng, f"b[{i},{j}]") for j in range(i + 1, p + 1)] for i in range(1, p)],
+        [[_mixed_entry(rng, f"c[{i},{j}]") for j in range(i + 1, q + 1)] for i in range(1, q)])
+
+
+def _no_zero_coefficient(value):
+    return not isinstance(value, Poly) or 0 not in value.terms.values()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fused_sums_agree_with_the_oracles_on_mixed_entries(seed):
+    rng = random.Random(seed)
+    for size in (2, 4, 6):
+        A = AlternatingMatrix.from_upper(size, lambda i, j: _mixed_entry(rng, f"x[{i},{j}]"))
+        memo = {}  # one memo for every principal sub-Pfaffian
+        for even in range(0, size + 1, 2):
+            for I in combinations(range(1, size + 1), even):
+                pf = _pf(A, I, memo)
+                assert pf == pfaffian_definitional(A.submatrix(I)) and _no_zero_coefficient(pf)
+    for p, q in ((3, 3), (2, 4), (4, 2)):
+        X = _mixed_coloring(p, q, rng)
+        memo = {}
+        for size in range(min(p, q) + 1):
+            for rows in combinations(range(1, p + 1), size):
+                for cols in combinations(range(1, q + 1), size):
+                    d = _minor_det(X.a, rows, cols, memo)
+                    assert d == det_leibniz(X.a_minor(rows, cols)) and _no_zero_coefficient(d)
+        assert minor_summation_rhs(X) == pfaffian_definitional(X.to_alternating())
+
+
+def test_fused_sums_of_int_and_integral_fraction_matrices_are_ints():
+    rng = random.Random(41)
+    A = _int_alternating(6, rng)
+    for M in (A, _fraction_copy(A)):
+        memo = {}
+        assert _pf(M, tuple(range(1, 7)), memo) == pfaffian_definitional(A)
+        assert all(type(v) is int for v in memo.values())
+        assert all(type(r) is int and r == 0 for r in copfaffian_expansion_residuals(M).values())
+    X = AntiAlternatingMatrix.random_rational(3, 5, rng)
+    F = AntiAlternatingMatrix(3, 5, *([[Fraction(x) for x in row] for row in block] for block in (X.a, X.b, X.c)))
+    for Y in (X, F):
+        memo = {}
+        for rows in combinations(range(1, 4), 2):
+            for cols in combinations(range(1, 6), 2):
+                assert type(_minor_det(Y.a, rows, cols, memo)) is int
+        rhs = minor_summation_rhs(Y)
+        assert type(rhs) is int and rhs == pfaffian_of_anti_alternating(X)
+
+
+def test_cancelling_cofactors_give_a_poly_zero_without_zero_coefficients():
+    x, y = Poly.var("x"), Poly.var("y")
+    # Pf = a12 a34 - a13 a24 + a14 a23 = x y - x y + 0
+    upper = {(1, 2): x, (3, 4): y, (1, 3): x, (2, 4): y, (1, 4): Poly.zero(), (2, 3): Poly.zero()}
+    pf = pfaffian(AlternatingMatrix.from_upper(4, lambda i, j: upper[i, j]))
+    assert pf == 0 and type(pf) is Poly and pf.terms == {}
+    # a rank-two matrix u v^T - v u^T: every sub-Pfaffian of size 4 or more cancels
+    u = [Poly.var(f"u{i}") for i in range(6)]
+    v = [Poly.var(f"v{i}") for i in range(6)]
+    R = AlternatingMatrix.from_upper(6, lambda i, j: u[i - 1] * v[j - 1] - v[i - 1] * u[j - 1])
+    memo = {}
+    assert _pf(R, tuple(range(1, 7)), memo) == 0
+    assert all(_no_zero_coefficient(value) for value in memo.values())
+    assert all(value == 0 for indices, value in memo.items() if len(indices) >= 4)
+
+
+def test_an_all_zero_first_row_gives_the_int_zero():
+    for zero in (0, Poly.zero()):
+        A = AlternatingMatrix.from_upper(4, lambda i, j: zero if i == 1 else Poly.var(f"x[{i},{j}]"))
+        assert pfaffian(A) == 0 and type(pfaffian(A)) is int
+    a_rows = [[0, 0], [Poly.var("y"), 1]]
+    assert type(_minor_det(a_rows, (1, 2), (1, 2), {})) is int
+    assert _minor_det(a_rows, (1, 2), (1, 2), {}) == 0
+    assert _pf(AlternatingMatrix.generic(4), (), {}) == 1 and _minor_det(a_rows, (), (), {}) == 1
+
+
+def _snapshot(memo):
+    return {key: (value, dict(value.terms) if isinstance(value, Poly) else value) for key, value in memo.items()}
+
+
+def test_a_second_sum_on_a_shared_memo_leaves_earlier_values_unchanged():
+    A = AlternatingMatrix.generic(6)
+    memo = {}
+    _pf(A, (1, 2, 3, 4), memo)
+    before = _snapshot(memo)
+    pf = _pf(A, tuple(range(1, 7)), memo)
+    copfaffian_matrix(A, memo)
+    after = _snapshot(memo)
+    assert all(after[key][0] is value and after[key][1] == terms for key, (value, terms) in before.items())
+    assert pf == pfaffian_definitional(A)
+    # memoised a-minors feed the block sum twice without being changed
+    X = AntiAlternatingMatrix.generic(3, 3)
+    det_memo = {}
+
+    def det(rows, cols):
+        return _minor_det(X.a, rows, cols, det_memo)
+
+    first = minor_summation_rhs(X, det)
+    before = _snapshot(det_memo)
+    assert minor_summation_rhs(X, det) == first == pfaffian_of_anti_alternating(X)
+    assert _snapshot(det_memo) == before
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_pf_of_the_canonical_b_and_c_blocks_matches_the_matching_sum(n):
+    X = build_canonical_x(n)
+    for block, minor in ((X.b, X.b_minor), (X.c, X.c_minor)):
+        B, memo = AlternatingMatrix._trusted(block), {}
+        for size in range(0, n + 1, 2):
+            for I in combinations(range(1, n + 1), size):
+                assert _pf(B, I, memo) == pfaffian_definitional(minor(I))
 
 
 # --- orthogonal group action ------------------------------------------------
