@@ -2,9 +2,12 @@
 
 Index sets are strictly increasing tuples of 1-based indices.  Splitting
 a sorted index set into two pieces carries the sign of the permutation that
-rearranges it, computed here by counting crossings; `permutation_sign`,
-shared by the Leibniz determinant and the matching-sum Pfaffian, counts
-the cycles of the sorting permutation.
+rearranges it, computed here by counting crossings.  `cycle_sign` is the
+sign of a permutation of range(m), read off its cycles with no sort; the
+brute-force oracles (the Leibniz determinant, the matching-sum Pfaffian
+and the permutation-sum Pfaffian of the enveloping algebra) apply it to
+each term's index sequence.  `permutation_sign` is `cycle_sign` of the
+sorting order of any sequence.
 """
 
 from __future__ import annotations
@@ -29,23 +32,27 @@ def index_set(indices: Iterable[int], size: int) -> tuple[int, ...]:
     return idx
 
 
-def permutation_sign(seq: Sequence[int]) -> int:
-    """Sign of the permutation sorting `seq`: (-1)^(m - c) for the c cycles
-    of that permutation of m places.  The sort is stable, so equal values
-    count as in order, as in an inversion count."""
-    order = sorted(range(len(seq)), key=seq.__getitem__)
-    seen = [False] * len(order)
+def cycle_sign(perm: Sequence[int]) -> int:
+    """Sign of `perm`, a permutation of range(m): (-1)^(m - c) for its c
+    cycles."""
+    seen = [False] * len(perm)
     even = True
-    for start in range(len(order)):
+    for start in range(len(perm)):
         if seen[start]:
             continue
         seen[start] = True
-        k = order[start]
+        k = perm[start]
         while k != start:  # a cycle of length L flips the sign L - 1 times
             seen[k] = True
-            k = order[k]
+            k = perm[k]
             even = not even
     return 1 if even else -1
+
+
+def permutation_sign(seq: Sequence[int]) -> int:
+    """Sign of the permutation sorting `seq`.  The sort is stable, so
+    equal values count as in order, as in an inversion count."""
+    return cycle_sign(sorted(range(len(seq)), key=seq.__getitem__))
 
 
 def _crossings(left: Sequence[int], right: Sequence[int]) -> int:

@@ -18,7 +18,7 @@ from itertools import permutations
 from math import lcm
 from typing import Sequence
 
-from .indexing import permutation_sign
+from .indexing import cycle_sign
 from .rings import _rational
 
 Matrix = tuple
@@ -86,7 +86,7 @@ def det_leibniz(M: Matrix):
         prod = M[perm[0]][0]
         for t in range(1, m):
             prod = prod * M[perm[t]][t]
-        signed = prod if permutation_sign(perm) == 1 else -prod
+        signed = prod if cycle_sign(perm) == 1 else -prod
         total = signed if total is None else total + signed
     return total
 

@@ -2,7 +2,7 @@
 
 Three independent evaluation routes are kept side by side: a recursive
 first-row cofactor expansion, a brute-force sum over perfect matchings
-whose signs come from explicit inversion counting, and, for
+whose signs come from each matching's own pair sequence, and, for
 anti-alternating matrices, the right-hand side of the minor summation
 identity, which expands the Pfaffian into determinant times
 sub-Pfaffian contributions over the block decomposition.
@@ -49,9 +49,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .indexing import complement_sign, index_set, permutation_sign, split_sign
+from .indexing import complement_sign, cycle_sign, index_set, split_sign
 from .linalg import (
     SingularMatrixError,
     clear_denominators,
@@ -63,7 +63,7 @@ from .linalg import (
     mat_mul,
     transpose,
 )
-from .rings import Poly, ProductSum, _rational
+from .rings import Combination, Poly, ProductSum, _rational, add_into
 
 class ShapeError(ValueError):
     """Raised when a matrix violates the structural constraints of its type."""
@@ -163,43 +163,60 @@ class AlternatingMatrix:
         return f"AlternatingMatrix(size={self.size})"
 
 
-def all_pairings(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All partitions of `items` into unordered pairs, each as one flat
-    tuple (first, partner, first, partner, ...): each pair's first element
-    is the smallest left, so pairs come by increasing first element.
-
-    One depth-first walk over (prefix, rest) states; a state's successors
-    pair the first of its rest with each later element in turn."""
-    stack = [((), tuple(items))]
-    while stack:
-        prefix, rest = stack.pop()
-        if not rest:
-            yield prefix
-            continue
-        first = rest[0]
-        for k in range(len(rest) - 1, 0, -1):  # pushed backwards, popped in order
-            stack.append((prefix + (first, rest[k]), rest[1:k] + rest[k + 1:]))
-
-
 def pfaffian_definitional(A: AlternatingMatrix):
     """Pfaffian as the signed sum over perfect matchings.
 
-    Each matching's sign is recomputed from scratch as the sign of the
-    flat pair sequence, keeping this route independent from the
-    cofactor recursion.
+    One depth-first walk over the matchings: a node pairs the first
+    unmatched index with each later one, and carries the flat pair
+    sequence (first, partner, first, partner, ...) and the product of its
+    entries, multiplied left to right, so a prefix is multiplied out once
+    for all the matchings through it; the last two unmatched indices
+    form the last pair at once.  A zero entry ends its subtree.  Each
+    matching's sign is recomputed from scratch at its leaf as the sign
+    of the flat pair sequence, keeping this route independent from the
+    cofactor recursion.  Scalar products sum as scalars (so an all-int
+    matrix sums in ints) and ring products go into one raw term dict,
+    wrapped once; with no nonzero matching the sum is the int 0.
     """
     m = A.size
     if m == 0:
         return 1
     rows = A.rows
-    total = None
-    for flat in all_pairings(range(m)):
-        prod = rows[flat[0]][flat[1]]
-        for t in range(2, m, 2):
-            prod = prod * rows[flat[t]][flat[t + 1]]
-        signed = prod if permutation_sign(flat) == 1 else -prod
-        total = signed if total is None else total + signed
-    return total
+    scalar = 0
+    ring = None
+    terms: dict = {}
+    stack = [((), tuple(range(m)), None)]
+    while stack:
+        flat, rest, prefix = stack.pop()
+        first = rest[0]
+        row = rows[first]
+        for k in range(1, len(rest)):
+            entry = row[rest[k]]
+            if not entry:
+                continue
+            pairs = flat + (first, rest[k])
+            prod = entry if prefix is None else prefix * entry
+            left = rest[1:k] + rest[k + 1:]
+            if len(left) > 2:
+                stack.append((pairs, left, prod))
+                continue
+            if left:
+                entry = rows[left[0]][left[1]]
+                if not entry:
+                    continue
+                pairs += left
+                prod = prod * entry
+            if isinstance(prod, Combination):
+                ring = type(prod)
+                add_into(terms, prod.terms, cycle_sign(pairs))
+            else:
+                scalar += cycle_sign(pairs) * prod
+    scalar = _rational(scalar)
+    if ring is None:
+        return scalar
+    if scalar:
+        add_into(terms, {ring._UNIT: scalar})
+    return ring._wrap(terms)
 
 
 def _pf(A: AlternatingMatrix, indices: tuple[int, ...], memo: dict):

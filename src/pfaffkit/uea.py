@@ -25,11 +25,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from .indexing import permutation_sign
+from .indexing import cycle_sign
 from .pfaffian import AntiAlternatingMatrix, minor_summation_rhs
 from .rings import (
     Combination,
@@ -133,11 +133,13 @@ class UEAElement(Combination):
     __add__ = __radd__ = Combination.__add__
 
     def __mul__(self, other):
+        # the element test first: for an element, the Fraction test would
+        # run ABCMeta.__instancecheck__
+        if isinstance(other, UEAElement):
+            return UEAElement._wrap(_product_into({}, self.terms, other.terms))
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if not isinstance(other, UEAElement):
-            return NotImplemented
-        return UEAElement._wrap(_product_into({}, self.terms, other.terms))
+        return NotImplemented
 
     def __rmul__(self, other):
         # only scalars reach here, and they commute with everything
@@ -335,15 +337,34 @@ def nc_pfaffian(X: AntiAlternatingMatrix) -> UEAElement:
 
 
 def nc_pfaffian_unrestricted(X: AntiAlternatingMatrix) -> UEAElement:
-    """Same Pfaffian through the full permutation sum with weight 1/(2^n n!)."""
+    """Same Pfaffian through the full permutation sum with weight 1/(2^n n!).
+
+    One depth-first walk over the permutations of the 2n positions, taken
+    as ordered pairs: a node carries the flat position sequence and the
+    product of its pairs' entries, each new entry multiplied on the
+    right, so a prefix is multiplied out once for all the permutations
+    through it.  A zero entry ends its subtree.  Each permutation's sign
+    is recomputed from scratch at its leaf."""
     n = X.half
     at = X.to_alternating().rows
     out: dict[Word, ScalarLike] = {}
-    for perm in permutations(range(1, 2 * n + 1)):
-        prod = UEAElement.one()
-        for t in range(0, 2 * n, 2):
-            prod = prod * at[perm[t] - 1][perm[t + 1] - 1]
-        add_into(out, prod.terms, permutation_sign(perm))
+    stack = [((), tuple(range(2 * n)), None)]
+    while stack:
+        flat, rest, prefix = stack.pop()
+        inner = len(rest) > 2
+        for a, u in enumerate(rest):
+            row = at[u]
+            others = rest[:a] + rest[a + 1:]
+            for b, v in enumerate(others):
+                entry = row[v]
+                if not entry:
+                    continue
+                pairs = flat + (u, v)
+                prod = entry if prefix is None else prefix * entry
+                if inner:
+                    stack.append((pairs, others[:b] + others[b + 1:], prod))
+                else:
+                    add_into(out, prod.terms, cycle_sign(pairs))
     return UEAElement._wrap(out).scale(Fraction(1, 2**n * factorial(n)))
 
 

@@ -48,6 +48,7 @@ def test_tracer_targets_resolve():
     try:
         tracer.install()  # raises if a target name is gone
         wrapped = {key for _, key, _ in tracer._restore}
-        assert {"pfaffian", "nc_pfaffian", "nc_minor_summation_rhs", "build_forms"} <= wrapped
+        assert {"pfaffian", "nc_pfaffian", "nc_minor_summation_rhs", "build_forms",
+                "pfaffian_definitional", "nc_pfaffian_unrestricted", "det_leibniz"} <= wrapped
     finally:
         tracer.uninstall()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pfaffkit.indexing import (
     complement_sign,
+    cycle_sign,
     index_set,
     permutation_sign,
     split_sign,
@@ -64,6 +65,12 @@ def test_split_sign_multiplicativity(n, data):
     right = tuple(v for v in whole if v not in left)
     assert split_sign(whole, left, right) * split_sign(whole, left, right) == 1
     assert split_sign(whole, left, right) == _perm_sign(left + right)
+
+
+def test_cycle_sign_matches_inversion_count():
+    for m in range(8):
+        for perm in permutations(range(m)):
+            assert cycle_sign(perm) == _perm_sign(perm)
 
 
 def test_permutation_sign_matches_inversion_count():

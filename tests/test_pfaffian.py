@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,6 @@ from pfaffkit.pfaffian import (
     ShapeError,
     _minor_det,
     _pf,
-    all_pairings,
     cayley_orthogonal,
     cofactor_pfaffian,
     complementary_minor_check,
@@ -46,7 +46,7 @@ from pfaffkit.pfaffian import (
     random_orthogonal_cayley,
     verify_minor_summation,
 )
-from pfaffkit.rings import Poly
+from pfaffkit.rings import Poly, _rational
 from pfaffkit.uea import build_canonical_x
 from pfaffkit.verify import GENERIC_SYMMETRIC_S
 
@@ -71,7 +71,7 @@ def test_two_by_two():
 def test_four_by_four_golden():
     A = AlternatingMatrix.generic(4)
     expected = a(1, 2) * a(3, 4) - a(1, 3) * a(2, 4) + a(1, 4) * a(2, 3)
-    assert pfaffian(A) == expected
+    assert pfaffian(A) == expected == pfaffian_definitional(A)
     assert str(pfaffian(A)) == "a[1,2]*a[3,4] - a[1,3]*a[2,4] + a[1,4]*a[2,3]"
 
 
@@ -87,22 +87,51 @@ def test_not_alternating_rejected():
         AlternatingMatrix([[1, 1], [-1, 0]])
 
 
-def test_all_pairings_count():
-    # (2m)! / (2^m m!) perfect matchings
-    counts = [len(list(all_pairings(tuple(range(2 * m))))) for m in range(5)]
-    assert counts == [1, 1, 3, 15, 105]
+def test_matching_sum_of_the_generic_matrix_has_one_unit_term_per_matching():
+    # (2m-1)!! perfect matchings, each its own monomial with coefficient +-1
+    for m in range(1, 6):
+        pf = pfaffian_definitional(AlternatingMatrix.generic(2 * m))
+        assert len(pf.terms) == prod(range(1, 2 * m, 2))
+        assert set(pf.terms.values()) <= {1, -1}
+        for mono in pf.terms:
+            assert all(e == 1 for _, e in mono)
+            ends = [int(x) for name, _ in mono for x in name[2:-1].split(",")]
+            assert sorted(ends) == list(range(1, 2 * m + 1))
 
 
-def test_all_pairings_are_flat_sorted_matchings():
-    items = (2, 3, 5, 7, 11, 13)
-    seen = list(all_pairings(items))
-    assert seen[0] == (2, 3, 5, 7, 11, 13) and seen[-1] == (2, 13, 3, 11, 5, 7)
-    assert len(set(seen)) == len(seen) == 15
-    for flat in seen:
-        assert sorted(flat) == list(items)
-        firsts = flat[0::2]
-        assert list(firsts) == sorted(firsts)
-        assert all(a < b for a, b in zip(firsts, flat[1::2]))
+def _sparse_entry(kind, rng, i, j):
+    if rng.random() < 0.2:
+        return 0
+    if kind == "int":
+        return rng.randint(-5, 5)
+    if kind == "fraction":
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return a(i, j) * rng.randint(1, 3)
+
+
+def test_matching_sum_skips_zero_entries_and_keeps_the_result_type():
+    # zero entries and zero rows cut whole subtrees of the matching walk
+    rng = random.Random(31)
+    for kind in ("int", "fraction", "poly"):
+        for size in (2, 4, 6, 8, 8):  # two draws at the largest size
+            for zero_row in (None, None, 1, size):
+                A = AlternatingMatrix.from_upper(
+                    size, lambda i, j: 0 if zero_row in (i, j) else _sparse_entry(kind, rng, i, j))
+                pf, oracle = pfaffian(A), pfaffian_definitional(A)
+                assert oracle == pf, (kind, size, zero_row)
+                if kind == "poly":
+                    # distinct monomials never cancel, so the sum is a Poly
+                    # exactly when some matching avoids every zero entry
+                    assert type(oracle) is (Poly if oracle != 0 else int)
+                else:
+                    assert type(oracle) is type(pf) is type(_rational(Fraction(oracle)))
+                if zero_row == 1:
+                    assert type(oracle) is type(pf) is int and oracle == 0
+    # matchings that cancel leave a Poly zero with no terms, as in `pfaffian`
+    one = Poly.const(1)
+    A = AlternatingMatrix.from_upper(4, lambda i, j: 0 if (i, j) == (1, 4) else one)
+    for pf in (pfaffian(A), pfaffian_definitional(A)):
+        assert type(pf) is Poly and not pf.terms
 
 
 def test_routes_agree_symbolic():

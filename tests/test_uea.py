@@ -221,10 +221,15 @@ def test_minor_summation_explicit_matrix():
 
 
 def test_restricted_equals_unrestricted():
-    # the subset recursion against the independent full permutation sum
+    # the subset recursion against the independent full permutation sum,
+    # also with zero b and c blocks, whose zero entries end subtrees
     for n in (1, 2, 3):
         M = build_canonical_x(n)
         assert nc_pfaffian(M) == nc_pfaffian_unrestricted(M)
+        if n > 1:
+            zero = [[UEAElement.zero()] * n for _ in range(n)]
+            no_bc = AntiAlternatingMatrix(n, n, M.a, zero, zero)
+            assert nc_pfaffian(no_bc) == nc_pfaffian_unrestricted(no_bc)
 
 
 def test_column_determinant_order_matters():
