@@ -40,7 +40,7 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .pfaffian import AlternatingMatrix, AntiAlternatingMatrix, _pf, pfaffian_of_anti_alternating
-from .rings import Combination, Poly, _rational, add_into
+from .rings import Combination, Poly, ProductSum, _rational, add_into
 from .uea import UEAElement, build_canonical_x, nc_pfaffian, shifted_minor_determinant
 
 
@@ -64,9 +64,9 @@ def _coefficient_ring(*term_dicts: Mapping[int, object]):
     return rings.pop() if rings else None
 
 
-def _raw(terms: Mapping[int, object]) -> list[tuple[int, Mapping]]:
-    """(mask, raw coefficient terms) pairs; a scalar sits on the unit key ()."""
-    return [(m, c.terms if isinstance(c, Combination) else {(): c}) for m, c in terms.items()]
+def _raw(terms: Mapping[int, object], unit) -> list[tuple[int, Mapping]]:
+    """(mask, raw coefficient terms) pairs; a scalar sits on the unit key."""
+    return [(m, c.terms if isinstance(c, Combination) else {unit: c}) for m, c in terms.items()]
 
 
 def _linear_combination(p: int, q: int, scaled: Iterable[tuple[object, "GrassmannElement"]]) -> "GrassmannElement":
@@ -76,9 +76,10 @@ def _linear_combination(p: int, q: int, scaled: Iterable[tuple[object, "Grassman
     per mask, and each dict becomes a coefficient once, at the end."""
     scaled = [(s, x) for s, x in scaled if s and x]
     ring = _coefficient_ring(*(x.terms for _, x in scaled))
+    unit = (ring or Poly)._UNIT
     sums: dict[int, dict] = {}
     for s, x in scaled:
-        for m, t in _raw(x.terms):
+        for m, t in _raw(x.terms, unit):
             out = sums.get(m)
             if out is None:
                 out = sums[m] = {}
@@ -168,10 +169,11 @@ class GrassmannElement(Combination):
             return NotImplemented
         self._coerce(other)  # rejects mixed colorings
         ring = _coefficient_ring(self.terms, other.terms)
-        product_into = (ring or Poly)._product_into  # Poly's unit key () carries scalars
-        right = _raw(other.terms)
+        coefficients = ring or Poly  # scalars multiply on Poly's unit key
+        product_into, unit = coefficients._product_into, coefficients._UNIT
+        right = _raw(other.terms, unit)
         sums: dict[int, dict] = {}
-        for m1, t1 in _raw(self.terms):
+        for m1, t1 in _raw(self.terms, unit):
             for m2, t2 in right:
                 if not m1 & m2:
                     out = sums.get(m1 | m2)
@@ -183,7 +185,7 @@ class GrassmannElement(Combination):
     def _wrap_sums(self, sums: dict[int, dict], ring) -> "GrassmannElement":
         """Element of raw coefficient term dicts by mask; empty dicts drop."""
         if ring is None:
-            return self._wrap({m: t[()] for m, t in sums.items() if t})
+            return self._wrap({m: t[Poly._UNIT] for m, t in sums.items() if t})
         return self._wrap({m: ring._wrap(t) for m, t in sums.items() if t})
 
     def power(self, exp: int) -> "GrassmannElement":
@@ -460,12 +462,26 @@ def check_trinomial(n: int, m: int, mode: str = "uea",
 def pfaffian_from_top_form(mode: str = "uea", n: int | None = None,
                            p: int | None = None, q: int | None = None,
                            forms: Forms | None = None):
-    """Pf X recovered as the top coefficient of Omega^n over 2^n n!."""
+    """Pf X recovered as the top coefficient of Omega^n over 2^n n!.
+
+    Omega^n is Omega^a Omega^b with b = n - a, so its top coefficient
+    pairs each mask of Omega^a with the one complementary mask of Omega^b,
+    signed by `_merge_sign`, the left coefficient on the left.  The split
+    is a = n // 2, which builds no power past Omega^b, unless Omega^n is
+    already memoised on Omega: then a = n and Omega^b is the one."""
     if forms is None:
         forms = build_forms(mode, n=n, p=p, q=q)
     half = forms.half
-    top = forms.omega.power(half).top_coefficient()
-    return top * Fraction(1, 2**half * factorial(half))
+    memoised = len(getattr(forms.omega, "_powers", ())) + 1  # see GrassmannElement.power
+    a = half if memoised >= half else half // 2
+    left, right = forms.omega.power(a).terms, forms.omega.power(half - a).terms
+    full = (1 << forms.omega.slots) - 1
+    top = ProductSum()
+    for m, c in left.items():
+        rest = full ^ m
+        if rest in right:
+            top.add(c, right[rest], _merge_sign(m, rest))
+    return top.value() * Fraction(1, 2**half * factorial(half))
 
 
 def check_top_form_route(mode: str = "uea", n: int | None = None,

@@ -6,23 +6,107 @@ over rings built on them.  ``Combination`` is the dict-of-terms base of
 ``Poly``, of the enveloping algebra and of the exterior algebra, and
 ``parse_expression`` is the one expression parser.  No floats anywhere:
 all comparisons in the verification suites are exact equalities.
+
+A ``Poly`` monomial is one int, the product of a prime per variable
+raised to its exponent, so multiplying two monomials is one int product.
+The primes are handed out per process as names are first seen, so the
+codes never leave it: names are decoded where they are read (printing,
+degrees, evaluation, pickling).  Exponents in parsed text and in
+``Poly.__pow__`` are bounded by ``MAX_EXPONENT``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from functools import cache
+from itertools import compress
+from math import isqrt, lcm
+from typing import Callable, Collection, Iterable, Mapping, Union
 
 Scalar = Fraction
 
 ScalarLike = Union[int, Fraction]
 
-# A monomial is a tuple of (name, exponent) pairs, sorted by name, with all
-# exponents positive.  The empty tuple is the constant monomial.
-Monomial = tuple
+# A monomial is a positive int: the product of p^e over its factors
+# (name, e), where p is the prime `_prime` gives the name, so 1 is the
+# constant monomial and the product of two monomials is their int product.
+# Codes are process-local: names are read back by `_decode` at the edges
+# (printing, degrees, evaluation), and a code is never printed or persisted.
+Monomial = int
 
-_ONE_MONO: Monomial = ()
+# The largest exponent that a parsed `^` or `Poly.__pow__` accepts: x^e is
+# coded by an int of about e * log2(p) bits, which takes e divisions to decode.
+MAX_EXPONENT = 4096
+
+_PRIMES: list[int] = []  # every prime below _sieve_limit, ascending
+_sieve_limit = 0
+_PRIME_OF: dict[str, int] = {}  # variable name -> its prime, in the order first seen
+_NAME_OF: dict[int, str] = {}  # prime -> variable name
+
+
+def _grow_primes() -> None:
+    """Double the range of the sieve (64 at first) and list its primes."""
+    global _sieve_limit
+    _sieve_limit = limit = 2 * _sieve_limit or 64
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(limit - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    _PRIMES[:] = compress(range(limit), sieve)
+
+
+def _prime(name: str) -> int:
+    """The prime coding variable `name`; a new name gets the next unused prime."""
+    p = _PRIME_OF.get(name)
+    if p is None:
+        k = len(_PRIME_OF)
+        if k == len(_PRIMES):
+            _grow_primes()
+        p = _PRIME_OF[name] = _PRIMES[k]
+        _NAME_OF[p] = name
+    return p
+
+
+def _mono_code(factors: Iterable[tuple[str, int]]) -> Monomial:
+    """The monomial of (name, exponent) pairs; a repeated name adds up."""
+    mono = 1
+    for name, e in factors:
+        if type(e) is not int or not 0 <= e <= MAX_EXPONENT:
+            raise ValueError(f"monomial exponents are ints in [0, {MAX_EXPONENT}], not {e!r}")
+        mono *= _prime(name) ** e
+    return mono
+
+
+def _support(monos: Iterable[Monomial]) -> list[tuple[int, str]]:
+    """The (prime, name) pairs of the variables in some monomial of
+    `monos`: the primes in use that divide the lcm of the monomials."""
+    support = lcm(*monos)
+    return [(p, name) for p, name in _NAME_OF.items() if not support % p]
+
+
+def _decode(monos: Collection[Monomial]) -> list[tuple[tuple[str, int], ...]]:
+    """The (name, exponent) pairs of each monomial, sorted by name; each is
+    divided only by the primes of `_support(monos)`."""
+    support = _support(monos)
+    out = []
+    for mono in monos:
+        factors = []
+        if mono != 1:
+            for p, name in support:
+                if not mono % p:
+                    mono //= p
+                    e = 1
+                    while not mono % p:
+                        mono //= p
+                        e += 1
+                    factors.append((name, e))
+                    if mono == 1:
+                        break
+            factors.sort()
+        out.append(tuple(factors))
+    return out
 
 
 class PolyParseError(ValueError):
@@ -67,6 +151,7 @@ LOWERING, CARTAN, RAISING = 0, 1, 2
 _KIND_RANK = {"c": 0, "a": 1, "b": 2}
 
 
+@cache
 def display_key(name: str):
     """Total order on variable names used when printing monomial factors.
 
@@ -93,65 +178,21 @@ def display_key(name: str):
     return (cls, _KIND_RANK[kind], i, j, name)
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    """Product of two monomials: one merge of their sorted factor lists,
-    adding the exponents of a name on both sides."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    if len(m1) == 1:
-        m1, m2 = m2, m1
-    if len(m2) == 1:
-        # one factor: insert it, or add its exponent, at its place in m1
-        name = m2[0][0]
-        for k, f in enumerate(m1):
-            if name <= f[0]:
-                if name == f[0]:
-                    return m1[:k] + ((name, f[1] + m2[0][1]),) + m1[k + 1:]
-                return m1[:k] + m2 + m1[k:]
-        return m1 + m2
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    f1, f2 = m1[0], m2[0]
-    while True:
-        if f1[0] < f2[0]:
-            out.append(f1)
-            i += 1
-            if i == n1:
-                break
-            f1 = m1[i]
-        elif f2[0] < f1[0]:
-            out.append(f2)
-            j += 1
-            if j == n2:
-                break
-            f2 = m2[j]
-        else:
-            out.append((f1[0], f1[1] + f2[1]))
-            i += 1
-            j += 1
-            if i == n1 or j == n2:
-                break
-            f1, f2 = m1[i], m2[j]
-    return tuple(out) + m1[i:] + m2[j:]
+def _mono_degree(factors) -> int:
+    return sum(e for _, e in factors)
 
 
-def _mono_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
-
-
-def _mono_print_key(mono: Monomial):
+def _mono_print_key(factors):
     # Ascending sort under this key yields graded-lex descending terms:
     # higher total degree first, then lexicographically larger exponent
     # vectors (variables in name order) first.
-    return (-_mono_degree(mono), [(name, -e) for name, e in mono])
+    return (-_mono_degree(factors), [(name, -e) for name, e in factors])
 
 
-def format_monomial(mono: Monomial, sep: str = "*") -> str:
-    factors = sorted(mono, key=lambda p: display_key(p[0]))
-    return sep.join(n if e == 1 else f"{n}^{e}" for n, e in factors)
+def format_monomial(factors, sep: str = "*") -> str:
+    """The text of a decoded monomial, its factors in `display_key` order."""
+    ordered = sorted(factors, key=lambda f: display_key(f[0]))
+    return sep.join(n if e == 1 else f"{n}^{e}" for n, e in ordered)
 
 
 def _rational(c):
@@ -248,8 +289,10 @@ class Combination:
     A scalar (int or Fraction) stands for the coefficient of the unit key
     ``_UNIT``, so ``x == 0`` or ``x + 1`` compares or adds dicts without
     building an element.  Subclasses supply the product, the print order
-    ``sorted_terms`` and the key printer ``_format_key``.  Instances are
-    treated as immutable; all arithmetic returns fresh objects.
+    ``sorted_terms`` and the key printer ``_format_key``: ``sorted_terms``
+    gives (key, coefficient) pairs with each key as ``_format_key`` reads
+    it, and the unit as the empty key.  Instances are treated as
+    immutable; all arithmetic returns fresh objects.
 
     A coefficient ring (``Poly``, the enveloping algebra) supplies its
     product as the raw ``_product_into(out, left, right, scale)``: add
@@ -278,7 +321,7 @@ class Combination:
 
     @classmethod
     def const(cls, c: ScalarLike):
-        return cls({cls._UNIT: c})
+        return cls._wrap({cls._UNIT: _rational(c)} if c else {})
 
     def _coerce(self, other) -> Mapping | None:
         """The terms of `other` as a combination of this type, or None."""
@@ -349,7 +392,7 @@ class Combination:
         for key, coeff in self.sorted_terms():
             neg = coeff < 0
             mag = -coeff if neg else coeff
-            if key == self._UNIT:
+            if not key:
                 body = str(mag)
             else:
                 factors = self._format_key(key)
@@ -365,47 +408,66 @@ class Combination:
 class Poly(Combination):
     """Sparse polynomial with exact rational coefficients.
 
-    ``terms`` maps monomials to nonzero coefficients, stored as ints when
-    integral and as Fractions otherwise."""
+    ``terms`` maps monomials, coded as ints (see ``Monomial``), to nonzero
+    coefficients, stored as ints when integral and as Fractions otherwise.
+    The constructor takes monomials as (name, exponent) pairs and codes
+    them; a pickle carries the pairs, so it reads back in any process."""
 
     __slots__ = ()
 
+    _UNIT: Monomial = 1
+
+    def __init__(self, terms: Mapping | None = None):
+        self.terms = {}
+        for factors, c in (terms or {}).items():
+            add_into(self.terms, {_mono_code(factors): _rational(c)})
+
+    def __reduce__(self):
+        return Poly, (dict(zip(_decode(self.terms), self.terms.values())),)
+
     @classmethod
     def var(cls, name: str) -> "Poly":
-        return cls._wrap({((name, 1),): 1})
+        return cls._wrap({_prime(name): 1})
 
     def variables(self) -> set[str]:
-        return {name for mono in self.terms for name, _ in mono}
+        return {name for _, name in _support(self.terms)}
 
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(_mono_degree(m) for m in self.terms)
+        return max(map(_mono_degree, _decode(self.terms)))
 
     @property
     def constant_term(self) -> ScalarLike:
-        return self.terms.get(_ONE_MONO, 0)
+        return self.terms.get(self._UNIT, 0)
 
     def homogeneous_part(self, d: int) -> "Poly":
         """The sum of the terms of total degree exactly d."""
-        return self._wrap({m: c for m, c in self.terms.items() if _mono_degree(m) == d})
+        degrees = map(_mono_degree, _decode(self.terms))
+        return self._wrap({m: c for (m, c), k in zip(self.terms.items(), degrees) if k == d})
 
     @property
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _ONE_MONO in self.terms)
+        return not self.terms or (len(self.terms) == 1 and self._UNIT in self.terms)
 
     __add__ = __radd__ = Combination.__add__
+
+    def __pow__(self, exp: int):
+        if isinstance(exp, int) and exp > MAX_EXPONENT:
+            raise ValueError(f"exponent {exp} exceeds the bound {MAX_EXPONENT}")
+        return Combination.__pow__(self, exp)
 
     @staticmethod
     def _product_into(out: dict, left: Mapping, right: Mapping, scale: ScalarLike = 1) -> dict:
         """Add scale * left * right into `out` in one fused loop.
 
-        Each coefficient product goes straight into `out`; what is stored,
-        a new product or a colliding sum, follows the scalar rule of
-        `_rational`, and a key whose sum cancels leaves at once, so `out`
-        never holds a zero coefficient if it started without."""
+        Each coefficient product goes straight into `out` under the product
+        of the two monomial codes; what is stored, a new product or a
+        colliding sum, follows the scalar rule of `_rational`, and a key
+        whose sum cancels leaves at once, so `out` never holds a zero
+        coefficient if it started without."""
         if not scale:
             return out
         get = out.get
@@ -413,7 +475,7 @@ class Poly(Combination):
         for m1, c1 in left.items():
             c1 = scale * c1
             for m2, c2 in rows:
-                m = _mono_mul(m1, m2)
+                m = m1 * m2
                 c = c1 * c2
                 s = get(m)
                 if s is not None:
@@ -451,9 +513,9 @@ class Poly(Combination):
         if missing:
             raise MissingIndeterminateError(missing)
         total = Fraction(0)
-        for mono, coeff in self.terms.items():
+        for factors, coeff in zip(_decode(self.terms), self.terms.values()):
             val = coeff
-            for name, e in mono:
+            for name, e in factors:
                 val *= Fraction(assignment[name]) ** e
             total += val
         return total
@@ -461,20 +523,26 @@ class Poly(Combination):
     def substitute(self, assignment: Mapping[str, "Poly | ScalarLike"]) -> "Poly":
         """Replace variables by polynomials; unlisted variables stay."""
         out: dict[Monomial, ScalarLike] = {}
-        for mono, coeff in self.terms.items():
+        for factors, coeff in zip(_decode(self.terms), self.terms.values()):
             term = Poly.const(1)
-            for name, e in mono:
+            for name, e in factors:
                 repl = assignment.get(name)
                 if repl is None:
                     repl = Poly.var(name)
                 elif not isinstance(repl, Poly):
                     repl = Poly.const(repl)
-                term = term * repl**e
+                # e comes from this polynomial, not from outside input, so
+                # the bound of Poly.__pow__ does not apply to it
+                term = term * Combination.__pow__(repl, e)
             add_into(out, term.terms, coeff)
         return self._wrap(out)
 
-    def sorted_terms(self) -> list[tuple[Monomial, ScalarLike]]:
-        return sorted(self.terms.items(), key=lambda kv: _mono_print_key(kv[0]))
+    def sorted_terms(self) -> list[tuple[tuple[tuple[str, int], ...], ScalarLike]]:
+        """(factors, coefficient) pairs in print order; each monomial is
+        decoded once, and its degree and factors read from that decoding."""
+        terms = list(zip(_decode(self.terms), self.terms.values()))
+        terms.sort(key=lambda kv: _mono_print_key(kv[0]))
+        return terms
 
     _format_key = staticmethod(format_monomial)
 
@@ -583,7 +651,10 @@ def parse_expression(text: str, var: Callable[[str], Combination],
             if ek != "number" or "/" in el:
                 raise PolyParseError("exponent must be a nonnegative integer", epos)
             k += 1
-            return base ** int(el)
+            digits = el.lstrip("0") or "0"  # int() refuses over 4300 digits
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise PolyParseError(f"exponent {el} exceeds the bound {MAX_EXPONENT}", epos)
+            return base ** int(digits)
         return base
 
     result = expression()

@@ -22,11 +22,10 @@ column determinant are specific to the enveloping algebra.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 from .indexing import cycle_sign
@@ -37,6 +36,7 @@ from .rings import (
     PolyParseError,
     ScalarLike,
     _GENERATOR_NAME,
+    _prime,
     add_into,
     display_key,
     parse_expression,
@@ -151,7 +151,7 @@ class UEAElement(Combination):
         """Image in the symmetric algebra: each generator to its name variable."""
         out: dict = {}
         for word, coeff in self.terms.items():
-            add_into(out, {tuple(sorted(Counter(g.name for g in word).items())): coeff})
+            add_into(out, {prod(_prime(g.name) for g in word): coeff})
         return Poly._wrap(out)
 
     @staticmethod

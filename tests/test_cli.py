@@ -90,6 +90,14 @@ def test_pfaffian_malformed_is_parse_error(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_pfaffian_exponent_over_the_bound_is_parse_error(tmp_path, capsys):
+    f = tmp_path / "huge.txt"
+    f.write_text("full 2\n0 x^4097*y\n-x^4097*y 0\n")
+    code, out, err = run(capsys, "pfaffian", "--ring", "poly", str(f))
+    assert (code, out) == (2, "")
+    assert "parse error" in err and "exceeds the bound 4096" in err
+
+
 def test_pfaffian_missing_file(capsys):
     code, _, err = run(capsys, "pfaffian", "/nonexistent/m.txt")
     assert code == 2

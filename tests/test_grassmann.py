@@ -4,6 +4,7 @@ import gc
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -454,6 +455,19 @@ def test_top_form_recovers_pfaffian_commutative():
     for p, q in ((1, 1), (2, 2), (1, 3), (3, 3)):
         X = AntiAlternatingMatrix.generic(p, q)
         assert pfaffian_from_top_form("commutative", p=p, q=q) == pfaffian_of_anti_alternating(X)
+
+
+def test_top_form_split_matches_the_full_power():
+    # fresh forms: Omega^(n//2) Omega^(n - n//2), no power past the second;
+    # with Omega^n memoised, its top coefficient; both equal the full power's
+    for mode, n, p, q in (("uea", 1, None, None), ("uea", 2, None, None), ("uea", 3, None, None),
+                          ("commutative", None, 2, 2), ("commutative", None, 1, 3), ("commutative", None, 5, 1)):
+        f = build_forms(mode, n=n, p=p, q=q)
+        half = f.half
+        split = pfaffian_from_top_form(forms=f)
+        assert len(getattr(f.omega, "_powers", ())) == max(0, half - half // 2 - 1)
+        full = f.omega.power(half).top_coefficient() * Fraction(1, 2**half * factorial(half))
+        assert split == full == pfaffian_from_top_form(forms=f)
 
 
 def test_top_form_route_checks():

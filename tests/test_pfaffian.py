@@ -46,7 +46,7 @@ from pfaffkit.pfaffian import (
     random_orthogonal_cayley,
     verify_minor_summation,
 )
-from pfaffkit.rings import Poly, _rational
+from pfaffkit.rings import Poly, _decode, _rational
 from pfaffkit.uea import build_canonical_x
 from pfaffkit.verify import GENERIC_SYMMETRIC_S
 
@@ -93,9 +93,9 @@ def test_matching_sum_of_the_generic_matrix_has_one_unit_term_per_matching():
         pf = pfaffian_definitional(AlternatingMatrix.generic(2 * m))
         assert len(pf.terms) == prod(range(1, 2 * m, 2))
         assert set(pf.terms.values()) <= {1, -1}
-        for mono in pf.terms:
-            assert all(e == 1 for _, e in mono)
-            ends = [int(x) for name, _ in mono for x in name[2:-1].split(",")]
+        for factors in _decode(pf.terms):
+            assert all(e == 1 for _, e in factors)
+            ends = [int(x) for name, _ in factors for x in name[2:-1].split(",")]
             assert sorted(ends) == list(range(1, 2 * m + 1))
 
 

@@ -1,6 +1,12 @@
 """Sparse polynomial ring: arithmetic, parsing, printing."""
 
+import os
+import pickle
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +14,14 @@ from hypothesis import strategies as st
 
 from pfaffkit.grassmann import GrassmannElement
 from pfaffkit.rings import (
+    MAX_EXPONENT,
     Combination,
     MissingIndeterminateError,
     Poly,
     PolyParseError,
     ProductSum,
-    _mono_mul,
+    _decode,
+    _mono_code,
     _rational,
     parse_poly,
     parse_rational,
@@ -22,6 +30,11 @@ from pfaffkit.uea import Generator, UEAElement
 
 x = Poly.var("x")
 y = Poly.var("y")
+
+
+def mono(*factors):
+    """The monomial code of (name, exponent) factors."""
+    return _mono_code(factors)
 
 
 def small_polys():
@@ -194,8 +207,8 @@ def test_combination_core(case, monkeypatch):
 def test_product_cancellation_stores_no_zero():
     # x*y and y*x cancel inside the one product
     p = (x + y) * (x - y)
-    assert (("x", 1), ("y", 1)) not in p.terms
-    assert p.terms == {(("x", 2),): 1, (("y", 2),): -1}
+    assert mono(("x", 1), ("y", 1)) not in p.terms
+    assert p.terms == {mono(("x", 2)): 1, mono(("y", 2)): -1}
     q = (x + y + 1) * (x - y + 1) * (x - 1)
     assert all(q.terms.values()) and q == (x * x - y * y + 2 * x + 1) * (x - 1)
     # scaled into an existing dict: every pair cancels what was there
@@ -208,22 +221,22 @@ def test_product_of_halves_stores_ints():
     p = (x * half + y * half) * (x * 2 + 2)
     assert p == x * x + x * y + x + y
     assert all(type(c) is int for c in p.terms.values())
-    assert type(((x * half) * (y * half)).terms[(("x", 1), ("y", 1))]) is Fraction
+    assert type(((x * half) * (y * half)).terms[mono(("x", 1), ("y", 1))]) is Fraction
     assert type((Poly.const(half) * Poly.const(2)).constant_term) is int
 
 
 def test_sum_of_halves_stores_ints():
     half = Poly.var("x") / 2
-    assert (half + half).terms == {(("x", 1),): 1}
-    assert type((half + half).terms[(("x", 1),)]) is int
-    assert type((half - Poly.var("x") * Fraction(3, 2)).terms[(("x", 1),)]) is int
+    assert (half + half).terms == {mono(("x", 1)): 1}
+    assert type((half + half).terms[mono(("x", 1))]) is int
+    assert type((half - Poly.var("x") * Fraction(3, 2)).terms[mono(("x", 1))]) is int
 
 
 def test_colliding_product_stores_ints():
     # x y arises twice, as 1/2 + 1/2: the sum is stored as the int 1
     p = (x / 2 + y / 2) * (x + y)
-    assert p.terms[(("x", 1), ("y", 1))] == 1
-    assert type(p.terms[(("x", 1), ("y", 1))]) is int
+    assert p.terms[mono(("x", 1), ("y", 1))] == 1
+    assert type(p.terms[mono(("x", 1), ("y", 1))]) is int
 
 
 def _poly_raw():
@@ -254,11 +267,11 @@ def test_raw_product_contract(case):
     assert ring._product_into(out, left, right, 0) == prod
     assert ring._product_into({}, left, right, 0) == {}
     # an integral colliding sum is stored as an int, within one call and across two
-    g = next(iter(left))
-    out = ring._product_into({}, {(): Fraction(1, 2), g: Fraction(1, 2)}, {(): 1, g: 1})
+    g, unit = next(iter(left)), ring._UNIT
+    out = ring._product_into({}, {unit: Fraction(1, 2), g: Fraction(1, 2)}, {unit: 1, g: 1})
     assert out[g] == 1 and type(out[g]) is int
-    out = ring._product_into({}, {g: Fraction(1, 2)}, {(): 1})
-    ring._product_into(out, {g: Fraction(1, 2)}, {(): 1})
+    out = ring._product_into({}, {g: Fraction(1, 2)}, {unit: 1})
+    ring._product_into(out, {g: Fraction(1, 2)}, {unit: 1})
     assert out == {g: 1} and type(out[g]) is int
 
 
@@ -313,8 +326,54 @@ def monomials():
 
 @given(monomials(), monomials())
 @settings(max_examples=300, deadline=None)
-def test_mono_mul_merge_matches_dict_definition(m1, m2):
-    assert _mono_mul(m1, m2) == _mono_mul_by_dict(m1, m2) == _mono_mul(m2, m1)
+def test_monomial_code_product_matches_dict_definition(m1, m2):
+    code1, code2 = _mono_code(m1), _mono_code(m2)
+    assert _decode([code1 * code2, code1]) == [_mono_mul_by_dict(m1, m2), m1]
+
+
+def test_tuple_key_constructor():
+    # (name, exponent) keys are coded; keys naming one monomial add up
+    assert Poly({(("x", 2), ("y", 1)): 3, (): Fraction(1, 2)}) == 3 * x * x * y + Fraction(1, 2)
+    assert Poly({(("y", 1), ("x", 1)): 1, (("x", 1), ("y", 1)): -1}).terms == {}
+    assert Poly({(("x", 1), ("x", 1)): 2}) == 2 * x * x
+    assert Poly({(("x", 0),): 5}) == Poly.const(5) and str(Poly({(): Fraction(2, 4)})) == "1/2"
+    assert Poly({(("x", 2),): Fraction(4, 2)}).terms == {mono(("x", 2)): 2}
+    for bad in (-1, MAX_EXPONENT + 1, 1.0):
+        with pytest.raises(ValueError):
+            Poly({(("x", bad),): 1})
+
+
+def test_pickle_round_trip_in_a_fresh_process(tmp_path):
+    # a pickle names its variables, so another process, which codes the
+    # same names by other primes, reads back the same polynomial
+    p = (x - 2 * y) ** 2 * Poly.var("a[1,2]") + Fraction(1, 3)
+    assert pickle.loads(pickle.dumps(p)) == p
+    path = tmp_path / "p.pickle"
+    path.write_bytes(pickle.dumps(p))
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = ("import pickle, sys; from pfaffkit.rings import Poly; Poly.var('zz'); Poly.var('y');"
+            f"p = pickle.loads(open({str(path)!r}, 'rb').read()); print(p); print(sorted(p.variables()))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{p}\n{sorted(p.variables())}\n"
+
+
+def test_exponent_bound():
+    assert parse_poly(f"x^{MAX_EXPONENT}") == x**MAX_EXPONENT
+    assert parse_poly(f"x^000{MAX_EXPONENT}*y").degree == MAX_EXPONENT + 1
+    for text in (f"x^{MAX_EXPONENT + 1}", "x^1000000000*y", "2*x*(y+1)^" + "9" * 5000):
+        start = time.perf_counter()
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text)
+        assert time.perf_counter() - start < 1
+        assert err.value.pos == text.index("^") + 1
+    with pytest.raises(ValueError):
+        (x + 1) ** (MAX_EXPONENT + 1)
+    # a larger exponent reached by multiplying is still read and substituted
+    high = x**MAX_EXPONENT * x * y
+    assert high.degree == MAX_EXPONENT + 2 and high.substitute({"y": 2}) == 2 * x**MAX_EXPONENT * x
 
 
 def test_scalar_grassmann_product_stores_ints():
