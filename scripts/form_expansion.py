@@ -9,7 +9,6 @@ Usage: python3 scripts/form_expansion.py [--rank 2] [--mode uea]
 """
 
 import argparse
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -18,14 +17,7 @@ from pfaffkit.pfaffian import pfaffian_of_anti_alternating
 from pfaffkit.uea import nc_pfaffian
 
 
-@dataclass
-class Config:
-    rank: int = 2
-    mode: str = "uea"
-
-
-def run(cfg: Config):
-    n, mode = cfg.rank, cfg.mode
+def run(n: int, mode: str):
     forms = build_forms(mode, n=n) if mode == "uea" else build_forms(mode, p=n, q=n)
     print(f"mode {mode}, rank {n}")
     print(f"omega = {forms.omega}\n")
@@ -49,7 +41,7 @@ def main():
     ap.add_argument("--rank", type=int, default=2)
     ap.add_argument("--mode", choices=("uea", "commutative"), default="uea")
     args = ap.parse_args()
-    run(Config(rank=args.rank, mode=args.mode))
+    run(args.rank, args.mode)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ Usage: python3 scripts/weight_table.py [--rank 2] [--max-part 4]
 """
 
 import argparse
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -23,12 +22,6 @@ from pfaffkit.uea import (
 )
 
 
-@dataclass
-class Config:
-    rank: int = 2
-    max_part: int = 4
-
-
 def dominant_weights(n: int, max_part: int):
     # weakly decreasing nonnegative integer tuples
     for parts in product(range(max_part, -1, -1), repeat=n):
@@ -36,13 +29,12 @@ def dominant_weights(n: int, max_part: int):
             yield parts
 
 
-def run(cfg: Config):
-    n = cfg.rank
+def run(n: int, max_part: int):
     z = nc_pfaffian(build_canonical_x(n))
     symbolic = eigenvalue_factored_str(HighestWeight.symbolic(n))
     print(f"rank {n}: eigenvalue = {symbolic}\n")
     print(f"{'weight':>16} {'expansion':>12} {'product':>12}")
-    for parts in dominant_weights(n, cfg.max_part):
+    for parts in dominant_weights(n, max_part):
         w = HighestWeight.numeric([Fraction(x) for x in parts])
         via_z = hc_coefficient(z, w)
         via_prod = eigenvalue_product(w)
@@ -57,7 +49,7 @@ def main():
     ap.add_argument("--rank", type=int, default=2, choices=(1, 2, 3))
     ap.add_argument("--max-part", type=int, default=4)
     args = ap.parse_args()
-    run(Config(rank=args.rank, max_part=args.max_part))
+    run(args.rank, args.max_part)
 
 
 if __name__ == "__main__":

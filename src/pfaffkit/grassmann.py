@@ -33,7 +33,6 @@ compared exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -232,21 +231,21 @@ class GrassmannElement(Combination):
         return " + ".join(pieces)
 
 
-@dataclass
 class Forms:
-    """The canonical 2-forms of a matrix, plus the data to cross-check them."""
+    """The canonical 2-forms of a matrix, plus the data to cross-check them.
 
-    mode: str
-    p: int
-    q: int
-    omega: GrassmannElement
-    xi: GrassmannElement
-    theta: GrassmannElement
-    theta_prime: GrassmannElement
-    tau: GrassmannElement | None
-    source: AntiAlternatingMatrix  # UEAElement entries in uea mode, Poly ones otherwise
-    # tau_xi[k, j] = tau^k Xi^j; the falling Xi products are combinations of these
-    tau_xi: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    `source` has UEAElement entries in uea mode and Poly ones otherwise;
+    `tau` is None unless p == q.  `tau_xi[k, j]` memoises tau^k Xi^j, of
+    which the falling Xi products are combinations; it starts empty."""
+
+    __slots__ = ("mode", "p", "q", "omega", "xi", "theta", "theta_prime", "tau", "source", "tau_xi")
+
+    def __init__(self, mode: str, p: int, q: int, omega: GrassmannElement, xi: GrassmannElement,
+                 theta: GrassmannElement, theta_prime: GrassmannElement, tau: GrassmannElement | None,
+                 source: AntiAlternatingMatrix):
+        self.mode, self.p, self.q, self.source = mode, p, q, source
+        self.omega, self.xi, self.theta, self.theta_prime, self.tau = omega, xi, theta, theta_prime, tau
+        self.tau_xi: dict = {}
 
     @property
     def half(self) -> int:
@@ -393,7 +392,7 @@ def check_eta_anticommute(n: int, u, forms: Forms | None = None) -> bool:
     shifted = [eta(forms, j, Fraction(u) + 1) for j in range(1, n + 1)]
     plain = [eta(forms, j, Fraction(u)) for j in range(1, n + 1)]
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):  # (j, i) gives the same sum
             if shifted[i] * plain[j] + shifted[j] * plain[i]:
                 return False
     return True

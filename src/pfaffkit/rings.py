@@ -12,7 +12,8 @@ raised to its exponent, so multiplying two monomials is one int product.
 The primes are handed out per process as names are first seen, so the
 codes never leave it: names are decoded where they are read (printing,
 degrees, evaluation, pickling).  Exponents in parsed text and in
-``Poly.__pow__`` are bounded by ``MAX_EXPONENT``.
+``Poly.__pow__`` are bounded by ``MAX_EXPONENT``; a product may exceed
+it, but then printing refuses, since the text would not parse back.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ ScalarLike = Union[int, Fraction]
 # (printing, degrees, evaluation), and a code is never printed or persisted.
 Monomial = int
 
-# The largest exponent that a parsed `^` or `Poly.__pow__` accepts: x^e is
-# coded by an int of about e * log2(p) bits, which takes e divisions to decode.
+# The largest exponent that a parsed `^` or `Poly.__pow__` accepts, and so
+# the largest that `Poly.sorted_terms` prints: x^e is coded by an int of
+# about e * log2(p) bits, which takes e divisions to decode.
 MAX_EXPONENT = 4096
 
 _PRIMES: list[int] = []  # every prime below _sieve_limit, ascending
@@ -539,8 +541,13 @@ class Poly(Combination):
 
     def sorted_terms(self) -> list[tuple[tuple[tuple[str, int], ...], ScalarLike]]:
         """(factors, coefficient) pairs in print order; each monomial is
-        decoded once, and its degree and factors read from that decoding."""
+        decoded once, and its degree and factors read from that decoding.
+        Raises ValueError on an exponent above MAX_EXPONENT, whose text
+        `parse_poly` would refuse."""
         terms = list(zip(_decode(self.terms), self.terms.values()))
+        high = max((e for factors, _ in terms for _, e in factors), default=0)
+        if high > MAX_EXPONENT:
+            raise ValueError(f"cannot print exponent {high}: it exceeds the bound {MAX_EXPONENT}")
         terms.sort(key=lambda kv: _mono_print_key(kv[0]))
         return terms
 

@@ -22,7 +22,6 @@ column determinant are specific to the enveloping algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, prod
@@ -465,18 +464,41 @@ def centrality_failures(z: UEAElement, n: int) -> list[Generator]:
     return [g for g in chevalley_generators(n) if ad(g, z)]
 
 
-@dataclass(frozen=True)
 class HighestWeight:
-    """A weight vector (lam_1, ..., lam_n); values None means symbolic."""
+    """A weight vector (lam_1, ..., lam_n); values None means symbolic.
 
-    n: int
-    values: tuple[Fraction, ...] | None
+    Weights are immutable values: two are equal, and hash alike, when
+    their n and values are."""
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ("n", "values")
+
+    def __init__(self, n: int, values: tuple[Fraction, ...] | None):
+        if n < 1:
             raise ValueError("weights need n >= 1")
-        if self.values is not None and len(self.values) != self.n:
-            raise ValueError(f"expected {self.n} components, got {len(self.values)}")
+        if values is not None and len(values) != n:
+            raise ValueError(f"expected {n} components, got {len(values)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError("weights are immutable")
+
+    def __delattr__(self, attr):
+        raise AttributeError("weights are immutable")
+
+    def __reduce__(self):
+        return HighestWeight, (self.n, self.values)
+
+    def __eq__(self, other):
+        if type(other) is not HighestWeight:
+            return NotImplemented
+        return self.n == other.n and self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.values))
+
+    def __repr__(self) -> str:
+        return f"HighestWeight({self.n}, {self.values!r})"
 
     @classmethod
     def numeric(cls, values: Iterable[ScalarLike]) -> "HighestWeight":

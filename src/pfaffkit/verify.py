@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from functools import cache
 from fractions import Fraction
 from itertools import combinations
@@ -58,26 +57,32 @@ class BoundExceededError(ValueError):
         super().__init__(f"{message}; pass --force to lift the bound")
 
 
-@dataclass
 class CheckResult:
     """One check's outcome.  A skipped check was not run, `residual` says
     why; it neither passes nor fails the report."""
 
-    check_id: str
-    passed: bool
-    residual: str
-    millis: float
-    skipped: bool = False
+    __slots__ = ("check_id", "passed", "residual", "millis", "skipped")
+
+    def __init__(self, check_id: str, passed: bool, residual: str, millis: float, skipped: bool = False):
+        self.check_id = check_id
+        self.passed = passed
+        self.residual = residual
+        self.millis = millis
+        self.skipped = skipped
 
     @property
     def status(self) -> str:
         return "skip" if self.skipped else "pass" if self.passed else "fail"
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
+    """The checks of one suite run, in the order they ran."""
+
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.checks: list[CheckResult] = []
 
     @property
     def passed(self) -> bool:

@@ -98,6 +98,16 @@ def test_pfaffian_exponent_over_the_bound_is_parse_error(tmp_path, capsys):
     assert "parse error" in err and "exceeds the bound 4096" in err
 
 
+def test_pfaffian_exponent_over_the_bound_in_the_result_is_refused(tmp_path, capsys):
+    # every entry parses, but Pf = a12*a34 = x^8192 would not parse back
+    f = tmp_path / "high.txt"
+    f.write_text("full 4\n0 x^4096 0 0\n-x^4096 0 0 0\n0 0 0 x^4096\n0 0 -x^4096 0\n")
+    code, out, err = run(capsys, "pfaffian", "--ring", "poly", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("pfaffkit: ") and "exceeds the bound 4096" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_pfaffian_missing_file(capsys):
     code, _, err = run(capsys, "pfaffian", "/nonexistent/m.txt")
     assert code == 2

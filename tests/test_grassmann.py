@@ -2,7 +2,6 @@
 
 import gc
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -335,10 +334,29 @@ def test_xi_shifted_power_degenerate_cases():
     assert not xi_shifted_power(f, Fraction(0), 3)  # r > n has no room
 
 
+def _rebuilt(f, **changes):
+    """Fresh forms, with empty memos, from the fields of f and `changes`."""
+    fields = ("mode", "p", "q", "omega", "xi", "theta", "theta_prime", "tau", "source")
+    return Forms(**{field: changes.get(field, getattr(f, field)) for field in fields})
+
+
 def test_eta_anticommutation():
     for n in (1, 2, 3):
         for u in (Fraction(-1), Fraction(0), Fraction(2)):
             assert check_eta_anticommute(n, u)
+
+
+def test_eta_anticommutation_detects_a_changed_diagonal_entry():
+    # a[1,1] -> a[1,1] + a[1,2] at n = 2 breaks only the i = j = 1 condition,
+    # eta_1(u+1) eta_1(u) = 0; every pair with i != j still anticommutes
+    f = build_forms("uea", n=2)
+    X = f.source
+    a = [list(row) for row in X.a]
+    a[0][0] = a[0][0] + a[0][1]
+    g = _rebuilt(f, source=AntiAlternatingMatrix(X.p, X.q, a, X.b, X.c))
+    for u in (Fraction(-1), Fraction(0), Fraction(2)):
+        assert not check_eta_anticommute(2, u, forms=g)
+        assert not eta(g, 2, u + 1) * eta(g, 1, u) + eta(g, 1, u + 1) * eta(g, 2, u)
 
 
 def test_eta_shift_is_needed():
@@ -381,7 +399,7 @@ def _corrupted(f, name):
     """A fresh copy of the forms with one coefficient of `name` changed."""
     form = getattr(f, name)
     mask = min(form.terms)
-    return replace(f, **{name: form + GrassmannElement(f.p, f.q, {mask: f.one().terms[0]})})
+    return _rebuilt(f, **{name: form + GrassmannElement(f.p, f.q, {mask: f.one().terms[0]})})
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -376,6 +376,19 @@ def test_exponent_bound():
     assert high.degree == MAX_EXPONENT + 2 and high.substitute({"y": 2}) == 2 * x**MAX_EXPONENT * x
 
 
+def test_printing_refuses_an_exponent_over_the_bound():
+    # x^4097 is reachable by multiplying, but its text would not parse back
+    high = x**MAX_EXPONENT * x
+    with pytest.raises(ValueError, match=f"exceeds the bound {MAX_EXPONENT}"):
+        str(high)
+    with pytest.raises(ValueError, match=f"exceeds the bound {MAX_EXPONENT}"):
+        str(high * y - 1)
+    # degree and evaluation still read it
+    assert high.degree == MAX_EXPONENT + 1
+    assert high.evaluate({"x": 1}) == 1
+    assert parse_poly(str(x**MAX_EXPONENT * y)) == x**MAX_EXPONENT * y
+
+
 def test_scalar_grassmann_product_stores_ints():
     # scalar coefficients go through Poly's product on its unit key
     left = GrassmannElement.from_words(1, 1, [([1], Fraction(1, 2)), ((), Fraction(3, 2))])

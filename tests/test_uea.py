@@ -1,5 +1,6 @@
 """Enveloping algebra: normal ordering, the restricted Pfaffian, centrality."""
 
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -389,6 +390,20 @@ def test_weight_validation():
         HighestWeight.numeric([])
     with pytest.raises(ValueError):
         HighestWeight.symbolic(0)
+    with pytest.raises(ValueError):
+        HighestWeight(2, (Fraction(1),))
+
+
+def test_weight_is_an_immutable_value():
+    w = HighestWeight.numeric([3, 1])
+    assert w == HighestWeight(2, (Fraction(3), Fraction(1))) and w != HighestWeight.numeric([1, 3])
+    assert w != HighestWeight.symbolic(2) and HighestWeight.symbolic(2) == HighestWeight(2, None)
+    assert len({w, HighestWeight.numeric([3, 1]), HighestWeight.symbolic(2)}) == 2
+    assert pickle.loads(pickle.dumps(w)) == w
+    for mutate in (lambda: setattr(w, "n", 3), lambda: setattr(w, "extra", 1), lambda: delattr(w, "values")):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert (w.n, w.values) == (2, (3, 1))
 
 
 # --- text form ----------------------------------------------------------------
