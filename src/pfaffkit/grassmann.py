@@ -13,7 +13,7 @@ top-degree route to the Pfaffian.
 Products are fused with the coefficient ring: each ring supplies the raw
 `_product_into(out, left, right, scale)` of `rings.Combination`, and
 `GrassmannElement.__mul__` adds every coefficient pair of disjoint masks
-into one raw term dict per output mask, signed by `_merge_sign`, wrapping
+into one raw term dict per output mask, signed by `merge_sign`, wrapping
 each dict once at the end; no coefficient element is built per pair.
 Powers of an element are memoised on it, Omega^m as Omega^(m-1) Omega,
 and its 0th power is the one of the ring its coefficients name.
@@ -38,21 +38,10 @@ from itertools import combinations
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
+from .indexing import index_mask, merge_sign
 from .pfaffian import AlternatingMatrix, AntiAlternatingMatrix, _pf, pfaffian_of_anti_alternating
 from .rings import Combination, Poly, ProductSum, _rational, add_into
 from .uea import UEAElement, build_canonical_x, nc_pfaffian, shifted_minor_determinant
-
-
-def _merge_sign(left_mask: int, right_mask: int) -> int:
-    """Sign of interleaving two ascending products into one."""
-    count = 0
-    b = right_mask
-    while b:
-        low = b & -b
-        idx = low.bit_length() - 1
-        count += (left_mask >> (idx + 1)).bit_count()
-        b ^= low
-    return -1 if count & 1 else 1
 
 
 def _coefficient_ring(*term_dicts: Mapping[int, object]):
@@ -178,7 +167,7 @@ class GrassmannElement(Combination):
                     out = sums.get(m1 | m2)
                     if out is None:
                         out = sums[m1 | m2] = {}
-                    product_into(out, t1, t2, _merge_sign(m1, m2))
+                    product_into(out, t1, t2, merge_sign(m1, m2))
         return self._wrap_sums(sums, ring)
 
     def _wrap_sums(self, sums: dict[int, dict], ring) -> "GrassmannElement":
@@ -411,7 +400,7 @@ def check_theta_powers(n: int, s: int, t: int, mode: str = "uea",
         B, memo = AlternatingMatrix._trusted(block), {}
         coeff = 2**exp * factorial(exp)
         rhs = GrassmannElement.from_words(forms.p, forms.q, (
-            (word(I), coeff * _pf(B, I, memo)) for I in combinations(range(1, len(block) + 1), 2 * exp)))
+            (word(I), coeff * _pf(B, index_mask(I), memo)) for I in combinations(range(1, len(block) + 1), 2 * exp)))
         return form.power(exp) == rhs
 
     return (expands(forms.theta, s, X.b, lambda I: I)
@@ -465,7 +454,7 @@ def pfaffian_from_top_form(mode: str = "uea", n: int | None = None,
 
     Omega^n is Omega^a Omega^b with b = n - a, so its top coefficient
     pairs each mask of Omega^a with the one complementary mask of Omega^b,
-    signed by `_merge_sign`, the left coefficient on the left.  The split
+    signed by `merge_sign`, the left coefficient on the left.  The split
     is a = n // 2, which builds no power past Omega^b, unless Omega^n is
     already memoised on Omega: then a = n and Omega^b is the one."""
     if forms is None:
@@ -479,7 +468,7 @@ def pfaffian_from_top_form(mode: str = "uea", n: int | None = None,
     for m, c in left.items():
         rest = full ^ m
         if rest in right:
-            top.add(c, right[rest], _merge_sign(m, rest))
+            top.add(c, right[rest], merge_sign(m, rest))
     return top.value() * Fraction(1, 2**half * factorial(half))
 
 

@@ -1,18 +1,19 @@
 """Index sets and shuffle signs.
 
-Index sets are strictly increasing tuples of 1-based indices.  Splitting
-a sorted index set into two pieces carries the sign of the permutation that
-rearranges it, computed here by counting crossings.  `cycle_sign` is the
-sign of a permutation of range(m), read off its cycles with no sort; the
-brute-force oracles (the Leibniz determinant, the matching-sum Pfaffian
-and the permutation-sum Pfaffian of the enveloping algebra) apply it to
-each term's index sequence.  `permutation_sign` is `cycle_sign` of the
+Index sets are strictly increasing tuples of 1-based indices; inside the
+sub-Pfaffian recursion and the sign kernel an index set is an int mask,
+bit k - 1 standing for index k (`index_mask`).  Splitting a sorted index
+set into two pieces carries the sign of the permutation that rearranges
+it, (-1)^c for the c crossings that `merge_sign` counts on the two masks.
+`cycle_sign` is the sign of a permutation of range(m), read off its
+cycles with no sort; the brute-force oracles (the Leibniz determinant,
+the matching-sum Pfaffian and the permutation-sum Pfaffian of the
+enveloping algebra) apply it to each term's index sequence.  `permutation_sign` is `cycle_sign` of the
 sorting order of any sequence.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterable, Sequence
 
 
@@ -55,13 +56,24 @@ def permutation_sign(seq: Sequence[int]) -> int:
     return cycle_sign(sorted(range(len(seq)), key=seq.__getitem__))
 
 
-def _crossings(left: Sequence[int], right: Sequence[int]) -> int:
-    # pairs (x, y) with x in left, y in right, x > y; both inputs sorted
-    left = list(left)
-    total = 0
-    for y in right:
-        total += len(left) - bisect_right(left, y)
-    return total
+def index_mask(indices: Iterable[int]) -> int:
+    """The mask of 1-based `indices`: bit k - 1 for index k."""
+    mask = 0
+    for k in indices:
+        mask |= 1 << (k - 1)
+    return mask
+
+
+def merge_sign(left: int, right: int) -> int:
+    """(-1)^c for the c pairs x in `left`, y in `right` with x > y, both
+    given as masks: the sign of interleaving two ascending sequences into
+    one."""
+    count = 0
+    while right:
+        low = right & -right
+        count += (left >> low.bit_length()).bit_count()
+        right ^= low
+    return -1 if count & 1 else 1
 
 
 def split_sign(whole: Iterable[int], left: Iterable[int], right: Iterable[int]) -> int:
@@ -78,7 +90,8 @@ def split_sign(whole: Iterable[int], left: Iterable[int], right: Iterable[int]) 
         raise ValueError("parts overlap")
     if tuple(sorted(I + J)) != K:
         raise ValueError("parts do not partition the whole set")
-    return -1 if _crossings(I, J) % 2 else 1
+    rank = {x: r for r, x in enumerate(K)}  # any ints: only the order counts
+    return merge_sign(sum(1 << rank[x] for x in I), sum(1 << rank[y] for y in J))
 
 
 def complement_sign(part: Iterable[int], universe: Iterable[int]) -> int:

@@ -14,17 +14,22 @@ signed row and column labels.  `minor_summation_rhs` is the one block sum
 of both identities; the commutative and the enveloping-algebra versions
 differ only in the minor determinant they pass in.
 
-The recursion `_pf` reads and fills a memo keyed by index tuples of one
-matrix, so every Pfaffian taken of that matrix's principal submatrices
-shares it: `pfaffian` starts a fresh memo, the co-Pfaffian matrix reads
-each cofactor Pf(A without i, j) from the memo that computed Pf A, and
-`complementary_minor_check` computes Pf A, the co-Pfaffian matrix and
-their memos once per matrix and keeps them on the matrix.
-`minor_summation_rhs` keeps one memo per block for a call: Pf(b_I) and
-Pf(c_J) come from `_pf` on the whole b and c blocks (so do the block
-Pfaffians of `grassmann.check_theta_powers`), and the default a-minor
-determinant from `_minor_det`, the first-row Laplace expansion
-memoised on (rows, cols), so each block quantity is computed once.
+The recursion `_pf` names a principal submatrix by an int mask, bit
+k - 1 standing for index k (`indexing.index_mask`), and reads and fills
+a memo keyed by the masks of one matrix, so every Pfaffian taken of that
+matrix's principal submatrices shares it: `pfaffian` starts a fresh
+memo, the co-Pfaffian matrix reads each cofactor Pf(A without i, j) at
+the full mask without bits i - 1 and j - 1 from the memo that computed
+Pf A, and `complementary_minor_check` computes Pf A, the co-Pfaffian
+matrix and their memos once per matrix and keeps them on the matrix.
+Each caller turns its index set into a mask once; the shuffle signs
+sgn(I, Ic) of that check and sgn(Ic, I), sgn(Jc, J) of the block sum
+are `indexing.merge_sign` of the two masks.  `minor_summation_rhs`
+keeps one memo per block for a call: Pf(b_I) and Pf(c_J) come from
+`_pf` on the whole b and c blocks (so do the block Pfaffians of
+`grassmann.check_theta_powers`), and the default a-minor determinant
+from `_minor_det`, the first-row Laplace expansion memoised on the
+index tuples (rows, cols), so each block quantity is computed once.
 
 The cofactor sums of `_pf`, `_minor_det`, `minor_summation_rhs` and
 `copfaffian_expansion_residuals` add every signed product straight into
@@ -51,7 +56,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .indexing import complement_sign, cycle_sign, index_set, split_sign
+from .indexing import cycle_sign, index_mask, index_set, merge_sign
 from .linalg import (
     SingularMatrixError,
     clear_denominators,
@@ -219,50 +224,56 @@ def pfaffian_definitional(A: AlternatingMatrix):
     return ring._wrap(terms)
 
 
-def _pf(A: AlternatingMatrix, indices: tuple[int, ...], memo: dict):
-    """Pfaffian of the principal submatrix of A on the sorted 1-based
-    `indices`, by expansion along its first row.
+def _pf(A: AlternatingMatrix, mask: int, memo: dict):
+    """Pfaffian of the principal submatrix of A on the index set `mask`
+    (bit k - 1 for index k), by expansion along its first row.
 
-    `memo` maps index tuples of A to their Pfaffians; every call on the
-    same A may share it, so each sub-Pfaffian is computed once, and a
-    memoised value is only read, never added into.  The empty Pfaffian is
-    the int 1 and one whose cofactor entries all vanish the int 0, so an
-    all-int matrix has int sub-Pfaffians throughout.  Each entry
-    multiplies its cofactor Pfaffian on the left.
+    The lowest set bit is the first row; each later set bit, in increasing
+    order, pairs with it, its cofactor the Pfaffian at `rest ^ bit` and its
+    sign alternating over the set bits.  `memo` maps masks of A to their
+    Pfaffians; every call on the same A may share it, so each sub-Pfaffian
+    is computed once, and a memoised value is only read, never added into.
+    The empty Pfaffian is the int 1 and one whose cofactor entries all
+    vanish the int 0, so an all-int matrix has int sub-Pfaffians
+    throughout.  Each entry multiplies its cofactor Pfaffian on the left.
     """
-    if not indices:
+    if not mask:
         return 1
-    cached = memo.get(indices)
+    cached = memo.get(mask)
     if cached is not None:
         return cached
-    first, rest = indices[0], indices[1:]
-    row = A.rows[first - 1]
+    low = mask & -mask
+    rest = bits = mask ^ low
+    row = A.rows[low.bit_length() - 1]
     ints = A.int_entries
     total = 0 if ints else ProductSum()  # an int matrix sums in int arithmetic
-    for k, j in enumerate(rest):
-        a = row[j - 1]
-        if not a:
-            continue
-        minor = rest[:k] + rest[k + 1:]
-        sub = memo.get(minor)
-        if sub is None:
-            sub = _pf(A, minor, memo)
-        if not ints:
-            total.add(a, sub, -1 if k % 2 else 1)
-        elif k % 2:
-            total -= a * sub
-        else:
-            total += a * sub
+    positive = True
+    while bits:
+        bit = bits & -bits
+        bits ^= bit
+        a = row[bit.bit_length() - 1]
+        if a:
+            minor = rest ^ bit
+            sub = memo.get(minor) if minor else 1
+            if sub is None:
+                sub = _pf(A, minor, memo)
+            if not ints:
+                total.add(a, sub, 1 if positive else -1)
+            elif positive:
+                total += a * sub
+            else:
+                total -= a * sub
+        positive = not positive
     if not ints:
         total = total.value()
-    memo[indices] = total
+    memo[mask] = total
     return total
 
 
 def pfaffian(A: AlternatingMatrix):
     """Pfaffian by recursive expansion along the first remaining row,
     memoised on index subsets of A."""
-    return _pf(A, tuple(range(1, A.size + 1)), {})
+    return _pf(A, (1 << A.size) - 1, {})
 
 
 def cofactor_pfaffian(A: AlternatingMatrix, i: int, j: int, memo: dict | None = None):
@@ -270,15 +281,15 @@ def cofactor_pfaffian(A: AlternatingMatrix, i: int, j: int, memo: dict | None = 
 
     Zero on the diagonal; off the diagonal it is the Pfaffian of A with
     rows/columns i and j removed, carrying the sign (-1)^(i+j-1) for
-    i < j and (-1)^(i+j) for i > j.  `memo` is a sub-Pfaffian memo of A
-    (see `_pf`) to read from and add to.  Both indices must lie in 1..size.
+    i < j and (-1)^(i+j) for i > j.  `memo` is a sub-Pfaffian memo of A,
+    keyed by masks (see `_pf`), to read from and add to.  Both indices
+    must lie in 1..size.
     """
     if not (1 <= i <= A.size and 1 <= j <= A.size):
         raise ValueError(f"cofactor ({i}, {j}) out of range for size {A.size}")
     if i == j:
         return 0
-    lo, hi = min(i, j), max(i, j)
-    keep = tuple(k for k in range(1, A.size + 1) if k != lo and k != hi)
+    keep = ((1 << A.size) - 1) ^ (1 << (i - 1)) ^ (1 << (j - 1))
     pf = _pf(A, keep, {} if memo is None else memo)
     exponent = i + j - 1 if i < j else i + j
     return -pf if exponent % 2 else pf
@@ -287,8 +298,9 @@ def cofactor_pfaffian(A: AlternatingMatrix, i: int, j: int, memo: dict | None = 
 def copfaffian_matrix(A: AlternatingMatrix, memo: dict | None = None) -> AlternatingMatrix:
     """The alternating matrix of all Pfaffian cofactors.
 
-    All cofactors share one sub-Pfaffian memo of A: `memo` if given
-    (say, the one that computed Pf A), else a fresh one.
+    All cofactors share one mask-keyed sub-Pfaffian memo of A: `memo` if
+    given (say, the one that computed Pf A), else a fresh one.  The grid
+    is skew by construction, so it is wrapped without a second check.
     """
     if memo is None:
         memo = {}
@@ -299,7 +311,7 @@ def copfaffian_matrix(A: AlternatingMatrix, memo: dict | None = None) -> Alterna
             g = cofactor_pfaffian(A, i, j, memo)
             grid[i - 1][j - 1] = g
             grid[j - 1][i - 1] = -g
-    return AlternatingMatrix(grid)
+    return AlternatingMatrix._trusted(tuple(map(tuple, grid)))
 
 
 def copfaffian_expansion_residuals(A: AlternatingMatrix) -> dict[tuple[int, int], object]:
@@ -309,7 +321,7 @@ def copfaffian_expansion_residuals(A: AlternatingMatrix) -> dict[tuple[int, int]
     is returned so failures name their (i, j)."""
     m = A.size
     memo: dict = {}
-    pf = _pf(A, tuple(range(1, m + 1)), memo)
+    pf = _pf(A, (1 << m) - 1, memo)
     gamma = copfaffian_matrix(A, memo)
     ints = A.int_entries and gamma.int_entries
     out = {}
@@ -337,7 +349,7 @@ def _minor_data(A: AlternatingMatrix) -> tuple:
     data = A._minors
     if data is None:
         memo: dict = {}
-        pf = _pf(A, tuple(range(1, A.size + 1)), memo)
+        pf = _pf(A, (1 << A.size) - 1, memo)
         if pf == 0:
             raise SingularMatrixError("Pfaffian vanishes; relation needs an invertible matrix")
         data = A._minors = (pf, memo, copfaffian_matrix(A, memo), {})
@@ -359,14 +371,16 @@ def complementary_minor_check(A: AlternatingMatrix, I: Iterable[int]) -> bool:
     I = tuple(sorted(I))
     if len(I) % 2:
         raise ValueError(f"index set must have even size, got {len(I)}")
-    universe = tuple(range(1, A.size + 1))
-    members = set(I)
-    comp = tuple(k for k in universe if k not in members)
-    if len(members) != len(I) or len(I) + len(comp) != len(universe):
-        raise ValueError(f"index set must hold distinct indices in 1..{A.size}, got {I}")
+    m = A.size
+    mask = 0
+    for k in I:
+        if not 1 <= k <= m or mask >> (k - 1) & 1:
+            raise ValueError(f"index set must hold distinct indices in 1..{m}, got {I}")
+        mask |= 1 << (k - 1)
+    comp = ((1 << m) - 1) ^ mask
     pf, memo, ahat, ahat_memo = _minor_data(A)
-    lhs = _pf(A, I, memo) * pf ** (len(comp) // 2)
-    rhs = split_sign(universe, I, comp) * _pf(ahat, comp, ahat_memo) * pf
+    lhs = _pf(A, mask, memo) * pf ** ((m - len(I)) // 2)
+    rhs = merge_sign(mask, comp) * _pf(ahat, comp, ahat_memo) * pf
     return lhs == rhs
 
 
@@ -551,6 +565,7 @@ def minor_summation_rhs(X: AntiAlternatingMatrix,
     p, q = X.p, X.q
     rows_p = tuple(range(1, p + 1))
     cols_q = tuple(range(1, q + 1))
+    full_p, full_q = (1 << p) - 1, (1 << q) - 1
     total = ProductSum()
     for isize in range(0, p + 1, 2):
         jsize = q - p + isize
@@ -559,17 +574,19 @@ def minor_summation_rhs(X: AntiAlternatingMatrix,
         # the c side does not depend on I: Pf(c_J) once per J, zeros dropped
         c_side = []
         for J in combinations(cols_q, jsize):
-            pf_c = _pf(C, J, c_memo)
+            mask = index_mask(J)
+            pf_c = _pf(C, mask, c_memo)
             if pf_c:
-                members = set(J)
-                c_side.append((complement_sign(J, cols_q), tuple(k for k in cols_q if k not in members), pf_c))
+                comp = full_q ^ mask
+                c_side.append((merge_sign(comp, mask), tuple(k for k in cols_q if comp >> (k - 1) & 1), pf_c))
         for I in combinations(rows_p, isize):
-            pf_b = _pf(B, I, b_memo)
+            mask = index_mask(I)
+            pf_b = _pf(B, mask, b_memo)
             if not pf_b:
                 continue
-            sign_i = complement_sign(I, rows_p)
-            members = set(I)
-            comp_i = tuple(k for k in rows_p if k not in members)
+            comp = full_p ^ mask
+            sign_i = merge_sign(comp, mask)
+            comp_i = tuple(k for k in rows_p if comp >> (k - 1) & 1)
             for sign_j, comp_j, pf_c in c_side:
                 d = det(comp_i, comp_j)
                 if d:

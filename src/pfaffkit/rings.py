@@ -13,7 +13,8 @@ The primes are handed out per process as names are first seen, so the
 codes never leave it: names are decoded where they are read (printing,
 degrees, evaluation, pickling).  Exponents in parsed text and in
 ``Poly.__pow__`` are bounded by ``MAX_EXPONENT``; a product may exceed
-it, but then printing refuses, since the text would not parse back.
+it, but then printing and pickling refuse, since the text or the pickle
+would not read back.
 """
 
 from __future__ import annotations
@@ -86,6 +87,14 @@ def _support(monos: Iterable[Monomial]) -> list[tuple[int, str]]:
     `monos`: the primes in use that divide the lcm of the monomials."""
     support = lcm(*monos)
     return [(p, name) for p, name in _NAME_OF.items() if not support % p]
+
+
+def _check_exponents(factors: Iterable[tuple[tuple[str, int], ...]], action: str) -> None:
+    """Raise ValueError if a decoded monomial has an exponent above
+    MAX_EXPONENT, which neither `parse_poly` nor the constructor accepts."""
+    high = max((e for pairs in factors for _, e in pairs), default=0)
+    if high > MAX_EXPONENT:
+        raise ValueError(f"cannot {action} exponent {high}: it exceeds the bound {MAX_EXPONENT}")
 
 
 def _decode(monos: Collection[Monomial]) -> list[tuple[tuple[str, int], ...]]:
@@ -425,7 +434,12 @@ class Poly(Combination):
             add_into(self.terms, {_mono_code(factors): _rational(c)})
 
     def __reduce__(self):
-        return Poly, (dict(zip(_decode(self.terms), self.terms.values())),)
+        """Pickle the (name, exponent) pairs; raises ValueError on an
+        exponent above MAX_EXPONENT, which the constructor would refuse
+        when the pickle is read back."""
+        factors = _decode(self.terms)
+        _check_exponents(factors, "pickle")
+        return Poly, (dict(zip(factors, self.terms.values())),)
 
     @classmethod
     def var(cls, name: str) -> "Poly":
@@ -544,10 +558,9 @@ class Poly(Combination):
         decoded once, and its degree and factors read from that decoding.
         Raises ValueError on an exponent above MAX_EXPONENT, whose text
         `parse_poly` would refuse."""
-        terms = list(zip(_decode(self.terms), self.terms.values()))
-        high = max((e for factors, _ in terms for _, e in factors), default=0)
-        if high > MAX_EXPONENT:
-            raise ValueError(f"cannot print exponent {high}: it exceeds the bound {MAX_EXPONENT}")
+        factors = _decode(self.terms)
+        _check_exponents(factors, "print")
+        terms = list(zip(factors, self.terms.values()))
         terms.sort(key=lambda kv: _mono_print_key(kv[0]))
         return terms
 

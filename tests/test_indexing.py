@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from pfaffkit.indexing import (
     complement_sign,
     cycle_sign,
+    index_mask,
     index_set,
+    merge_sign,
     permutation_sign,
     split_sign,
 )
@@ -46,6 +48,30 @@ def test_split_sign_matches_permutation_oracle():
             for left in combinations(whole, k):
                 right = tuple(v for v in whole if v not in left)
                 assert split_sign(whole, left, right) == _perm_sign(left + right)
+
+
+def test_split_sign_reads_only_the_order_of_its_indices():
+    # zero, negative and gapped indices rank like 1..n
+    assert split_sign((-2, 0, 5), (0,), (-2, 5)) == split_sign((1, 2, 3), (2,), (1, 3)) == -1
+    assert split_sign((-2, 0, 5), (5,), (-2, 0)) == split_sign((1, 2, 3), (3,), (1, 2)) == 1
+
+
+def test_index_mask_sets_bit_k_minus_one_for_index_k():
+    assert index_mask(()) == 0
+    assert index_mask((1,)) == 0b1
+    assert index_mask((2, 4, 5)) == 0b11010
+    assert index_mask(iter(range(1, 9))) == 0xFF
+
+
+def test_merge_sign_matches_permutation_sign_of_the_concatenation():
+    # every disjoint (left, right) pair on up to 8 slots: each slot is in
+    # left, in right or in neither
+    for n in range(9):
+        for places in product(range(3), repeat=n):
+            left = tuple(k for k in range(n) if places[k] == 1)
+            right = tuple(k for k in range(n) if places[k] == 2)
+            masks = sum(1 << k for k in left), sum(1 << k for k in right)
+            assert merge_sign(*masks) == permutation_sign(left + right), (left, right)
 
 
 def test_complement_sign_is_split_with_complement_first():

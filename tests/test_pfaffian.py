@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfaffkit.indexing import complement_sign, split_sign
+from pfaffkit.indexing import complement_sign, index_mask, split_sign
 from pfaffkit.linalg import (
     SingularMatrixError,
     anti_identity,
@@ -402,10 +402,11 @@ def test_minor_summation_rhs_computes_each_block_quantity_once(monkeypatch):
         # a minor named by its generic entries, whatever memo or numbering reaches it
         return tuple(str(M[i - 1][j - 1]) for i in rows for j in cols)
 
-    def counting_pf(A, indices, memo):
-        if indices and indices not in memo:
+    def counting_pf(A, mask, memo):
+        if mask and mask not in memo:
+            indices = tuple(k for k in range(1, A.size + 1) if mask >> (k - 1) & 1)
             computed["pf", content(A.rows, indices, indices)] += 1
-        return real_pf(A, indices, memo)
+        return real_pf(A, mask, memo)
 
     def counting_det(M, rows, cols, memo):
         if rows and (rows, cols) not in memo:
@@ -498,7 +499,7 @@ def test_fused_sums_agree_with_the_oracles_on_mixed_entries(seed):
         memo = {}  # one memo for every principal sub-Pfaffian
         for even in range(0, size + 1, 2):
             for I in combinations(range(1, size + 1), even):
-                pf = _pf(A, I, memo)
+                pf = _pf(A, index_mask(I), memo)
                 assert pf == pfaffian_definitional(A.submatrix(I)) and _no_zero_coefficient(pf)
     for p, q in ((3, 3), (2, 4), (4, 2)):
         X = _mixed_coloring(p, q, rng)
@@ -516,7 +517,7 @@ def test_fused_sums_of_int_and_integral_fraction_matrices_are_ints():
     A = _int_alternating(6, rng)
     for M in (A, _fraction_copy(A)):
         memo = {}
-        assert _pf(M, tuple(range(1, 7)), memo) == pfaffian_definitional(A)
+        assert _pf(M, 0b111111, memo) == pfaffian_definitional(A)
         assert all(type(v) is int for v in memo.values())
         assert all(type(r) is int and r == 0 for r in copfaffian_expansion_residuals(M).values())
     X = AntiAlternatingMatrix.random_rational(3, 5, rng)
@@ -541,9 +542,9 @@ def test_cancelling_cofactors_give_a_poly_zero_without_zero_coefficients():
     v = [Poly.var(f"v{i}") for i in range(6)]
     R = AlternatingMatrix.from_upper(6, lambda i, j: u[i - 1] * v[j - 1] - v[i - 1] * u[j - 1])
     memo = {}
-    assert _pf(R, tuple(range(1, 7)), memo) == 0
+    assert _pf(R, 0b111111, memo) == 0
     assert all(_no_zero_coefficient(value) for value in memo.values())
-    assert all(value == 0 for indices, value in memo.items() if len(indices) >= 4)
+    assert all(value == 0 for mask, value in memo.items() if mask.bit_count() >= 4)
 
 
 def test_an_all_zero_first_row_gives_the_int_zero():
@@ -553,7 +554,7 @@ def test_an_all_zero_first_row_gives_the_int_zero():
     a_rows = [[0, 0], [Poly.var("y"), 1]]
     assert type(_minor_det(a_rows, (1, 2), (1, 2), {})) is int
     assert _minor_det(a_rows, (1, 2), (1, 2), {}) == 0
-    assert _pf(AlternatingMatrix.generic(4), (), {}) == 1 and _minor_det(a_rows, (), (), {}) == 1
+    assert _pf(AlternatingMatrix.generic(4), 0, {}) == 1 and _minor_det(a_rows, (), (), {}) == 1
 
 
 def _snapshot(memo):
@@ -563,9 +564,9 @@ def _snapshot(memo):
 def test_a_second_sum_on_a_shared_memo_leaves_earlier_values_unchanged():
     A = AlternatingMatrix.generic(6)
     memo = {}
-    _pf(A, (1, 2, 3, 4), memo)
+    _pf(A, 0b1111, memo)
     before = _snapshot(memo)
-    pf = _pf(A, tuple(range(1, 7)), memo)
+    pf = _pf(A, 0b111111, memo)
     copfaffian_matrix(A, memo)
     after = _snapshot(memo)
     assert all(after[key][0] is value and after[key][1] == terms for key, (value, terms) in before.items())
@@ -583,6 +584,17 @@ def test_a_second_sum_on_a_shared_memo_leaves_earlier_values_unchanged():
     assert _snapshot(det_memo) == before
 
 
+@pytest.mark.parametrize("kind", ["int-8", "generic-6"])
+def test_pf_on_every_mask_matches_the_matching_sum(kind):
+    # one memo for all 2^m masks; bit k - 1 stands for index k
+    A = _int_alternating(8, random.Random(43)) if kind == "int-8" else AlternatingMatrix.generic(6)
+    memo = {}
+    for mask in range(1 << A.size):
+        indices = tuple(k for k in range(1, A.size + 1) if mask >> (k - 1) & 1)
+        expected = pfaffian_definitional(A.submatrix(indices)) if len(indices) % 2 == 0 else 0
+        assert _pf(A, mask, memo) == expected, indices
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_pf_of_the_canonical_b_and_c_blocks_matches_the_matching_sum(n):
     X = build_canonical_x(n)
@@ -590,7 +602,7 @@ def test_pf_of_the_canonical_b_and_c_blocks_matches_the_matching_sum(n):
         B, memo = AlternatingMatrix._trusted(block), {}
         for size in range(0, n + 1, 2):
             for I in combinations(range(1, n + 1), size):
-                assert _pf(B, I, memo) == pfaffian_definitional(minor(I))
+                assert _pf(B, index_mask(I), memo) == pfaffian_definitional(minor(I))
 
 
 # --- orthogonal group action ------------------------------------------------

@@ -389,6 +389,17 @@ def test_printing_refuses_an_exponent_over_the_bound():
     assert parse_poly(str(x**MAX_EXPONENT * y)) == x**MAX_EXPONENT * y
 
 
+def test_pickling_refuses_an_exponent_over_the_bound():
+    # the constructor would refuse x^4097 when the pickle is read back
+    high = x**MAX_EXPONENT * x
+    with pytest.raises(ValueError, match=f"exceeds the bound {MAX_EXPONENT}"):
+        pickle.dumps(high)
+    with pytest.raises(ValueError, match=f"exceeds the bound {MAX_EXPONENT}"):
+        pickle.dumps(high * y - 1)
+    at_bound = x**MAX_EXPONENT * y - 1
+    assert pickle.loads(pickle.dumps(at_bound)) == at_bound
+
+
 def test_scalar_grassmann_product_stores_ints():
     # scalar coefficients go through Poly's product on its unit key
     left = GrassmannElement.from_words(1, 1, [([1], Fraction(1, 2)), ((), Fraction(3, 2))])
