@@ -39,9 +39,9 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .indexing import index_mask, merge_sign
-from .pfaffian import AlternatingMatrix, AntiAlternatingMatrix, _pf, pfaffian_of_anti_alternating
+from .pfaffian import AlternatingMatrix, AntiAlternatingMatrix, _minor_det, _pf, pfaffian_of_anti_alternating
 from .rings import Combination, Poly, ProductSum, _rational, add_into
-from .uea import UEAElement, build_canonical_x, nc_pfaffian, shifted_minor_determinant
+from .uea import UEAElement, build_canonical_x, nc_pfaffian
 
 
 def _coefficient_ring(*term_dicts: Mapping[int, object]):
@@ -356,14 +356,17 @@ def check_xi_power_formula(n: int, u, r: int, forms: Forms | None = None) -> boo
     """Xi^(r)(u+r-1) = r! sum_{|I|=|J|=r} e_I e_-J cdet(a^I_J + shift(u)).
 
     The determinant entry in column t carries the extra u + r - t on
-    matched indices; all the determinants share one memo of minors."""
+    matched indices: every determinant is `pfaffian._minor_det` at the
+    shift u under one memo, each I and J turned into a mask once."""
     forms = _forms_for(n, forms)
     lhs = xi_shifted_power(forms, Fraction(u) + r - 1, r)
     scale = factorial(r)
+    a, shift = forms.source.a, Fraction(u)
     memo: dict = {}
+    subsets = [(K, index_mask(K)) for K in combinations(range(1, n + 1), r)]
     rhs = GrassmannElement.from_words(forms.p, forms.q, (
-        (list(I) + [-j for j in reversed(J)], scale * shifted_minor_determinant(forms.source, I, J, u, memo))
-        for I in combinations(range(1, n + 1), r) for J in combinations(range(1, n + 1), r)))
+        (list(I) + [-j for j in reversed(J)], scale * _minor_det(a, rows, cols, memo, shift))
+        for I, rows in subsets for J, cols in subsets))
     return lhs == rhs
 
 

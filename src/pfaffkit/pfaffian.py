@@ -12,7 +12,7 @@ package: its entries may be rationals, `Poly` or enveloping-algebra
 elements (`uea.build_canonical_x`), and `entry(i, j)` reads them by
 signed row and column labels.  `minor_summation_rhs` is the one block sum
 of both identities; the commutative and the enveloping-algebra versions
-differ only in the minor determinant they pass in.
+differ only in the diagonal shift of its minor determinant.
 
 The recursion `_pf` names a principal submatrix by an int mask, bit
 k - 1 standing for index k (`indexing.index_mask`), and reads and fills
@@ -27,9 +27,12 @@ sgn(I, Ic) of that check and sgn(Ic, I), sgn(Jc, J) of the block sum
 are `indexing.merge_sign` of the two masks.  `minor_summation_rhs`
 keeps one memo per block for a call: Pf(b_I) and Pf(c_J) come from
 `_pf` on the whole b and c blocks (so do the block Pfaffians of
-`grassmann.check_theta_powers`), and the default a-minor determinant
-from `_minor_det`, the first-row Laplace expansion memoised on the
-index tuples (rows, cols), so each block quantity is computed once.
+`grassmann.check_theta_powers`), and each a-minor determinant from
+`_minor_det` on the complement masks, so each block quantity is
+computed once.  `_minor_det`, memoised on the (rows, cols) masks, is the
+one minor determinant of the package: a first-column expansion, so the
+determinant for commuting entries and, with the shift u + r - t on the
+diagonal of column t, the column determinant of the enveloping algebra.
 
 The cofactor sums of `_pf`, `_minor_det`, `minor_summation_rhs` and
 `copfaffian_expansion_residuals` add every signed product straight into
@@ -152,8 +155,11 @@ class AlternatingMatrix:
         return self.rows[i - 1][j - 1]
 
     def submatrix(self, indices: Iterable[int]) -> "AlternatingMatrix":
-        """Principal submatrix on the given increasing 1-based indices."""
+        """Principal submatrix on the given increasing 1-based indices, even
+        in number (else ShapeError, as in the constructor)."""
         idx = index_set(indices, self.size)
+        if len(idx) % 2:
+            raise ShapeError(f"alternating matrices must have even size, got {len(idx)}")
         return AlternatingMatrix._trusted(tuple(tuple(self.rows[i - 1][j - 1] for j in idx) for i in idx))
 
     def scale(self, s) -> "AlternatingMatrix":
@@ -494,13 +500,11 @@ class AntiAlternatingMatrix:
 
     def b_minor(self, I: Sequence[int]) -> AlternatingMatrix:
         """Principal minor of b on the increasing indices I in 1..p."""
-        I = index_set(I, self.p)
-        return AlternatingMatrix._trusted(tuple(tuple(self.b[i - 1][j - 1] for j in I) for i in I))
+        return AlternatingMatrix._trusted(self.b).submatrix(I)
 
     def c_minor(self, J: Sequence[int]) -> AlternatingMatrix:
         """Principal minor of c on the increasing indices J in 1..q."""
-        J = index_set(J, self.q)
-        return AlternatingMatrix._trusted(tuple(tuple(self.c[i - 1][j - 1] for j in J) for i in J))
+        return AlternatingMatrix._trusted(self.c).submatrix(J)
 
 
 def pfaffian_of_anti_alternating(X: AntiAlternatingMatrix):
@@ -508,63 +512,69 @@ def pfaffian_of_anti_alternating(X: AntiAlternatingMatrix):
     return pfaffian(X.to_alternating())
 
 
-def _minor_det(M: tuple, rows: tuple[int, ...], cols: tuple[int, ...], memo: dict):
-    """Determinant of the minor of M on the 1-based `rows` and `cols` (equal
-    lengths), by Laplace expansion along its first row.
+def _minor_det(M: tuple, rows: int, cols: int, memo: dict, shift=None):
+    """Column determinant of the minor of M on the masks `rows` and `cols`
+    (bit k - 1 for index k, equal bit counts), by expansion along the
+    lowest set column bit; for commuting entries, the determinant.
 
-    `memo` maps (rows, cols) to determinants of minors of M; every call on
-    the same M may share it, so each minor is computed once.  Entries must
-    commute.  The empty minor is the int 1 and one whose first-row entries
-    all vanish the int 0.  Every term goes through one `ProductSum`, so a
-    rational minor is under the scalar rule.
+    Each set row bit, in increasing order, gives an entry that multiplies
+    its cofactor at `rows ^ bit` on the left, the sign alternating over the
+    set row bits, all through one `ProductSum`.  At a scalar `shift` u the
+    entry (k, k) gains u plus the number of remaining columns: u + r - t in
+    column t of r.  `memo` maps (rows, cols) to minors of M at one shift,
+    so each minor is computed once.  A zero entry or cofactor is skipped:
+    the empty minor is the int 1 and one with a zero row the int 0.
     """
-    if not rows:
+    if not cols:
         return 1
     key = (rows, cols)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    row, rest = M[rows[0] - 1], rows[1:]
+    low = cols & -cols
+    rest = cols ^ low
+    col = low.bit_length() - 1
+    bits = rows
     total = ProductSum()
-    for k, j in enumerate(cols):
-        a = row[j - 1]
-        if not a:
-            continue
-        minor = (rest, cols[:k] + cols[k + 1:])
-        sub = memo.get(minor)
-        if sub is None:
-            sub = _minor_det(M, *minor, memo)
-        total.add(a, sub, -1 if k % 2 else 1)
+    positive = True
+    while bits:
+        bit = bits & -bits
+        bits ^= bit
+        row = bit.bit_length() - 1
+        a = M[row][col]
+        if shift is not None and row == col:
+            a = a + (shift + rest.bit_count())
+        if a:
+            minor = (rows ^ bit, rest)
+            sub = memo.get(minor) if rest else 1
+            if sub is None:
+                sub = _minor_det(M, *minor, memo, shift)
+            if sub:
+                total.add(a, sub, 1 if positive else -1)
+        positive = not positive
     total = memo[key] = total.value()
     return total
 
 
-def minor_summation_rhs(X: AntiAlternatingMatrix,
-                        det: Callable[[tuple[int, ...], tuple[int, ...]], object] | None = None):
+def minor_summation_rhs(X: AntiAlternatingMatrix, shift=None):
     """Expansion of Pf X as a sum of det(a-minor) * Pf(c-minor) * Pf(b-minor).
 
     The sum runs over even subsets I of the b-rows and J of the c-rows of
     matching co-size; each term carries the shuffle signs of (complement,
-    subset) on both sides.  `det(rows, cols)` gives the determinant of the
-    a-minor on the complements of I and J, by default `_minor_det` of the
-    a block under one memo per call; the enveloping-algebra identity passes
-    its shifted column determinant.  Every Pf(b_I) is read through one
-    sub-Pfaffian memo of the whole b block, and every Pf(c_J) through one
-    of c: the entries within b, and within c, commute in all three rings.
-    Factors multiply in the order written, which that identity needs:
-    each signed (d Pf(c_J)) Pf(b_I) is added into one `ProductSum`.
+    subset) on both sides.  The determinant is `_minor_det` of the a block
+    at `shift` on the complement masks of I and J, under one memo per
+    call; the enveloping-algebra identity takes the shift 0.  Every
+    Pf(b_I) is read through one sub-Pfaffian memo of the whole b block,
+    and every Pf(c_J) through one of c: the entries within b, and within
+    c, commute in all three rings.  Factors multiply in the order
+    written, which that identity needs: each signed (d Pf(c_J)) Pf(b_I)
+    is added into one `ProductSum`.
     """
-    if det is None:
-        det_memo: dict = {}
-
-        def det(rows, cols):
-            return _minor_det(X.a, rows, cols, det_memo)
     B, C = AlternatingMatrix._trusted(X.b), AlternatingMatrix._trusted(X.c)
     b_memo: dict = {}
     c_memo: dict = {}
+    det_memo: dict = {}
     p, q = X.p, X.q
-    rows_p = tuple(range(1, p + 1))
-    cols_q = tuple(range(1, q + 1))
     full_p, full_q = (1 << p) - 1, (1 << q) - 1
     total = ProductSum()
     for isize in range(0, p + 1, 2):
@@ -573,22 +583,21 @@ def minor_summation_rhs(X: AntiAlternatingMatrix,
             continue
         # the c side does not depend on I: Pf(c_J) once per J, zeros dropped
         c_side = []
-        for J in combinations(cols_q, jsize):
+        for J in combinations(range(1, q + 1), jsize):
             mask = index_mask(J)
             pf_c = _pf(C, mask, c_memo)
             if pf_c:
                 comp = full_q ^ mask
-                c_side.append((merge_sign(comp, mask), tuple(k for k in cols_q if comp >> (k - 1) & 1), pf_c))
-        for I in combinations(rows_p, isize):
+                c_side.append((merge_sign(comp, mask), comp, pf_c))
+        for I in combinations(range(1, p + 1), isize):
             mask = index_mask(I)
             pf_b = _pf(B, mask, b_memo)
             if not pf_b:
                 continue
             comp = full_p ^ mask
             sign_i = merge_sign(comp, mask)
-            comp_i = tuple(k for k in rows_p if comp >> (k - 1) & 1)
             for sign_j, comp_j, pf_c in c_side:
-                d = det(comp_i, comp_j)
+                d = _minor_det(X.a, comp, comp_j, det_memo, shift)
                 if d:
                     total.add(d * pf_c, pf_b, sign_i * sign_j)
     return total.value()

@@ -15,9 +15,10 @@ increasing under the order lowering < diagonal < raising, ties broken by
 
 The canonical matrix X = (X[i,j]) is a `pfaffian.AntiAlternatingMatrix`
 in the square coloring (n, n) with `UEAElement` entries, so its signed
-layout, X J and the minor summation block sum are those of the
-commutative layer; only the Pfaffian (ordered products) and the shifted
-column determinant are specific to the enveloping algebra.
+layout, X J, the minor summation block sum and its first-column minor
+determinant `pfaffian._minor_det` (at a scalar shift, the shifted column
+determinant) are those of the commutative layer; only the Pfaffian
+(ordered products) is specific to the enveloping algebra.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from itertools import combinations
 from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
-from .indexing import cycle_sign
-from .pfaffian import AntiAlternatingMatrix, minor_summation_rhs
+from .indexing import cycle_sign, index_mask, index_set
+from .pfaffian import AntiAlternatingMatrix, _minor_det, minor_summation_rhs
 from .rings import (
     Combination,
     Poly,
@@ -373,53 +374,32 @@ def shifted_minor_determinant(X: AntiAlternatingMatrix, I: Sequence[int], J: Seq
     diagonal shift u + r - t added in column t (r = len(J)):
     sum_s sgn(s) M[s(1)][1] M[s(2)][2] ..., factors kept in column order.
 
-    It is expanded along the first column, each entry of which multiplies
-    its complementary minor on the left.  The diagonal entry of the first
-    column of a minor on columns `cols` is shifted by u + len(cols) - 1,
-    which is u + r - t on every suffix of J, so a minor depends only on
-    (rows, cols) at a given u.  `memo` maps (rows, cols) to those minors;
+    I and J must be strictly increasing, within 1..p and 1..q.  The
+    determinant is `pfaffian._minor_det` of the a block at the shift u,
+    a first-column expansion in which each entry multiplies its
+    complementary minor on the left; a minor depends only on its row and
+    column masks at a given u.  `memo` maps those mask pairs to minors;
     every call on the same X and u may share it, for any I, J and size r.
     """
+    I, J = index_set(I, X.p), index_set(J, X.q)
     if len(I) != len(J):
         raise ValueError("shifted minors must be square")
-    if not J:
-        return 1
-    return _shifted_minor(X.a, Fraction(u), tuple(I), tuple(J), {} if memo is None else memo)
-
-
-def _shifted_minor(a, u: Fraction, rows: tuple[int, ...], cols: tuple[int, ...],
-                   memo: dict) -> UEAElement:
-    key = (rows, cols)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    j, rest = cols[0], cols[1:]
-    out: dict[Word, ScalarLike] = {}
-    for k, i in enumerate(rows):
-        entry = a[i - 1][j - 1]
-        if i == j:
-            entry = entry + (u + len(rest))
-        if entry:
-            minor = _shifted_minor(a, u, rows[:k] + rows[k + 1:], rest, memo).terms if rest else {(): 1}
-            _product_into(out, entry.terms, minor, -1 if k % 2 else 1)
-    det = memo[key] = UEAElement._wrap(out)
-    return det
+    return _minor_det(X.a, index_mask(I), index_mask(J), {} if memo is None else memo, Fraction(u))
 
 
 def nc_minor_summation_rhs(n: int, X: AntiAlternatingMatrix | None = None) -> UEAElement:
     """Expansion of Pf X into shifted determinants times commuting Pfaffians.
 
-    The block sum of `pfaffian.minor_summation_rhs` over equal-size even
-    subsets I, J of [n], each term sgn(Ic, I) sgn(Jc, J) det(a-minor on
-    complements, shifted) Pf(c_J) Pf(b_I), multiplied in exactly that
-    order; the entries of b_I (and of c_J) commute, so their Pfaffians are
-    the commutative ones."""
+    The block sum of `pfaffian.minor_summation_rhs` at the shift 0, over
+    equal-size even subsets I, J of [n], each term sgn(Ic, I) sgn(Jc, J)
+    det(a-minor on complements, shifted) Pf(c_J) Pf(b_I), multiplied in
+    exactly that order; the entries of b_I (and of c_J) commute, so their
+    Pfaffians are the commutative ones."""
     if X is None:
         X = build_canonical_x(n)
     elif (X.p, X.q) != (n, n):
         raise ValueError(f"X has coloring ({X.p}, {X.q}), expected ({n}, {n})")
-    memo: dict = {}
-    return minor_summation_rhs(X, lambda rows, cols: shifted_minor_determinant(X, rows, cols, 0, memo))
+    return minor_summation_rhs(X, shift=0)
 
 
 def chevalley_generators(n: int) -> tuple[Generator, ...]:

@@ -329,6 +329,15 @@ def test_block_minors_reject_bad_indices(block, indices):
     assert getattr(X, block)((1, 3)).size == 2
 
 
+@pytest.mark.parametrize("indices", [(1,), (1, 2, 3)])
+def test_odd_principal_submatrices_are_rejected(indices):
+    # an odd principal submatrix is not an AlternatingMatrix, as in the constructor
+    X = AntiAlternatingMatrix.generic(3, 3)
+    for take in (AlternatingMatrix.generic(4).submatrix, X.b_minor, X.c_minor):
+        with pytest.raises(ShapeError):
+            take(indices)
+
+
 def test_full_satisfies_defining_relation():
     # tX J + J X = 0
     for p, q in ((1, 1), (2, 2), (1, 3), (3, 1), (2, 4)):
@@ -393,6 +402,11 @@ def _unhoisted_minor_summation_rhs(X):
     return total
 
 
+def _indices(mask):
+    """The 1-based indices of a mask, bit k - 1 standing for index k."""
+    return tuple(k for k in range(1, mask.bit_length() + 1) if mask >> (k - 1) & 1)
+
+
 def test_minor_summation_rhs_computes_each_block_quantity_once(monkeypatch):
     module = importlib.import_module("pfaffkit.pfaffian")  # the package re-exports a function by this name
     real_pf, real_det = module._pf, module._minor_det
@@ -404,14 +418,13 @@ def test_minor_summation_rhs_computes_each_block_quantity_once(monkeypatch):
 
     def counting_pf(A, mask, memo):
         if mask and mask not in memo:
-            indices = tuple(k for k in range(1, A.size + 1) if mask >> (k - 1) & 1)
-            computed["pf", content(A.rows, indices, indices)] += 1
+            computed["pf", content(A.rows, _indices(mask), _indices(mask))] += 1
         return real_pf(A, mask, memo)
 
-    def counting_det(M, rows, cols, memo):
-        if rows and (rows, cols) not in memo:
-            computed["det", content(M, rows, cols)] += 1
-        return real_det(M, rows, cols, memo)
+    def counting_det(M, rows, cols, memo, shift=None):
+        if cols and (rows, cols) not in memo:
+            computed["det", content(M, _indices(rows), _indices(cols))] += 1
+        return real_det(M, rows, cols, memo, shift)
 
     X = AntiAlternatingMatrix.generic(5, 5)
     monkeypatch.setattr(module, "_pf", counting_pf)
@@ -450,8 +463,25 @@ def test_memoised_minor_determinant_matches_leibniz(p, q):
         for size in range(min(p, q) + 1):
             for rows in combinations(range(1, p + 1), size):
                 for cols in combinations(range(1, q + 1), size):
-                    assert _minor_det(X.a, rows, cols, memo) == det_leibniz(X.a_minor(rows, cols)), (rows, cols)
+                    d = _minor_det(X.a, index_mask(rows), index_mask(cols), memo)
+                    assert d == det_leibniz(X.a_minor(rows, cols)), (rows, cols)
         assert pfaffian_of_anti_alternating(X) == minor_summation_rhs(X)
+
+
+def test_shifted_minor_determinant_of_commuting_entries_matches_det_exact():
+    # at a rational shift u the entry (i, i) of column t gains u + r - t;
+    # with int entries that is the ordinary determinant of the shifted rows
+    rng = random.Random(53)
+    a_rows = tuple(tuple(rng.randint(-9, 9) for _ in range(5)) for _ in range(4))
+    u = Fraction(-5, 3)
+    memo = {}  # one memo at one shift
+    for size in range(5):
+        for rows in combinations(range(1, 5), size):
+            for cols in combinations(range(1, 6), size):
+                shifted = tuple(tuple(a_rows[i - 1][j - 1] + (u + size - t if i == j else 0)
+                                      for t, j in enumerate(cols, start=1)) for i in rows)
+                d = _minor_det(a_rows, index_mask(rows), index_mask(cols), memo, u)
+                assert d == det_exact(shifted), (rows, cols)
 
 
 def test_minor_summation_rhs_equals_unhoisted_sum():
@@ -507,7 +537,7 @@ def test_fused_sums_agree_with_the_oracles_on_mixed_entries(seed):
         for size in range(min(p, q) + 1):
             for rows in combinations(range(1, p + 1), size):
                 for cols in combinations(range(1, q + 1), size):
-                    d = _minor_det(X.a, rows, cols, memo)
+                    d = _minor_det(X.a, index_mask(rows), index_mask(cols), memo)
                     assert d == det_leibniz(X.a_minor(rows, cols)) and _no_zero_coefficient(d)
         assert minor_summation_rhs(X) == pfaffian_definitional(X.to_alternating())
 
@@ -526,7 +556,7 @@ def test_fused_sums_of_int_and_integral_fraction_matrices_are_ints():
         memo = {}
         for rows in combinations(range(1, 4), 2):
             for cols in combinations(range(1, 6), 2):
-                assert type(_minor_det(Y.a, rows, cols, memo)) is int
+                assert type(_minor_det(Y.a, index_mask(rows), index_mask(cols), memo)) is int
         rhs = minor_summation_rhs(Y)
         assert type(rhs) is int and rhs == pfaffian_of_anti_alternating(X)
 
@@ -552,9 +582,9 @@ def test_an_all_zero_first_row_gives_the_int_zero():
         A = AlternatingMatrix.from_upper(4, lambda i, j: zero if i == 1 else Poly.var(f"x[{i},{j}]"))
         assert pfaffian(A) == 0 and type(pfaffian(A)) is int
     a_rows = [[0, 0], [Poly.var("y"), 1]]
-    assert type(_minor_det(a_rows, (1, 2), (1, 2), {})) is int
-    assert _minor_det(a_rows, (1, 2), (1, 2), {}) == 0
-    assert _pf(AlternatingMatrix.generic(4), 0, {}) == 1 and _minor_det(a_rows, (), (), {}) == 1
+    assert type(_minor_det(a_rows, 0b11, 0b11, {})) is int
+    assert _minor_det(a_rows, 0b11, 0b11, {}) == 0
+    assert _pf(AlternatingMatrix.generic(4), 0, {}) == 1 and _minor_det(a_rows, 0, 0, {}) == 1
 
 
 def _snapshot(memo):
@@ -571,17 +601,20 @@ def test_a_second_sum_on_a_shared_memo_leaves_earlier_values_unchanged():
     after = _snapshot(memo)
     assert all(after[key][0] is value and after[key][1] == terms for key, (value, terms) in before.items())
     assert pf == pfaffian_definitional(A)
-    # memoised a-minors feed the block sum twice without being changed
+    # memoised a-minors are read as cofactors by a second sweep of every
+    # a-minor, which hands them back as the same, unchanged objects
     X = AntiAlternatingMatrix.generic(3, 3)
     det_memo = {}
-
-    def det(rows, cols):
-        return _minor_det(X.a, rows, cols, det_memo)
-
-    first = minor_summation_rhs(X, det)
+    pairs = [(index_mask(rows), index_mask(cols)) for size in range(4)
+             for rows in combinations(range(1, 4), size) for cols in combinations(range(1, 4), size)]
+    first = {key: _minor_det(X.a, *key, det_memo) for key in pairs if key[1].bit_count() < 3}
     before = _snapshot(det_memo)
-    assert minor_summation_rhs(X, det) == first == pfaffian_of_anti_alternating(X)
-    assert _snapshot(det_memo) == before
+    second = {key: _minor_det(X.a, *key, det_memo) for key in pairs}
+    after = _snapshot(det_memo)
+    assert all(second[key] is value for key, value in first.items())
+    assert all(after[key][0] is value and after[key][1] == terms for key, (value, terms) in before.items())
+    assert second[0b111, 0b111] == det_leibniz(X.a)
+    assert minor_summation_rhs(X) == pfaffian_of_anti_alternating(X)
 
 
 @pytest.mark.parametrize("kind", ["int-8", "generic-6"])

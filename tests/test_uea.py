@@ -264,8 +264,11 @@ def test_shifted_determinant_matches_leibniz(u):
                                        for t, j in enumerate(J, start=1)) for i in I)
                     assert shifted_minor_determinant(X, I, J, u, memo) == det_leibniz(rows), (n, I, J)
         assert len(memo) > 0
-    with pytest.raises(ValueError):
-        shifted_minor_determinant(X, (1, 2), (1,), u)
+    # a non-square minor, an unsorted or a repeated I and an out-of-range J
+    # raise: a mask would drop the order and the repeats silently
+    for I, J in (((1, 2), (1,)), ((2, 1), (1, 2)), ((1, 1), (1, 2)), ((1, 2), (1, 4))):
+        with pytest.raises(ValueError):
+            shifted_minor_determinant(X, I, J, u)
 
 
 def test_abelianized_symbol_matches_commutative():
