@@ -59,7 +59,6 @@ from .grassmann import (
     check_xi_power_formula,
     eta,
     pfaffian_from_top_form,
-    xi_at,
     xi_shifted_power,
 )
 from . import matrixio

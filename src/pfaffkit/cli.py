@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import grassmann, matrixio, uea, verify
 from .matrixio import MatrixParseError
@@ -20,7 +19,7 @@ from .pfaffian import (
     pfaffian,
     pfaffian_of_anti_alternating,
 )
-from .rings import PolyParseError
+from .rings import PolyParseError, parse_rational
 from .uea import HighestWeight
 from .verify import BoundExceededError
 
@@ -102,17 +101,13 @@ def cmd_eigenvalue(args) -> int:
     if args.symbolic == (args.lam is not None):
         print("eigenvalue: give exactly one of --lambda or --symbolic", file=sys.stderr)
         return 2
-    if args.n < 1:
-        print("eigenvalue: --n must be at least 1", file=sys.stderr)
-        return 2
-    if args.via != "product":
-        verify.check_n_bound(args.n, args.force)
+    verify.check_n_bound(args.n, args.force or args.via == "product")
     if args.symbolic:
         weight = HighestWeight.symbolic(args.n)
     else:
         try:
-            values = [Fraction(part.strip()) for part in args.lam.split(",")]
-        except (ValueError, ZeroDivisionError):
+            values = [parse_rational(part) for part in args.lam.split(",")]
+        except PolyParseError:
             print(f"eigenvalue: cannot parse weight {args.lam!r}", file=sys.stderr)
             return 2
         if len(values) != args.n:

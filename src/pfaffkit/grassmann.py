@@ -143,11 +143,6 @@ class GrassmannElement(Combination):
                 add_into(elt.terms, {mask: coeff}, sign)
         return elt
 
-    @classmethod
-    def from_word(cls, p: int, q: int, labels: Sequence[int], coeff) -> "GrassmannElement":
-        """coeff times the product of e_label factors, left to right."""
-        return cls.from_words(p, q, [(labels, coeff)])
-
     def __mul__(self, other: "GrassmannElement") -> "GrassmannElement":
         """Fused product: every coefficient pair of disjoint masks m1, m2 is
         added, with the sign of merging m2 into m1, straight into one raw
@@ -240,10 +235,6 @@ class Forms:
     def half(self) -> int:
         return (self.p + self.q) // 2
 
-    def one(self) -> GrassmannElement:
-        """The coefficient ring's one, as a scalar form."""
-        return self.omega.power(0)
-
 
 def build_forms(mode: str = "uea", n: int | None = None, p: int | None = None, q: int | None = None) -> Forms:
     """Construct Omega, Xi, Theta, Theta' (and tau when square) for a
@@ -279,18 +270,12 @@ def build_forms(mode: str = "uea", n: int | None = None, p: int | None = None, q
     return Forms(mode, p, q, omega, xi, theta, theta_prime, tau, source)
 
 
-def _forms_for(n: int, forms: Forms | None, mode: str = "uea",
-               p: int | None = None, q: int | None = None) -> Forms:
-    """`forms`, or fresh forms of rank n; raises if n is not their rank,
-    mode not their mode, or a given p or q not their coloring."""
-    if forms is None:
-        forms = build_forms(mode, n=n, p=p, q=q)
+def _forms_for(n: int, forms: Forms, mode: str = "uea") -> Forms:
+    """`forms`; raises if n is not their rank or mode not their mode."""
     if n != forms.half:
         raise ValueError(f"n = {n} contradicts forms of rank {forms.half}")
     if mode != forms.mode:
         raise ValueError(f"mode {mode!r} contradicts forms of mode {forms.mode!r}")
-    if (p is not None and p != forms.p) or (q is not None and q != forms.q):
-        raise ValueError(f"coloring ({p}, {q}) contradicts forms of coloring ({forms.p}, {forms.q})")
     return forms
 
 
@@ -300,7 +285,7 @@ def check_structure(forms: Forms) -> bool:
     return forms.omega == forms.theta_prime + two_xi + forms.theta
 
 
-def check_sl2(n: int, forms: Forms | None = None) -> bool:
+def check_sl2(n: int, *, forms: Forms) -> bool:
     """[Theta, Theta'] = 4 tau Xi, [Theta, Xi] = 2 tau Theta,
     [Theta', Xi] = -2 tau Theta' in the uea forms."""
     f = _forms_for(n, forms)
@@ -309,13 +294,6 @@ def check_sl2(n: int, forms: Forms | None = None) -> bool:
     ok2 = f.theta.commutator(f.xi) == (tau * f.theta).scale(2)
     ok3 = f.theta_prime.commutator(f.xi) == (tau * f.theta_prime).scale(-2)
     return ok1 and ok2 and ok3
-
-
-def xi_at(forms: Forms, u) -> GrassmannElement:
-    """Xi(u) = Xi + u tau (square colorings only)."""
-    if forms.tau is None:
-        raise ValueError("Xi(u) needs a square coloring")
-    return forms.xi + forms.tau.scale(Fraction(u))
 
 
 def _tau_xi(forms: Forms, k: int, j: int) -> GrassmannElement:
@@ -352,7 +330,7 @@ def xi_shifted_power(forms: Forms, u, r: int) -> GrassmannElement:
     return _linear_combination(forms.p, forms.q, ((c, _tau_xi(forms, k, r - k)) for k, c in enumerate(e)))
 
 
-def check_xi_power_formula(n: int, u, r: int, forms: Forms | None = None) -> bool:
+def check_xi_power_formula(n: int, u, r: int, *, forms: Forms) -> bool:
     """Xi^(r)(u+r-1) = r! sum_{|I|=|J|=r} e_I e_-J cdet(a^I_J + shift(u)).
 
     The determinant entry in column t carries the extra u + r - t on
@@ -378,7 +356,7 @@ def eta(forms: Forms, j: int, u) -> GrassmannElement:
         for i in range(1, forms.p + 1)))
 
 
-def check_eta_anticommute(n: int, u, forms: Forms | None = None) -> bool:
+def check_eta_anticommute(n: int, u, *, forms: Forms) -> bool:
     """eta_i(u+1) eta_j(u) + eta_j(u+1) eta_i(u) = 0 for all i, j."""
     forms = _forms_for(n, forms)
     shifted = [eta(forms, j, Fraction(u) + 1) for j in range(1, n + 1)]
@@ -390,13 +368,11 @@ def check_eta_anticommute(n: int, u, forms: Forms | None = None) -> bool:
     return True
 
 
-def check_theta_powers(n: int, s: int, t: int, mode: str = "uea",
-                       p: int | None = None, q: int | None = None,
-                       forms: Forms | None = None) -> bool:
+def check_theta_powers(n: int, s: int, t: int, mode: str = "uea", *, forms: Forms) -> bool:
     """Theta^s = 2^s s! sum_{|I|=2s} e_I Pf(b_I) and the mirror statement
     Theta'^t = 2^t t! sum_{|J|=2t} e_-J Pf(c_J), each block's Pfaffians
     read by `_pf` under one memo per call."""
-    forms = _forms_for(n, forms, mode, p, q)
+    forms = _forms_for(n, forms, mode)
     X = forms.source
 
     def expands(form: GrassmannElement, exp: int, block: tuple, word) -> bool:
@@ -410,16 +386,14 @@ def check_theta_powers(n: int, s: int, t: int, mode: str = "uea",
             and expands(forms.theta_prime, t, X.c, lambda J: [-j for j in reversed(J)]))
 
 
-def check_trinomial(n: int, m: int, mode: str = "uea",
-                    p: int | None = None, q: int | None = None,
-                    forms: Forms | None = None) -> bool:
+def check_trinomial(n: int, m: int, mode: str = "uea", *, forms: Forms) -> bool:
     """Trinomial expansion of Omega^m.
 
     uea mode: Omega^m = sum m!/(p! q! r!) 2^r Xi^(r)(q-p+r-1) Theta'^p Theta^q
     over p+q+r = m, with the falling Xi product shifted as shown.
     commutative mode: the unshifted expansion
     Omega^m = sum m!/(h! s! t!) 2^h Xi^h Theta^s Theta'^t."""
-    forms = _forms_for(n, forms, mode, p, q)
+    forms = _forms_for(n, forms, mode)
     lhs = forms.omega.power(m)
 
     def multinomial(h: int, k: int, r: int) -> int:
@@ -450,9 +424,7 @@ def check_trinomial(n: int, m: int, mode: str = "uea",
     return lhs == _linear_combination(forms.p, forms.q, outer)
 
 
-def pfaffian_from_top_form(mode: str = "uea", n: int | None = None,
-                           p: int | None = None, q: int | None = None,
-                           forms: Forms | None = None):
+def pfaffian_from_top_form(forms: Forms):
     """Pf X recovered as the top coefficient of Omega^n over 2^n n!.
 
     Omega^n is Omega^a Omega^b with b = n - a, so its top coefficient
@@ -460,8 +432,6 @@ def pfaffian_from_top_form(mode: str = "uea", n: int | None = None,
     signed by `merge_sign`, the left coefficient on the left.  The split
     is a = n // 2, which builds no power past Omega^b, unless Omega^n is
     already memoised on Omega: then a = n and Omega^b is the one."""
-    if forms is None:
-        forms = build_forms(mode, n=n, p=p, q=q)
     half = forms.half
     memoised = len(getattr(forms.omega, "_powers", ())) + 1  # see GrassmannElement.power
     a = half if memoised >= half else half // 2
@@ -481,7 +451,7 @@ def check_top_form_route(mode: str = "uea", n: int | None = None,
     """The top-form route agrees with the direct Pfaffian."""
     if forms is None:
         forms = build_forms(mode, n=n, p=p, q=q)
-    via_top = pfaffian_from_top_form(forms=forms)
+    via_top = pfaffian_from_top_form(forms)
     if forms.mode == "uea":
         return via_top == nc_pfaffian(forms.source)
     return via_top == pfaffian_of_anti_alternating(forms.source)

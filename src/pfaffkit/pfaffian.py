@@ -139,13 +139,14 @@ class AlternatingMatrix:
         return cls(grid)
 
     @classmethod
-    def generic(cls, size: int, name: str = "a") -> "AlternatingMatrix":
-        """Strict upper triangle filled with indeterminates name[i,j]."""
-        return cls.from_upper(size, lambda i, j: Poly.var(f"{name}[{i},{j}]"))
+    def generic(cls, size: int) -> "AlternatingMatrix":
+        """Strict upper triangle filled with indeterminates a[i,j]."""
+        return cls.from_upper(size, lambda i, j: Poly.var(f"a[{i},{j}]"))
 
     @classmethod
-    def random_rational(cls, size: int, rng: random.Random, lo: int = -9, hi: int = 9) -> "AlternatingMatrix":
-        return cls.from_upper(size, lambda i, j: rng.randint(lo, hi))
+    def random_rational(cls, size: int, rng: random.Random) -> "AlternatingMatrix":
+        """Strict upper triangle of seeded ints in -9..9."""
+        return cls.from_upper(size, lambda i, j: rng.randint(-9, 9))
 
     @property
     def size(self) -> int:
@@ -454,10 +455,11 @@ class AntiAlternatingMatrix:
         return cls.from_upper_blocks(p, q, a_rows, b_upper, c_upper)
 
     @classmethod
-    def random_rational(cls, p: int, q: int, rng: random.Random, lo: int = -9, hi: int = 9) -> "AntiAlternatingMatrix":
-        a_rows = [[rng.randint(lo, hi) for _ in range(q)] for _ in range(p)]
-        b_upper = [[rng.randint(lo, hi) for _ in range(i + 1, p + 1)] for i in range(1, p)]
-        c_upper = [[rng.randint(lo, hi) for _ in range(i + 1, q + 1)] for i in range(1, q)]
+    def random_rational(cls, p: int, q: int, rng: random.Random) -> "AntiAlternatingMatrix":
+        """Blocks a and the strict upper triangles of b, c of seeded ints in -9..9."""
+        a_rows = [[rng.randint(-9, 9) for _ in range(q)] for _ in range(p)]
+        b_upper = [[rng.randint(-9, 9) for _ in range(i + 1, p + 1)] for i in range(1, p)]
+        c_upper = [[rng.randint(-9, 9) for _ in range(i + 1, q + 1)] for i in range(1, q)]
         return cls.from_upper_blocks(p, q, a_rows, b_upper, c_upper)
 
     @property
@@ -490,21 +492,13 @@ class AntiAlternatingMatrix:
         return tuple(tuple(self.entry(i, j) for j in cols) for i in self.row_labels())
 
     def to_alternating(self) -> AlternatingMatrix:
-        """X J, which is alternating; its Pfaffian is Pf X by definition."""
-        full = self.full()
-        n2 = self.size
-        return AlternatingMatrix(tuple(tuple(full[r][n2 - 1 - c] for c in range(n2)) for r in range(n2)))
+        """X J, which is alternating; its Pfaffian is Pf X by definition.
 
-    def a_minor(self, rows: Sequence[int], cols: Sequence[int]) -> tuple:
-        return tuple(tuple(self.a[i - 1][j - 1] for j in cols) for i in rows)
-
-    def b_minor(self, I: Sequence[int]) -> AlternatingMatrix:
-        """Principal minor of b on the increasing indices I in 1..p."""
-        return AlternatingMatrix._trusted(self.b).submatrix(I)
-
-    def c_minor(self, J: Sequence[int]) -> AlternatingMatrix:
-        """Principal minor of c on the increasing indices J in 1..q."""
-        return AlternatingMatrix._trusted(self.c).submatrix(J)
+        X J is the signed layout with its columns reversed, so its entry
+        (r, c) is X[i, -k] for the row labels i of r and k of c, and
+        X[i, -k] = -X[k, -i] by anti-alternation.  It is skew by
+        construction, so it is wrapped without a second check."""
+        return AlternatingMatrix._trusted(tuple(row[::-1] for row in self.full()))
 
 
 def pfaffian_of_anti_alternating(X: AntiAlternatingMatrix):

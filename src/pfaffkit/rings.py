@@ -200,10 +200,10 @@ def _mono_print_key(factors):
     return (-_mono_degree(factors), [(name, -e) for name, e in factors])
 
 
-def format_monomial(factors, sep: str = "*") -> str:
+def format_monomial(factors) -> str:
     """The text of a decoded monomial, its factors in `display_key` order."""
     ordered = sorted(factors, key=lambda f: display_key(f[0]))
-    return sep.join(n if e == 1 else f"{n}^{e}" for n, e in ordered)
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in ordered)
 
 
 def _rational(c):

@@ -127,9 +127,6 @@ class UEAElement(Combination):
     def from_generator(cls, g: Generator) -> "UEAElement":
         return cls._wrap({(g,): 1})
 
-    def degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     __add__ = __radd__ = Combination.__add__
 
     def __mul__(self, other):
@@ -169,19 +166,6 @@ class UEAElement(Combination):
             return (-len(word), tuple(tuple(-x for x in g.sort_key) for g in word))
 
         return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
-
-    def to_text(self) -> str:
-        """Lossless canonical text: 'coeff * name^e name^e ...' joined by ' + '."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for word, coeff in self.sorted_terms():
-            if not word:
-                pieces.append(str(coeff))
-            else:
-                factors = " ".join(f"{g.name}^{e}" for g, e in self._run_lengths(word))
-                pieces.append(f"{coeff} * {factors}")
-        return " + ".join(pieces)
 
     def _format_key(self, word: Word) -> str:
         return " ".join(g.name if e == 1 else f"{g.name}^{e}" for g, e in self._run_lengths(word))
@@ -369,7 +353,7 @@ def nc_pfaffian_unrestricted(X: AntiAlternatingMatrix) -> UEAElement:
 
 
 def shifted_minor_determinant(X: AntiAlternatingMatrix, I: Sequence[int], J: Sequence[int],
-                              u: ScalarLike = 0, memo: dict | None = None) -> UEAElement:
+                              u: ScalarLike = 0) -> UEAElement:
     """Column determinant of the a-block minor rows I, columns J with the
     diagonal shift u + r - t added in column t (r = len(J)):
     sum_s sgn(s) M[s(1)][1] M[s(2)][2] ..., factors kept in column order.
@@ -377,17 +361,15 @@ def shifted_minor_determinant(X: AntiAlternatingMatrix, I: Sequence[int], J: Seq
     I and J must be strictly increasing, within 1..p and 1..q.  The
     determinant is `pfaffian._minor_det` of the a block at the shift u,
     a first-column expansion in which each entry multiplies its
-    complementary minor on the left; a minor depends only on its row and
-    column masks at a given u.  `memo` maps those mask pairs to minors;
-    every call on the same X and u may share it, for any I, J and size r.
+    complementary minor on the left.
     """
     I, J = index_set(I, X.p), index_set(J, X.q)
     if len(I) != len(J):
         raise ValueError("shifted minors must be square")
-    return _minor_det(X.a, index_mask(I), index_mask(J), {} if memo is None else memo, Fraction(u))
+    return _minor_det(X.a, index_mask(I), index_mask(J), {}, Fraction(u))
 
 
-def nc_minor_summation_rhs(n: int, X: AntiAlternatingMatrix | None = None) -> UEAElement:
+def nc_minor_summation_rhs(n: int) -> UEAElement:
     """Expansion of Pf X into shifted determinants times commuting Pfaffians.
 
     The block sum of `pfaffian.minor_summation_rhs` at the shift 0, over
@@ -395,11 +377,7 @@ def nc_minor_summation_rhs(n: int, X: AntiAlternatingMatrix | None = None) -> UE
     det(a-minor on complements, shifted) Pf(c_J) Pf(b_I), multiplied in
     exactly that order; the entries of b_I (and of c_J) commute, so their
     Pfaffians are the commutative ones."""
-    if X is None:
-        X = build_canonical_x(n)
-    elif (X.p, X.q) != (n, n):
-        raise ValueError(f"X has coloring ({X.p}, {X.q}), expected ({n}, {n})")
-    return minor_summation_rhs(X, shift=0)
+    return minor_summation_rhs(build_canonical_x(n), shift=0)
 
 
 def chevalley_generators(n: int) -> tuple[Generator, ...]:
@@ -549,7 +527,7 @@ def _generator_element(name: str) -> UEAElement:
 
 
 def parse_element(text: str) -> UEAElement:
-    """Parse the textual PBW format produced by UEAElement.to_text.
+    """Parse the textual PBW format that `str` of a UEAElement produces.
 
     The grammar is that of rings.parse_expression with generator names
     kind[i,j] as the variables.  Factors multiply left to right and are

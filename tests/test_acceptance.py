@@ -107,7 +107,7 @@ def test_criterion_6_two_form_suite():
     ok = True
     for n in (1, 2, 3):
         f = build_forms("uea", n=n)
-        ok = ok and check_sl2(n)
+        ok = ok and check_sl2(n, forms=f)
         ok = ok and all(check_xi_power_formula(n, u, r, forms=f) for r in range(n + 1) for u in us)
         ok = ok and all(check_eta_anticommute(n, u, forms=f) for u in us)
         ok = ok and all(check_theta_powers(n, s, t, forms=f)
@@ -130,7 +130,7 @@ def test_criterion_7_route_consistency():
             A = AntiAlternatingMatrix.generic(p, q).to_alternating()
             cofactor_route = pfaffian(A)
             ok = ok and cofactor_route == pfaffian_definitional(A)
-            ok = ok and cofactor_route == pfaffian_from_top_form("commutative", p=p, q=q)
+            ok = ok and cofactor_route == pfaffian_from_top_form(build_forms("commutative", p=p, q=q))
     for n in (1, 2, 3):
         ok = ok and check_top_form_route("uea", n=n)
     assert report("criterion 7: recursive, definitional and top-form routes agree "

@@ -400,6 +400,18 @@ def test_eigenvalue_needs_exactly_one_weight_flag(capsys):
 def test_eigenvalue_unparsable_weight(capsys):
     code, _, err = run(capsys, "eigenvalue", "--n", "1", "--lambda", "x")
     assert code == 2
+    code, out, err = run(capsys, "eigenvalue", "--n", "2", "--lambda", "1/0,1")
+    assert code == 2
+    assert "cannot parse weight" in err and out == ""
+
+
+@pytest.mark.parametrize("via", ["product", "pfaffian", "both"])
+def test_eigenvalue_rank_below_one_is_usage_error(via, capsys):
+    for n in ("0", "-2"):
+        code, out, err = run(capsys, "eigenvalue", "--n", n, "--symbolic", "--via", via)
+        assert code == 2
+        assert "--n must be at least 1" in err
+        assert out == ""
 
 
 # --- forms -----------------------------------------------------------------------

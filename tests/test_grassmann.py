@@ -21,7 +21,6 @@ from pfaffkit.grassmann import (
     check_xi_power_formula,
     eta,
     pfaffian_from_top_form,
-    xi_at,
     xi_shifted_power,
 )
 from pfaffkit.indexing import permutation_sign
@@ -31,7 +30,7 @@ from pfaffkit.uea import UEAElement, canonical_generators
 
 
 def w(labels, coeff=Fraction(1), p=2, q=2):
-    return GrassmannElement.from_word(p, q, labels, coeff)
+    return GrassmannElement.from_words(p, q, [(labels, coeff)])
 
 
 # --- the exterior algebra itself ---------------------------------------------
@@ -89,8 +88,8 @@ def test_coefficients_ride_along():
     # module coefficients multiply on the left in the order the factors appear
     x = Poly.var("x")
     y = Poly.var("y")
-    lhs = GrassmannElement.from_word(2, 2, [1], x) * GrassmannElement.from_word(2, 2, [2], y)
-    assert lhs == GrassmannElement.from_word(2, 2, [1, 2], x * y)
+    lhs = w([1], x) * w([2], y)
+    assert lhs == w([1, 2], x * y)
 
 
 # --- the fused product against a term-by-term reference ------------------------
@@ -166,8 +165,8 @@ def test_fused_product_drops_cancelled_masks():
 def test_fused_product_mixes_scalars_into_a_ring():
     # a scalar coefficient multiplies ring coefficients through the ring's product
     x = Poly.var("x")
-    lhs = GrassmannElement.from_word(2, 2, [1], Fraction(3)) * GrassmannElement.from_word(2, 2, [2], x)
-    assert lhs == GrassmannElement.from_word(2, 2, [1, 2], 3 * x)
+    lhs = w([1], Fraction(3)) * w([2], x)
+    assert lhs == w([1, 2], 3 * x)
     assert isinstance(lhs.terms[0b11], Poly)
     scalars = w([1], Fraction(1, 2)) * w([2], Fraction(4))
     assert scalars.terms == {0b11: 2} and type(scalars.terms[0b11]) is int
@@ -175,9 +174,9 @@ def test_fused_product_mixes_scalars_into_a_ring():
 
 def test_product_rejects_mixed_colorings_and_rings():
     with pytest.raises(ValueError):
-        GrassmannElement.from_word(2, 2, [1], 1) * GrassmannElement.from_word(1, 3, [1], 1)
-    uea = GrassmannElement.from_word(2, 2, [1], UEAElement.one())
-    poly = GrassmannElement.from_word(2, 2, [2], Poly.var("x"))
+        w([1], 1) * w([1], 1, p=1, q=3)
+    uea = w([1], UEAElement.one())
+    poly = w([2], Poly.var("x"))
     with pytest.raises(TypeError):
         uea * poly
 
@@ -193,7 +192,7 @@ def test_memoised_powers_equal_binary_powers(mode, n):
         for m in (2, n + 1, 1, n):
             assert form.power(m) == form**m
         assert form.power(n) is form.power(n)
-        assert form.power(0) == f.one()
+        assert form.power(0) == f.omega.power(0)
 
 
 @pytest.mark.parametrize("coeff,one", [(Poly.var("x"), Poly.const(1)),
@@ -212,9 +211,9 @@ def test_memoised_falling_product_equals_loop():
     for n in (3, 4):
         f = build_forms("uea", n=n)
         for u in (Fraction(-1), Fraction(1, 2), Fraction(2), 3, Fraction(-3, 2)):
-            loops = [f.one()]  # the direct left-to-right product, factor by factor
+            loops = [f.omega.power(0)]  # the direct left-to-right product, factor by factor
             for k in range(n + 1):
-                loops.append(loops[-1] * xi_at(f, Fraction(u) - k))
+                loops.append(loops[-1] * (f.xi + f.tau.scale(Fraction(u) - k)))
             for r in (3, 0, 1, n + 1, 2, n):
                 assert xi_shifted_power(f, u, r) == loops[r]
         assert set(f.tau_xi) == {(k, r - k) for r in range(n + 1) for k in range(r + 1)}
@@ -305,7 +304,6 @@ def test_structure_all_modes():
 
 def test_sl2_relations():
     for n in (1, 2, 3):
-        assert check_sl2(n)
         assert check_sl2(n, forms=build_forms("uea", n=n))
 
 
@@ -317,7 +315,7 @@ def test_omega_power_past_top_vanishes():
 
 def test_xi_shift_is_affine_in_u():
     f = build_forms("uea", n=2)
-    assert xi_at(f, Fraction(3)) - xi_at(f, Fraction(0)) == f.tau.scale(Fraction(3))
+    assert (f.xi + f.tau.scale(Fraction(3))) - (f.xi + f.tau.scale(Fraction(0))) == f.tau.scale(Fraction(3))
 
 
 def test_xi_power_formula_sweep():
@@ -330,7 +328,7 @@ def test_xi_power_formula_sweep():
 
 def test_xi_shifted_power_degenerate_cases():
     f = build_forms("uea", n=2)
-    assert xi_shifted_power(f, Fraction(0), 0) == f.one()
+    assert xi_shifted_power(f, Fraction(0), 0) == f.omega.power(0)
     assert not xi_shifted_power(f, Fraction(0), 3)  # r > n has no room
 
 
@@ -342,8 +340,9 @@ def _rebuilt(f, **changes):
 
 def test_eta_anticommutation():
     for n in (1, 2, 3):
+        f = build_forms("uea", n=n)
         for u in (Fraction(-1), Fraction(0), Fraction(2)):
-            assert check_eta_anticommute(n, u)
+            assert check_eta_anticommute(n, u, forms=f)
 
 
 def test_eta_anticommutation_detects_a_changed_diagonal_entry():
@@ -369,22 +368,26 @@ def test_eta_shift_is_needed():
 
 def test_theta_power_expansions():
     for n in (1, 2, 3):
+        f = build_forms("uea", n=n)
         for s in range(n + 1):
             for t in range(n + 1):
-                assert check_theta_powers(n, s, t, mode="uea")
+                assert check_theta_powers(n, s, t, mode="uea", forms=f)
     for n in (1, 2, 3, 4):
+        f = build_forms("commutative", n=n)
         for s in range(n + 1):
             for t in range(n + 1):
-                assert check_theta_powers(n, s, t, mode="commutative")
+                assert check_theta_powers(n, s, t, mode="commutative", forms=f)
 
 
 def test_trinomial_expansions():
     for n in (1, 2, 3):
+        f = build_forms("uea", n=n)
         for m in range(n + 1):
-            assert check_trinomial(n, m, mode="uea")
+            assert check_trinomial(n, m, mode="uea", forms=f)
     for n in (1, 2, 3, 4):
+        f = build_forms("commutative", n=n)
         for m in range(n + 1):
-            assert check_trinomial(n, m, mode="commutative")
+            assert check_trinomial(n, m, mode="commutative", forms=f)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -399,7 +402,7 @@ def _corrupted(f, name):
     """A fresh copy of the forms with one coefficient of `name` changed."""
     form = getattr(f, name)
     mask = min(form.terms)
-    return _rebuilt(f, **{name: form + GrassmannElement(f.p, f.q, {mask: f.one().terms[0]})})
+    return _rebuilt(f, **{name: form + GrassmannElement(f.p, f.q, {mask: f.omega.power(0).terms[0]})})
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -446,24 +449,22 @@ def test_forms_checks_reject_a_rank_that_contradicts_the_forms(check):
     lambda uea, comm: check_sl2(2, forms=comm),
     lambda uea, comm: check_xi_power_formula(2, 0, 1, forms=comm),
     lambda uea, comm: check_eta_anticommute(2, 0, forms=comm),
-    lambda uea, comm: check_trinomial(2, 1, mode="commutative", p=1, q=3, forms=comm),
-    lambda uea, comm: check_theta_powers(2, 1, 0, mode="commutative", q=3, forms=comm),
-], ids=["trinomial-uea", "trinomial-comm", "theta-powers-comm", "theta-powers-uea", "sl2", "xi-power", "eta",
-        "trinomial-pq", "theta-powers-q"])
+], ids=["trinomial-uea", "trinomial-comm", "theta-powers-comm", "theta-powers-uea", "sl2", "xi-power", "eta"])
 def test_forms_checks_reject_a_mode_or_coloring_that_contradicts_the_forms(check):
     uea, comm = build_forms("uea", n=2), build_forms("commutative", n=2)
     with pytest.raises(ValueError, match="contradicts"):
         check(uea, comm)
     # the same forms with consistent arguments still run their checks
-    assert check_trinomial(2, 2, mode="commutative", p=2, q=2, forms=comm)
+    assert check_trinomial(2, 2, mode="commutative", forms=comm)
     assert check_theta_powers(2, 1, 1, mode="uea", forms=uea)
 
 
 def test_trinomial_rectangular():
     for p, q in ((1, 3), (2, 4)):
         half = (p + q) // 2
+        f = build_forms("commutative", p=p, q=q)
         for m in range(half + 1):
-            assert check_trinomial(half, m, mode="commutative", p=p, q=q)
+            assert check_trinomial(half, m, mode="commutative", forms=f)
 
 
 # --- top-degree route ----------------------------------------------------------
@@ -472,7 +473,7 @@ def test_trinomial_rectangular():
 def test_top_form_recovers_pfaffian_commutative():
     for p, q in ((1, 1), (2, 2), (1, 3), (3, 3)):
         X = AntiAlternatingMatrix.generic(p, q)
-        assert pfaffian_from_top_form("commutative", p=p, q=q) == pfaffian_of_anti_alternating(X)
+        assert pfaffian_from_top_form(build_forms("commutative", p=p, q=q)) == pfaffian_of_anti_alternating(X)
 
 
 def test_top_form_split_matches_the_full_power():
@@ -482,10 +483,10 @@ def test_top_form_split_matches_the_full_power():
                           ("commutative", None, 2, 2), ("commutative", None, 1, 3), ("commutative", None, 5, 1)):
         f = build_forms(mode, n=n, p=p, q=q)
         half = f.half
-        split = pfaffian_from_top_form(forms=f)
+        split = pfaffian_from_top_form(f)
         assert len(getattr(f.omega, "_powers", ())) == max(0, half - half // 2 - 1)
         full = f.omega.power(half).top_coefficient() * Fraction(1, 2**half * factorial(half))
-        assert split == full == pfaffian_from_top_form(forms=f)
+        assert split == full == pfaffian_from_top_form(f)
 
 
 def test_top_form_route_checks():

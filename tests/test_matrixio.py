@@ -33,7 +33,7 @@ def test_loads_colored():
     X = loads(COLORED)
     assert isinstance(X, AntiAlternatingMatrix)
     assert (X.p, X.q) == (2, 2)
-    assert X.a_minor([1], [2])[0][0] == Poly.var("a[1,2]")
+    assert X.a[0][1] == Poly.var("a[1,2]")
 
 
 def test_loads_full_rational():

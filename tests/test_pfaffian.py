@@ -320,20 +320,31 @@ def test_signed_entry_rejects_out_of_range(i, j):
         X.entry(i, j)
 
 
-@pytest.mark.parametrize("block", ["b_minor", "c_minor"])
+def _block_minor(X, block, indices):
+    """The principal minor of the b or c block of X on `indices`."""
+    return AlternatingMatrix._trusted(getattr(X, block)).submatrix(indices)
+
+
+def _a_minor(X, rows, cols):
+    """The minor of the a block of X on the given rows and columns."""
+    return tuple(tuple(X.a[i - 1][j - 1] for j in cols) for i in rows)
+
+
+@pytest.mark.parametrize("block", ["b", "c"], ids=["b_minor", "c_minor"])
 @pytest.mark.parametrize("indices", [(0, 1), (1, 4), (2, 1), (1, 1)])
 def test_block_minors_reject_bad_indices(block, indices):
     X = AntiAlternatingMatrix.generic(3, 3)
     with pytest.raises(ValueError):
-        getattr(X, block)(indices)
-    assert getattr(X, block)((1, 3)).size == 2
+        _block_minor(X, block, indices)
+    assert _block_minor(X, block, (1, 3)).size == 2
 
 
 @pytest.mark.parametrize("indices", [(1,), (1, 2, 3)])
 def test_odd_principal_submatrices_are_rejected(indices):
     # an odd principal submatrix is not an AlternatingMatrix, as in the constructor
     X = AntiAlternatingMatrix.generic(3, 3)
-    for take in (AlternatingMatrix.generic(4).submatrix, X.b_minor, X.c_minor):
+    for take in (AlternatingMatrix.generic(4).submatrix, lambda I: _block_minor(X, "b", I),
+                 lambda I: _block_minor(X, "c", I)):
         with pytest.raises(ShapeError):
             take(indices)
 
@@ -356,6 +367,17 @@ def test_to_alternating_is_x_times_j():
     XJ = mat_mul(F, anti_identity(4))
     A = X.to_alternating()
     assert [list(r) for r in A.rows] == [list(r) for r in XJ]
+
+
+def test_to_alternating_passes_the_checked_constructor():
+    # X J is wrapped unchecked; the checked constructor accepts it unchanged
+    rng = random.Random(19)
+    subjects = [AntiAlternatingMatrix.generic(p, q) for p, q in ((1, 1), (2, 2), (1, 3), (3, 1), (2, 4), (4, 2))]
+    subjects += [AntiAlternatingMatrix.random_rational(p, q, rng) for p, q in ((1, 3), (3, 1), (3, 5), (5, 3), (3, 3))]
+    subjects += [build_canonical_x(n) for n in (1, 2, 3)]
+    for X in subjects:
+        A = X.to_alternating()
+        assert AlternatingMatrix(A.rows) == A, (X.p, X.q)
 
 
 def test_pfaffian_goldens_by_coloring():
@@ -397,8 +419,8 @@ def _unhoisted_minor_summation_rhs(X):
                 ci = tuple(k for k in rows if k not in I)
                 cj = tuple(k for k in cols if k not in J)
                 sign = complement_sign(I, rows) * complement_sign(J, cols)
-                total = total + sign * (det_leibniz(X.a_minor(ci, cj)) * pfaffian(X.c_minor(J))
-                                        * pfaffian(X.b_minor(I)))
+                total = total + sign * (det_leibniz(_a_minor(X, ci, cj)) * pfaffian(_block_minor(X, "c", J))
+                                        * pfaffian(_block_minor(X, "b", I)))
     return total
 
 
@@ -464,7 +486,7 @@ def test_memoised_minor_determinant_matches_leibniz(p, q):
             for rows in combinations(range(1, p + 1), size):
                 for cols in combinations(range(1, q + 1), size):
                     d = _minor_det(X.a, index_mask(rows), index_mask(cols), memo)
-                    assert d == det_leibniz(X.a_minor(rows, cols)), (rows, cols)
+                    assert d == det_leibniz(_a_minor(X, rows, cols)), (rows, cols)
         assert pfaffian_of_anti_alternating(X) == minor_summation_rhs(X)
 
 
@@ -538,7 +560,7 @@ def test_fused_sums_agree_with_the_oracles_on_mixed_entries(seed):
             for rows in combinations(range(1, p + 1), size):
                 for cols in combinations(range(1, q + 1), size):
                     d = _minor_det(X.a, index_mask(rows), index_mask(cols), memo)
-                    assert d == det_leibniz(X.a_minor(rows, cols)) and _no_zero_coefficient(d)
+                    assert d == det_leibniz(_a_minor(X, rows, cols)) and _no_zero_coefficient(d)
         assert minor_summation_rhs(X) == pfaffian_definitional(X.to_alternating())
 
 
@@ -631,11 +653,11 @@ def test_pf_on_every_mask_matches_the_matching_sum(kind):
 @pytest.mark.parametrize("n", [3, 4])
 def test_pf_of_the_canonical_b_and_c_blocks_matches_the_matching_sum(n):
     X = build_canonical_x(n)
-    for block, minor in ((X.b, X.b_minor), (X.c, X.c_minor)):
+    for block in (X.b, X.c):
         B, memo = AlternatingMatrix._trusted(block), {}
         for size in range(0, n + 1, 2):
             for I in combinations(range(1, n + 1), size):
-                assert _pf(B, index_mask(I), memo) == pfaffian_definitional(minor(I))
+                assert _pf(B, index_mask(I), memo) == pfaffian_definitional(B.submatrix(I))
 
 
 # --- orthogonal group action ------------------------------------------------

@@ -1,0 +1,35 @@
+"""The README's library quick start and eigenvalue examples print what it says."""
+
+import contextlib
+import io
+import re
+import shlex
+from pathlib import Path
+
+from pfaffkit import cli
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _quick_start() -> str:
+    section = README.split("## Library quick start", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_library_quick_start_prints_its_expected_lines():
+    code = _quick_start()
+    expected = [line.split("#", 1)[1].strip() for line in code.splitlines()
+                if line.startswith("print(") and "#" in line]
+    assert len(expected) == 3
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == expected
+
+
+def test_eigenvalue_examples_print_their_output(capsys):
+    examples = re.findall(r"^\$ (pfaffkit eigenvalue .*)\n(.*)$", README, re.M)
+    assert len(examples) == 3
+    for command, output in examples:
+        assert cli.main(shlex.split(command)[1:]) == 0, command
+        assert capsys.readouterr().out == output + "\n", command

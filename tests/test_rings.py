@@ -182,7 +182,7 @@ def _uea_case():
 def _grassmann_case():
     a11, b12 = _gen("a", 1, 1), _gen("b", 1, 2)
     x = GrassmannElement.from_words(2, 2, [([1], a11), ([-1, 2], b12 + 1), ((), a11 * b12)])
-    return x, GrassmannElement.from_word(2, 2, [2, -2], a11), GrassmannElement.scalar(2, 2, UEAElement.one())
+    return x, GrassmannElement.from_words(2, 2, [([2, -2], a11)]), GrassmannElement.scalar(2, 2, UEAElement.one())
 
 
 @pytest.mark.parametrize("case", [_poly_case, _uea_case, _grassmann_case], ids=["poly", "uea", "grassmann"])
