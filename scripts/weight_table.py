@@ -20,6 +20,7 @@ from pfaffkit.uea import (
     hc_coefficient,
     nc_pfaffian,
 )
+from pfaffkit.verify import DEFAULT_UEA_BOUND
 
 
 def dominant_weights(n: int, max_part: int):
@@ -46,7 +47,7 @@ def run(n: int, max_part: int):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rank", type=int, default=2, choices=(1, 2, 3))
+    ap.add_argument("--rank", type=int, default=2, choices=range(1, DEFAULT_UEA_BOUND + 1))
     ap.add_argument("--max-part", type=int, default=4)
     args = ap.parse_args()
     run(args.rank, args.max_part)

@@ -8,8 +8,8 @@ it, (-1)^c for the c crossings that `merge_sign` counts on the two masks.
 `cycle_sign` is the sign of a permutation of range(m), read off its
 cycles with no sort; the brute-force oracles (the Leibniz determinant,
 the matching-sum Pfaffian and the permutation-sum Pfaffian of the
-enveloping algebra) apply it to each term's index sequence.  `permutation_sign` is `cycle_sign` of the
-sorting order of any sequence.
+enveloping algebra) apply it to each term's index sequence.
+`permutation_sign` is `cycle_sign` of the sorting order of any sequence.
 """
 
 from __future__ import annotations

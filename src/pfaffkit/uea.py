@@ -24,7 +24,7 @@ determinant) are those of the commutative layer; only the Pfaffian
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
@@ -323,33 +323,28 @@ def nc_pfaffian(X: AntiAlternatingMatrix) -> UEAElement:
 def nc_pfaffian_unrestricted(X: AntiAlternatingMatrix) -> UEAElement:
     """Same Pfaffian through the full permutation sum with weight 1/(2^n n!).
 
-    One depth-first walk over the permutations of the 2n positions, taken
-    as ordered pairs: a node carries the flat position sequence and the
-    product of its pairs' entries, each new entry multiplied on the
-    right, so a prefix is multiplied out once for all the permutations
-    through it.  A zero entry ends its subtree.  Each permutation's sign
-    is recomputed from scratch at its leaf."""
+    The definition term by term: for each permutation of the 2n
+    positions, the product of its pair entries is formed as free-algebra
+    words, concatenated and never reordered (equal words merge), and
+    added with its sign into one dict of free words.  One normal-ordering
+    drain then brings that dict into the PBW basis, so no product of the
+    engine is used."""
     n = X.half
     at = X.to_alternating().rows
-    out: dict[Word, ScalarLike] = {}
-    stack = [((), tuple(range(2 * n)), None)]
-    while stack:
-        flat, rest, prefix = stack.pop()
-        inner = len(rest) > 2
-        for a, u in enumerate(rest):
-            row = at[u]
-            others = rest[:a] + rest[a + 1:]
-            for b, v in enumerate(others):
-                entry = row[v]
-                if not entry:
-                    continue
-                pairs = flat + (u, v)
-                prod = entry if prefix is None else prefix * entry
-                if inner:
-                    stack.append((pairs, others[:b] + others[b + 1:], prod))
-                else:
-                    add_into(out, prod.terms, cycle_sign(pairs))
-    return UEAElement._wrap(out).scale(Fraction(1, 2**n * factorial(n)))
+    free: dict[Word, ScalarLike] = {}
+    for perm in permutations(range(2 * n)):
+        words = {(): cycle_sign(perm)}
+        for k in range(0, 2 * n, 2):
+            entry = at[perm[k]][perm[k + 1]].terms.items()
+            longer: dict[Word, ScalarLike] = {}
+            for w1, c1 in words.items():
+                for w2, c2 in entry:
+                    w = w1 + w2
+                    longer[w] = longer.get(w, 0) + c1 * c2
+            words = longer
+        add_into(free, words)
+    stack = [(w, c, 0) for w, c in free.items()]
+    return UEAElement._wrap(_normal_order_sums({}, stack)).scale(Fraction(1, 2**n * factorial(n)))
 
 
 def shifted_minor_determinant(X: AntiAlternatingMatrix, I: Sequence[int], J: Sequence[int],

@@ -153,10 +153,31 @@ def test_verify_msf_forced_pq66(capsys):
 
 def test_verify_ncmsf_forced_n5(capsys):
     # the rank-5 identity through the memoised shifted determinants; the
-    # (2n)!-term oracle is skipped above n = 3
+    # (2n)!-term oracle is skipped above n = 4
     code, out, _ = run(capsys, "verify", "--suite", "ncmsf", "--n", "5", "--force")
     assert code == 0
     assert "PASS ncmsf:identity:n5" in out
+    assert "SKIP ncmsf:restricted-vs-unrestricted:n5" in out
+
+
+def test_verify_ncmsf_n5_skips_the_oracle(capsys, monkeypatch):
+    from pfaffkit import uea
+
+    def oracle(X):
+        raise AssertionError("the (2n)!-term oracle must not run at n = 5")
+
+    monkeypatch.setattr(uea, "nc_pfaffian_unrestricted", oracle)
+    code, out, _ = run(capsys, "verify", "--suite", "ncmsf", "--n", "5", "--force", "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["status"] == "pass"
+    by_id = {c["id"]: c for c in rep["checks"]}
+    skip = by_id["ncmsf:restricted-vs-unrestricted:n5"]
+    assert skip["status"] == "skip" and skip["residual"]
+    assert set(skip) == {"id", "status", "residual", "millis"}
+    assert all(c["status"] == "pass" for i, c in by_id.items() if i != skip["id"])
+    code, out, _ = run(capsys, "verify", "--suite", "ncmsf", "--n", "5", "--force")
+    assert code == 0
     assert "SKIP ncmsf:restricted-vs-unrestricted:n5" in out
 
 
@@ -171,27 +192,6 @@ def test_verify_suite_json_schema(capsys):
     assert ids == sorted(ids)
     for c in rep["checks"]:
         assert set(c) == {"id", "status", "residual", "millis"}
-
-
-def test_verify_ncmsf_n4_skips_the_oracle(capsys, monkeypatch):
-    from pfaffkit import uea
-
-    def oracle(X):
-        raise AssertionError("the (2n)!-term oracle must not run at n = 4")
-
-    monkeypatch.setattr(uea, "nc_pfaffian_unrestricted", oracle)
-    code, out, _ = run(capsys, "verify", "--suite", "ncmsf", "--n", "4", "--force", "--format", "json")
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["status"] == "pass"
-    by_id = {c["id"]: c for c in rep["checks"]}
-    skip = by_id["ncmsf:restricted-vs-unrestricted:n4"]
-    assert skip["status"] == "skip" and skip["residual"]
-    assert set(skip) == {"id", "status", "residual", "millis"}
-    assert all(c["status"] == "pass" for i, c in by_id.items() if i != skip["id"])
-    code, out, _ = run(capsys, "verify", "--suite", "ncmsf", "--n", "4", "--force")
-    assert code == 0
-    assert "SKIP ncmsf:restricted-vs-unrestricted:n4" in out
 
 
 def test_verify_msf_default_suite(capsys):

@@ -313,11 +313,6 @@ def test_omega_power_past_top_vanishes():
         assert not f.omega.power(n + 1)
 
 
-def test_xi_shift_is_affine_in_u():
-    f = build_forms("uea", n=2)
-    assert (f.xi + f.tau.scale(Fraction(3))) - (f.xi + f.tau.scale(Fraction(0))) == f.tau.scale(Fraction(3))
-
-
 def test_xi_power_formula_sweep():
     for n in (1, 2, 3):
         f = build_forms("uea", n=n)

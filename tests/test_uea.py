@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfaffkit import uea
 from pfaffkit.indexing import index_mask
 from pfaffkit.linalg import det_leibniz
 from pfaffkit.pfaffian import AntiAlternatingMatrix, _minor_det, minor_summation_rhs
@@ -222,14 +223,26 @@ def test_minor_summation_explicit_matrix():
 
 def test_restricted_equals_unrestricted():
     # the subset recursion against the independent full permutation sum,
-    # also with zero b and c blocks, whose zero entries end subtrees
-    for n in (1, 2, 3):
+    # also with zero b and c blocks, whose zero entries empty a product
+    for n in (1, 2, 3, 4):
         M = build_canonical_x(n)
         assert nc_pfaffian(M) == nc_pfaffian_unrestricted(M)
         if n > 1:
             zero = [[UEAElement.zero()] * n for _ in range(n)]
             no_bc = AntiAlternatingMatrix(n, n, M.a, zero, zero)
             assert nc_pfaffian(no_bc) == nc_pfaffian_unrestricted(no_bc)
+
+
+def test_unrestricted_oracle_makes_no_engine_product(monkeypatch):
+    # the oracle shares only the normal-ordering drain with the engine
+    X = build_canonical_x(3)
+    z = nc_pfaffian(X)
+
+    def product(*args):
+        raise AssertionError("the oracle must not multiply in the PBW basis")
+
+    monkeypatch.setattr(uea, "_product_into", product)
+    assert nc_pfaffian_unrestricted(X) == z
 
 
 def test_column_determinant_order_matters():

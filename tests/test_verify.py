@@ -5,6 +5,7 @@ import json
 import pytest
 
 from pfaffkit import uea
+from pfaffkit.cli import main
 from pfaffkit.verify import (
     BoundExceededError,
     CheckResult,
@@ -91,16 +92,32 @@ def test_unrestricted_oracle_runs_at_small_rank(monkeypatch):
 
 def test_unrestricted_oracle_is_skipped_above_its_cap(monkeypatch):
     def oracle(X):
-        raise AssertionError("the (2n)!-term oracle must not run at n = 4")
+        raise AssertionError("the (2n)!-term oracle must not run at n = 5")
 
     monkeypatch.setattr(uea, "nc_pfaffian_unrestricted", oracle)
-    rep = ncmsf_suite(n=4, force=True)
+    rep = ncmsf_suite(n=5, force=True)
     assert rep.passed
     skipped = [c for c in rep.checks if c.skipped]
-    assert [c.check_id for c in skipped] == ["ncmsf:restricted-vs-unrestricted:n4"]
-    assert skipped[0].status == "skip" and "n <= 3" in skipped[0].residual
-    assert "SKIP ncmsf:restricted-vs-unrestricted:n4" in rep.to_text()
+    assert [c.check_id for c in skipped] == ["ncmsf:restricted-vs-unrestricted:n5"]
+    assert skipped[0].status == "skip" and "n <= 4" in skipped[0].residual
+    assert "SKIP ncmsf:restricted-vs-unrestricted:n5" in rep.to_text()
     assert "1 skipped" in rep.to_text().splitlines()[-1]
+
+
+def test_a_failing_z_build_fails_the_checks_that_read_it(monkeypatch, capsys):
+    # z is built inside the checks, so its error is each check's residual
+    # and the suite still returns a report
+    def broken(X):
+        raise RuntimeError("no z today")
+
+    monkeypatch.setattr(uea, "nc_pfaffian", broken)
+    for suite in (ncmsf_suite, central_suite):
+        rep = suite(n=2)
+        assert not rep.passed
+        failed = [c for c in rep.checks if c.status == "fail"]
+        assert failed and all(c.residual == "RuntimeError: no z today" for c in failed)
+    assert main(["verify", "--suite", "central", "--n", "2"]) == 1
+    assert "FAIL central:commutant:n2" in capsys.readouterr().out
 
 
 def test_skip_neither_passes_nor_fails():
