@@ -41,7 +41,7 @@ from typing import Iterable, Mapping, Sequence
 from .indexing import index_mask, merge_sign
 from .pfaffian import AlternatingMatrix, AntiAlternatingMatrix, _minor_det, _pf, pfaffian_of_anti_alternating
 from .rings import Combination, Poly, ProductSum, _rational, add_into
-from .uea import UEAElement, build_canonical_x, nc_pfaffian
+from .uea import UEAElement, build_canonical_x, nc_minor_summation_rhs
 
 
 def _coefficient_ring(*term_dicts: Mapping[int, object]):
@@ -194,7 +194,7 @@ class GrassmannElement(Combination):
 
     def top_coefficient(self):
         """Coefficient of the full ascending product e_1...e_p e_-q...e_-1."""
-        return self.terms.get((1 << self.slots) - 1, Fraction(0))
+        return self.terms.get((1 << self.slots) - 1, 0)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -220,9 +220,12 @@ class Forms:
 
     `source` has UEAElement entries in uea mode and Poly ones otherwise;
     `tau` is None unless p == q.  `tau_xi[k, j]` memoises tau^k Xi^j, of
-    which the falling Xi products are combinations; it starts empty."""
+    which the falling Xi products are combinations, and `minor_dets[u]` is
+    the `pfaffian._minor_det` memo of the a block at the shift u; both
+    start empty."""
 
-    __slots__ = ("mode", "p", "q", "omega", "xi", "theta", "theta_prime", "tau", "source", "tau_xi")
+    __slots__ = ("mode", "p", "q", "omega", "xi", "theta", "theta_prime", "tau", "source", "tau_xi",
+                 "minor_dets")
 
     def __init__(self, mode: str, p: int, q: int, omega: GrassmannElement, xi: GrassmannElement,
                  theta: GrassmannElement, theta_prime: GrassmannElement, tau: GrassmannElement | None,
@@ -230,6 +233,7 @@ class Forms:
         self.mode, self.p, self.q, self.source = mode, p, q, source
         self.omega, self.xi, self.theta, self.theta_prime, self.tau = omega, xi, theta, theta_prime, tau
         self.tau_xi: dict = {}
+        self.minor_dets: dict = {}
 
     @property
     def half(self) -> int:
@@ -335,12 +339,14 @@ def check_xi_power_formula(n: int, u, r: int, *, forms: Forms) -> bool:
 
     The determinant entry in column t carries the extra u + r - t on
     matched indices: every determinant is `pfaffian._minor_det` at the
-    shift u under one memo, each I and J turned into a mask once."""
+    shift u, each I and J turned into a mask once.  A minor at the shift
+    u does not depend on r, so its memo is kept on the forms, one per u,
+    and the checks at every r share it."""
     forms = _forms_for(n, forms)
     lhs = xi_shifted_power(forms, Fraction(u) + r - 1, r)
     scale = factorial(r)
     a, shift = forms.source.a, Fraction(u)
-    memo: dict = {}
+    memo = forms.minor_dets.setdefault(shift, {})
     subsets = [(K, index_mask(K)) for K in combinations(range(1, n + 1), r)]
     rhs = GrassmannElement.from_words(forms.p, forms.q, (
         (list(I) + [-j for j in reversed(J)], scale * _minor_det(a, rows, cols, memo, shift))
@@ -448,10 +454,15 @@ def pfaffian_from_top_form(forms: Forms):
 def check_top_form_route(mode: str = "uea", n: int | None = None,
                          p: int | None = None, q: int | None = None,
                          forms: Forms | None = None) -> bool:
-    """The top-form route agrees with the direct Pfaffian."""
+    """The top-form route agrees with the Pfaffian.
+
+    In uea mode the top coefficient of Omega^n is compared with the right
+    side of the minor summation formula, `nc_minor_summation_rhs`: this
+    is the path of the exterior-calculus proof of that formula.  In
+    commutative mode it is compared with the direct Pfaffian."""
     if forms is None:
         forms = build_forms(mode, n=n, p=p, q=q)
     via_top = pfaffian_from_top_form(forms)
     if forms.mode == "uea":
-        return via_top == nc_pfaffian(forms.source)
+        return via_top == nc_minor_summation_rhs(forms.half)
     return via_top == pfaffian_of_anti_alternating(forms.source)

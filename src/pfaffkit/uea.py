@@ -34,6 +34,7 @@ from .rings import (
     Combination,
     Poly,
     PolyParseError,
+    RAISING,
     ScalarLike,
     _GENERATOR_NAME,
     _prime,
@@ -405,16 +406,38 @@ def ad(g: Generator, z: UEAElement) -> UEAElement:
 
 
 def centrality_failures(z: UEAElement, n: int) -> list[Generator]:
-    """Chevalley generators of the half-size-n algebra that fail to commute
-    with z; z is central exactly when the list is empty.
+    """Generators of the half-size-n algebra that witness a z which is not
+    central; z is central exactly when the list is empty.
 
-    An element that commutes with a Lie generating set commutes with the
-    whole algebra, and for n >= 2 the 2n Chevalley generators generate it
-    (Humphreys, Introduction to Lie Algebras and Representation Theory,
-    section 18), so `chevalley_generators(n)` is tested, not every basis
-    generator.  Each [g, z] is computed by the derivation rule (`ad`) and
-    compared with zero exactly."""
-    return [g for g in chevalley_generators(n) if ad(g, z)]
+    Under ad, U(g) is a union of finite-dimensional submodules, so a z of
+    weight 0 that every raising Chevalley generator kills is a
+    highest-weight vector of weight 0, spans a trivial submodule and
+    commutes with all of g (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, sections 20-21).  Two tests follow:
+
+    - weight 0: the letter weights of each word are summed, with no
+      product formed (X[i,j] has weight eps_i - eps_j, eps_-k = -eps_k);
+      each a[i,i], i <= n, whose eps_i component is nonzero in some word
+      is listed, since that is the Cartan generator z fails to commute
+      with;
+    - the raising generators of `chevalley_generators(n)` (a[i,i+1] and
+      b[n-1,n]) whose [g, z], computed by the derivation rule (`ad`), is
+      not exactly zero.
+
+    At n = 1 the algebra is spanned by a[1,1] and the weight test alone
+    decides.  The list is in PBW order."""
+    unbalanced: set[int] = set()
+    for word in z.terms:
+        weight = [0] * (n + 1)  # weight[k]: the eps_k component
+        for g in word:
+            i, j = _signed_pair(g)
+            for k in (i, -j):  # eps_i - eps_j = eps_i + eps_-j
+                if -n <= k <= n:
+                    weight[abs(k)] += 1 if k > 0 else -1
+        unbalanced.update(k for k in range(1, n + 1) if weight[k])
+    cartan = [Generator("a", i, i) for i in sorted(unbalanced)]
+    raising = [g for g in chevalley_generators(n) if g.sort_key[0] == RAISING and ad(g, z)]
+    return cartan + raising
 
 
 class HighestWeight:

@@ -28,7 +28,7 @@ from .pfaffian import (
     random_orthogonal_cayley,
     verify_minor_summation,
 )
-from .uea import Generator, HighestWeight
+from .uea import Generator, HighestWeight, UEAElement
 
 DEFAULT_UEA_BOUND = 3
 # the permutation-sum oracle sums (2n)! products: about 0.2 s at n = 4, 90 times
@@ -237,18 +237,30 @@ def check_n_bound(n: int | None, force: bool, bound: int = DEFAULT_UEA_BOUND):
         raise BoundExceededError(f"n = {n} exceeds the bound {bound}")
 
 
+def _formula_z(n: int | None) -> dict[int, Callable[[], UEAElement]]:
+    """Each rank's z (rank n, or 1 to the default bound) by the paper's
+    formula, `nc_minor_summation_rhs`, built by the first check that reads
+    it, so the build lands in that check's millis and a failing build
+    fails checks, not the suite."""
+    ns = (n,) if n is not None else range(1, DEFAULT_UEA_BOUND + 1)
+    return {k: cache(lambda k=k: uea.nc_minor_summation_rhs(k)) for k in ns}
+
+
 def ncmsf_suite(n: int | None = None, force: bool = False) -> VerificationReport:
     """Enveloping-algebra engine: the noncommutative minor summation.
 
-    Each rank's z is built by the first check that reads it, as in
-    `forms_suite`, so a failing build fails checks, not the suite."""
+    Each rank's z is built by the subset recursion `nc_pfaffian`, the
+    definition, and compared with the formula's right side; both are
+    built by the first check that reads them, as in `forms_suite`."""
     check_n_bound(n, force)
+    return _ncmsf_checks(_formula_z(n))
+
+
+def _ncmsf_checks(rhs: dict[int, Callable[[], UEAElement]]) -> VerificationReport:
     report = VerificationReport("ncmsf")
-    ns = (n,) if n is not None else tuple(range(1, DEFAULT_UEA_BOUND + 1))
-    for k in ns:
+    for k, rhs_k in rhs.items():
         z = cache(lambda k=k: uea.nc_pfaffian(uea.build_canonical_x(k)))
-        _run_check(report, f"ncmsf:identity:n{k}",
-                   lambda k=k, z=z: z() == uea.nc_minor_summation_rhs(k))
+        _run_check(report, f"ncmsf:identity:n{k}", lambda z=z, rhs_k=rhs_k: z() == rhs_k())
         if k <= UNRESTRICTED_ORACLE_MAX:
             _run_check(report, f"ncmsf:restricted-vs-unrestricted:n{k}",
                        lambda k=k, z=z: uea.nc_pfaffian_unrestricted(uea.build_canonical_x(k)) == z())
@@ -270,14 +282,15 @@ def ncmsf_suite(n: int | None = None, force: bool = False) -> VerificationReport
 
 
 def central_suite(n: int | None = None, force: bool = False) -> VerificationReport:
-    """Centrality of the Pfaffian and its highest-weight eigenvalue; z is
-    built inside the checks, as in `ncmsf_suite`."""
+    """Centrality of the Pfaffian and its highest-weight eigenvalue, with
+    each rank's z read from the formula's right side."""
     check_n_bound(n, force)
-    report = VerificationReport("central")
-    ns = (n,) if n is not None else tuple(range(1, DEFAULT_UEA_BOUND + 1))
-    for k in ns:
-        z = cache(lambda k=k: uea.nc_pfaffian(uea.build_canonical_x(k)))
+    return _central_checks(_formula_z(n))
 
+
+def _central_checks(rhs: dict[int, Callable[[], UEAElement]]) -> VerificationReport:
+    report = VerificationReport("central")
+    for k, z in rhs.items():
         def commutant(k=k, z=z) -> tuple[bool, str]:
             failures = uea.centrality_failures(z(), k)
             return (not failures, ", ".join(g.name for g in failures))
@@ -372,8 +385,9 @@ def run_suite(name: str, n: int | None = None, pq: tuple[int, int] | None = None
         check_n_bound(n, force)  # before the long msf suite, not after it
         combined = VerificationReport("all")
         combined.checks.extend(msf_suite(pq=pq, seed=seed, force=force).checks)
-        combined.checks.extend(ncmsf_suite(n=n, force=force).checks)
-        combined.checks.extend(central_suite(n=n, force=force).checks)
+        rhs = _formula_z(n)  # one right side per rank, for ncmsf:identity and central
+        combined.checks.extend(_ncmsf_checks(rhs).checks)
+        combined.checks.extend(_central_checks(rhs).checks)
         combined.checks.extend(forms_suite(n=n, force=force).checks)
         return combined
     raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")

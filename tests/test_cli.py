@@ -224,28 +224,32 @@ def _default_ids(capsys, suite):
     return set(ids)
 
 
-def test_verify_rank_suites_default_ids(capsys, monkeypatch):
-    # ranks 1-3 in the enveloping algebra, 1-4 commutative; z is built once per rank
-    from pfaffkit import uea
-
-    built = []
-    nc_pfaffian = uea.nc_pfaffian
-    monkeypatch.setattr(uea, "nc_pfaffian", lambda X: built.append(X.p) or nc_pfaffian(X))
-    ranks = (1, 2, 3)
+def test_verify_rank_suites_default_ids(capsys, z_builds):
+    # ranks 1-3 in the enveloping algebra, 1-4 commutative; each suite builds
+    # each rank's z once per route it reads: ncmsf both, the others the formula
+    ranks = [1, 2, 3]
     assert _default_ids(capsys, "ncmsf") == (
         {f"ncmsf:{kind}:n{k}" for kind in ("identity", "restricted-vs-unrestricted", "symbol") for k in ranks}
         | {"ncmsf:intro:commutative-print", "ncmsf:intro:uea-basis"})
-    assert built == [1, 2, 3]
+    assert z_builds == {"nc_pfaffian": ranks, "nc_minor_summation_rhs": ranks}
     assert _default_ids(capsys, "central") == (
         {f"central:{kind}:n{k}" for kind in ("commutant", "eigenvalue") for k in ranks}
         | {"central:eigenvalue:spot-n2"})
-    assert built == [1, 2, 3] * 2
+    assert z_builds == {"nc_pfaffian": ranks, "nc_minor_summation_rhs": ranks * 2}
     comm_kinds = ("structure:comm-", "theta-powers:comm-", "trinomial:comm-")
     colorings = ((1, 1), (1, 3), (1, 5), (2, 2), (2, 4), (3, 1), (3, 3), (4, 2), (5, 1))
     assert _default_ids(capsys, "forms") == (
         {f"forms:{kind}n{k}" for kind in UEA_FORM_KINDS for k in ranks}
         | {f"forms:{kind}n{k}" for kind in comm_kinds for k in (1, 2, 3, 4)}
         | {f"forms:top-route:comm-p{p}q{q}" for p, q in colorings})
+    assert z_builds == {"nc_pfaffian": ranks, "nc_minor_summation_rhs": ranks * 3}
+
+
+def test_verify_central_forced_n5(capsys):
+    # z at rank 5 from the formula, centrality from weight 0 and the raising generators
+    code, out, _ = run(capsys, "verify", "--suite", "central", "--n", "5", "--force")
+    assert code == 0
+    assert "PASS central:commutant:n5" in out and "PASS central:eigenvalue:n5" in out
 
 
 def test_verify_forms_n4_reports_the_skipped_uea_checks(capsys):

@@ -3,7 +3,7 @@
 import gc
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -26,7 +26,7 @@ from pfaffkit.grassmann import (
 from pfaffkit.indexing import permutation_sign
 from pfaffkit.pfaffian import AntiAlternatingMatrix, pfaffian_of_anti_alternating
 from pfaffkit.rings import Combination, Poly
-from pfaffkit.uea import UEAElement, canonical_generators
+from pfaffkit.uea import UEAElement, build_canonical_x, canonical_generators, nc_pfaffian
 
 
 def w(labels, coeff=Fraction(1), p=2, q=2):
@@ -74,7 +74,9 @@ def test_product_associative():
 def test_top_coefficient():
     top = w([1, 2, -2, -1], Fraction(5))
     assert top.top_coefficient() == Fraction(5)
-    assert w([1]).top_coefficient() == Fraction(0)
+    # an absent top mask reads as the int 0, by the package's scalar rule
+    absent = w([1]).top_coefficient()
+    assert absent == 0 and type(absent) is int
 
 
 def test_even_elements_commute():
@@ -236,6 +238,8 @@ def test_forms_from_separate_builds_share_no_memo():
     assert f1.tau_xi
     f2 = build_forms("uea", n=2)
     assert f2.tau_xi == {} and f2.tau_xi is not f1.tau_xi
+    assert check_xi_power_formula(2, Fraction(1), 2, forms=f1) and f1.minor_dets
+    assert f2.minor_dets == {} and f2.minor_dets is not f1.minor_dets
     for name in ("omega", "xi", "theta", "theta_prime", "tau"):
         a, b = getattr(f1, name), getattr(f2, name)
         assert a is not b and a == b
@@ -314,11 +318,16 @@ def test_omega_power_past_top_vanishes():
 
 
 def test_xi_power_formula_sweep():
+    us = (Fraction(-1), Fraction(0), Fraction(1), Fraction(2))
     for n in (1, 2, 3):
         f = build_forms("uea", n=n)
         for r in range(n + 1):
-            for u in (Fraction(-1), Fraction(0), Fraction(1), Fraction(2)):
+            for u in us:
                 assert check_xi_power_formula(n, u, r, forms=f)
+        # one minor-determinant memo per shift, shared by every r: it holds
+        # each nonempty square minor once, sum_r C(n, r)^2 = C(2n, n) - 1
+        assert set(f.minor_dets) == set(us)
+        assert all(len(memo) == comb(2 * n, n) - 1 for memo in f.minor_dets.values())
 
 
 def test_xi_shifted_power_degenerate_cases():
@@ -404,7 +413,7 @@ def _corrupted(f, name):
 @pytest.mark.parametrize("name", ["xi", "tau"])
 def test_xi_power_and_uea_trinomial_detect_corrupted_forms(n, name):
     f = _corrupted(build_forms("uea", n=n), name)
-    assert f.tau_xi == {}
+    assert f.tau_xi == {} and f.minor_dets == {}
     for r in range(1, n + 1):
         for u in (Fraction(-1), Fraction(0), Fraction(2)):
             # tau enters Xi(u+r-1) ... Xi(u) unless the one factor is Xi(0)
@@ -482,6 +491,13 @@ def test_top_form_split_matches_the_full_power():
         assert len(getattr(f.omega, "_powers", ())) == max(0, half - half // 2 - 1)
         full = f.omega.power(half).top_coefficient() * Fraction(1, 2**half * factorial(half))
         assert split == full == pfaffian_from_top_form(f)
+
+
+def test_top_form_agrees_with_the_recursion():
+    # the top route checks the formula's right side; the recursion, the
+    # definition, still checks the top route
+    for k in (1, 2, 3, 4):
+        assert pfaffian_from_top_form(build_forms("uea", n=k)) == nc_pfaffian(build_canonical_x(k))
 
 
 def test_top_form_route_checks():

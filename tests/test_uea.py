@@ -346,12 +346,15 @@ def test_centrality_matches_all_generator_oracle(all_generator_failures):
     rejected = 0
     for n in (1, 2, 3, 4):
         z = nc_pfaffian(build_canonical_x(n))
-        cases = [z] + (_perturbations(z, n, seed=n) if n < 4 else [z + el(A12), z + 5])
+        cases = [z, z + el(A11), z + el(B12)]
+        cases += _perturbations(z, n, seed=n) if n < 4 else [z + el(A12), z + 5]
         for w in cases:
             fast, oracle = centrality_failures(w, n), all_generator_failures(w, n)
             assert set(fast) <= set(oracle) and bool(fast) == bool(oracle), (n, w)
             rejected += bool(fast)
-    assert rejected == 9  # the four seeded words at n = 2 and 3, and a[1,2] at n = 4
+    # the four seeded words at n = 2 and 3, a[1,2] at n = 4, a[1,1] at
+    # n = 2, 3, 4 (at n = 1 the algebra is abelian) and b[1,2] at every n
+    assert rejected == 16
     z2 = nc_pfaffian(build_canonical_x(2))
     assert centrality_failures(z2 * z2, 2) == all_generator_failures(z2 * z2, 2) == []
 
@@ -359,7 +362,21 @@ def test_centrality_matches_all_generator_oracle(all_generator_failures):
 def test_non_central_element_detected():
     assert centrality_failures(el(A11), 2)
     z = nc_pfaffian(build_canonical_x(3))
-    assert set(centrality_failures(z + el(A11), 3)) == {A12, A21}
+    # a[1,1] has weight 0, so only the raising test sees it, and only e_1
+    assert centrality_failures(z + el(A11), 3) == [A12]
+
+
+def test_weight_test_catches_what_the_raising_generators_miss():
+    # b[1,2] is a highest root vector: every e_i kills it, but its weight
+    # eps_1 + eps_2 is not 0, so a[1,1] and a[2,2] fail to commute with it
+    for n in (2, 3, 4):
+        raising = [g for g in chevalley_generators(n) if g.kind == "b" or g.kind == "a" and g.i < g.j]
+        assert len(raising) == n and not any(ad(g, el(B12)) for g in raising)
+        assert centrality_failures(el(B12), n) == [A11, A22]
+        # a[1,1] has weight 0; e_1 = a[1,2] fails on it, and at n = 2 so does e_2 = b[1,2]
+        assert centrality_failures(el(A11), n) == ([A12, B12] if n == 2 else [A12])
+        z = nc_pfaffian(build_canonical_x(n))
+        assert centrality_failures(z + el(B12), n) == [A11, A22]
 
 
 def test_rank_one_checks_a11():

@@ -105,19 +105,32 @@ def test_unrestricted_oracle_is_skipped_above_its_cap(monkeypatch):
 
 
 def test_a_failing_z_build_fails_the_checks_that_read_it(monkeypatch, capsys):
-    # z is built inside the checks, so its error is each check's residual
-    # and the suite still returns a report
-    def broken(X):
+    # z is built inside the checks, so its error is the residual of each
+    # check that reads the failing route, and the suite still returns a report
+    def broken(arg):
         raise RuntimeError("no z today")
 
-    monkeypatch.setattr(uea, "nc_pfaffian", broken)
-    for suite in (ncmsf_suite, central_suite):
-        rep = suite(n=2)
+    for suite, route, failing in (
+        (ncmsf_suite, "nc_pfaffian", {"identity:n2", "restricted-vs-unrestricted:n2", "symbol:n2", "intro:uea-basis"}),
+        (ncmsf_suite, "nc_minor_summation_rhs", {"identity:n2"}),
+        (central_suite, "nc_minor_summation_rhs", {"commutant:n2", "eigenvalue:n2", "eigenvalue:spot-n2"}),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(uea, route, broken)
+            rep = suite(n=2)
         assert not rep.passed
-        failed = [c for c in rep.checks if c.status == "fail"]
-        assert failed and all(c.residual == "RuntimeError: no z today" for c in failed)
+        failed = {c.check_id.split(":", 1)[1]: c.residual for c in rep.checks if c.status == "fail"}
+        assert set(failed) == failing and set(failed.values()) == {"RuntimeError: no z today"}, (suite, route)
+    monkeypatch.setattr(uea, "nc_minor_summation_rhs", broken)
     assert main(["verify", "--suite", "central", "--n", "2"]) == 1
     assert "FAIL central:commutant:n2" in capsys.readouterr().out
+
+
+def test_suite_all_builds_each_z_once_per_route(z_builds):
+    # the recursion runs in ncmsf only; the formula's z is shared by
+    # ncmsf:identity and central, and the uea top route builds its own
+    assert run_suite("all").passed
+    assert z_builds == {"nc_pfaffian": [1, 2, 3], "nc_minor_summation_rhs": [1, 2, 3] * 2}
 
 
 def test_skip_neither_passes_nor_fails():
