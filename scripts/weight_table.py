@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Tabulate the central Pfaffian's eigenvalue over a grid of dominant weights.
 
-For each rank the element is built once; every weight is then evaluated both
-through the normally ordered expansion and through the closed product form,
-and the table flags any disagreement (none are expected).
+For each rank the element is built once, from the right side of the minor
+summation formula; every weight is then evaluated both through the normally
+ordered expansion and through the closed product form, and the table flags
+any disagreement (none are expected).
 
 Usage: python3 scripts/weight_table.py [--rank 2] [--max-part 4]
 """
@@ -14,11 +15,10 @@ from itertools import product
 
 from pfaffkit.uea import (
     HighestWeight,
-    build_canonical_x,
     eigenvalue_factored_str,
     eigenvalue_product,
     hc_coefficient,
-    nc_pfaffian,
+    nc_minor_summation_rhs,
 )
 from pfaffkit.verify import DEFAULT_UEA_BOUND
 
@@ -31,7 +31,7 @@ def dominant_weights(n: int, max_part: int):
 
 
 def run(n: int, max_part: int):
-    z = nc_pfaffian(build_canonical_x(n))
+    z = nc_minor_summation_rhs(n)
     symbolic = eigenvalue_factored_str(HighestWeight.symbolic(n))
     print(f"rank {n}: eigenvalue = {symbolic}\n")
     print(f"{'weight':>16} {'expansion':>12} {'product':>12}")

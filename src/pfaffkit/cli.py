@@ -121,7 +121,7 @@ def cmd_eigenvalue(args) -> int:
         return uea.eigenvalue_product(weight)
 
     def via_pfaffian():
-        z = uea.nc_pfaffian(uea.build_canonical_x(args.n))
+        z = uea.nc_minor_summation_rhs(args.n)  # z by the paper's formula
         return uea.hc_coefficient(z, weight)
 
     if args.via == "product":

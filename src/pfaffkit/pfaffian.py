@@ -1,11 +1,15 @@
 """Pfaffians of alternating matrices and their minor expansions.
 
-Three independent evaluation routes are kept side by side: a recursive
-first-row cofactor expansion, a brute-force sum over perfect matchings
-whose signs come from each matching's own pair sequence, and, for
-anti-alternating matrices, the right-hand side of the minor summation
-identity, which expands the Pfaffian into determinant times
-sub-Pfaffian contributions over the block decomposition.
+Independent evaluation routes are kept side by side: a recursive
+first-row cofactor expansion over any commutative ring, fraction-free
+Pfaffian condensation for rational matrices, a brute-force sum over
+perfect matchings whose signs come from each matching's own pair
+sequence, and, for anti-alternating matrices, the right-hand side of the
+minor summation identity, which expands the Pfaffian into determinant
+times sub-Pfaffian contributions over the block decomposition.
+`pfaffian` picks its route by the entry types, as `linalg.det_exact`
+does: int and Fraction matrices go to `_pf_condensed` (after clearing
+denominators), every other ring to the recursion `_pf`.
 
 `AntiAlternatingMatrix` is the one anti-alternating matrix type of the
 package: its entries may be rationals, `Poly` or enveloping-algebra
@@ -17,11 +21,12 @@ differ only in the diagonal shift of its minor determinant.
 The recursion `_pf` names a principal submatrix by an int mask, bit
 k - 1 standing for index k (`indexing.index_mask`), and reads and fills
 a memo keyed by the masks of one matrix, so every Pfaffian taken of that
-matrix's principal submatrices shares it: `pfaffian` starts a fresh
-memo, the co-Pfaffian matrix reads each cofactor Pf(A without i, j) at
-the full mask without bits i - 1 and j - 1 from the memo that computed
-Pf A, and `complementary_minor_check` computes Pf A, the co-Pfaffian
-matrix and their memos once per matrix and keeps them on the matrix.
+matrix's principal submatrices shares it: `pfaffian` of a non-rational
+matrix starts a fresh memo, the co-Pfaffian matrix reads each cofactor
+Pf(A without i, j) at the full mask without bits i - 1 and j - 1 from
+the memo that computed Pf A, and `complementary_minor_check` computes
+Pf A, the co-Pfaffian matrix and their memos once per matrix and keeps
+them on the matrix.
 Each caller turns its index set into a mask once; the shuffle signs
 sgn(I, Ic) of that check and sgn(Ic, I), sgn(Jc, J) of the block sum
 are `indexing.merge_sign` of the two masks.  `minor_summation_rhs`
@@ -277,9 +282,64 @@ def _pf(A: AlternatingMatrix, mask: int, memo: dict):
     return total
 
 
+def _pf_condensed(rows: tuple) -> int:
+    """Pfaffian of an int alternating matrix by fraction-free Pfaffian
+    condensation, in O(m^3) int operations.
+
+    After stage k, entry (i, j) with i < j beyond the first 2k indices
+    holds the Pfaffian of the principal submatrix on those 2k indices
+    together with i and j.  Tanner's identity (Knuth 1996, "Overlapping
+    Pfaffians") gives stage k + 1 from stage k as
+    (pivot * a[i][j] - a[2k][i] * a[2k+1][j] + a[2k][j] * a[2k+1][i]) // prev
+    with 0-based indices, the pivot a[2k][2k+1] and prev the pivot before
+    it, so each division is exact and every entry stays an int.  Only the
+    upper triangle is updated.  A zero pivot swaps index 2k + 1 (row and
+    column) with the first later j where a[2k][j] != 0, which negates the
+    Pfaffian; with no such j row 2k vanishes and so does Pf A.  The last
+    pivot, times the sign of the swaps, is Pf A.
+    """
+    m = len(rows)
+    a = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(0, m - 2, 2):
+        top, nxt = a[k], a[k + 1]
+        pivot = top[k + 1]
+        if not pivot:
+            swap = next((j for j in range(k + 2, m) if top[j]), None)
+            if swap is None:
+                return 0
+            for i in range(k, m):  # the stages leave the lower triangle stale
+                row = a[i]
+                for j in range(i + 1, m):
+                    a[j][i] = -row[j]
+            a[k + 1], a[swap] = a[swap], a[k + 1]
+            for row in a[k:]:
+                row[k + 1], row[swap] = row[swap], row[k + 1]
+            sign = -sign
+            nxt = a[k + 1]
+            pivot = top[k + 1]
+        for i in range(k + 2, m):
+            row = a[i]
+            x, y = top[i], nxt[i]
+            for j in range(i + 1, m):
+                row[j] = (pivot * row[j] - x * nxt[j] + top[j] * y) // prev
+        prev = pivot
+    return sign * a[-2][-1] if m else 1
+
+
 def pfaffian(A: AlternatingMatrix):
-    """Pfaffian by recursive expansion along the first remaining row,
-    memoised on index subsets of A."""
+    """Pf A, routed by the entry types as `linalg.det_exact` routes det.
+
+    All-int entries go to the condensation `_pf_condensed` (the result is
+    an int); int and Fraction entries go there after their denominators
+    are cleared, Pf A = Pf(d A) / d^(m/2) under the scalar rule; any other
+    ring takes the first-row recursion `_pf` under a fresh memo."""
+    rows = A.rows
+    if A.int_entries:
+        return _pf_condensed(rows)
+    if all(type(x) is int or type(x) is Fraction for row in rows for x in row):
+        scaled, d = clear_denominators(rows)
+        return _rational(Fraction(_pf_condensed(scaled), d ** (A.size // 2)))
     return _pf(A, (1 << A.size) - 1, {})
 
 

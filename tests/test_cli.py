@@ -2,13 +2,17 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from pfaffkit import matrixio, uea
 from pfaffkit.cli import main
+from pfaffkit.pfaffian import AlternatingMatrix, _pf
 
 COLORED_22 = """\
 2 2 2
@@ -65,6 +69,20 @@ def test_pfaffian_rational_mixed_entries_output(tmp_path, capsys, text, expected
     f.write_text(text)
     code, out, err = run(capsys, "pfaffian", "--ring", "rational", str(f))
     assert (code, out, err) == (0, expected, "")
+
+
+def test_pfaffian_rational_fraction_file_matches_the_recursion(tmp_path, capsys):
+    # a seeded 8x8 file of non-integral entries: the CLI condenses the
+    # cleared matrix, and prints what the first-row recursion gives
+    rng = random.Random(7)
+    A = AlternatingMatrix.from_upper(8, lambda i, j: Fraction(rng.randint(-9, 9), rng.randint(2, 5)))
+    f = tmp_path / "fractions.txt"
+    f.write_text(matrixio.dumps(A))
+    loaded = matrixio.load_path(str(f), ring="rational")
+    assert any(type(x) is Fraction for row in loaded.rows for x in row)
+    expected = _pf(loaded, (1 << 8) - 1, {})
+    code, out, err = run(capsys, "pfaffian", "--ring", "rational", str(f))
+    assert (code, out, err) == (0, f"{expected}\n", "")
 
 
 def test_pfaffian_odd_size_is_shape_violation(tmp_path, capsys):
@@ -383,10 +401,17 @@ def test_eigenvalue_pfaffian_route_bound_suggests_force(capsys):
         assert out == ""
 
 
-def test_eigenvalue_forced_over_bound(capsys):
-    code, out, _ = run(capsys, "eigenvalue", "--n", "4", "--symbolic", "--via", "both", "--force")
-    assert code == 0
-    assert out.strip().endswith(" = (lam[1]+3)*(lam[2]+2)*(lam[3]+1)*lam[4]")
+def test_eigenvalue_forced_over_bound(capsys, monkeypatch):
+    # z comes from the minor summation formula, never from the recursion
+    def no_recursion(X):
+        raise AssertionError("eigenvalue built z by the subset recursion")
+
+    monkeypatch.setattr(uea, "nc_pfaffian", no_recursion)
+    code, out, err = run(capsys, "eigenvalue", "--n", "4", "--symbolic", "--via", "both", "--force")
+    assert (code, err) == (0, "")
+    assert out == ("lam[1]*lam[2]*lam[3]*lam[4] + lam[1]*lam[2]*lam[4] + 2*lam[1]*lam[3]*lam[4]"
+                   " + 3*lam[2]*lam[3]*lam[4] + 2*lam[1]*lam[4] + 3*lam[2]*lam[4] + 6*lam[3]*lam[4]"
+                   " + 6*lam[4] = (lam[1]+3)*(lam[2]+2)*(lam[3]+1)*lam[4]\n")
 
 
 def test_eigenvalue_weight_length_mismatch(capsys):

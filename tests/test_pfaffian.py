@@ -786,6 +786,113 @@ def test_complementary_minor_stays_exact_on_large_ints():
             assert complementary_minor_check(A, I)
 
 
+# --- Pfaffian condensation of rational matrices -------------------------------
+
+
+def _sparse_int_alternating(size, rng):
+    # entry (1, 2) is always 0, so the first stage always swaps or stops,
+    # and later pivots vanish often
+    def value(i, j):
+        return 0 if (i, j) == (1, 2) or rng.random() < 0.6 else rng.randint(-3, 3)
+
+    return AlternatingMatrix.from_upper(size, value)
+
+
+def _low_rank_int_alternating(size, rng):
+    # a sum of size // 2 - 1 rank-two terms u v^t - v u^t: Pf = 0 from size 4
+    # on, and a stage meets a pivot row that vanishes
+    rows = [[0] * size for _ in range(size)]
+    for _ in range(size // 2 - 1):
+        u = [rng.randint(-4, 4) for _ in range(size)]
+        v = [rng.randint(-4, 4) for _ in range(size)]
+        for i in range(size):
+            for j in range(size):
+                rows[i][j] += u[i] * v[j] - v[i] * u[j]
+    return AlternatingMatrix(rows)
+
+
+def _big_int_alternating(size, rng):
+    return AlternatingMatrix.from_upper(size, lambda i, j: rng.choice((-1, 1)) * (10**20 + rng.randint(-50, 50)))
+
+
+def _recursion(A):
+    return _pf(A, (1 << A.size) - 1, {})
+
+
+@pytest.mark.parametrize("build", [_int_alternating, _sparse_int_alternating,
+                                   _low_rank_int_alternating, _big_int_alternating],
+                         ids=["dense", "sparse", "low-rank", "near-1e20"])
+def test_condensation_matches_the_recursion_on_int_matrices(build):
+    rng = random.Random(41)
+    for size in range(0, 13, 2):
+        for _ in range(12 if size <= 8 else 4):
+            A = build(size, rng)
+            pf = pfaffian(A)
+            assert type(pf) is int and pf == _recursion(A)
+            if size <= 10:
+                assert pf == pfaffian_definitional(A)
+
+
+def test_condensation_on_zero_pivots():
+    # the first row vanishes: no swap partner, Pf = 0
+    A = AlternatingMatrix.from_upper(6, lambda i, j: 0 if i == 1 else i * j)
+    assert pfaffian(A) == 0 == _recursion(A)
+    # a[1][2] = 0 with one partner far away: the swap flips the sign back
+    B = AlternatingMatrix.from_upper(4, lambda i, j: {(1, 4): 2, (2, 3): 5}.get((i, j), 0))
+    assert pfaffian(B) == 10 == _recursion(B)
+    # the pivot of the second stage, 1*0 - 1*1 + 1*1, vanishes
+    C = AlternatingMatrix.from_upper(6, lambda i, j: {(3, 4): 0}.get((i, j), 1))
+    assert pfaffian(C) == _recursion(C) == pfaffian_definitional(C)
+
+
+def test_condensation_matches_the_recursion_on_fraction_matrices():
+    rng = random.Random(42)
+
+    def fraction(i, j):
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    def mixed(i, j):
+        return rng.randint(-9, 9) if rng.random() < 0.5 else fraction(i, j)
+
+    for entry in (fraction, mixed):
+        for size in range(0, 11, 2):
+            for _ in range(8):
+                A = AlternatingMatrix.from_upper(size, entry)
+                pf, ref = pfaffian(A), _recursion(A)
+                assert pf == ref and type(pf) is type(ref)
+    # an integral Pfaffian of a Fraction matrix is an int
+    half = AlternatingMatrix.from_upper(2, lambda i, j: Fraction(4, 2))
+    assert type(pfaffian(half)) is int and pfaffian(half) == 2
+
+
+@pytest.mark.parametrize("size", [14, 16, 20])
+def test_pfaffian_squares_to_the_bareiss_determinant_at_large_sizes(size):
+    rng = random.Random(size)
+    A = _int_alternating(size, rng)
+    assert pfaffian(A) ** 2 == det_exact(A.rows)
+    F = AlternatingMatrix.from_upper(size, lambda i, j: Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+    assert pfaffian(F) ** 2 == det_exact(F.rows)
+
+
+def test_pfaffian_routes_by_entry_type(monkeypatch):
+    module = importlib.import_module("pfaffkit.pfaffian")  # the package re-exports a function by this name
+    real_pf = module._pf
+    calls = []
+
+    def counting_pf(A, mask, memo):
+        calls.append(mask)
+        return real_pf(A, mask, memo)
+
+    monkeypatch.setattr(module, "_pf", counting_pf)
+    rng = random.Random(43)
+    pfaffian(_int_alternating(8, rng))
+    pfaffian(_fraction_copy(_int_alternating(8, rng)))
+    pfaffian(AlternatingMatrix.from_upper(6, lambda i, j: Fraction(i, j)))
+    assert calls == []
+    pfaffian(AlternatingMatrix.generic(4))
+    assert calls
+
+
 # --- the rational checks over one common denominator --------------------------
 
 FRACTION_FORM = ((Fraction(1, 2), Fraction(1, 3), 0, 0), (Fraction(1, 3), 2, 0, 0),
