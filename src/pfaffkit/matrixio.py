@@ -13,6 +13,12 @@ this layout cannot violate anti-alternation.
 Entries are whitespace-separated, so each entry must itself be free of
 spaces: a rational like ``-3/4`` or a polynomial literal like
 ``2*x[1,2]+1``.  Blank lines and ``#`` comments are skipped.
+
+Over the rationals a row of plain ASCII integers separated by spaces or
+tabs is read with one pattern match and ``int`` per entry; these are the
+tokens `parse_rational` reads with ``int`` too.  Every other row, and an
+integer ``int`` refuses, goes through the token loop, which reports the
+line and column of a bad entry.  The grammar is the same on both paths.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .pfaffian import AlternatingMatrix, AntiAlternatingMatrix, ShapeError
-from .rings import Poly, PolyParseError, parse_poly, parse_rational
+from .rings import _INT_LITERAL, Poly, PolyParseError, parse_poly, parse_rational
 
 
 class MatrixParseError(ValueError):
@@ -33,6 +39,8 @@ class MatrixParseError(ValueError):
 
 
 _TOKEN = re.compile(r"\S+")
+# a row of the literals `parse_rational` reads with `int`, separated by spaces or tabs
+_INT_ROW = re.compile(rf"[ \t]*{_INT_LITERAL.pattern}(?:[ \t]+{_INT_LITERAL.pattern})*[ \t]*")
 
 
 def _content_lines(text: str):
@@ -57,9 +65,12 @@ class _LineReader:
         self.lines = _content_lines(text)
         self.k = 0
 
-    def next_line(self, what: str):
+    def next_line(self, what: str, r: int | None = None):
+        """The next content line; `what`, numbered `r` if given, names it
+        in the end-of-file error."""
         if self.k >= len(self.lines):
             last = self.lines[-1][0] if self.lines else 1
+            what = what if r is None else f"{what} {r}"
             raise MatrixParseError(f"unexpected end of file, expected {what}", last)
         lineno, body = self.lines[self.k]
         self.k += 1
@@ -69,10 +80,24 @@ class _LineReader:
         return self.k >= len(self.lines)
 
 
-def _parse_row(lineno: int, body: str, count: int, parse_entry, what: str):
+def _read_rows(reader: _LineReader, label: str, counts, parse_entry) -> list:
+    """One row per count, the r-th named `label r` (from 1) in errors."""
+    return [_parse_row(*reader.next_line(label, r), count, parse_entry, label, r)
+            for r, count in enumerate(counts, start=1)]
+
+
+def _parse_row(lineno: int, body: str, count: int, parse_entry, label: str, r: int):
+    if parse_entry is parse_rational and _INT_ROW.fullmatch(body):
+        try:
+            row = list(map(int, body.split()))
+        except ValueError:  # past int's digit limit: the token loop reports it
+            pass
+        else:
+            if len(row) == count:
+                return row
     tokens = list(_TOKEN.finditer(body))
     if len(tokens) != count:
-        raise MatrixParseError(f"expected {count} entries for {what}, found {len(tokens)}", lineno)
+        raise MatrixParseError(f"expected {count} entries for {label} {r}, found {len(tokens)}", lineno)
     row = []
     for tok in tokens:
         try:
@@ -98,8 +123,7 @@ def loads(text: str, ring: str = "poly"):
         if len(fields) != 2 or not fields[1].isdigit():
             raise MatrixParseError("full header must read 'full <size>'", lineno)
         size = int(fields[1])
-        rows = [_parse_row(*reader.next_line(f"row {r + 1}"), size, parse_entry, f"row {r + 1}")
-                for r in range(size)]
+        rows = _read_rows(reader, "row", [size] * size, parse_entry)
         _expect_eof(reader)
         return AlternatingMatrix(rows)
     if len(fields) != 3 or not all(f.lstrip("-").isdigit() for f in fields):
@@ -108,14 +132,11 @@ def loads(text: str, ring: str = "poly"):
     if p + q != 2 * n or p < 1 or q < 1:
         raise MatrixParseError(f"coloring ({p}, {q}) does not match half-size {n}", lineno)
     _expect_label(reader, "a")
-    a_rows = [_parse_row(*reader.next_line(f"a row {i + 1}"), q, parse_entry, f"a row {i + 1}")
-              for i in range(p)]
+    a_rows = _read_rows(reader, "a row", [q] * p, parse_entry)
     _expect_label(reader, "b")
-    b_upper = [_parse_row(*reader.next_line(f"b row {i}"), p - i, parse_entry, f"b row {i}")
-               for i in range(1, p)]
+    b_upper = _read_rows(reader, "b row", range(p - 1, 0, -1), parse_entry)
     _expect_label(reader, "c")
-    c_upper = [_parse_row(*reader.next_line(f"c row {i}"), q - i, parse_entry, f"c row {i}")
-               for i in range(1, q)]
+    c_upper = _read_rows(reader, "c row", range(q - 1, 0, -1), parse_entry)
     _expect_eof(reader)
     return AntiAlternatingMatrix.from_upper_blocks(p, q, a_rows, b_upper, c_upper)
 

@@ -61,7 +61,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from operator import eq, neg
 from typing import Callable, Iterable, Sequence
 
 from .indexing import cycle_sign, index_mask, index_set, merge_sign
@@ -87,7 +88,13 @@ class ShapeError(ValueError):
 
 
 def _all_int(rows: tuple) -> bool:
-    return all(type(x) is int for row in rows for x in row)
+    return all(type(x) is int for x in chain.from_iterable(rows))
+
+
+def _is_skew(rows: tuple) -> bool:
+    """A == -A^T, the zero diagonal included: the row-major entries against
+    the negated column-major ones, in one pass of C-level calls."""
+    return all(map(eq, chain.from_iterable(rows), map(neg, chain.from_iterable(zip(*rows)))))
 
 
 class AlternatingMatrix:
@@ -96,7 +103,10 @@ class AlternatingMatrix:
     Entries live in any commutative ring with exact equality; indexing is
     1-based to match the usual matrix conventions.  `int_entries` says
     whether every entry is an int, so that the cofactor sums can stay in
-    int arithmetic without a test per term.
+    int arithmetic without a test per term.  An int matrix is checked as
+    A == -A^T in one C-level pass, which covers the zero diagonal too;
+    other entries, or a failed pass, go through the entry-by-entry loop,
+    which names the first bad cell.
     """
 
     __slots__ = ("rows", "int_entries", "_minors")
@@ -109,17 +119,19 @@ class AlternatingMatrix:
         for i, row in enumerate(rows):
             if len(row) != m:
                 raise ShapeError(f"row {i + 1} has length {len(row)}, expected {m}")
-        for i in range(m):
-            if not rows[i][i] == 0:
-                raise ShapeError(f"nonzero diagonal entry at ({i + 1},{i + 1})", (i + 1, i + 1))
-            for j in range(i + 1, m):
-                if not rows[j][i] == -rows[i][j]:
-                    raise ShapeError(
-                        f"entry ({j + 1},{i + 1}) is not the negative of ({i + 1},{j + 1})",
-                        (j + 1, i + 1),
-                    )
+        int_entries = _all_int(rows)
+        if not (int_entries and _is_skew(rows)):
+            for i in range(m):
+                if not rows[i][i] == 0:
+                    raise ShapeError(f"nonzero diagonal entry at ({i + 1},{i + 1})", (i + 1, i + 1))
+                for j in range(i + 1, m):
+                    if not rows[j][i] == -rows[i][j]:
+                        raise ShapeError(
+                            f"entry ({j + 1},{i + 1}) is not the negative of ({i + 1},{j + 1})",
+                            (j + 1, i + 1),
+                        )
         self.rows = rows
-        self.int_entries = _all_int(rows)
+        self.int_entries = int_entries
         self._minors = None  # per-matrix data of complementary_minor_check
 
     @classmethod

@@ -322,10 +322,16 @@ def forms_suite(n: int | None = None, force: bool = False) -> VerificationReport
     rank reuse it.  Above the enveloping-algebra bound the uea-mode checks
     run only with `force`; without it each is reported as skipped."""
     check_n_bound(n, force, bound=4)
+    return _forms_checks(n, force, _formula_z(n))
+
+
+def _forms_checks(n: int | None, force: bool, rhs: dict[int, Callable[[], UEAElement]]) -> VerificationReport:
+    """The forms suite, with uea-mode checks at each rank k of `rhs`; the
+    uea top route compares Omega^k's top coefficient with `rhs[k]()`, as
+    `grassmann.check_top_form_route` does."""
     report = VerificationReport("forms")
-    uea_ns = (n,) if n is not None else (1, 2, 3)
     comm_ns = (n,) if n is not None else (1, 2, 3, 4)
-    for k in uea_ns:
+    for k, rhs_k in rhs.items():
         f = cache(lambda k=k: grassmann.build_forms("uea", n=k))
         us = _u_points(k)
         checks = {
@@ -339,7 +345,8 @@ def forms_suite(n: int | None = None, force: bool = False) -> VerificationReport
                 grassmann.check_theta_powers(k, s, t, forms=f()) for s in range(k + 1) for t in range(k + 1)),
             f"forms:trinomial:uea-n{k}":
                 lambda k=k, f=f: all(grassmann.check_trinomial(k, m, forms=f()) for m in range(k + 1)),
-            f"forms:top-route:uea-n{k}": lambda f=f: grassmann.check_top_form_route(forms=f()),
+            f"forms:top-route:uea-n{k}":
+                lambda f=f, rhs_k=rhs_k: grassmann.pfaffian_from_top_form(f()) == rhs_k(),
         }
         for check_id, fn in checks.items():
             if k <= DEFAULT_UEA_BOUND or force:
@@ -385,9 +392,9 @@ def run_suite(name: str, n: int | None = None, pq: tuple[int, int] | None = None
         check_n_bound(n, force)  # before the long msf suite, not after it
         combined = VerificationReport("all")
         combined.checks.extend(msf_suite(pq=pq, seed=seed, force=force).checks)
-        rhs = _formula_z(n)  # one right side per rank, for ncmsf:identity and central
+        rhs = _formula_z(n)  # one right side per rank, for ncmsf:identity, central and the uea top route
         combined.checks.extend(_ncmsf_checks(rhs).checks)
         combined.checks.extend(_central_checks(rhs).checks)
-        combined.checks.extend(forms_suite(n=n, force=force).checks)
+        combined.checks.extend(_forms_checks(n, force, rhs).checks)
         return combined
     raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")

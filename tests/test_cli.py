@@ -96,8 +96,27 @@ def test_pfaffian_odd_size_is_shape_violation(tmp_path, capsys):
 def test_pfaffian_not_alternating_is_shape_violation(tmp_path, capsys):
     f = tmp_path / "bad.txt"
     f.write_text("full 2\n0 1\n1 0\n")
-    code, _, err = run(capsys, "pfaffian", "--ring", "rational", str(f))
-    assert code == 3
+    code, out, err = run(capsys, "pfaffian", "--ring", "rational", str(f))
+    assert (code, out) == (3, "")
+    assert err == "pfaffkit: shape violation: entry (2,1) is not the negative of (1,2)\n"
+
+
+def test_pfaffian_integer_past_the_digit_limit_is_parse_error(tmp_path, capsys):
+    digits = "9" * 5000
+    f = tmp_path / "long.txt"
+    f.write_text(f"full 2\n0 {digits}\n-{digits} 0\n")
+    code, out, err = run(capsys, "pfaffian", "--ring", "rational", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"pfaffkit: parse error: line 2, column 3: bad entry '{digits}'")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_pfaffian_int_and_fraction_files_print_the_same(tmp_path, capsys):
+    ints, fractions = tmp_path / "ints.txt", tmp_path / "fractions.txt"
+    ints.write_text("full 4\n0 1 -2 3\n-1 0 4 -5\n2 -4 0 6\n-3 5 -6 0\n")
+    fractions.write_text("full 4\n0 2/2 -4/2 3.0\n-1 0 8/2 -5\n2 -4/1 0 6\n-3 5 -6 0\n")
+    outs = [run(capsys, "pfaffian", "--ring", "rational", str(f)) for f in (ints, fractions)]
+    assert outs[0] == outs[1] == (0, "8\n", "")
 
 
 def test_pfaffian_malformed_is_parse_error(tmp_path, capsys):

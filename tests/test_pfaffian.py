@@ -87,6 +87,59 @@ def test_not_alternating_rejected():
         AlternatingMatrix([[1, 1], [-1, 0]])
 
 
+def _first_bad_cell(rows):
+    """The cell the constructor names: rows in order, each diagonal entry
+    before the column below it."""
+    m = len(rows)
+    for i in range(m):
+        if rows[i][i] != 0:
+            return i + 1, i + 1
+        for j in range(i + 1, m):
+            if rows[j][i] != -rows[i][j]:
+                return j + 1, i + 1
+    return None
+
+
+@pytest.mark.parametrize("size", range(0, 13, 2))
+def test_int_skewness_names_the_first_bad_cell(size):
+    rng = random.Random(f"int-skew:{size}")
+    for _ in range(40):
+        grid = [list(row) for row in AlternatingMatrix.random_rational(size, rng).rows]
+        good = AlternatingMatrix(grid)
+        assert good.int_entries and good.rows == tuple(map(tuple, grid))
+        if not size:
+            continue
+        for _ in range(rng.randint(1, 3)):  # break diagonal entries or skew pairs
+            i, j = rng.randrange(size), rng.randrange(size)
+            grid[i][j] += rng.choice([-1, 1]) * rng.randint(1, 10**20)
+        cell = _first_bad_cell(grid)
+        if cell is None:
+            continue
+        with pytest.raises(ShapeError) as err:
+            AlternatingMatrix(grid)
+        assert err.value.cell == cell
+        j, i = cell
+        assert str(err.value) == (f"nonzero diagonal entry at ({i},{i})" if i == j
+                                  else f"entry ({j},{i}) is not the negative of ({i},{j})")
+
+
+def test_int_skewness_checks_the_diagonal_and_each_pair():
+    # a nonzero diagonal with every off-diagonal pair skew
+    with pytest.raises(ShapeError) as err:
+        AlternatingMatrix([[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 7, 6], [-3, -5, -6, 0]])
+    assert err.value.cell == (3, 3)
+    # one broken pair in the last row, the diagonal clean
+    with pytest.raises(ShapeError) as err:
+        AlternatingMatrix([[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, 6, 0]])
+    assert err.value.cell == (4, 3)
+    # mixed int and Fraction entries take the entry-by-entry loop
+    A = AlternatingMatrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
+    assert not A.int_entries
+    with pytest.raises(ShapeError) as err:
+        AlternatingMatrix([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    assert err.value.cell == (2, 1)
+
+
 def test_matching_sum_of_the_generic_matrix_has_one_unit_term_per_matching():
     # (2m-1)!! perfect matchings, each its own monomial with coefficient +-1
     for m in range(1, 6):
