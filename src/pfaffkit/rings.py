@@ -321,7 +321,10 @@ class Combination:
 
     @classmethod
     def _wrap(cls, terms: dict):
-        """Element owning `terms`, which must already hold no zero coefficient."""
+        """Element owning `terms`, which must already hold no zero coefficient.
+
+        For a `UEAElement` the dict must hold only PBW-sorted words, as
+        every element does: its product starts each scan at the seam."""
         res = cls.__new__(cls)
         res.terms = terms
         return res

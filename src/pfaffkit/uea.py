@@ -45,6 +45,10 @@ from .rings import (
 
 _KINDS = ("a", "b", "c")
 _GENERATORS: dict[tuple[str, int, int], "Generator"] = {}
+# Width of the i and j fields of `Generator.sort_key`; the whole key stays
+# below 2**30, a one-digit int whose compares are cheapest.
+_INDEX_BITS = 12
+MAX_INDEX = (1 << _INDEX_BITS) - 1
 
 
 class Generator:
@@ -52,7 +56,10 @@ class Generator:
 
     Generators are immutable and interned: equal names give the same
     object, so words hash and compare by identity, and the PBW position
-    `sort_key` (root class, kind, i, j) is computed once per generator."""
+    `sort_key` is computed once per generator: one int that packs
+    (root class, kind rank, i, j) into fixed-width fields, so that int
+    order is the order of those tuples.  Indices past `MAX_INDEX` do not
+    fit a field and are refused."""
 
     __slots__ = ("kind", "i", "j", "sort_key")
 
@@ -65,8 +72,11 @@ class Generator:
                 raise ValueError("generator indices are 1-based positive integers")
             if kind in ("b", "c") and not i < j:
                 raise ValueError(f"{kind}[i,j] generators need i < j, got ({i}, {j})")
+            if i > MAX_INDEX or j > MAX_INDEX:
+                raise ValueError(f"generator indices are at most {MAX_INDEX}, got ({i}, {j})")
             g = _GENERATORS[(kind, i, j)] = super().__new__(cls)
-            sort_key = display_key(f"{kind}[{i},{j}]")[:4]
+            root_class, kind_rank = display_key(f"{kind}[{i},{j}]")[:2]
+            sort_key = (((root_class << 2 | kind_rank) << _INDEX_BITS | i) << _INDEX_BITS) | j
             for attr, value in (("kind", kind), ("i", i), ("j", j), ("sort_key", sort_key)):
                 object.__setattr__(g, attr, value)
         return g
@@ -83,6 +93,11 @@ class Generator:
     @property
     def name(self) -> str:
         return f"{self.kind}[{self.i},{self.j}]"
+
+    @property
+    def root_class(self) -> int:
+        """LOWERING, CARTAN or RAISING (see `rings.display_key`)."""
+        return self.sort_key >> (2 * _INDEX_BITS + 2)
 
     @property
     def is_cartan(self) -> bool:
@@ -116,9 +131,15 @@ class UEAElement(Combination):
 
     Scalars enter as ints when integral and as Fractions otherwise (the two
     compare and hash alike), so products of integral elements never leave
-    int arithmetic."""
+    int arithmetic.  Every word held is PBW-sorted (non-decreasing in
+    `sort_key`): the constructor normal-orders the words it is given, and
+    each operation keeps the order."""
 
     __slots__ = ()
+
+    def __init__(self, terms: Mapping[Word, ScalarLike] | None = None):
+        stack = [(w, c, 0) for w, c in (terms or {}).items() if c]
+        self.terms = _normal_order_sums({}, stack) if stack else {}
 
     @classmethod
     def one(cls) -> "UEAElement":
@@ -164,7 +185,7 @@ class UEAElement(Combination):
 
     def sorted_terms(self) -> list[tuple[Word, ScalarLike]]:
         def key(word: Word):
-            return (-len(word), tuple(tuple(-x for x in g.sort_key) for g in word))
+            return (-len(word), tuple(-g.sort_key for g in word))
 
         return sorted(self.terms.items(), key=lambda kv: key(kv[0]))
 
@@ -229,7 +250,7 @@ def _normal_order_sums(out: dict[Word, ScalarLike],
     `rings._rational`, and a word whose sum cancels leaves at once, so
     `out` never holds a zero coefficient if it started without and no
     zero coefficient is pushed."""
-    pop, push, get = stack.pop, stack.append, out.get
+    pop, push, get, brackets = stack.pop, stack.append, out.get, _BRACKETS.get
     while stack:
         w, c, t = pop()
         last = len(w) - 1
@@ -250,24 +271,49 @@ def _normal_order_sums(out: dict[Word, ScalarLike],
         head, tail = w[:t], w[t + 2:]
         back = t - 1 if t else 0
         push((head + (y, x) + tail, c, back))
-        for bw, bc in _bracket_terms(x, y):
+        terms = brackets((x, y))
+        if terms is None:
+            terms = _bracket_terms(x, y)
+        for bw, bc in terms:
             push((head + bw + tail, c * bc, back))
     return out
 
 
 def _product_into(out: dict[Word, ScalarLike], left: Mapping[Word, ScalarLike],
                   right: Mapping[Word, ScalarLike], scale: ScalarLike = 1) -> dict[Word, ScalarLike]:
-    """Add scale * left * right into `out`: every word pair w1 w2 goes onto
-    one normal-ordering stack with coefficient scale c1 c2, and the stack
-    is drained once, straight into `out`."""
+    """Add scale * left * right into `out`, both factors holding only
+    PBW-sorted words, so a pair w1 w2 can be out of order only at the seam.
+
+    A pair with an empty side, or with key(w1[-1]) <= key(w2[0]), is
+    sorted already and is added straight into `out`, under the drain's
+    scalar rule and cancellation.  Every other pair, with coefficient
+    scale c1 c2, goes onto one normal-ordering stack whose scan starts at
+    the seam, and the stack, if any, is drained once, straight into `out`."""
     if not scale:
         return out
     stack: list[tuple[Word, ScalarLike, int]] = []
+    push, get = stack.append, out.get
     rows = right.items()
     for w1, c1 in left.items():
         c1 = scale * c1
-        stack.extend((w1 + w2, c1 * c2, 0) for w2, c2 in rows)
-    return _normal_order_sums(out, stack)
+        last, seam = (w1[-1].sort_key, len(w1) - 1) if w1 else (-1, 0)
+        for w2, c2 in rows:
+            w, c = w1 + w2, c1 * c2
+            if w2 and last > w2[0].sort_key:
+                push((w, c, seam))
+                continue
+            s = get(w)
+            if s is not None:
+                c = s + c
+                if not c:
+                    del out[w]
+                    continue
+            if type(c) is Fraction and c.denominator == 1:
+                c = c.numerator
+            out[w] = c
+    if stack:
+        _normal_order_sums(out, stack)
+    return out
 
 
 # the raw product of the coefficient-ring protocol (see rings.Combination)
@@ -276,7 +322,7 @@ UEAElement._product_into = staticmethod(_product_into)
 
 def normal_order(word: Iterable[Generator], coeff: ScalarLike = 1) -> UEAElement:
     """Rewrite coeff * word into the PBW basis."""
-    return UEAElement._wrap(_normal_order_sums({}, [(tuple(word), coeff, 0)] if coeff else []))
+    return UEAElement({tuple(word): coeff})
 
 
 # `bench/workloads.py` names the type of the canonical X by this alias.
@@ -327,9 +373,9 @@ def nc_pfaffian_unrestricted(X: AntiAlternatingMatrix) -> UEAElement:
     The definition term by term: for each permutation of the 2n
     positions, the product of its pair entries is formed as free-algebra
     words, concatenated and never reordered (equal words merge), and
-    added with its sign into one dict of free words.  One normal-ordering
-    drain then brings that dict into the PBW basis, so no product of the
-    engine is used."""
+    added with its sign into one dict of free words.  The constructor's one
+    normal-ordering drain, each scan from position 0, then brings that
+    dict into the PBW basis, so no product of the engine is used."""
     n = X.half
     at = X.to_alternating().rows
     free: dict[Word, ScalarLike] = {}
@@ -344,8 +390,7 @@ def nc_pfaffian_unrestricted(X: AntiAlternatingMatrix) -> UEAElement:
                     longer[w] = longer.get(w, 0) + c1 * c2
             words = longer
         add_into(free, words)
-    stack = [(w, c, 0) for w, c in free.items()]
-    return UEAElement._wrap(_normal_order_sums({}, stack)).scale(Fraction(1, 2**n * factorial(n)))
+    return UEAElement(free).scale(Fraction(1, 2**n * factorial(n)))
 
 
 def shifted_minor_determinant(X: AntiAlternatingMatrix, I: Sequence[int], J: Sequence[int],
@@ -436,7 +481,7 @@ def centrality_failures(z: UEAElement, n: int) -> list[Generator]:
                     weight[abs(k)] += 1 if k > 0 else -1
         unbalanced.update(k for k in range(1, n + 1) if weight[k])
     cartan = [Generator("a", i, i) for i in sorted(unbalanced)]
-    raising = [g for g in chevalley_generators(n) if g.sort_key[0] == RAISING and ad(g, z)]
+    raising = [g for g in chevalley_generators(n) if g.root_class == RAISING and ad(g, z)]
     return cartan + raising
 
 
@@ -541,7 +586,11 @@ def _generator_element(name: str) -> UEAElement:
     m = _GENERATOR_NAME.match(name)
     if m is None:
         raise PolyParseError(f"{name!r} is not a generator name (expected kind[i,j])")
-    return UEAElement.from_generator(Generator(m.group(1), int(m.group(2)), int(m.group(3))))
+    try:
+        g = Generator(m.group(1), int(m.group(2)), int(m.group(3)))
+    except ValueError as exc:  # a bad kind[i,j], or an index past MAX_INDEX or int's digit limit
+        raise PolyParseError(f"{name!r}: {exc}") from None
+    return UEAElement.from_generator(g)
 
 
 def parse_element(text: str) -> UEAElement:

@@ -462,6 +462,35 @@ def test_eigenvalue_rank_below_one_is_usage_error(via, capsys):
         assert out == ""
 
 
+def test_generator_index_past_the_bound_is_usage_error(tmp_path, capsys):
+    # a rank whose canonical X needs a generator index past uea.MAX_INDEX
+    # exits 2 with one line naming the bound, before any product is formed;
+    # the child may map 1 GiB, so a lost bound fails here instead of
+    # building the rank-4096 matrix
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    n = str(uea.MAX_INDEX + 1)
+    for argv in (("eigenvalue", "--n", n, "--symbolic", "--via", "pfaffian", "--force"),
+                 ("forms", "--mode", "uea", "--n", n)):
+        proc = subprocess.run([sys.executable, "-m", "pfaffkit", *argv], env=env, capture_output=True,
+                              text=True, timeout=120, preexec_fn=limit)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-500:]
+        assert proc.stderr == f"pfaffkit: generator indices are at most {uea.MAX_INDEX}, got (1, {n})\n"
+    # matrix text is read over the polynomials, where a[i,j] is a variable
+    # name with no int key: it is read and printed in full at any index
+    f = tmp_path / "big.txt"
+    f.write_text(COLORED_22.replace("a[1,1]", f"a[{n},1]"))
+    code, out, err = run(capsys, "pfaffian", str(f))
+    assert (code, err) == (0, "")
+    assert out == f"-a[2,1]*a[1,2] + a[{n},1]*a[2,2] + c[1,2]*b[1,2]\n"
+
+
 # --- forms -----------------------------------------------------------------------
 
 

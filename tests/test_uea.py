@@ -166,6 +166,159 @@ def test_product_matches_termwise_normal_order():
     assert bracket(B12, C12) == el(A22) + el(A11)
 
 
+# --- PBW-sorted elements and the seam start ----------------------------------
+
+
+def _is_sorted(word):
+    return all(g.sort_key <= h.sort_key for g, h in zip(word, word[1:]))
+
+
+def _all_sorted(x):
+    return all(_is_sorted(w) for w in x.terms)
+
+
+def test_constructor_normal_orders_an_unsorted_word():
+    # b c = c b + [b, c] = c b + a11 + a22
+    x = UEAElement({(B12, C12): 1})
+    assert x == normal_order((B12, C12))
+    assert x.terms == {(C12, B12): 1, (A11,): 1, (A22,): 1}
+
+
+def test_unit_product_keeps_a_constructed_element():
+    x = UEAElement({(B12, C12): 1, (A12, A21, A11): Fraction(1, 2)})
+    assert x * UEAElement.one() == x == UEAElement.one() * x
+
+
+def test_hc_coefficient_of_a_constructed_unsorted_word():
+    w = HighestWeight.symbolic(2)
+    assert hc_coefficient(UEAElement({(B12, C12): 1}), w) == Poly.var("lam[1]") + Poly.var("lam[2]")
+
+
+def test_constructor_keeps_the_scalar_rule_and_drops_zeros():
+    x = UEAElement({(B12, C12): Fraction(2, 2), (C12, B12): -1, (A12,): 0})
+    assert x.terms == {(A11,): 1, (A22,): 1} and all(type(c) is int for c in x.terms.values())
+    assert UEAElement({}).terms == {} and UEAElement({(A12,): 0}).terms == {}
+
+
+def test_sort_key_is_the_tuple_order_up_to_the_index_bound():
+    from pfaffkit.rings import display_key
+
+    top = uea.MAX_INDEX
+    idx = (1, 2, 3, 63, 64, top - 1, top)
+    gens = [Generator("a", i, j) for i in idx for j in idx]
+    gens += [Generator(k, i, j) for k in "bc" for i in idx for j in idx if i < j]
+    by_tuple = sorted(gens, key=lambda g: display_key(g.name)[:4])
+    assert sorted(gens, key=lambda g: g.sort_key) == by_tuple
+    assert all(type(g.sort_key) is int for g in gens)
+    assert [g.root_class for g in (C12, A21, A11, A12, B12)] == [0, 0, 1, 2, 2]
+
+
+def test_generator_index_past_the_bound_is_refused():
+    top = uea.MAX_INDEX
+    assert Generator("b", top - 1, top).j == top
+    for kind, i, j in (("a", top + 1, 1), ("a", 1, top + 1), ("b", 1, top + 1), ("c", top, top + 1)):
+        with pytest.raises(ValueError, match=f"at most {top}"):
+            Generator(kind, i, j)
+    # parse_element reports it, and an index past int's digit limit, as parse errors
+    from pfaffkit.rings import PolyParseError
+
+    for text in (f"a[{top + 1},1]", f"2*b[1,{top + 1}] + a[1,1]", "c[1," + "9" * 5000 + "]"):
+        with pytest.raises(PolyParseError):
+            parse_element(text)
+    with pytest.raises(PolyParseError, match=f"at most {top}"):
+        parse_element(f"a[1,{top + 1}]")
+
+
+def _random_pbw(rng, gens, terms, repeat=None):
+    """A sum of sorted words of length 0-3 with coefficients in 1/2 Z; with
+    `repeat`, every word starts or ends with that letter."""
+    out = {}
+    for _ in range(terms):
+        word = sorted((rng.choice(gens) for _ in range(rng.randint(0, 3))), key=lambda g: g.sort_key)
+        if repeat is not None:
+            word = [repeat] + word if rng.random() < 0.5 else word + [repeat]
+            word.sort(key=lambda g: g.sort_key)
+        out[tuple(word)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+    return UEAElement(out)
+
+
+def test_seam_start_matches_termwise_normal_order_from_zero():
+    # random PBW elements at n = 3, against the termwise normal_order of each
+    # concatenation scanned from position 0: unit words, the same letter on
+    # both sides of the seam, presorted and unsorted seams, a non-empty out
+    gens = canonical_generators(3)
+    rng = random.Random(2503)
+    seams = {"unit": 0, "repeat": 0, "presorted": 0, "unsorted": 0}
+    for trial in range(40):
+        repeat = rng.choice(gens) if trial % 4 == 0 else None
+        x = _random_pbw(rng, gens, rng.randint(1, 5), repeat) + int(trial % 3 == 0)
+        y = _random_pbw(rng, gens, rng.randint(1, 5), repeat) - int(trial % 5 == 0)
+        expected = UEAElement.zero()
+        for w1, c1 in x.terms.items():
+            for w2, c2 in y.terms.items():
+                expected = expected + normal_order(w1 + w2, c1 * c2)
+                if not (w1 and w2):
+                    seams["unit"] += 1
+                elif w1[-1] is w2[0]:
+                    seams["repeat"] += 1
+                else:
+                    seams["presorted" if w1[-1].sort_key < w2[0].sort_key else "unsorted"] += 1
+        got = x * y
+        assert got == expected and _all_sorted(got) and all(got.terms.values()), trial
+        # into a non-empty out whose words the product cancels, scaled by -1
+        out = dict(expected.terms)
+        extra = {w: c for w, c in x.terms.items() if w not in out}
+        out.update(extra)
+        UEAElement._product_into(out, x.terms, y.terms, -1)
+        assert out == extra and all(out.values()), trial
+    assert min(seams.values()) >= 10, seams
+
+
+def test_presorted_product_makes_no_drain(monkeypatch):
+    # every concatenation is sorted, the same letter meets itself at a seam
+    # and a unit word sits on each side, so no pair reaches the stack
+    x = el(C12) + el(A11) + 2
+    y = el(A11) + el(A12, B12) - Fraction(1, 2)
+    expected = x * y
+
+    def drain(out, stack):
+        raise AssertionError("a presorted product reached the drain")
+
+    monkeypatch.setattr(uea, "_normal_order_sums", drain)
+    assert x * y == expected
+    assert expected.terms[(A11, A11)] == 1 and expected.terms[(C12, A12, B12)] == 1
+    # an unsorted seam still reaches it
+    with pytest.raises(AssertionError, match="presorted"):
+        el(B12) * el(C12)
+
+
+def test_every_route_holds_only_sorted_words():
+    from pfaffkit.grassmann import build_forms
+
+    n = 3
+    gens = canonical_generators(n)
+    rng = random.Random(17)
+    words = [tuple(rng.choice(gens) for _ in range(rng.randint(0, 4))) for _ in range(12)]
+    built = UEAElement({w: k + 1 for k, w in enumerate(words)})
+    z = nc_pfaffian(build_canonical_x(n))
+    elements = [
+        built,
+        parse_element("b[1,2] c[1,2] a[2,1] + a[1,3] a[3,1]^2 - 1/2*b[2,3] a[1,1]"),
+        built * built,
+        z,
+        nc_minor_summation_rhs(n),
+        nc_pfaffian_unrestricted(build_canonical_x(2)),
+    ]
+    elements += [bracket(g, h) for g in gens for h in gens]
+    elements += [ad(g, built) for g in gens] + [ad(g, z) for g in chevalley_generators(n)]
+    forms = build_forms("uea", n=n)
+    for form in (forms.omega, forms.xi, forms.theta, forms.theta_prime):
+        elements += [c for m in range(1, n + 1) for c in form.power(m).terms.values()]
+    for k, x in enumerate(elements):
+        assert _all_sorted(x), k
+    assert sum(len(x.terms) for x in elements) > 1000
+
+
 def test_scalar_and_sum_arithmetic():
     e = el(A11) + 2 * el(B12)
     assert e - e == UEAElement.zero()
