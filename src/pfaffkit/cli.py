@@ -141,7 +141,7 @@ def cmd_eigenvalue(args) -> int:
 
 
 def cmd_forms(args) -> int:
-    verify.check_n_bound(args.n, force=True)  # forms has no upper bound, only n >= 1
+    verify.check_n_bound(args.n, force=True)  # forms has no size bound, only 1 <= n <= uea.MAX_INDEX
     if args.mode == "uea":
         if args.n is None:
             print("forms: --mode uea needs --n", file=sys.stderr)

@@ -12,9 +12,12 @@ top-degree route to the Pfaffian.
 
 Products are fused with the coefficient ring: each ring supplies the raw
 `_product_into(out, left, right, scale)` of `rings.Combination`, and
-`GrassmannElement.__mul__` adds every coefficient pair of disjoint masks
-into one raw term dict per output mask, signed by `merge_sign`, wrapping
-each dict once at the end; no coefficient element is built per pair.
+`GrassmannElement.__mul__` lifts the coefficients of both factors once
+to raw term dicts (`rings._lift`), adds every coefficient pair of
+disjoint masks into one raw term dict per output mask, signed by
+`merge_sign`, and wraps each dict once at the end; no coefficient
+element is built per pair.  The top-form route sums its
+coefficient pairs the same way.
 Powers of an element are memoised on it, Omega^m as Omega^(m-1) Omega,
 and its 0th power is the one of the ring its coefficients name.
 tau has the ring's one for its coefficients and even degree, so it
@@ -25,7 +28,9 @@ products tau^k Xi^j are memoised on their `Forms`, and every shift v
 reads them back.  Linear combinations of elements, there and in the
 trinomial check, add each coefficient's raw terms into one dict per
 mask.  The block Pfaffians of the Theta power check are read through
-`pfaffian._pf` on the whole b and c blocks, one memo per block per call.
+`pfaffian._pf` on the whole b and c blocks, under one memo per block
+kept on the forms, so each block is lifted once and every power shares
+its sub-Pfaffians.
 Each `build_forms` call starts with fresh forms and empty memos.
 Both sides of every identity are still computed independently and
 compared exactly.
@@ -40,21 +45,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .indexing import index_mask, merge_sign
 from .pfaffian import AlternatingMatrix, AntiAlternatingMatrix, _minor_det, _pf, pfaffian_of_anti_alternating
-from .rings import Combination, Poly, ProductSum, _rational, add_into
+from .rings import Combination, Poly, _lift, _rational, _unlift, add_into
 from .uea import UEAElement, build_canonical_x, nc_minor_summation_rhs
-
-
-def _coefficient_ring(*term_dicts: Mapping[int, object]):
-    """The Combination type of the coefficients, None if all are scalars."""
-    rings = {type(c) for terms in term_dicts for c in terms.values() if isinstance(c, Combination)}
-    if len(rings) > 1:
-        raise TypeError(f"mixed coefficient rings: {sorted(r.__name__ for r in rings)}")
-    return rings.pop() if rings else None
-
-
-def _raw(terms: Mapping[int, object], unit) -> list[tuple[int, Mapping]]:
-    """(mask, raw coefficient terms) pairs; a scalar sits on the unit key."""
-    return [(m, c.terms if isinstance(c, Combination) else {unit: c}) for m, c in terms.items()]
 
 
 def _linear_combination(p: int, q: int, scaled: Iterable[tuple[object, "GrassmannElement"]]) -> "GrassmannElement":
@@ -63,11 +55,10 @@ def _linear_combination(p: int, q: int, scaled: Iterable[tuple[object, "Grassman
     Each coefficient's raw terms are added, scaled, straight into one dict
     per mask, and each dict becomes a coefficient once, at the end."""
     scaled = [(s, x) for s, x in scaled if s and x]
-    ring = _coefficient_ring(*(x.terms for _, x in scaled))
-    unit = (ring or Poly)._UNIT
+    ring, lifted = _lift(x.terms.values() for _, x in scaled)
     sums: dict[int, dict] = {}
-    for s, x in scaled:
-        for m, t in _raw(x.terms, unit):
+    for (s, x), coefficients in zip(scaled, lifted):
+        for m, t in zip(x.terms, coefficients):
             out = sums.get(m)
             if out is None:
                 out = sums[m] = {}
@@ -151,13 +142,12 @@ class GrassmannElement(Combination):
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         self._coerce(other)  # rejects mixed colorings
-        ring = _coefficient_ring(self.terms, other.terms)
-        coefficients = ring or Poly  # scalars multiply on Poly's unit key
-        product_into, unit = coefficients._product_into, coefficients._UNIT
-        right = _raw(other.terms, unit)
+        ring, (left, right) = _lift((self.terms.values(), other.terms.values()))
+        product_into = (ring or Poly)._product_into  # scalars multiply on Poly's unit key
+        right_pairs = list(zip(other.terms, right))
         sums: dict[int, dict] = {}
-        for m1, t1 in _raw(self.terms, unit):
-            for m2, t2 in right:
+        for m1, t1 in zip(self.terms, left):
+            for m2, t2 in right_pairs:
                 if not m1 & m2:
                     out = sums.get(m1 | m2)
                     if out is None:
@@ -180,7 +170,7 @@ class GrassmannElement(Combination):
         if exp < 0:
             raise ValueError("negative Grassmann powers do not exist")
         if exp == 0:
-            ring = _coefficient_ring(self.terms)
+            ring = _lift((self.terms.values(),))[0]
             return GrassmannElement.scalar(self.p, self.q, ring.const(1) if ring else 1)
         if exp == 1:
             return self
@@ -220,12 +210,13 @@ class Forms:
 
     `source` has UEAElement entries in uea mode and Poly ones otherwise;
     `tau` is None unless p == q.  `tau_xi[k, j]` memoises tau^k Xi^j, of
-    which the falling Xi products are combinations, and `minor_dets[u]` is
-    the `pfaffian._minor_det` memo of the a block at the shift u; both
-    start empty."""
+    which the falling Xi products are combinations, `minor_dets[u]` is
+    the `pfaffian._minor_det` memo of the a block at the shift u, and
+    `block_pfs[name]` the b or c block as an `AlternatingMatrix` with its
+    `pfaffian._pf` memo; all three start empty."""
 
     __slots__ = ("mode", "p", "q", "omega", "xi", "theta", "theta_prime", "tau", "source", "tau_xi",
-                 "minor_dets")
+                 "minor_dets", "block_pfs")
 
     def __init__(self, mode: str, p: int, q: int, omega: GrassmannElement, xi: GrassmannElement,
                  theta: GrassmannElement, theta_prime: GrassmannElement, tau: GrassmannElement | None,
@@ -234,6 +225,7 @@ class Forms:
         self.omega, self.xi, self.theta, self.theta_prime, self.tau = omega, xi, theta, theta_prime, tau
         self.tau_xi: dict = {}
         self.minor_dets: dict = {}
+        self.block_pfs: dict = {}
 
     @property
     def half(self) -> int:
@@ -377,19 +369,22 @@ def check_eta_anticommute(n: int, u, *, forms: Forms) -> bool:
 def check_theta_powers(n: int, s: int, t: int, mode: str = "uea", *, forms: Forms) -> bool:
     """Theta^s = 2^s s! sum_{|I|=2s} e_I Pf(b_I) and the mirror statement
     Theta'^t = 2^t t! sum_{|J|=2t} e_-J Pf(c_J), each block's Pfaffians
-    read by `_pf` under one memo per call."""
+    read by `_pf` under its memo on the forms."""
     forms = _forms_for(n, forms, mode)
     X = forms.source
 
-    def expands(form: GrassmannElement, exp: int, block: tuple, word) -> bool:
-        B, memo = AlternatingMatrix._trusted(block), {}
+    def expands(form: GrassmannElement, exp: int, name: str, word) -> bool:
+        got = forms.block_pfs.get(name)
+        if got is None:
+            got = forms.block_pfs[name] = (AlternatingMatrix._trusted(getattr(X, name)), {})
+        B, memo = got
         coeff = 2**exp * factorial(exp)
         rhs = GrassmannElement.from_words(forms.p, forms.q, (
-            (word(I), coeff * _pf(B, index_mask(I), memo)) for I in combinations(range(1, len(block) + 1), 2 * exp)))
+            (word(I), coeff * _pf(B, index_mask(I), memo)) for I in combinations(range(1, B.size + 1), 2 * exp)))
         return form.power(exp) == rhs
 
-    return (expands(forms.theta, s, X.b, lambda I: I)
-            and expands(forms.theta_prime, t, X.c, lambda J: [-j for j in reversed(J)]))
+    return (expands(forms.theta, s, "b", lambda I: I)
+            and expands(forms.theta_prime, t, "c", lambda J: [-j for j in reversed(J)]))
 
 
 def check_trinomial(n: int, m: int, mode: str = "uea", *, forms: Forms) -> bool:
@@ -442,13 +437,16 @@ def pfaffian_from_top_form(forms: Forms):
     memoised = len(getattr(forms.omega, "_powers", ())) + 1  # see GrassmannElement.power
     a = half if memoised >= half else half // 2
     left, right = forms.omega.power(a).terms, forms.omega.power(half - a).terms
+    ring, (left_raw, right_raw) = _lift((left.values(), right.values()))
+    product_into = (ring or Poly)._product_into
+    right_by_mask = dict(zip(right, right_raw))
     full = (1 << forms.omega.slots) - 1
-    top = ProductSum()
-    for m, c in left.items():
+    top: dict = {}
+    for m, c in zip(left, left_raw):
         rest = full ^ m
-        if rest in right:
-            top.add(c, right[rest], merge_sign(m, rest))
-    return top.value() * Fraction(1, 2**half * factorial(half))
+        if rest in right_by_mask:
+            product_into(top, c, right_by_mask[rest], merge_sign(m, rest))
+    return _unlift(ring, top) * Fraction(1, 2**half * factorial(half))
 
 
 def check_top_form_route(mode: str = "uea", n: int | None = None,

@@ -7,8 +7,9 @@ particular).  The division-based routines require rational entries.  All
 rational work is fraction-free elimination of int matrices (Bareiss): an
 all-int matrix is eliminated as it is, so integer work stays in int, and
 any other rational matrix after its denominators are cleared once, so
-`det_exact` and `inverse_fraction` (through the int adjugate) divide only
-in their last step.  Other entries take the Leibniz sum.
+`det_exact` and the Cayley map of the Pfaffian layer (through the int
+adjugate) divide only in their last step.  Other entries take the
+Leibniz sum.
 """
 
 from __future__ import annotations
@@ -171,12 +172,3 @@ def det_adjugate(M: Matrix) -> tuple[int, Matrix]:
         prev = pivot
     return sign * prev, tuple(tuple(sign * x for x in row[m:]) for row in rows)
 
-
-def inverse_fraction(M: Matrix) -> Matrix:
-    """Exact inverse of a rational matrix, its entries under the scalar
-    rule; raises SingularMatrixError.
-
-    With M = Mn/d for the int matrix Mn, M^{-1} = d adj(Mn) / det(Mn)."""
-    Mn, d = clear_denominators(M)
-    det, adj = det_adjugate(Mn)
-    return tuple(tuple(_rational(Fraction(d * x, det)) for x in row) for row in adj)

@@ -30,22 +30,34 @@ them on the matrix.
 Each caller turns its index set into a mask once; the shuffle signs
 sgn(I, Ic) of that check and sgn(Ic, I), sgn(Jc, J) of the block sum
 are `indexing.merge_sign` of the two masks.  `minor_summation_rhs`
-keeps one memo per block for a call: Pf(b_I) and Pf(c_J) come from
-`_pf` on the whole b and c blocks (so do the block Pfaffians of
-`grassmann.check_theta_powers`), and each a-minor determinant from
-`_minor_det` on the complement masks, so each block quantity is
-computed once.  `_minor_det`, memoised on the (rows, cols) masks, is the
-one minor determinant of the package: a first-column expansion, so the
-determinant for commuting entries and, with the shift u + r - t on the
-diagonal of column t, the column determinant of the enveloping algebra.
+keeps one memo per block for a call: Pf(b_I) and Pf(c_J) come from the
+first-row kernel on the whole b and c blocks (so do the block Pfaffians
+of `grassmann.check_theta_powers`, through `_pf`), and each a-minor
+determinant from the first-column kernel on the complement masks, so
+each block quantity is computed once.  `_minor_det`, memoised on the
+(rows, cols) masks, is the one minor determinant of the package: a
+first-column expansion, so the determinant for commuting entries and,
+with the shift u + r - t on the diagonal of column t, the column
+determinant of the enveloping algebra.
 
-The cofactor sums of `_pf`, `_minor_det`, `minor_summation_rhs` and
-`copfaffian_expansion_residuals` add every signed product straight into
-one `rings.ProductSum`: one raw term dict per sum, filled through the
-coefficient ring's `_product_into` and wrapped once, so no running total
-is copied per term.  A matrix whose entries are all ints
-(`AlternatingMatrix.int_entries`, read once per node) sums in plain int
-arithmetic instead, with no type test per term.
+The cofactor sums run on raw term dicts of one coefficient ring.  A
+matrix or block is lifted once (`rings._lift`: a ring element gives its
+own terms, a scalar sits on the ring's unit key) into a `_Lift`, which a
+memo of `_pf` or `_minor_det` keeps under the key None.  Each node of
+the kernels `_pf_terms` and `_det_terms` adds every signed product
+entry * cofactor, the entry on the left, through the ring's
+`_product_into` straight into one fresh dict, and the memos hold those
+dicts, only read once stored.  `_pf`, `_minor_det` and the block sum
+wrap a result once, at the end: the int 1 for the empty minor, the int 0
+when no product was added, a scalar for an all-scalar matrix, else an
+element of the ring (its zero when the products cancel);
+`copfaffian_expansion_residuals` sums each residual the same way.  The
+block sum regroups as sum_I (sum_J sgn(Jc, J) det(a-minor) Pf(c_J))
+sgn(Ic, I) Pf(b_I), which keeps every left factor on the left, so it
+needs no intermediate element and multiplies by each Pf(b_I) once.  A
+matrix whose entries are all ints
+(`AlternatingMatrix.int_entries`) takes `_pf`'s own recursion in plain
+int arithmetic instead, its memo holding ints.
 
 Rational entries follow the rings' scalar rule (an int when integral,
 else a Fraction), and so do the identities and zero fills here, so an
@@ -77,7 +89,7 @@ from .linalg import (
     mat_mul,
     transpose,
 )
-from .rings import Combination, Poly, ProductSum, _rational, add_into
+from .rings import Combination, Poly, _lift, _rational, _unlift, add_into
 
 class ShapeError(ValueError):
     """Raised when a matrix violates the structural constraints of its type."""
@@ -248,29 +260,70 @@ def pfaffian_definitional(A: AlternatingMatrix):
     return ring._wrap(terms)
 
 
+# The raw value of a node to which no product was added; shared, never written.
+_NO_PRODUCT: dict = {}
+
+
+class _Lift:
+    """The entries of one matrix as raw term dicts of one coefficient ring.
+
+    `lines` holds the lifted rows for the Pfaffian kernel and the lifted
+    columns for the determinant kernel.  At a scalar `shift` the
+    determinant's diagonal entry (k, k) gains shift + t in a column with
+    t columns right of it; `shifted` builds it once per (k, t)."""
+
+    __slots__ = ("ring", "lines", "product_into", "unit", "one", "shift", "diagonal")
+
+    def __init__(self, ring, lines: list, shift=None):
+        carrier = ring or Poly  # scalars multiply on Poly's unit key
+        self.ring, self.lines, self.shift, self.diagonal = ring, lines, shift, {}
+        self.product_into, self.unit = carrier._product_into, carrier._UNIT
+        self.one = {self.unit: 1}
+
+    def shifted(self, k: int, t: int) -> dict:
+        entry = self.diagonal.get((k, t))
+        if entry is None:
+            entry = add_into(dict(self.lines[k][k]), {self.unit: _rational(self.shift + t)})
+            self.diagonal[k, t] = entry
+        return entry
+
+    def value(self, terms: dict):
+        """The public value of a raw sum: the int 0 if no product was
+        added, else `rings._unlift` of it, an element wrapping `terms`
+        (which a memo may share: elements are never written)."""
+        return 0 if terms is _NO_PRODUCT else _unlift(self.ring, terms)
+
+
 def _pf(A: AlternatingMatrix, mask: int, memo: dict):
     """Pfaffian of the principal submatrix of A on the index set `mask`
     (bit k - 1 for index k), by expansion along its first row.
 
-    The lowest set bit is the first row; each later set bit, in increasing
-    order, pairs with it, its cofactor the Pfaffian at `rest ^ bit` and its
-    sign alternating over the set bits.  `memo` maps masks of A to their
-    Pfaffians; every call on the same A may share it, so each sub-Pfaffian
-    is computed once, and a memoised value is only read, never added into.
-    The empty Pfaffian is the int 1 and one whose cofactor entries all
-    vanish the int 0, so an all-int matrix has int sub-Pfaffians
-    throughout.  Each entry multiplies its cofactor Pfaffian on the left.
+    `memo` maps masks of A to their sub-Pfaffians; every call on the same
+    A may share it, so each sub-Pfaffian is computed once.  The empty
+    Pfaffian is the int 1.  An all-int A recurses here in int arithmetic,
+    its memo holding ints; any other A is lifted once per memo (kept
+    under the key None) and expanded by `_pf_terms`, its memo holding raw
+    term dicts, and the result is wrapped as `_Lift.value` says.
     """
     if not mask:
         return 1
+    if not A.int_entries:
+        lift = memo.get(None)
+        if lift is None:
+            ring, rows = _lift(A.rows)
+            lift = memo[None] = _Lift(ring, rows)
+            memo[0] = lift.one
+        terms = memo.get(mask)
+        if terms is None:
+            terms = _pf_terms(lift, mask, memo)
+        return lift.value(terms)
     cached = memo.get(mask)
     if cached is not None:
         return cached
     low = mask & -mask
     rest = bits = mask ^ low
     row = A.rows[low.bit_length() - 1]
-    ints = A.int_entries
-    total = 0 if ints else ProductSum()  # an int matrix sums in int arithmetic
+    total = 0
     positive = True
     while bits:
         bit = bits & -bits
@@ -281,17 +334,48 @@ def _pf(A: AlternatingMatrix, mask: int, memo: dict):
             sub = memo.get(minor) if minor else 1
             if sub is None:
                 sub = _pf(A, minor, memo)
-            if not ints:
-                total.add(a, sub, 1 if positive else -1)
-            elif positive:
+            if positive:
                 total += a * sub
             else:
                 total -= a * sub
         positive = not positive
-    if not ints:
-        total = total.value()
     memo[mask] = total
     return total
+
+
+def _pf_terms(lift: _Lift, mask: int, memo: dict) -> dict:
+    """Raw Pfaffian of the principal submatrix on the nonempty `mask`,
+    stored in `memo`, whose key 0 holds the unit dict; callers read the
+    memo first.
+
+    The lowest set bit is the first row; each later set bit, in
+    increasing order, pairs with it, its cofactor the Pfaffian at
+    `rest ^ bit` and its sign alternating over the set bits.  Each
+    nonzero entry times its nonzero cofactor, the entry on the left, is
+    added into one fresh dict; with no such product the node is
+    `_NO_PRODUCT`."""
+    low = mask & -mask
+    rest = bits = mask ^ low
+    row = lift.lines[low.bit_length() - 1]
+    product_into = lift.product_into
+    out: dict = {}
+    survived = False
+    sign = 1
+    while bits:
+        bit = bits & -bits
+        bits ^= bit
+        a = row[bit.bit_length() - 1]
+        if a:
+            minor = rest ^ bit
+            sub = memo.get(minor)
+            if sub is None:
+                sub = _pf_terms(lift, minor, memo)
+            if sub:
+                product_into(out, a, sub, sign)
+                survived = True
+        sign = -sign
+    memo[mask] = out = out if survived else _NO_PRODUCT
+    return out
 
 
 def _pf_condensed(rows: tuple) -> int:
@@ -402,18 +486,22 @@ def copfaffian_expansion_residuals(A: AlternatingMatrix) -> dict[tuple[int, int]
     memo: dict = {}
     pf = _pf(A, (1 << m) - 1, memo)
     gamma = copfaffian_matrix(A, memo)
-    ints = A.int_entries and gamma.int_entries
-    out = {}
-    for i, row in enumerate(A.rows, start=1):
-        for j, gamma_row in enumerate(gamma.rows, start=1):
-            if ints:
+    out: dict[tuple[int, int], object] = {}
+    if A.int_entries and gamma.int_entries:
+        for i, row in enumerate(A.rows, start=1):
+            for j, gamma_row in enumerate(gamma.rows, start=1):
                 total = sum(a * g for a, g in zip(row, gamma_row))
-            else:
-                total = ProductSum()
-                for a, g in zip(row, gamma_row):
-                    if a:
-                        total.add(a, g)
-                total = total.value()
+                out[(i, j)] = total - pf if i == j else total
+        return out
+    ring, lines = _lift(A.rows + gamma.rows)
+    product_into = (ring or Poly)._product_into
+    for i, row in enumerate(lines[:m], start=1):
+        for j, gamma_row in enumerate(lines[m:], start=1):
+            terms: dict = {}
+            for a, g in zip(row, gamma_row):
+                if a and g:
+                    product_into(terms, a, g)
+            total = _unlift(ring, terms)
             out[(i, j)] = total - pf if i == j else total
     return out
 
@@ -559,9 +647,13 @@ class AntiAlternatingMatrix:
         return self.c[j - 1][-i - 1] if j > 0 else -self.a[-j - 1][-i - 1]
 
     def full(self) -> tuple:
-        """The 2n x 2n matrix in its signed row/column layout."""
-        cols = self.col_labels()
-        return tuple(tuple(self.entry(i, j) for j in cols) for i in self.row_labels())
+        """The 2n x 2n matrix in its signed row/column layout, read off the
+        blocks as `entry` reads each cell: row i of 1..p is a[i] then b[i]
+        reversed, and row -k of -q..-1 is column k of c then column k of a,
+        negated and reversed."""
+        a_cols, c_cols = tuple(zip(*self.a)), tuple(zip(*self.c))
+        top = tuple(a_row + b_row[::-1] for a_row, b_row in zip(self.a, self.b))
+        return top + tuple(c_cols[k] + tuple(-x for x in reversed(a_cols[k])) for k in reversed(range(self.q)))
 
     def to_alternating(self) -> AlternatingMatrix:
         """X J, which is alternating; its Pfaffian is Pf X by definition.
@@ -583,43 +675,62 @@ def _minor_det(M: tuple, rows: int, cols: int, memo: dict, shift=None):
     (bit k - 1 for index k, equal bit counts), by expansion along the
     lowest set column bit; for commuting entries, the determinant.
 
-    Each set row bit, in increasing order, gives an entry that multiplies
-    its cofactor at `rows ^ bit` on the left, the sign alternating over the
-    set row bits, all through one `ProductSum`.  At a scalar `shift` u the
-    entry (k, k) gains u plus the number of remaining columns: u + r - t in
-    column t of r.  `memo` maps (rows, cols) to minors of M at one shift,
-    so each minor is computed once.  A zero entry or cofactor is skipped:
-    the empty minor is the int 1 and one with a zero row the int 0.
+    At a scalar `shift` u the entry (k, k) gains u plus the number of
+    remaining columns: u + r - t in column t of r.  `memo` maps (rows,
+    cols) to raw minors of M at one shift, so each minor is computed once;
+    it keeps the lift of M under the key None.  The empty minor is the int
+    1, and the result is wrapped as `_Lift.value` says.
     """
     if not cols:
         return 1
-    key = (rows, cols)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+    lift = memo.get(None)
+    if lift is None:
+        ring, lines = _lift(M)
+        lift = memo[None] = _Lift(ring, list(zip(*lines)), shift)
+        memo[0, 0] = lift.one
+    terms = memo.get((rows, cols))
+    if terms is None:
+        terms = _det_terms(lift, rows, cols, memo)
+    return lift.value(terms)
+
+
+def _det_terms(lift: _Lift, rows: int, cols: int, memo: dict) -> dict:
+    """Raw column determinant of the minor on the masks `rows` and the
+    nonempty `cols`, stored in `memo`, whose key (0, 0) holds the unit
+    dict; callers read the memo first.
+
+    Each set row bit, in increasing order, gives an entry of the lowest
+    column (shifted on the diagonal, see `_Lift.shifted`) that multiplies
+    its cofactor at `rows ^ bit` on the left, the sign alternating over
+    the set row bits; each such product with no zero factor is added into
+    one fresh dict, and with none the node is `_NO_PRODUCT`."""
     low = cols & -cols
     rest = cols ^ low
     col = low.bit_length() - 1
+    column = lift.lines[col]
+    if rows & low and lift.shift is not None:
+        column = list(column)
+        column[col] = lift.shifted(col, rest.bit_count())
+    product_into = lift.product_into
+    out: dict = {}
+    survived = False
+    sign = 1
     bits = rows
-    total = ProductSum()
-    positive = True
     while bits:
         bit = bits & -bits
         bits ^= bit
-        row = bit.bit_length() - 1
-        a = M[row][col]
-        if shift is not None and row == col:
-            a = a + (shift + rest.bit_count())
+        a = column[bit.bit_length() - 1]
         if a:
             minor = (rows ^ bit, rest)
-            sub = memo.get(minor) if rest else 1
+            sub = memo.get(minor)
             if sub is None:
-                sub = _minor_det(M, *minor, memo, shift)
+                sub = _det_terms(lift, rows ^ bit, rest, memo)
             if sub:
-                total.add(a, sub, 1 if positive else -1)
-        positive = not positive
-    total = memo[key] = total.value()
-    return total
+                product_into(out, a, sub, sign)
+                survived = True
+        sign = -sign
+    memo[rows, cols] = out = out if survived else _NO_PRODUCT
+    return out
 
 
 def minor_summation_rhs(X: AntiAlternatingMatrix, shift=None):
@@ -627,22 +738,25 @@ def minor_summation_rhs(X: AntiAlternatingMatrix, shift=None):
 
     The sum runs over even subsets I of the b-rows and J of the c-rows of
     matching co-size; each term carries the shuffle signs of (complement,
-    subset) on both sides.  The determinant is `_minor_det` of the a block
-    at `shift` on the complement masks of I and J, under one memo per
-    call; the enveloping-algebra identity takes the shift 0.  Every
-    Pf(b_I) is read through one sub-Pfaffian memo of the whole b block,
-    and every Pf(c_J) through one of c: the entries within b, and within
-    c, commute in all three rings.  Factors multiply in the order
-    written, which that identity needs: each signed (d Pf(c_J)) Pf(b_I)
-    is added into one `ProductSum`.
+    subset) on both sides.  The determinant is `_det_terms` of the a block
+    at `shift` on the complement masks of I and J; the enveloping-algebra
+    identity takes the shift 0.  Every Pf(b_I) is read through one memo of
+    `_pf_terms` on the whole b block, and every Pf(c_J) through one of c:
+    the entries within b, and within c, commute in all three rings.  The
+    three blocks are lifted once, to one ring, and the sum is regrouped as
+    sum_I (sum_J sgn(Jc, J) d Pf(c_J)) sgn(Ic, I) Pf(b_I): each factor keeps
+    its place in the product d Pf(c_J) Pf(b_I), which that identity needs,
+    and Pf(b_I) multiplies once per I.
     """
-    B, C = AlternatingMatrix._trusted(X.b), AlternatingMatrix._trusted(X.c)
-    b_memo: dict = {}
-    c_memo: dict = {}
-    det_memo: dict = {}
     p, q = X.p, X.q
+    ring, lines = _lift(X.a + X.b + X.c)
+    a = _Lift(ring, list(zip(*lines[:p])), shift)
+    b, c = _Lift(ring, lines[p:2 * p]), _Lift(ring, lines[2 * p:])
+    product_into, one = a.product_into, a.one
+    b_memo, c_memo, det_memo = {0: one}, {0: one}, {(0, 0): one}
     full_p, full_q = (1 << p) - 1, (1 << q) - 1
-    total = ProductSum()
+    total: dict = {}
+    survived = False
     for isize in range(0, p + 1, 2):
         jsize = q - p + isize
         if jsize < 0 or jsize > q:
@@ -651,22 +765,34 @@ def minor_summation_rhs(X: AntiAlternatingMatrix, shift=None):
         c_side = []
         for J in combinations(range(1, q + 1), jsize):
             mask = index_mask(J)
-            pf_c = _pf(C, mask, c_memo)
+            pf_c = c_memo.get(mask)
+            if pf_c is None:
+                pf_c = _pf_terms(c, mask, c_memo)
             if pf_c:
                 comp = full_q ^ mask
                 c_side.append((merge_sign(comp, mask), comp, pf_c))
         for I in combinations(range(1, p + 1), isize):
             mask = index_mask(I)
-            pf_b = _pf(B, mask, b_memo)
+            pf_b = b_memo.get(mask)
+            if pf_b is None:
+                pf_b = _pf_terms(b, mask, b_memo)
             if not pf_b:
                 continue
             comp = full_p ^ mask
-            sign_i = merge_sign(comp, mask)
+            inner: dict = {}
             for sign_j, comp_j, pf_c in c_side:
-                d = _minor_det(X.a, comp, comp_j, det_memo, shift)
+                d = det_memo.get((comp, comp_j))
+                if d is None:
+                    d = _det_terms(a, comp, comp_j, det_memo)
                 if d:
-                    total.add(d * pf_c, pf_b, sign_i * sign_j)
-    return total.value()
+                    product_into(inner, d, pf_c, sign_j)
+            if inner:
+                if mask:
+                    product_into(total, inner, pf_b, merge_sign(comp, mask))
+                else:  # the first I, empty: Pf(b_I) = 1 and the sign is +1
+                    total = inner
+                survived = True
+    return a.value(total if survived else _NO_PRODUCT)
 
 
 def verify_minor_summation(p: int, q: int) -> bool:

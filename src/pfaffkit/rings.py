@@ -4,8 +4,12 @@ Every computation in the package runs over exact rationals (ints when
 integral, `fractions.Fraction` otherwise; ``Scalar`` aliases Fraction) or
 over rings built on them.  ``Combination`` is the dict-of-terms base of
 ``Poly``, of the enveloping algebra and of the exterior algebra, and
-``parse_expression`` is the one expression parser.  No floats anywhere:
-all comparisons in the verification suites are exact equalities.
+``parse_expression`` is the one expression parser.  ``_lift`` turns the
+entries of a matrix, or the coefficients of exterior-algebra elements,
+into raw term dicts of their one coefficient ring, so that a sum of
+products runs on ``_product_into`` into one dict, and ``_unlift`` wraps
+the result once.  No floats anywhere: all comparisons in the
+verification suites are exact equalities.
 
 A ``Poly`` monomial is one int, the product of a prime per variable
 raised to its exponent, so multiplying two monomials is one int product.
@@ -240,56 +244,32 @@ def add_into(out: dict, terms: Mapping, scale=1) -> dict:
     return out
 
 
-class ProductSum:
-    """A sum of signed products sign * left * right, each added in place.
+_SCALAR_TYPES = frozenset((int, Fraction))
 
-    Products of two scalars (int or Fraction) go into a plain scalar sum.
-    The first factor from a coefficient ring (a `Combination`) fixes
-    the ring and starts one raw term dict owned by this sum; each later
-    product with a ring factor is added straight into it, through the
-    ring's `_product_into` when both factors are ring elements and
-    through `add_into` when one is a scalar, so no element is built per
-    product.  Factors multiply in the order given.  `value` wraps the
-    dict once, with the scalar sum at the ring's unit key."""
 
-    __slots__ = ("scalar", "ring", "terms")
+def _lift(groups: Iterable[Collection]) -> tuple[type | None, list[list[Mapping]]]:
+    """Lift values to raw term dicts of their one coefficient ring.
 
-    def __init__(self):
-        self.scalar = 0
-        self.ring = None
-        self.terms = None
+    The values are ints, Fractions and elements of at most one
+    `Combination` type, the ring (TypeError on two).  Returns (ring,
+    lifted), ring None if every value is a scalar, with each group as a
+    list of raw term dicts: a ring element gives its own ``terms``, which
+    are read and never written; a nonzero scalar sits on the ring's unit
+    key (Poly's when ring is None) and a zero gives {}.  Each group is
+    read twice, so it must be a collection, not an iterator."""
+    groups = list(groups)
+    rings = {type(c) for group in groups for c in group} - _SCALAR_TYPES
+    if len(rings) > 1:
+        raise TypeError(f"mixed coefficient rings: {sorted(r.__name__ for r in rings)}")
+    ring = rings.pop() if rings else None
+    unit = (ring or Poly)._UNIT
+    return ring, [[c.terms if type(c) is ring else {unit: c} if c else {} for c in group] for group in groups]
 
-    def add(self, left, right, sign: int = 1) -> None:
-        """Add sign * left * right; ring factors all come from one ring.
 
-        A factor is a ring element when it is a `Combination`; testing
-        that class, not Fraction's abstract base, keeps the test cheap."""
-        left_ring = isinstance(left, Combination)
-        right_ring = isinstance(right, Combination)
-        if not (left_ring or right_ring):
-            self.scalar += sign * left * right
-            return
-        if self.terms is None:
-            self.ring = type(left if left_ring else right)
-            self.terms = {}
-        if left_ring and right_ring:
-            self.ring._product_into(self.terms, left.terms, right.terms, sign)
-        elif left_ring:
-            add_into(self.terms, left.terms, sign * right)
-        else:
-            add_into(self.terms, right.terms, sign * left)
-
-    def value(self):
-        """The sum, which ends it: a scalar under the rule of `_rational`
-        while no ring factor was added, else an element of that ring
-        owning the term dict.  A sum that cancelled gets a fresh empty
-        dict, so it does not keep the capacity its products grew."""
-        scalar = _rational(self.scalar)
-        if self.terms is None:
-            return scalar
-        if scalar:
-            add_into(self.terms, {self.ring._UNIT: scalar})
-        return self.ring._wrap(self.terms or {})
+def _unlift(ring: type | None, terms: dict):
+    """The value of a raw term dict of `ring` from `_lift`: an element of
+    ring owning `terms`, or for ring None the scalar on Poly's unit key."""
+    return ring._wrap(terms) if ring is not None else terms.get(Poly._UNIT, 0)
 
 
 class Combination:

@@ -228,11 +228,14 @@ def check_coloring(p: int, q: int):
 
 
 def check_n_bound(n: int | None, force: bool, bound: int = DEFAULT_UEA_BOUND):
-    """Reject a rank below 1, or above `bound` unless forced."""
+    """Reject a rank below 1 or past the largest generator index
+    `uea.MAX_INDEX`, forced or not, and a rank above `bound` unless forced."""
     if n is None:
         return
     if n < 1:
         raise ValueError("--n must be at least 1")
+    if n > uea.MAX_INDEX:
+        raise ValueError(f"--n {n} exceeds the largest generator index {uea.MAX_INDEX}")
     if n > bound and not force:
         raise BoundExceededError(f"n = {n} exceeds the bound {bound}")
 

@@ -49,6 +49,7 @@ def test_tracer_targets_resolve():
         tracer.install()  # raises if a target name is gone
         wrapped = {key for _, key, _ in tracer._restore}
         assert {"pfaffian", "nc_pfaffian", "nc_minor_summation_rhs", "build_forms",
-                "pfaffian_definitional", "nc_pfaffian_unrestricted", "det_leibniz"} <= wrapped
+                "pfaffian_definitional", "nc_pfaffian_unrestricted", "det_leibniz",
+                "minor_summation_rhs", "pfaffian_of_anti_alternating"} <= wrapped
     finally:
         tracer.uninstall()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pfaffkit import matrixio, uea
+from pfaffkit import matrixio, uea, verify
 from pfaffkit.cli import main
 from pfaffkit.pfaffian import AlternatingMatrix, _pf
 
@@ -481,7 +481,7 @@ def test_generator_index_past_the_bound_is_usage_error(tmp_path, capsys):
         proc = subprocess.run([sys.executable, "-m", "pfaffkit", *argv], env=env, capture_output=True,
                               text=True, timeout=120, preexec_fn=limit)
         assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-500:]
-        assert proc.stderr == f"pfaffkit: generator indices are at most {uea.MAX_INDEX}, got (1, {n})\n"
+        assert proc.stderr == f"pfaffkit: --n {n} exceeds the largest generator index {uea.MAX_INDEX}\n"
     # matrix text is read over the polynomials, where a[i,j] is a variable
     # name with no int key: it is read and printed in full at any index
     f = tmp_path / "big.txt"
@@ -489,6 +489,17 @@ def test_generator_index_past_the_bound_is_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "pfaffian", str(f))
     assert (code, err) == (0, "")
     assert out == f"-a[2,1]*a[1,2] + a[{n},1]*a[2,2] + c[1,2]*b[1,2]\n"
+
+
+@pytest.mark.parametrize("suite", ["central", "ncmsf", "forms", "all"])
+def test_verify_past_the_generator_index_is_usage_error(suite, capsys, monkeypatch):
+    # --force lifts the rank bound but not the index bound, and the suite
+    # is refused before it builds anything
+    monkeypatch.setattr(uea, "build_canonical_x", lambda n: pytest.fail(f"built rank {n}"))
+    monkeypatch.setattr(verify, "msf_suite", lambda **kw: pytest.fail("ran the msf suite"))
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", str(uea.MAX_INDEX + 1), "--force")
+    assert (code, out) == (2, "")
+    assert err == f"pfaffkit: --n {uea.MAX_INDEX + 1} exceeds the largest generator index {uea.MAX_INDEX}\n"
 
 
 # --- forms -----------------------------------------------------------------------

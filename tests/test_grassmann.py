@@ -240,6 +240,8 @@ def test_forms_from_separate_builds_share_no_memo():
     assert f2.tau_xi == {} and f2.tau_xi is not f1.tau_xi
     assert check_xi_power_formula(2, Fraction(1), 2, forms=f1) and f1.minor_dets
     assert f2.minor_dets == {} and f2.minor_dets is not f1.minor_dets
+    assert check_theta_powers(2, 1, 1, forms=f1) and f1.block_pfs
+    assert f2.block_pfs == {} and f2.block_pfs is not f1.block_pfs
     for name in ("omega", "xi", "theta", "theta_prime", "tau"):
         a, b = getattr(f1, name), getattr(f2, name)
         assert a is not b and a == b
@@ -325,9 +327,10 @@ def test_xi_power_formula_sweep():
             for u in us:
                 assert check_xi_power_formula(n, u, r, forms=f)
         # one minor-determinant memo per shift, shared by every r: it holds
-        # each nonempty square minor once, sum_r C(n, r)^2 = C(2n, n) - 1
+        # each square minor once, sum_r C(n, r)^2 = C(2n, n), and the lift
+        # of the a block under None
         assert set(f.minor_dets) == set(us)
-        assert all(len(memo) == comb(2 * n, n) - 1 for memo in f.minor_dets.values())
+        assert all(len(memo) == comb(2 * n, n) + 1 and None in memo for memo in f.minor_dets.values())
 
 
 def test_xi_shifted_power_degenerate_cases():

@@ -16,7 +16,6 @@ from pfaffkit.linalg import (
     det_exact,
     det_leibniz,
     identity,
-    inverse_fraction,
     mat_mul,
     transpose,
 )
@@ -48,19 +47,6 @@ def test_det_exact_dispatches_on_entries():
     x = Poly.var("x")
     m = [[x, Poly.const(1)], [Poly.const(1), x]]
     assert det_exact(m) == x * x - 1
-
-
-def test_inverse():
-    rng = random.Random(1)
-    for _ in range(10):
-        n = rng.randint(1, 5)
-        m = rand_matrix(n, rng)
-        if det_exact(m) == 0:
-            continue
-        inv = inverse_fraction(m)
-        assert mat_mul(m, inv) == identity(n)
-    with pytest.raises(SingularMatrixError):
-        inverse_fraction([[Fraction(0)]])
 
 
 def test_anti_identity_shape():
@@ -126,9 +112,6 @@ def test_det_exact_routes_by_entry_type():
 
 def test_scalar_rule_for_constructed_entries():
     assert all(type(x) is int for M in (identity(3), anti_identity(4)) for row in M for x in row)
-    inv = inverse_fraction([[2, 0], [1, 1]])
-    assert inv == ((Fraction(1, 2), 0), (Fraction(-1, 2), 1))
-    assert [type(x) for row in inv for x in row] == [Fraction, int, Fraction, int]
 
 
 # --- the fraction-free adjugate ---------------------------------------------------

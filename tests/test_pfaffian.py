@@ -12,14 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfaffkit.grassmann import build_forms, pfaffian_from_top_form
 from pfaffkit.indexing import complement_sign, index_mask, split_sign
 from pfaffkit.linalg import (
     SingularMatrixError,
     anti_identity,
+    clear_denominators,
+    det_adjugate,
     det_exact,
     det_leibniz,
     identity,
-    inverse_fraction,
     mat_add,
     mat_mul,
     mat_sub,
@@ -47,7 +49,7 @@ from pfaffkit.pfaffian import (
     verify_minor_summation,
 )
 from pfaffkit.rings import Poly, _decode, _rational
-from pfaffkit.uea import build_canonical_x
+from pfaffkit.uea import Generator, UEAElement, build_canonical_x
 from pfaffkit.verify import GENERIC_SYMMETRIC_S
 
 
@@ -351,6 +353,30 @@ def test_full_layout_golden():
     assert X.full() == expected
 
 
+def _uea_coloring(p, q):
+    """Coloring (p, q) whose entries are distinct enveloping-algebra generators."""
+    names = iter(range(1, 2 * (p + q) ** 2))
+
+    def gen():
+        return UEAElement.from_generator(Generator("a", 1, next(names)))
+
+    return AntiAlternatingMatrix.from_upper_blocks(
+        p, q, [[gen() for _ in range(q)] for _ in range(p)],
+        [[gen() for _ in range(i + 1, p + 1)] for i in range(1, p)],
+        [[gen() for _ in range(i + 1, q + 1)] for i in range(1, q)])
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 3), (2, 2), (3, 5)])
+def test_full_layout_reads_every_cell_as_entry_does(p, q):
+    rng = random.Random(p * 10 + q)
+    for X in (AntiAlternatingMatrix.random_rational(p, q, rng), AntiAlternatingMatrix.generic(p, q),
+              _uea_coloring(p, q)):
+        expected = tuple(tuple(X.entry(i, j) for j in X.col_labels()) for i in X.row_labels())
+        full = X.full()
+        assert full == expected
+        assert [type(x) for row in full for x in row] == [type(x) for row in expected for x in row]
+
+
 def test_signed_entry_golden():
     # coloring (2, 4): X[i,j] = a[i][j], b[i][-j], c[j][-i] or -a[-j][-i]
     X = AntiAlternatingMatrix.generic(2, 4)
@@ -484,26 +510,28 @@ def _indices(mask):
 
 def test_minor_summation_rhs_computes_each_block_quantity_once(monkeypatch):
     module = importlib.import_module("pfaffkit.pfaffian")  # the package re-exports a function by this name
-    real_pf, real_det = module._pf, module._minor_det
+    real_pf, real_det = module._pf_terms, module._det_terms
     computed = Counter()
 
     def content(M, rows, cols):
-        # a minor named by its generic entries, whatever memo or numbering reaches it
-        return tuple(str(M[i - 1][j - 1]) for i in rows for j in cols)
+        # a minor named by its generic entries, whatever memo or numbering
+        # reaches it; a kernel's entries are raw term dicts
+        return tuple(str(Poly._wrap(x) if type(x) is dict else x) for x in
+                     (M[i - 1][j - 1] for i in rows for j in cols))
 
-    def counting_pf(A, mask, memo):
-        if mask and mask not in memo:
-            computed["pf", content(A.rows, _indices(mask), _indices(mask))] += 1
-        return real_pf(A, mask, memo)
+    # every kernel call computes a node, so each is counted
+    def counting_pf(lift, mask, memo):
+        computed["pf", content(lift.lines, _indices(mask), _indices(mask))] += 1
+        return real_pf(lift, mask, memo)
 
-    def counting_det(M, rows, cols, memo, shift=None):
-        if cols and (rows, cols) not in memo:
-            computed["det", content(M, _indices(rows), _indices(cols))] += 1
-        return real_det(M, rows, cols, memo, shift)
+    def counting_det(lift, rows, cols, memo):
+        # the determinant kernel's lift holds the columns of the a block
+        computed["det", content(tuple(zip(*lift.lines)), _indices(rows), _indices(cols))] += 1
+        return real_det(lift, rows, cols, memo)
 
     X = AntiAlternatingMatrix.generic(5, 5)
-    monkeypatch.setattr(module, "_pf", counting_pf)
-    monkeypatch.setattr(module, "_minor_det", counting_det)
+    monkeypatch.setattr(module, "_pf_terms", counting_pf)
+    monkeypatch.setattr(module, "_det_terms", counting_det)
     rhs = minor_summation_rhs(X)
     monkeypatch.undo()
     assert set(computed.values()) == {1}
@@ -593,7 +621,14 @@ def _mixed_coloring(p, q, rng):
 
 
 def _no_zero_coefficient(value):
-    return not isinstance(value, Poly) or 0 not in value.terms.values()
+    """True for a scalar, and for a Poly or raw term dict without a zero coefficient."""
+    terms = value if type(value) is dict else value.terms if isinstance(value, Poly) else {}
+    return 0 not in terms.values()
+
+
+def _minors(memo):
+    """The memoised minors, raw term dicts or ints, without the lift kept under None."""
+    return {key: value for key, value in memo.items() if key is not None}
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -622,8 +657,10 @@ def test_fused_sums_of_int_and_integral_fraction_matrices_are_ints():
     A = _int_alternating(6, rng)
     for M in (A, _fraction_copy(A)):
         memo = {}
-        assert _pf(M, 0b111111, memo) == pfaffian_definitional(A)
-        assert all(type(v) is int for v in memo.values())
+        pf = _pf(M, 0b111111, memo)
+        assert type(pf) is int and pf == pfaffian_definitional(A)
+        # the int recursion memoises ints, the lifted one raw dicts of int coefficients
+        assert all(type(v) is int or all(type(c) is int for c in v.values()) for v in _minors(memo).values())
         assert all(type(r) is int and r == 0 for r in copfaffian_expansion_residuals(M).values())
     X = AntiAlternatingMatrix.random_rational(3, 5, rng)
     F = AntiAlternatingMatrix(3, 5, *([[Fraction(x) for x in row] for row in block] for block in (X.a, X.b, X.c)))
@@ -648,8 +685,8 @@ def test_cancelling_cofactors_give_a_poly_zero_without_zero_coefficients():
     R = AlternatingMatrix.from_upper(6, lambda i, j: u[i - 1] * v[j - 1] - v[i - 1] * u[j - 1])
     memo = {}
     assert _pf(R, 0b111111, memo) == 0
-    assert all(_no_zero_coefficient(value) for value in memo.values())
-    assert all(value == 0 for mask, value in memo.items() if mask.bit_count() >= 4)
+    assert all(_no_zero_coefficient(value) for value in _minors(memo).values())
+    assert all(not value for mask, value in _minors(memo).items() if mask.bit_count() >= 4)
 
 
 def test_an_all_zero_first_row_gives_the_int_zero():
@@ -663,7 +700,8 @@ def test_an_all_zero_first_row_gives_the_int_zero():
 
 
 def _snapshot(memo):
-    return {key: (value, dict(value.terms) if isinstance(value, Poly) else value) for key, value in memo.items()}
+    """Each memoised minor and a copy of its raw term dict."""
+    return {key: (value, dict(value)) for key, value in _minors(memo).items()}
 
 
 def test_a_second_sum_on_a_shared_memo_leaves_earlier_values_unchanged():
@@ -677,7 +715,7 @@ def test_a_second_sum_on_a_shared_memo_leaves_earlier_values_unchanged():
     assert all(after[key][0] is value and after[key][1] == terms for key, (value, terms) in before.items())
     assert pf == pfaffian_definitional(A)
     # memoised a-minors are read as cofactors by a second sweep of every
-    # a-minor, which hands them back as the same, unchanged objects
+    # a-minor, which hands them back wrapping the same, unchanged term dicts
     X = AntiAlternatingMatrix.generic(3, 3)
     det_memo = {}
     pairs = [(index_mask(rows), index_mask(cols)) for size in range(4)
@@ -686,7 +724,8 @@ def test_a_second_sum_on_a_shared_memo_leaves_earlier_values_unchanged():
     before = _snapshot(det_memo)
     second = {key: _minor_det(X.a, *key, det_memo) for key in pairs}
     after = _snapshot(det_memo)
-    assert all(second[key] is value for key, value in first.items())
+    assert all(second[key] == value and type(second[key]) is type(value) for key, value in first.items())
+    assert all(second[key].terms is value.terms for key, value in first.items() if isinstance(value, Poly))
     assert all(after[key][0] is value and after[key][1] == terms for key, (value, terms) in before.items())
     assert second[0b111, 0b111] == det_leibniz(X.a)
     assert minor_summation_rhs(X) == pfaffian_of_anti_alternating(X)
@@ -711,6 +750,96 @@ def test_pf_of_the_canonical_b_and_c_blocks_matches_the_matching_sum(n):
         for size in range(0, n + 1, 2):
             for I in combinations(range(1, n + 1), size):
                 assert _pf(B, index_mask(I), memo) == pfaffian_definitional(B.submatrix(I))
+
+
+def _sparse_poly_entry(rng, name):
+    """0, a Poly zero, or one or two terms with Fraction coefficients."""
+    kind = rng.randrange(4)
+    if kind < 2:
+        return 0 if kind else Poly.zero()
+    coefficient = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 4))
+    entry = Poly.var(name).scale(coefficient)
+    return entry + Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if kind == 3 else entry
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_fraction_poly_matrices_match_the_oracles(seed):
+    rng = random.Random(60 + seed)
+    for size in (2, 4, 6, 8):
+        A = AlternatingMatrix.from_upper(size, lambda i, j: _sparse_poly_entry(rng, f"x[{i},{j}]"))
+        pf = pfaffian(A)
+        assert pf == pfaffian_definitional(A) and _no_zero_coefficient(pf)
+    for p, q in ((1, 1), (2, 2), (1, 3), (3, 1), (2, 4), (3, 3), (4, 4), (3, 5), (5, 3), (2, 6)):
+        X = AntiAlternatingMatrix.from_upper_blocks(
+            p, q, [[_sparse_poly_entry(rng, f"a[{i},{j}]") for j in range(1, q + 1)] for i in range(1, p + 1)],
+            [[_sparse_poly_entry(rng, f"b[{i},{j}]") for j in range(i + 1, p + 1)] for i in range(1, p)],
+            [[_sparse_poly_entry(rng, f"c[{i},{j}]") for j in range(i + 1, q + 1)] for i in range(1, q)])
+        rhs = minor_summation_rhs(X)
+        assert rhs == _unhoisted_minor_summation_rhs(X) == pfaffian_definitional(X.to_alternating())
+        assert _no_zero_coefficient(rhs)
+
+
+def _all_terms(*values):
+    """A copy of the term dict of every ring element among `values`, nested in tuples."""
+    out = []
+    for v in values:
+        if isinstance(v, tuple):
+            out.extend(_all_terms(*v))
+        elif hasattr(v, "terms"):
+            out.append((v, dict(v.terms)))
+    return out
+
+
+def _unchanged(snapshot):
+    return all(v.terms == terms for v, terms in snapshot)
+
+
+@pytest.mark.parametrize("kind", ["poly", "uea"])
+def test_every_route_reads_its_inputs_and_memoised_values_without_writing(kind):
+    X = AntiAlternatingMatrix.generic(3, 3) if kind == "poly" else build_canonical_x(3)
+    shift = None if kind == "poly" else 0
+    A = X.to_alternating()
+    inputs = _all_terms(X.a, X.b, X.c, A.rows)
+    # a shared memo: the values of a first sweep are only read by a second
+    B, memo = AlternatingMatrix._trusted(X.b), {}
+    for I in combinations(range(1, 4), 2):
+        _pf(B, index_mask(I), memo)
+    pf_memo = _snapshot(memo)
+    det_memo = {}
+    for rows in combinations(range(1, 4), 2):
+        for cols in combinations(range(1, 4), 2):
+            _minor_det(X.a, index_mask(rows), index_mask(cols), det_memo, shift)
+    minors = _snapshot(det_memo)
+    _minor_det(X.a, 0b111, 0b111, det_memo, shift)
+    minor_summation_rhs(X, shift)
+    if kind == "poly":
+        assert copfaffian_expansion_check(A)
+        forms = build_forms("commutative", p=3, q=3)
+        assert pfaffian_from_top_form(forms) == pfaffian(forms.source.to_alternating())
+    else:
+        forms = build_forms("uea", n=3)
+        omega = _all_terms(tuple(forms.omega.terms.values()))
+        assert pfaffian_from_top_form(forms) == minor_summation_rhs(forms.source, 0)
+        assert _unchanged(omega)
+    assert _unchanged(inputs)
+    assert all(_snapshot(memo)[key][0] is value and value == terms for key, (value, terms) in pf_memo.items())
+    assert all(_snapshot(det_memo)[key][0] is value and value == terms for key, (value, terms) in minors.items())
+
+
+def test_cofactor_sums_keep_each_entry_on_the_left():
+    # the entries of the canonical X of rank 2 do not commute, so a product
+    # in the other order gives another element
+    X = build_canonical_x(2)
+    (a11, a12), (a21, a22) = X.a
+    b12, c12 = X.b[0][1], X.c[0][1]
+    assert a21 * a12 != a12 * a21 and c12 * b12 != b12 * c12
+    assert _minor_det(X.a, 0b11, 0b11, {}) == a11 * a22 - a21 * a12
+    assert minor_summation_rhs(X) == a11 * a22 - a21 * a12 + c12 * b12
+    # Pf = x12 x34 - x13 x24 + x14 x23, each first-row entry on the left
+    x = {(1, 2): a12, (3, 4): a21, (1, 3): b12, (2, 4): c12, (1, 4): a11, (2, 3): a22}
+    A = AlternatingMatrix.from_upper(4, lambda i, j: x[i, j])
+    assert _pf(A, 0b1111, {}) == a12 * a21 - b12 * c12 + a11 * a22
+    assert _pf(A, 0b1111, {}) != a21 * a12 - c12 * b12 + a22 * a11
 
 
 # --- orthogonal group action ------------------------------------------------
@@ -950,6 +1079,14 @@ def test_pfaffian_routes_by_entry_type(monkeypatch):
 
 FRACTION_FORM = ((Fraction(1, 2), Fraction(1, 3), 0, 0), (Fraction(1, 3), 2, 0, 0),
                  (0, 0, 0, Fraction(3, 4)), (0, 0, Fraction(3, 4), 0))
+
+
+def inverse_fraction(M):
+    """The former exact inverse of a rational matrix: with M = Mn/d for the
+    int matrix Mn, M^{-1} = d adj(Mn) / det(Mn); raises SingularMatrixError."""
+    Mn, d = clear_denominators(M)
+    det, adj = det_adjugate(Mn)
+    return tuple(tuple(_rational(Fraction(d * x, det)) for x in row) for row in adj)
 
 
 def _old_random_orthogonal_cayley(S, rng, lo, hi, draws):

@@ -19,7 +19,6 @@ from pfaffkit.rings import (
     MissingIndeterminateError,
     Poly,
     PolyParseError,
-    ProductSum,
     _decode,
     _mono_code,
     _rational,
@@ -273,41 +272,6 @@ def test_raw_product_contract(case):
     out = ring._product_into({}, {g: Fraction(1, 2)}, {unit: 1})
     ring._product_into(out, {g: Fraction(1, 2)}, {unit: 1})
     assert out == {g: 1} and type(out[g]) is int
-
-
-@pytest.mark.parametrize("case", [_poly_case, _uea_case], ids=["poly", "uea"])
-def test_product_sum_contract(case):
-    left, right, unit = case()
-    ring = type(left)
-    # ring factors in the order given, a scalar on either side, scalar products apart
-    total = ProductSum()
-    total.add(left, right, -1)
-    total.add(3, right)
-    total.add(left, Fraction(1, 2))
-    total.add(Fraction(1, 2), Fraction(3, 2), -1)
-    got = total.value()
-    assert type(got) is ring
-    assert got == -(left * right) + right.scale(3) + left.scale(Fraction(1, 2)) - Fraction(3, 4)
-    if ring is UEAElement:
-        assert left * right != right * left and got != -(right * left) + right.scale(3) + left.scale(Fraction(1, 2))
-    # sums that cancel store no zero; scalars alone follow the scalar rule
-    total = ProductSum()
-    total.add(left, right)
-    total.add(left, right, -1)
-    total.add(unit, 2)
-    total.add(-2, unit)
-    assert total.value().terms == {}
-    total = ProductSum()
-    total.add(Fraction(1, 2), 1)
-    total.add(1, Fraction(1, 2))
-    assert total.value() == 1 and type(ProductSum().value()) is int
-    # the term dicts of the factors are read, never written
-    before = (dict(left.terms), dict(right.terms))
-    total = ProductSum()
-    total.add(left, right)
-    total.add(left, unit)
-    total.value()
-    assert (left.terms, right.terms) == before
 
 
 def _mono_mul_by_dict(m1, m2):

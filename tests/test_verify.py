@@ -11,6 +11,7 @@ from pfaffkit.verify import (
     CheckResult,
     VerificationReport,
     central_suite,
+    check_n_bound,
     forms_suite,
     msf_suite,
     ncmsf_suite,
@@ -68,6 +69,13 @@ def test_uea_bounds():
         central_suite(n=4)
     with pytest.raises(BoundExceededError):
         forms_suite(n=5)
+
+
+def test_n_bound_stops_at_the_largest_generator_index():
+    check_n_bound(uea.MAX_INDEX, force=True)
+    with pytest.raises(ValueError, match="largest generator index") as err:
+        check_n_bound(uea.MAX_INDEX + 1, force=True)
+    assert not isinstance(err.value, BoundExceededError)  # --force cannot lift it
 
 
 def test_bound_error_mentions_force():
