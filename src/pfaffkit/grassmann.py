@@ -12,8 +12,8 @@ top-degree route to the Pfaffian.
 
 Products are fused with the coefficient ring: each ring supplies the raw
 `_product_into(out, left, right, scale)` of `rings.Combination`, and
-`GrassmannElement.__mul__` lifts the coefficients of both factors once
-to raw term dicts (`rings._lift`), adds every coefficient pair of
+`GrassmannElement.__mul__` lifts each factor once, in one pass, to
+(mask, raw coefficient terms) pairs (`rings._lift`), adds every pair of
 disjoint masks into one raw term dict per output mask, signed by
 `merge_sign`, and wraps each dict once at the end; no coefficient
 element is built per pair.  The top-form route sums its
@@ -55,10 +55,10 @@ def _linear_combination(p: int, q: int, scaled: Iterable[tuple[object, "Grassman
     Each coefficient's raw terms are added, scaled, straight into one dict
     per mask, and each dict becomes a coefficient once, at the end."""
     scaled = [(s, x) for s, x in scaled if s and x]
-    ring, lifted = _lift(x.terms.values() for _, x in scaled)
+    ring, lifted = _lift(x.terms for _, x in scaled)
     sums: dict[int, dict] = {}
-    for (s, x), coefficients in zip(scaled, lifted):
-        for m, t in zip(x.terms, coefficients):
+    for (s, _), coefficients in zip(scaled, lifted):
+        for m, t in coefficients:
             out = sums.get(m)
             if out is None:
                 out = sums[m] = {}
@@ -142,12 +142,11 @@ class GrassmannElement(Combination):
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         self._coerce(other)  # rejects mixed colorings
-        ring, (left, right) = _lift((self.terms.values(), other.terms.values()))
+        ring, (left, right) = _lift((self.terms, other.terms))
         product_into = (ring or Poly)._product_into  # scalars multiply on Poly's unit key
-        right_pairs = list(zip(other.terms, right))
         sums: dict[int, dict] = {}
-        for m1, t1 in zip(self.terms, left):
-            for m2, t2 in right_pairs:
+        for m1, t1 in left:
+            for m2, t2 in right:
                 if not m1 & m2:
                     out = sums.get(m1 | m2)
                     if out is None:
@@ -170,7 +169,7 @@ class GrassmannElement(Combination):
         if exp < 0:
             raise ValueError("negative Grassmann powers do not exist")
         if exp == 0:
-            ring = _lift((self.terms.values(),))[0]
+            ring = _lift((self.terms,))[0]
             return GrassmannElement.scalar(self.p, self.q, ring.const(1) if ring else 1)
         if exp == 1:
             return self
@@ -437,12 +436,12 @@ def pfaffian_from_top_form(forms: Forms):
     memoised = len(getattr(forms.omega, "_powers", ())) + 1  # see GrassmannElement.power
     a = half if memoised >= half else half // 2
     left, right = forms.omega.power(a).terms, forms.omega.power(half - a).terms
-    ring, (left_raw, right_raw) = _lift((left.values(), right.values()))
+    ring, (left_raw, right_raw) = _lift((left, right))
     product_into = (ring or Poly)._product_into
-    right_by_mask = dict(zip(right, right_raw))
+    right_by_mask = dict(right_raw)
     full = (1 << forms.omega.slots) - 1
     top: dict = {}
-    for m, c in zip(left, left_raw):
+    for m, c in left_raw:
         rest = full ^ m
         if rest in right_by_mask:
             product_into(top, c, right_by_mask[rest], merge_sign(m, rest))

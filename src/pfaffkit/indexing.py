@@ -6,9 +6,10 @@ bit k - 1 standing for index k (`index_mask`).  Splitting a sorted index
 set into two pieces carries the sign of the permutation that rearranges
 it, (-1)^c for the c crossings that `merge_sign` counts on the two masks.
 `cycle_sign` is the sign of a permutation of range(m), read off its
-cycles with no sort; the brute-force oracles (the Leibniz determinant,
-the matching-sum Pfaffian and the permutation-sum Pfaffian of the
-enveloping algebra) apply it to each term's index sequence.
+cycles with no sort.  The Leibniz determinant and the permutation-sum
+Pfaffian of the enveloping algebra apply it to each term's index
+sequence; the matching-sum Pfaffian applies it to each matching's flat
+pair sequence once per matrix size, when it builds its walk.
 `permutation_sign` is `cycle_sign` of the sorting order of any sequence.
 """
 

@@ -4,9 +4,11 @@ Independent evaluation routes are kept side by side: a recursive
 first-row cofactor expansion over any commutative ring, fraction-free
 Pfaffian condensation for rational matrices, a brute-force sum over
 perfect matchings whose signs come from each matching's own pair
-sequence, and, for anti-alternating matrices, the right-hand side of the
-minor summation identity, which expands the Pfaffian into determinant
-times sub-Pfaffian contributions over the block decomposition.
+sequence (read along `_matching_walk`, a table of the walk built once
+per matrix size), and, for anti-alternating matrices, the right-hand
+side of the minor summation identity, which expands the Pfaffian into
+determinant times sub-Pfaffian contributions over the block
+decomposition.
 `pfaffian` picks its route by the entry types, as `linalg.det_exact`
 does: int and Fraction matrices go to `_pf_condensed` (after clearing
 denominators), every other ring to the recursion `_pf`.
@@ -73,7 +75,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from operator import eq, neg
 from typing import Callable, Iterable, Sequence
 
@@ -204,54 +206,100 @@ class AlternatingMatrix:
         return f"AlternatingMatrix(size={self.size})"
 
 
+# The walks of `pfaffian_definitional` built so far, by matrix size.
+_WALKS: dict[int, bytes] = {}
+
+
+def _matching_walk(m: int) -> bytes:
+    """The walk of `pfaffian_definitional` over the perfect matchings of
+    range(m), m even and positive: built on the first call for m, then
+    read back from `_WALKS`.
+
+    A node pairs the first index its ancestors leave unmatched with one
+    later index, the children of a node in ascending order of that
+    partner, and the nodes are listed in preorder, four bytes each: row,
+    column, depth, and a sign flag.  Every path from a depth-0 node down
+    to depth m/2 - 1 is one matching, and the leaf at its end carries
+    its sign: the flag is 1 when `cycle_sign` of the flat pair sequence
+    (row, column of each node on the path, top down) is -1, else 0, and
+    it is 0 at every inner node.  The signs are computed here, once per
+    size, from the whole sequence, never carried down the walk.  A
+    subtree's node count depends on its depth alone, 1 at depth
+    m/2 - 1 and 1 + (m - 2d - 3) times that of depth d + 1 at depth d,
+    so a node stores no subtree end.  The walk holds (m - 1)!! leaves
+    and n(m) = (m - 1)(1 + n(m - 2)) nodes: 2 277 nodes in 9 108 bytes
+    at size 10, 25 058 in about 100 KB at size 12.  It is a table of the
+    walk's shape, the same for every matrix of the size, and holds no
+    entry or product."""
+    walk = _WALKS.get(m)
+    if walk is None:
+        last = m // 2 - 1
+        nodes = bytearray()
+
+        def visit(flat: tuple, rest: tuple, depth: int) -> None:
+            first = rest[0]
+            for k in range(1, len(rest)):
+                pairs = flat + (first, rest[k])
+                if depth < last:
+                    nodes.extend((first, rest[k], depth, 0))
+                    visit(pairs, rest[1:k] + rest[k + 1:], depth + 1)
+                else:
+                    nodes.extend((first, rest[k], depth, cycle_sign(pairs) < 0))
+
+        visit((), tuple(range(m)), 0)
+        walk = _WALKS[m] = bytes(nodes)
+    return walk
+
+
 def pfaffian_definitional(A: AlternatingMatrix):
     """Pfaffian as the signed sum over perfect matchings.
 
-    One depth-first walk over the matchings: a node pairs the first
-    unmatched index with each later one, and carries the flat pair
-    sequence (first, partner, first, partner, ...) and the product of its
-    entries, multiplied left to right, so a prefix is multiplied out once
-    for all the matchings through it; the last two unmatched indices
-    form the last pair at once.  A zero entry ends its subtree.  Each
-    matching's sign is recomputed from scratch at its leaf as the sign
-    of the flat pair sequence, keeping this route independent from the
-    cofactor recursion.  Scalar products sum as scalars (so an all-int
-    matrix sums in ints) and ring products go into one raw term dict,
-    wrapped once; with no nonzero matching the sum is the int 0.
+    One pass down `_matching_walk(A.size)`: each node multiplies its
+    entry onto the product of its parent, left to right with the ring's
+    `*`, and keeps it as the prefix of its depth, so a prefix is
+    multiplied out once for all the matchings through it (at size 10,
+    2 277 entries read and 2 268 products, against 945 x 4 = 3 780 for
+    the matchings one by one).  A zero entry skips its whole subtree.  A
+    leaf adds its product with the sign the walk stores for it, read
+    from the matching's own flat pair sequence and never carried down
+    the walk, which would be the cofactor recursion's rule; so this
+    route stays independent of `_pf`.  Scalar products go into a plain
+    scalar sum (an all-int matrix sums in ints) and ring products into
+    one raw term dict through `add_into`, wrapped once; no
+    `_product_into` is used.  The empty matrix gives the int 1, and a
+    matrix with no nonzero matching the int 0.
     """
     m = A.size
     if m == 0:
         return 1
+    nodes = iter(_matching_walk(m))
+    last = m // 2 - 1
+    after = [0] * (last + 1)  # bytes after a node of each depth up to the end of its subtree
+    for d in range(last - 1, -1, -1):
+        after[d] = (m - 2 * d - 3) * (after[d + 1] + 4)
     rows = A.rows
+    prefix = [None] * last
     scalar = 0
     ring = None
     terms: dict = {}
-    stack = [((), tuple(range(m)), None)]
-    while stack:
-        flat, rest, prefix = stack.pop()
-        first = rest[0]
-        row = rows[first]
-        for k in range(1, len(rest)):
-            entry = row[rest[k]]
-            if not entry:
-                continue
-            pairs = flat + (first, rest[k])
-            prod = entry if prefix is None else prefix * entry
-            left = rest[1:k] + rest[k + 1:]
-            if len(left) > 2:
-                stack.append((pairs, left, prod))
-                continue
-            if left:
-                entry = rows[left[0]][left[1]]
-                if not entry:
-                    continue
-                pairs += left
-                prod = prod * entry
-            if isinstance(prod, Combination):
-                ring = type(prod)
-                add_into(terms, prod.terms, cycle_sign(pairs))
-            else:
-                scalar += cycle_sign(pairs) * prod
+    for i, j, depth, negative in zip(nodes, nodes, nodes, nodes):
+        entry = rows[i][j]
+        if not entry:
+            skip = after[depth]
+            if skip:
+                next(islice(nodes, skip, skip), None)
+            continue
+        if depth:
+            entry = prefix[depth - 1] * entry
+        if depth < last:
+            prefix[depth] = entry
+        elif isinstance(entry, Combination):
+            ring = type(entry)
+            add_into(terms, entry.terms, -1 if negative else 1)
+        elif negative:
+            scalar -= entry
+        else:
+            scalar += entry
     scalar = _rational(scalar)
     if ring is None:
         return scalar

@@ -247,23 +247,31 @@ def add_into(out: dict, terms: Mapping, scale=1) -> dict:
 _SCALAR_TYPES = frozenset((int, Fraction))
 
 
-def _lift(groups: Iterable[Collection]) -> tuple[type | None, list[list[Mapping]]]:
+def _lift(groups: Iterable[Collection]) -> tuple[type | None, list[list]]:
     """Lift values to raw term dicts of their one coefficient ring.
 
     The values are ints, Fractions and elements of at most one
     `Combination` type, the ring (TypeError on two).  Returns (ring,
-    lifted), ring None if every value is a scalar, with each group as a
-    list of raw term dicts: a ring element gives its own ``terms``, which
-    are read and never written; a nonzero scalar sits on the ring's unit
-    key (Poly's when ring is None) and a zero gives {}.  Each group is
-    read twice, so it must be a collection, not an iterator."""
+    lifted), ring None if every value is a scalar, with each group lifted
+    in one pass to a list: a dict group (the terms of an exterior-algebra
+    element) to its (key, raw terms) pairs, any other collection of
+    values (a matrix row) to the raw terms in its order.  A ring element
+    gives its own ``terms``, which are read and never written; a nonzero
+    scalar sits on the ring's unit key (Poly's when ring is None) and a
+    zero gives {}.  Each group is read twice, so it must be a collection,
+    not an iterator."""
     groups = list(groups)
-    rings = {type(c) for group in groups for c in group} - _SCALAR_TYPES
+    rings = {type(c) for group in groups for c in (group.values() if type(group) is dict else group)}
+    rings -= _SCALAR_TYPES
     if len(rings) > 1:
         raise TypeError(f"mixed coefficient rings: {sorted(r.__name__ for r in rings)}")
     ring = rings.pop() if rings else None
     unit = (ring or Poly)._UNIT
-    return ring, [[c.terms if type(c) is ring else {unit: c} if c else {} for c in group] for group in groups]
+    return ring, [
+        [(k, c.terms if type(c) is ring else {unit: c} if c else {}) for k, c in group.items()]
+        if type(group) is dict else
+        [c.terms if type(c) is ring else {unit: c} if c else {} for c in group]
+        for group in groups]
 
 
 def _unlift(ring: type | None, terms: dict):

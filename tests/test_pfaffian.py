@@ -5,15 +5,15 @@ import importlib
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
-from math import prod
+from itertools import combinations, permutations, takewhile
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfaffkit.grassmann import build_forms, pfaffian_from_top_form
-from pfaffkit.indexing import complement_sign, index_mask, split_sign
+from pfaffkit.indexing import complement_sign, cycle_sign, index_mask, split_sign
 from pfaffkit.linalg import (
     SingularMatrixError,
     anti_identity,
@@ -32,6 +32,7 @@ from pfaffkit.pfaffian import (
     AntiAlternatingMatrix,
     NotInLieAlgebraError,
     ShapeError,
+    _matching_walk,
     _minor_det,
     _pf,
     cayley_orthogonal,
@@ -187,6 +188,99 @@ def test_matching_sum_skips_zero_entries_and_keeps_the_result_type():
     A = AlternatingMatrix.from_upper(4, lambda i, j: 0 if (i, j) == (1, 4) else one)
     for pf in (pfaffian(A), pfaffian_definitional(A)):
         assert type(pf) is Poly and not pf.terms
+
+
+def _permutation_sum_pfaffian(A):
+    """Pf A = sum over all permutations s of range(m) of
+    sgn(s) prod_i a[s(2i-1)][s(2i)], over 2^k k! (m = 2k): every matching
+    in every order of its pairs and of each pair, the sign read with
+    `cycle_sign`.  Ring terms are summed in one plain dict."""
+    m = A.size
+    rows = A.rows
+    scalar, sums = 0, {}
+    for perm in permutations(range(m)):
+        term = 1
+        for i in range(0, m, 2):
+            entry = rows[perm[i]][perm[i + 1]]
+            if not entry:
+                break
+            term = term * entry
+        else:
+            term = cycle_sign(perm) * term
+            if isinstance(term, Poly):
+                for key, c in term.terms.items():
+                    sums[key] = sums.get(key, 0) + c
+            else:
+                scalar += term
+    total = Poly._wrap({key: c for key, c in sums.items() if c}) + scalar if sums else scalar
+    return total * Fraction(1, 2 ** (m // 2) * factorial(m // 2))
+
+
+def _oracle_draws(kind, rng):
+    """Dense and sparse draws at sizes 2..8, and each size with a zero
+    first and a zero last row; no dense Fraction draw at size 8, whose
+    8! products of four Fractions take about 0.6 s."""
+    dense = {"int": lambda i, j: rng.randint(-9, 9),
+             "fraction": lambda i, j: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+             "poly": a}[kind]
+    for size in (2, 4, 6, 8):
+        if not (kind == "fraction" and size == 8):
+            yield AlternatingMatrix.from_upper(size, dense)
+        yield AlternatingMatrix.from_upper(size, lambda i, j: _sparse_entry(kind, rng, i, j))
+        for zero_row in (1, size):
+            yield AlternatingMatrix.from_upper(
+                size, lambda i, j: 0 if zero_row in (i, j) else _sparse_entry(kind, rng, i, j))
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "poly"])
+def test_matching_sum_equals_the_permutation_sum(kind):
+    rng = random.Random(41)
+    for A in _oracle_draws(kind, rng):
+        assert pfaffian_definitional(A) == _permutation_sum_pfaffian(A), (kind, A.rows)
+    # matchings that cancel: a Poly zero on both sides
+    one, x, y = Poly.const(1), Poly.var("x"), Poly.var("y")
+    upper = {(1, 2): x, (3, 4): y, (1, 3): x, (2, 4): y, (1, 4): 0, (2, 3): 0}
+    for A in (AlternatingMatrix.from_upper(4, lambda i, j: 0 if (i, j) == (1, 4) else one),
+              AlternatingMatrix.from_upper(4, lambda i, j: upper[i, j])):
+        pf = pfaffian_definitional(A)
+        assert type(pf) is Poly and not pf.terms and _permutation_sum_pfaffian(A) == 0
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
+def test_matching_walk_structure(m):
+    walk = _matching_walk(m)
+    assert type(walk) is bytes and _matching_walk(m) is walk
+    nodes = [tuple(walk[k:k + 4]) for k in range(0, len(walk), 4)]  # row, column, depth, sign flag
+    last = m // 2 - 1
+    count = 0
+    for size in range(2, m + 1, 2):  # n(m) = (m - 1)(1 + n(m - 2)), n(0) = 0
+        count = (size - 1) * (1 + count)
+    assert len(nodes) == count
+    assert sum(depth == last for _, _, depth, _ in nodes) == prod(range(1, m, 2))
+    path, matchings = [], set()
+    for k, (i, j, depth, negative) in enumerate(nodes):
+        del path[depth:]
+        assert depth == len(path)
+        matched = {x for pair in path for x in pair}
+        # the first unmatched index, with a later unmatched one
+        assert i == min(set(range(m)) - matched) and i < j and j not in matched
+        path.append((i, j))
+        # the subtree's node count depends on the depth alone
+        size = 1
+        for d in range(last - 1, depth - 1, -1):
+            size = 1 + (m - 2 * d - 3) * size
+        below = list(takewhile(lambda node: node[2] > depth, nodes[k + 1:]))
+        assert len(below) == size - 1
+        # the next sibling follows the subtree, paired with a later partner
+        if k + size < len(nodes) and nodes[k + size][2] == depth:
+            assert nodes[k + size][0] == i and nodes[k + size][1] > j
+        if depth == last:
+            flat = [x for pair in path for x in pair]
+            assert negative == (cycle_sign(flat) < 0)
+            matchings.add(frozenset(path))
+        else:
+            assert negative == 0
+    assert len(matchings) == prod(range(1, m, 2))
 
 
 def test_routes_agree_symbolic():
