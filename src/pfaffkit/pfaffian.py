@@ -59,7 +59,10 @@ sgn(Ic, I) Pf(b_I), which keeps every left factor on the left, so it
 needs no intermediate element and multiplies by each Pf(b_I) once.  A
 matrix whose entries are all ints
 (`AlternatingMatrix.int_entries`) takes `_pf`'s own recursion in plain
-int arithmetic instead, its memo holding ints.
+int arithmetic instead, its memo holding ints.  A lift with Fraction
+coefficients is scaled once by their common denominator d (`_Lift`), so
+the kernels run in ints on d A and only a returned value is divided back,
+by d to its degree, as `pfaffian` does for rational matrices.
 
 Rational entries follow the rings' scalar rule (an int when integral,
 else a Fraction), and so do the identities and zero fills here, so an
@@ -76,7 +79,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain, combinations, islice
-from operator import eq, neg
+from math import gcd, lcm
+from operator import attrgetter, eq, neg
 from typing import Callable, Iterable, Sequence
 
 from .indexing import cycle_sign, index_mask, index_set, merge_sign
@@ -312,34 +316,75 @@ def pfaffian_definitional(A: AlternatingMatrix):
 _NO_PRODUCT: dict = {}
 
 
+_DENOMINATOR = attrgetter("denominator")
+
+
+def _common_denominator(lines: list, shift=None) -> int:
+    """The least common denominator of every coefficient of the lifted
+    `lines` and of a scalar `shift`; 1 when all of them are ints."""
+    coefficients = chain.from_iterable(map(dict.values, chain.from_iterable(lines)))
+    return lcm(*set(map(_DENOMINATOR, coefficients)), 1 if shift is None else shift.denominator)
+
+
 class _Lift:
     """The entries of one matrix as raw term dicts of one coefficient ring.
 
     `lines` holds the lifted rows for the Pfaffian kernel and the lifted
     columns for the determinant kernel.  At a scalar `shift` the
     determinant's diagonal entry (k, k) gains shift + t in a column with
-    t columns right of it; `shifted` builds it once per (k, t)."""
+    t columns right of it; `shifted` builds it once per (k, t).
 
-    __slots__ = ("ring", "lines", "product_into", "unit", "one", "shift", "diagonal")
+    `scale` is a common denominator d of the coefficients and the shift
+    (their least one unless the caller names one, as the block sum does
+    for its three blocks).  At d > 1 `lines` holds int copies of the
+    entries times d and `shifted` adds d (shift + t), so the kernels and
+    their memos run in ints on the raw values of d A; `value` divides a
+    result back by d to its degree.  At d = 1 the entries' own term dicts
+    are kept."""
 
-    def __init__(self, ring, lines: list, shift=None):
+    __slots__ = ("ring", "lines", "product_into", "unit", "one", "shift", "diagonal", "scale")
+
+    def __init__(self, ring, lines: list, shift=None, scale: int | None = None):
         carrier = ring or Poly  # scalars multiply on Poly's unit key
-        self.ring, self.lines, self.shift, self.diagonal = ring, lines, shift, {}
+        if scale is None:
+            scale = _common_denominator(lines, shift)
+        if scale > 1:
+            lines = [[{k: c.numerator * (scale // c.denominator) for k, c in terms.items()} for terms in line]
+                     for line in lines]
+            if shift is not None:
+                shift = _rational(scale * shift)
+        self.ring, self.lines, self.shift, self.diagonal, self.scale = ring, lines, shift, {}, scale
         self.product_into, self.unit = carrier._product_into, carrier._UNIT
         self.one = {self.unit: 1}
 
     def shifted(self, k: int, t: int) -> dict:
         entry = self.diagonal.get((k, t))
         if entry is None:
-            entry = add_into(dict(self.lines[k][k]), {self.unit: _rational(self.shift + t)})
+            entry = add_into(dict(self.lines[k][k]), {self.unit: _rational(self.shift + self.scale * t)})
             self.diagonal[k, t] = entry
         return entry
 
-    def value(self, terms: dict):
-        """The public value of a raw sum: the int 0 if no product was
-        added, else `rings._unlift` of it, an element wrapping `terms`
-        (which a memo may share: elements are never written)."""
-        return 0 if terms is _NO_PRODUCT else _unlift(self.ring, terms)
+    def value(self, terms: dict, degree: int):
+        """The public value of a raw sum whose products have `degree`
+        factors: the int 0 if no product was added, else `rings._unlift`
+        of it.  At d = 1 that is an element wrapping `terms` (which a memo
+        may share: elements are never written); at d > 1 an element owning
+        a fresh dict of the coefficients divided by d ** degree, under the
+        scalar rule."""
+        if terms is _NO_PRODUCT:
+            return 0
+        if self.scale > 1:
+            power = self.scale ** degree
+            quotients: dict = {}  # a coefficient often recurs: divide each distinct one once
+            divided = {}
+            for k, c in terms.items():
+                q = quotients.get(c)
+                if q is None:
+                    g = gcd(c, power)
+                    q = quotients[c] = c // power if g == power else Fraction(c // g, power // g)
+                divided[k] = q
+            terms = divided
+        return _unlift(self.ring, terms)
 
 
 def _pf(A: AlternatingMatrix, mask: int, memo: dict):
@@ -351,7 +396,10 @@ def _pf(A: AlternatingMatrix, mask: int, memo: dict):
     Pfaffian is the int 1.  An all-int A recurses here in int arithmetic,
     its memo holding ints; any other A is lifted once per memo (kept
     under the key None) and expanded by `_pf_terms`, its memo holding raw
-    term dicts, and the result is wrapped as `_Lift.value` says.
+    term dicts, and the result is wrapped as `_Lift.value` says.  With
+    Fraction coefficients the memo holds the raw sub-Pfaffians of d A in
+    ints, d the lift's common denominator, and a result of |mask| / 2
+    factors is divided by d ** (|mask| / 2) on the way out.
     """
     if not mask:
         return 1
@@ -364,7 +412,7 @@ def _pf(A: AlternatingMatrix, mask: int, memo: dict):
         terms = memo.get(mask)
         if terms is None:
             terms = _pf_terms(lift, mask, memo)
-        return lift.value(terms)
+        return lift.value(terms, mask.bit_count() // 2)
     cached = memo.get(mask)
     if cached is not None:
         return cached
@@ -726,8 +774,11 @@ def _minor_det(M: tuple, rows: int, cols: int, memo: dict, shift=None):
     At a scalar `shift` u the entry (k, k) gains u plus the number of
     remaining columns: u + r - t in column t of r.  `memo` maps (rows,
     cols) to raw minors of M at one shift, so each minor is computed once;
-    it keeps the lift of M under the key None.  The empty minor is the int
-    1, and the result is wrapped as `_Lift.value` says.
+    it keeps the lift of M under the key None.  With a Fraction
+    coefficient or shift the memo holds the raw minors of d M shifted by
+    d u in ints, d the common denominator of both, and a result is divided
+    by d ** |cols| on the way out.  The empty minor is the int 1, and the
+    result is wrapped as `_Lift.value` says.
     """
     if not cols:
         return 1
@@ -739,7 +790,7 @@ def _minor_det(M: tuple, rows: int, cols: int, memo: dict, shift=None):
     terms = memo.get((rows, cols))
     if terms is None:
         terms = _det_terms(lift, rows, cols, memo)
-    return lift.value(terms)
+    return lift.value(terms, cols.bit_count())
 
 
 def _det_terms(lift: _Lift, rows: int, cols: int, memo: dict) -> dict:
@@ -794,12 +845,16 @@ def minor_summation_rhs(X: AntiAlternatingMatrix, shift=None):
     three blocks are lifted once, to one ring, and the sum is regrouped as
     sum_I (sum_J sgn(Jc, J) d Pf(c_J)) sgn(Ic, I) Pf(b_I): each factor keeps
     its place in the product d Pf(c_J) Pf(b_I), which that identity needs,
-    and Pf(b_I) multiplies once per I.
+    and Pf(b_I) multiplies once per I.  The three lifts share one common
+    denominator D of every coefficient and the shift, so the memos and the
+    sum hold raw values of D X in ints; each term has X.half factors, and
+    the sum is divided by D ** X.half once, at the end.
     """
     p, q = X.p, X.q
     ring, lines = _lift(X.a + X.b + X.c)
-    a = _Lift(ring, list(zip(*lines[:p])), shift)
-    b, c = _Lift(ring, lines[p:2 * p]), _Lift(ring, lines[2 * p:])
+    scale = _common_denominator(lines, shift)  # one d for all three: each term mixes their factors
+    a = _Lift(ring, list(zip(*lines[:p])), shift, scale)
+    b, c = _Lift(ring, lines[p:2 * p], scale=scale), _Lift(ring, lines[2 * p:], scale=scale)
     product_into, one = a.product_into, a.one
     b_memo, c_memo, det_memo = {0: one}, {0: one}, {(0, 0): one}
     full_p, full_q = (1 << p) - 1, (1 << q) - 1
@@ -840,7 +895,7 @@ def minor_summation_rhs(X: AntiAlternatingMatrix, shift=None):
                 else:  # the first I, empty: Pf(b_I) = 1 and the sign is +1
                     total = inner
                 survived = True
-    return a.value(total if survived else _NO_PRODUCT)
+    return a.value(total if survived else _NO_PRODUCT, X.half)
 
 
 def verify_minor_summation(p: int, q: int) -> bool:

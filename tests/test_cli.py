@@ -12,7 +12,7 @@ import pytest
 
 from pfaffkit import matrixio, uea, verify
 from pfaffkit.cli import main
-from pfaffkit.pfaffian import AlternatingMatrix, _pf
+from pfaffkit.pfaffian import AlternatingMatrix, _pf, pfaffian_definitional
 
 COLORED_22 = """\
 2 2 2
@@ -83,6 +83,47 @@ def test_pfaffian_rational_fraction_file_matches_the_recursion(tmp_path, capsys)
     expected = _pf(loaded, (1 << 8) - 1, {})
     code, out, err = run(capsys, "pfaffian", "--ring", "rational", str(f))
     assert (code, out, err) == (0, f"{expected}\n", "")
+
+
+FRACTION_POLY_FILES = {
+    # Poly entries with Fraction coefficients: the cofactor sums run on the
+    # matrix times its common denominator and divide each result back
+    "full6": """\
+full 6
+0 1/2*x 3/4 -2/3*y+1 1/5*x*y 0
+-1/2*x 0 7/6*z 1/3 -z 5/2
+-3/4 -7/6*z 0 x-1/7 2/9*y 4/11
+2/3*y-1 -1/3 -x+1/7 0 3/8*x*z -1
+-1/5*x*y z -2/9*y -3/8*x*z 0 1/13*y
+0 -5/2 -4/11 1 -1/13*y 0
+""",
+    "colored": """\
+4 3 5
+a
+1/2*a[1,1] 0 3/4 a[1,4] -1/3*a[1,5]
+2/5 a[2,2]+1/6 0 -7/9 a[2,5]
+a[3,1] -5/4 1/7*a[3,3] 1/2 0
+b
+1/3*b[1,2] -2/5
+3/8*b[2,3]
+c
+c[1,2] 0 1/6 1/2*c[1,5]
+-3/7 c[2,4] 1/11
+c[3,4]+1/2 0
+5/3*c[4,5]
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRACTION_POLY_FILES))
+def test_pfaffian_of_fraction_coefficient_polys_prints_the_matching_sum(tmp_path, capsys, name):
+    f = tmp_path / f"{name}.txt"
+    f.write_text(FRACTION_POLY_FILES[name])
+    loaded = matrixio.load_path(str(f), ring="poly")
+    A = loaded if isinstance(loaded, AlternatingMatrix) else loaded.to_alternating()
+    assert any(type(c) is Fraction for row in A.rows for x in row for c in getattr(x, "terms", {}).values())
+    code, out, err = run(capsys, "pfaffian", str(f))
+    assert (code, out, err) == (0, f"{pfaffian_definitional(A)}\n", "")
 
 
 def test_pfaffian_odd_size_is_shape_violation(tmp_path, capsys):

@@ -823,6 +823,35 @@ def test_a_second_sum_on_a_shared_memo_leaves_earlier_values_unchanged():
     assert all(after[key][0] is value and after[key][1] == terms for key, (value, terms) in before.items())
     assert second[0b111, 0b111] == det_leibniz(X.a)
     assert minor_summation_rhs(X) == pfaffian_of_anti_alternating(X)
+    # a scaled memo holds the raw minors of d a, so each read divides a
+    # copy: equal values of the same type, in fresh elements
+    Y = _fraction_coefficient_coloring(3, 3)
+    det_memo = {}
+    first = {key: _minor_det(Y.a, *key, det_memo) for key in pairs if key[1].bit_count() < 3}
+    before = _snapshot(det_memo)
+    second = {key: _minor_det(Y.a, *key, det_memo) for key in pairs}
+    after = _snapshot(det_memo)
+    assert det_memo[None].scale > 1
+    assert all(second[key] == value and type(second[key]) is type(value) for key, value in first.items())
+    assert all(second[key].terms is not value.terms for key, value in first.items() if isinstance(value, Poly))
+    assert any(isinstance(value, Poly) for value in first.values())
+    assert all(after[key][0] is value and after[key][1] == terms for key, (value, terms) in before.items())
+    assert second[0b111, 0b111] == det_leibniz(Y.a)
+    assert minor_summation_rhs(Y) == pfaffian_definitional(Y.to_alternating())
+
+
+def _fraction_coefficient_coloring(p, q):
+    """Coloring (p, q) of Polys with Fraction coefficients: the entry
+    (i, j) of each block is its variable times i/(j + 1), plus 1/(i + j)
+    in the a block."""
+    def entry(block, i, j):
+        value = Poly.var(f"{block}[{i},{j}]").scale(Fraction(i, j + 1))
+        return value + Fraction(1, i + j) if block == "a" else value
+
+    return AntiAlternatingMatrix.from_upper_blocks(
+        p, q, [[entry("a", i, j) for j in range(1, q + 1)] for i in range(1, p + 1)],
+        [[entry("b", i, j) for j in range(i + 1, p + 1)] for i in range(1, p)],
+        [[entry("c", i, j) for j in range(i + 1, q + 1)] for i in range(1, q)])
 
 
 @pytest.mark.parametrize("kind", ["int-8", "generic-6"])
@@ -856,21 +885,107 @@ def _sparse_poly_entry(rng, name):
     return entry + Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if kind == 3 else entry
 
 
+def _coprime_entry(rng, name):
+    """0, a Poly zero, or a sparse Poly whose coefficients have the large
+    coprime denominators 7, 11, 13, 17, 19 or 23."""
+    kind = rng.randrange(4)
+    if kind < 2:
+        return 0 if kind else Poly.zero()
+
+    def coefficient():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 30), rng.choice((7, 11, 13, 17, 19, 23)))
+
+    entry = Poly.var(name).scale(coefficient())
+    return entry + coefficient() if kind == 3 else entry
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_sparse_fraction_poly_matrices_match_the_oracles(seed):
-    rng = random.Random(60 + seed)
-    for size in (2, 4, 6, 8):
-        A = AlternatingMatrix.from_upper(size, lambda i, j: _sparse_poly_entry(rng, f"x[{i},{j}]"))
-        pf = pfaffian(A)
-        assert pf == pfaffian_definitional(A) and _no_zero_coefficient(pf)
-    for p, q in ((1, 1), (2, 2), (1, 3), (3, 1), (2, 4), (3, 3), (4, 4), (3, 5), (5, 3), (2, 6)):
-        X = AntiAlternatingMatrix.from_upper_blocks(
-            p, q, [[_sparse_poly_entry(rng, f"a[{i},{j}]") for j in range(1, q + 1)] for i in range(1, p + 1)],
-            [[_sparse_poly_entry(rng, f"b[{i},{j}]") for j in range(i + 1, p + 1)] for i in range(1, p)],
-            [[_sparse_poly_entry(rng, f"c[{i},{j}]") for j in range(i + 1, q + 1)] for i in range(1, q)])
+    # small denominators, then large coprime ones: a lift scales by their
+    # least common multiple, and the block sum's three blocks share it
+    for entry, rng in ((_sparse_poly_entry, random.Random(60 + seed)), (_coprime_entry, random.Random(90 + seed))):
+        for size in (2, 4, 6, 8):
+            A = AlternatingMatrix.from_upper(size, lambda i, j: entry(rng, f"x[{i},{j}]"))
+            pf = pfaffian(A)
+            assert pf == pfaffian_definitional(A) and _no_zero_coefficient(pf)
+        for p, q in ((1, 1), (2, 2), (1, 3), (3, 1), (2, 4), (3, 3), (4, 4), (3, 5), (5, 3), (2, 6), (4, 2), (1, 5)):
+            X = AntiAlternatingMatrix.from_upper_blocks(
+                p, q, [[entry(rng, f"a[{i},{j}]") for j in range(1, q + 1)] for i in range(1, p + 1)],
+                [[entry(rng, f"b[{i},{j}]") for j in range(i + 1, p + 1)] for i in range(1, p)],
+                [[entry(rng, f"c[{i},{j}]") for j in range(i + 1, q + 1)] for i in range(1, q)])
+            rhs = minor_summation_rhs(X)
+            assert rhs == _unhoisted_minor_summation_rhs(X) == pfaffian_definitional(X.to_alternating()), (p, q)
+            assert _no_zero_coefficient(rhs)
+
+
+# --- kernels over one common denominator -------------------------------------
+
+
+def _specialised_coloring(p, q, rng):
+    """Coloring (p, q) with each entry kept symbolic, fixed to a constant
+    Poly of a seeded rational, or set to a Poly zero, with probabilities
+    1/2, 1/4, 1/4: the partly specialised colorings of the benchmark."""
+    def entry(name):
+        r = rng.random()
+        if r < 0.5:
+            return Poly.var(name)
+        if r < 0.75:
+            return Poly.const(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)))
+        return Poly.zero()
+
+    return AntiAlternatingMatrix.from_upper_blocks(
+        p, q, [[entry(f"a[{i},{j}]") for j in range(1, q + 1)] for i in range(1, p + 1)],
+        [[entry(f"b[{i},{j}]") for j in range(i + 1, p + 1)] for i in range(1, p)],
+        [[entry(f"c[{i},{j}]") for j in range(i + 1, q + 1)] for i in range(1, q)])
+
+
+def _obeys_the_scalar_rule(value):
+    """No zero coefficient, and each coefficient an int or a Fraction that is not integral."""
+    coefficients = value.terms.values() if isinstance(value, Poly) else (value,)
+    return _no_zero_coefficient(value) and all(
+        type(c) is int or type(c) is Fraction and c.denominator > 1 for c in coefficients)
+
+
+@pytest.mark.parametrize("total", [8, 10])
+def test_specialised_colorings_run_the_kernels_in_ints(total, monkeypatch):
+    module = importlib.import_module("pfaffkit.pfaffian")
+    rng = random.Random(70 + total)
+    real_pf, real_det = module._pf_terms, module._det_terms
+    block_memos = {}  # the memos of the block sum, by id, seen through its kernels
+
+    def seeing_pf(lift, mask, memo):
+        block_memos[id(memo)] = memo
+        return real_pf(lift, mask, memo)
+
+    def seeing_det(lift, rows, cols, memo):
+        block_memos[id(memo)] = memo
+        return real_det(lift, rows, cols, memo)
+
+    scaled = 0
+    for p in range(1, total):
+        X = _specialised_coloring(p, total - p, rng)
+        A = X.to_alternating()
+        pf_memo = {}
+        pf = _pf(A, (1 << total) - 1, pf_memo)
+        det_memo = {}
+        for size in range(min(p, total - p) + 1):
+            for rows in combinations(range(1, p + 1), size):
+                for cols in combinations(range(1, total - p + 1), size):
+                    d = _minor_det(X.a, index_mask(rows), index_mask(cols), det_memo)
+                    assert _obeys_the_scalar_rule(d)
+        block_memos.clear()
+        monkeypatch.setattr(module, "_pf_terms", seeing_pf)
+        monkeypatch.setattr(module, "_det_terms", seeing_det)
         rhs = minor_summation_rhs(X)
-        assert rhs == _unhoisted_minor_summation_rhs(X) == pfaffian_definitional(X.to_alternating())
-        assert _no_zero_coefficient(rhs)
+        monkeypatch.undo()
+        scaled += pf_memo[None].scale > 1
+        for memo in (pf_memo, det_memo, *block_memos.values()):
+            assert all(type(c) is int for terms in _minors(memo).values() for c in terms.values()), (p, total - p)
+        assert pf == rhs == pfaffian_of_anti_alternating(X)
+        assert _obeys_the_scalar_rule(pf) and _obeys_the_scalar_rule(rhs)
+        if total <= 8:
+            assert pf == pfaffian_definitional(A)
+    assert scaled == total - 1  # every coloring holds a non-integral coefficient
 
 
 def _all_terms(*values):
@@ -888,10 +1003,13 @@ def _unchanged(snapshot):
     return all(v.terms == terms for v, terms in snapshot)
 
 
-@pytest.mark.parametrize("kind", ["poly", "uea"])
+@pytest.mark.parametrize("kind", ["poly", "fraction", "uea"])
 def test_every_route_reads_its_inputs_and_memoised_values_without_writing(kind):
-    X = AntiAlternatingMatrix.generic(3, 3) if kind == "poly" else build_canonical_x(3)
-    shift = None if kind == "poly" else 0
+    # "fraction" is a coloring of Fraction coefficients, so every lift below
+    # is scaled and its memos hold its own int copies
+    X = {"poly": lambda: AntiAlternatingMatrix.generic(3, 3), "uea": lambda: build_canonical_x(3),
+         "fraction": lambda: _fraction_coefficient_coloring(3, 3)}[kind]()
+    shift = 0 if kind == "uea" else None
     A = X.to_alternating()
     inputs = _all_terms(X.a, X.b, X.c, A.rows)
     # a shared memo: the values of a first sweep are only read by a second
@@ -906,7 +1024,11 @@ def test_every_route_reads_its_inputs_and_memoised_values_without_writing(kind):
     minors = _snapshot(det_memo)
     _minor_det(X.a, 0b111, 0b111, det_memo, shift)
     minor_summation_rhs(X, shift)
-    if kind == "poly":
+    assert (memo[None].scale > 1) is (det_memo[None].scale > 1) is (kind == "fraction")
+    if kind == "fraction":
+        assert copfaffian_expansion_check(A)
+        assert minor_summation_rhs(X) == pfaffian_definitional(A)
+    elif kind == "poly":
         assert copfaffian_expansion_check(A)
         forms = build_forms("commutative", p=3, q=3)
         assert pfaffian_from_top_form(forms) == pfaffian(forms.source.to_alternating())

@@ -415,11 +415,13 @@ def test_column_determinant_order_matters():
     assert shifted_minor_determinant(X, (1, 2), (1, 2), -1) == got - el(A11)
 
 
-@pytest.mark.parametrize("u", [0, Fraction(-3, 2), 2])
+@pytest.mark.parametrize("u", [0, Fraction(-3, 2), 2, Fraction(1, 2)])
 def test_shifted_determinant_matches_leibniz(u):
     # every (I, J) at n <= 3, against the column-order Leibniz sum of the
     # explicitly shifted rows; the kernel behind it also under one memo per
-    # (n, u), as minor_summation_rhs and the Xi power check share it
+    # (n, u), as minor_summation_rhs and the Xi power check share it.  A
+    # shift with denominator 2 scales the lift by 2, so its memo holds the
+    # int minors of 2 (a + shift) and each result is divided back
     for n in (1, 2, 3):
         X = build_canonical_x(n)
         memo = {}
@@ -432,6 +434,8 @@ def test_shifted_determinant_matches_leibniz(u):
                     assert shifted_minor_determinant(X, I, J, u) == expected, (n, I, J)
                     assert _minor_det(X.a, index_mask(I), index_mask(J), memo, Fraction(u)) == expected, (n, I, J)
         assert len(memo) > 0
+        assert memo[None].scale == Fraction(u).denominator
+        assert all(type(c) is int for key, terms in memo.items() if key is not None for c in terms.values())
     # a non-square minor, an unsorted or a repeated I and an out-of-range J
     # raise: a mask would drop the order and the repeats silently
     for I, J in (((1, 2), (1,)), ((2, 1), (1, 2)), ((1, 1), (1, 2)), ((1, 2), (1, 4))):
