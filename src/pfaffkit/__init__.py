@@ -4,17 +4,21 @@ Commutative and enveloping-algebra Pfaffians of anti-alternating
 matrices, their minor summation expansions, the exterior-calculus route
 through 2-form powers, and the central-element eigenvalue identity, all
 over exact rationals.
+
+Every command and benchmark pass starts a fresh interpreter, so the
+record types (`HighestWeight`, `Forms`, `CheckResult`,
+`VerificationReport`) are plain classes with `__slots__`, not
+dataclasses: `dataclasses` would import `inspect`, `ast`, `dis` and
+`tokenize` on every start.
 """
 
-from .rings import MissingIndeterminateError, Poly, PolyParseError, Scalar, parse_poly, parse_rational
+from .rings import Poly, PolyParseError, Scalar, parse_poly, parse_rational
 from .indexing import complement_sign, split_sign
 from .linalg import SingularMatrixError
 from .pfaffian import (
     AlternatingMatrix,
     AntiAlternatingMatrix,
-    NotInLieAlgebraError,
     ShapeError,
-    cayley_orthogonal,
     cofactor_pfaffian,
     complementary_minor_check,
     copfaffian_expansion_check,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import grassmann, matrixio, uea, verify
@@ -22,19 +21,6 @@ from .pfaffian import (
 from .rings import PolyParseError, parse_rational
 from .uea import HighestWeight
 from .verify import BoundExceededError
-
-SEED_ENV_VAR = "PFAFFKIT_SEED"
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer") from None
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -54,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--n", type=int, default=None, help="restrict to one rank")
     p_ver.add_argument("--pq", type=int, nargs=2, metavar=("P", "Q"), default=None,
                        help="restrict the msf suite to one coloring")
-    p_ver.add_argument("--seed", type=int, default=None,
-                       help=f"seed for the randomized batteries (default: ${SEED_ENV_VAR} or 0)")
+    p_ver.add_argument("--seed", type=int, default=0,
+                       help="seed for the randomized batteries (default: 0)")
     p_ver.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
     p_ver.add_argument("--force", action="store_true",
                        help="lift the default size bounds")
@@ -87,9 +73,8 @@ def cmd_pfaffian(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     pq = tuple(args.pq) if args.pq is not None else None
-    report = verify.run_suite(args.suite, n=args.n, pq=pq, seed=seed, force=args.force)
+    report = verify.run_suite(args.suite, n=args.n, pq=pq, seed=args.seed, force=args.force)
     if args.fmt == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:

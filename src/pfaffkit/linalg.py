@@ -33,10 +33,6 @@ def freeze(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(row) for row in rows)
 
 
-def identity(m: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
-
-
 def anti_identity(m: int) -> Matrix:
     """J_m: ones on the anti-diagonal."""
     return tuple(tuple(1 if i + j == m - 1 else 0 for j in range(m)) for i in range(m))
@@ -44,14 +40,6 @@ def anti_identity(m: int) -> Matrix:
 
 def transpose(M: Matrix) -> Matrix:
     return tuple(zip(*M)) if M else ()
-
-def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
-
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     if A and B and len(A[0]) != len(B):
@@ -67,10 +55,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
             out_row.append(acc)
         out.append(tuple(out_row))
     return tuple(out)
-
-
-def is_zero_matrix(M: Matrix) -> bool:
-    return all(x == 0 for row in M for x in row)
 
 
 def det_leibniz(M: Matrix):

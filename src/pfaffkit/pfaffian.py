@@ -28,7 +28,8 @@ matrix starts a fresh memo, the co-Pfaffian matrix reads each cofactor
 Pf(A without i, j) at the full mask without bits i - 1 and j - 1 from
 the memo that computed Pf A, and `complementary_minor_check` computes
 Pf A, the co-Pfaffian matrix and their memos once per matrix and keeps
-them on the matrix.
+them on the matrix.  A memo is a plain argument, not a closure cell, so
+it is freed when the call that made it returns.
 Each caller turns its index set into a mask once; the shuffle signs
 sgn(I, Ic) of that check and sgn(Ic, I), sgn(Jc, J) of the block sum
 are `indexing.merge_sign` of the two masks.  `minor_summation_rhs`
@@ -90,8 +91,6 @@ from .linalg import (
     det_adjugate,
     det_exact,
     freeze,
-    is_zero_matrix,
-    mat_add,
     mat_mul,
     transpose,
 )
@@ -904,10 +903,6 @@ def verify_minor_summation(p: int, q: int) -> bool:
     return pfaffian_of_anti_alternating(X) == minor_summation_rhs(X)
 
 
-class NotInLieAlgebraError(ValueError):
-    """Raised when a matrix fails tY S + S Y = 0 for the given form S."""
-
-
 def _cayley(Yn, d: int):
     """The Cayley transform (I - Y)(I + Y)^{-1} of Y = Yn/d, where Yn is an
     int matrix and d != 0.
@@ -918,21 +913,6 @@ def _cayley(Yn, d: int):
     det, adj = det_adjugate(M)
     return tuple(tuple(_rational(Fraction(2 * d * x - (det if i == j else 0), det)) for j, x in enumerate(row))
                  for i, row in enumerate(adj))
-
-
-def cayley_orthogonal(Y, S):
-    """g = (I - Y)(I + Y)^{-1} for rational Y in the orthogonal Lie algebra
-    of the rational form S, its entries under the scalar rule.
-
-    The result satisfies tg S g = S exactly; I + Y must be invertible
-    (else SingularMatrixError).  The membership tY S + S Y = 0 is tested
-    as tYn Sn + Sn Yn = 0 on the int numerators Yn of Y and Sn of S.
-    """
-    Yn, d = clear_denominators(Y)
-    Sn = clear_denominators(S)[0]
-    if not is_zero_matrix(mat_add(mat_mul(transpose(Yn), Sn), mat_mul(Sn, Yn))):
-        raise NotInLieAlgebraError("tY S + S Y != 0")
-    return _cayley(Yn, d)
 
 
 def random_orthogonal_cayley(S, rng: random.Random, lo: int = -3, hi: int = 3):

@@ -15,7 +15,7 @@ A ``Poly`` monomial is one int, the product of a prime per variable
 raised to its exponent, so multiplying two monomials is one int product.
 The primes are handed out per process as names are first seen, so the
 codes never leave it: names are decoded where they are read (printing,
-degrees, evaluation, pickling).  Exponents in parsed text and in
+variables, degrees, pickling).  Exponents in parsed text and in
 ``Poly.__pow__`` are bounded by ``MAX_EXPONENT``; a product may exceed
 it, but then printing and pickling refuse, since the text or the pickle
 would not read back.
@@ -38,7 +38,7 @@ ScalarLike = Union[int, Fraction]
 # (name, e), where p is the prime `_prime` gives the name, so 1 is the
 # constant monomial and the product of two monomials is their int product.
 # Codes are process-local: names are read back by `_decode` at the edges
-# (printing, degrees, evaluation), and a code is never printed or persisted.
+# (printing, variables, degrees), and a code is never printed or persisted.
 Monomial = int
 
 # The largest exponent that a parsed `^` or `Poly.__pow__` accepts, and so
@@ -130,14 +130,6 @@ class PolyParseError(ValueError):
     def __init__(self, message: str, pos: int | None = None):
         super().__init__(message)
         self.pos = pos
-
-
-class MissingIndeterminateError(KeyError):
-    """Raised when evaluation lacks values for some variables."""
-
-    def __init__(self, names: Iterable[str]):
-        self.names = tuple(sorted(names))
-        super().__init__(f"no value supplied for: {', '.join(self.names)}")
 
 
 _INT_LITERAL = re.compile(r"[+-]?[0-9]+")
@@ -513,36 +505,6 @@ class Poly(Combination):
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         return self.scale(1 / Fraction(other))
-
-    def evaluate(self, assignment: Mapping[str, ScalarLike]) -> Fraction:
-        """Evaluate at an exact point; every variable must get a value."""
-        missing = self.variables() - set(assignment)
-        if missing:
-            raise MissingIndeterminateError(missing)
-        total = Fraction(0)
-        for factors, coeff in zip(_decode(self.terms), self.terms.values()):
-            val = coeff
-            for name, e in factors:
-                val *= Fraction(assignment[name]) ** e
-            total += val
-        return total
-
-    def substitute(self, assignment: Mapping[str, "Poly | ScalarLike"]) -> "Poly":
-        """Replace variables by polynomials; unlisted variables stay."""
-        out: dict[Monomial, ScalarLike] = {}
-        for factors, coeff in zip(_decode(self.terms), self.terms.values()):
-            term = Poly.const(1)
-            for name, e in factors:
-                repl = assignment.get(name)
-                if repl is None:
-                    repl = Poly.var(name)
-                elif not isinstance(repl, Poly):
-                    repl = Poly.const(repl)
-                # e comes from this polynomial, not from outside input, so
-                # the bound of Poly.__pow__ does not apply to it
-                term = term * Combination.__pow__(repl, e)
-            add_into(out, term.terms, coeff)
-        return self._wrap(out)
 
     def sorted_terms(self) -> list[tuple[tuple[tuple[str, int], ...], ScalarLike]]:
         """(factors, coefficient) pairs in print order; each monomial is

@@ -343,7 +343,8 @@ def build_canonical_x(n: int) -> AntiAlternatingMatrix:
 
 
 def nc_pfaffian(X: AntiAlternatingMatrix) -> UEAElement:
-    """Pf X = F(1..2n) / n!, F by recursion on position subsets S.
+    """Pf X = F(1..2n) / n!, F by recursion on position subsets S, after
+    Rote's division-free Pfaffian algorithm.
 
     F(S) = sum over u < v in S of (-1)^(pos u + pos v - 1) X[u,v] F(S - {u,v})
     with F of the empty set 1, where pos is the 1-based position within S

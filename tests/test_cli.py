@@ -406,18 +406,17 @@ def test_verify_bad_suite_is_usage_error(capsys):
     assert code == 2
 
 
-def test_verify_seed_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("PFAFFKIT_SEED", "17")
-    code, out, _ = run(capsys, "verify", "--suite", "msf", "--pq", "1", "1")
-    assert code == 0
-
-
-def test_verify_bad_seed_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("PFAFFKIT_SEED", "abc")
-    code, out, err = run(capsys, "verify", "--suite", "msf", "--pq", "1", "1")
-    assert code == 2
-    assert "PFAFFKIT_SEED must be an integer" in err
-    assert out == ""
+def test_verify_seed_reaches_every_randomized_battery(capsys, monkeypatch):
+    # --seed, or 0 without it, seeds each battery's own rng
+    seen = []
+    rng = verify._rng
+    monkeypatch.setattr(verify, "_rng", lambda seed, name: seen.append((seed, name)) or rng(seed, name))
+    batteries = ("cofactor", "minor-relation", "equivariance:J4", "equivariance:J6", "equivariance:S")
+    for argv, seed in ((("--seed", "5"), 5), ((), 0)):
+        seen.clear()
+        code, _, _ = run(capsys, "verify", "--suite", "msf", *argv)
+        assert code == 0
+        assert sorted(seen) == sorted((seed, name) for name in batteries)
 
 
 # --- eigenvalue ------------------------------------------------------------------

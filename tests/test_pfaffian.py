@@ -21,21 +21,17 @@ from pfaffkit.linalg import (
     det_adjugate,
     det_exact,
     det_leibniz,
-    identity,
-    mat_add,
     mat_mul,
-    mat_sub,
     transpose,
 )
 from pfaffkit.pfaffian import (
     AlternatingMatrix,
     AntiAlternatingMatrix,
-    NotInLieAlgebraError,
     ShapeError,
+    _cayley,
     _matching_walk,
     _minor_det,
     _pf,
-    cayley_orthogonal,
     cofactor_pfaffian,
     complementary_minor_check,
     copfaffian_expansion_check,
@@ -1079,16 +1075,12 @@ def test_cayley_produces_orthogonal():
 
 
 def test_cayley_golden_n1():
-    # diag(t, -t) preserves the split form, and t = 2 maps to diag(-1/3, -3)
-    S = anti_identity(2)
-    Y = [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(-2)]]
-    g = cayley_orthogonal(Y, S)
-    assert [list(r) for r in g] == [[Fraction(-1, 3), Fraction(0)], [Fraction(0), Fraction(-3)]]
-
-
-def test_cayley_rejects_non_members():
-    with pytest.raises(NotInLieAlgebraError):
-        cayley_orthogonal(((1, 0), (0, 1)), anti_identity(2))
+    # diag(t, -t) preserves the split form, and t = 2 maps to diag(-1/3, -3),
+    # from the int numerator over d = 1 and over d = 3 alike
+    for Yn, d in ((((2, 0), (0, -2)), 1), (((6, 0), (0, -6)), 3)):
+        g = _cayley(Yn, d)
+        assert g == ((Fraction(-1, 3), 0), (0, -3))
+        assert mat_mul(mat_mul(transpose(g), anti_identity(2)), g) == anti_identity(2)
 
 
 def test_equivariance():
@@ -1315,7 +1307,9 @@ def _old_random_orthogonal_cayley(S, rng, lo, hi, draws):
         draws.append(W)
         Y = mat_mul(s_inv, W)
         try:
-            return mat_mul(mat_sub(identity(m), Y), inverse_fraction(mat_add(identity(m), Y)))
+            i_minus_y = tuple(tuple(int(i == j) - y for j, y in enumerate(row)) for i, row in enumerate(Y))
+            i_plus_y = tuple(tuple(int(i == j) + y for j, y in enumerate(row)) for i, row in enumerate(Y))
+            return mat_mul(i_minus_y, inverse_fraction(i_plus_y))
         except SingularMatrixError:
             continue
 
@@ -1352,11 +1346,11 @@ def test_random_orthogonal_cayley_checks_the_form_before_drawing():
 
 
 def test_cayley_singular_one_plus_y_raises():
-    # Y = diag(-1, 1) lies in o(J2), and I + Y = diag(0, 2) is singular
-    with pytest.raises(SingularMatrixError):
-        cayley_orthogonal(((-1, 0), (0, 1)), anti_identity(2))
-    with pytest.raises(SingularMatrixError):
-        cayley_orthogonal(((Fraction(-1), 0), (0, Fraction(1))), anti_identity(2))
+    # Y = diag(-1, 1) lies in o(J2), and I + Y = diag(0, 2) is singular, from
+    # the int numerator over d = 1 and over d = 2 alike
+    for Yn, d in ((((-1, 0), (0, 1)), 1), (((-2, 0), (0, 2)), 2)):
+        with pytest.raises(SingularMatrixError):
+            _cayley(Yn, d)
 
 
 def _old_complementary_minor_check(A, I):

@@ -1,6 +1,8 @@
-"""The README's library quick start and eigenvalue examples print what it says."""
+"""The README's library quick start and eigenvalue examples print what it
+says, and every qualified name it cites exists."""
 
 import contextlib
+import importlib
 import io
 import re
 import shlex
@@ -33,3 +35,26 @@ def test_eigenvalue_examples_print_their_output(capsys):
     for command, output in examples:
         assert cli.main(shlex.split(command)[1:]) == 0, command
         assert capsys.readouterr().out == output + "\n", command
+
+
+MODULES = ("rings", "indexing", "linalg", "pfaffian", "uea", "grassmann", "matrixio", "verify", "cli")
+
+
+def test_qualified_names_resolve():
+    # `module.name` or `Class.attr` in inline code must still exist, so a
+    # deletion cannot leave the README citing a name that is gone
+    modules = {name: importlib.import_module(f"pfaffkit.{name}") for name in MODULES}
+    classes = {name: obj for module in modules.values() for name, obj in vars(module).items()
+               if isinstance(obj, type) and not name.startswith("_")}
+    prose = re.sub(r"```.*?```", "", README, flags=re.S)
+    cited = set()
+    for span in re.findall(r"`([^`]+)`", prose):
+        for dotted in re.findall(r"(?<![\w.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span):
+            head, *rest = dotted.split(".")
+            if head in modules or head in classes:
+                cited.add(dotted)
+                obj = modules.get(head) or classes[head]
+                for attr in rest:
+                    assert hasattr(obj, attr), f"README cites {dotted}, which does not exist"
+                    obj = getattr(obj, attr)
+    assert len(cited) >= 15

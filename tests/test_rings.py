@@ -16,7 +16,6 @@ from pfaffkit.grassmann import GrassmannElement
 from pfaffkit.rings import (
     MAX_EXPONENT,
     Combination,
-    MissingIndeterminateError,
     Poly,
     PolyParseError,
     _decode,
@@ -75,24 +74,6 @@ def test_homogeneous_part():
     assert p.homogeneous_part(0) == Poly.const(7)
     assert p.homogeneous_part(5) == Poly.zero()
     assert sum((p.homogeneous_part(d) for d in range(p.degree + 1)), Poly.zero()) == p
-
-
-def test_evaluate():
-    p = (x + 1) * y
-    assert p.evaluate({"x": Fraction(3), "y": Fraction(1)}) == 4
-    with pytest.raises(MissingIndeterminateError):
-        p.evaluate({"x": Fraction(3)})
-
-
-def test_evaluate_weight_spot():
-    lam1, lam2 = Poly.var("lam[1]"), Poly.var("lam[2]")
-    p = (lam1 + 1) * lam2
-    assert p.evaluate({"lam[1]": Fraction(3), "lam[2]": Fraction(1)}) == Fraction(4)
-
-
-def test_substitute():
-    p = x * y + y
-    assert p.substitute({"x": Poly.const(2)}) == 3 * y
 
 
 def test_str_goldens():
@@ -335,9 +316,9 @@ def test_exponent_bound():
         assert err.value.pos == text.index("^") + 1
     with pytest.raises(ValueError):
         (x + 1) ** (MAX_EXPONENT + 1)
-    # a larger exponent reached by multiplying is still read and substituted
+    # a larger exponent reached by multiplying is still read
     high = x**MAX_EXPONENT * x * y
-    assert high.degree == MAX_EXPONENT + 2 and high.substitute({"y": 2}) == 2 * x**MAX_EXPONENT * x
+    assert high.degree == MAX_EXPONENT + 2
 
 
 def test_printing_refuses_an_exponent_over_the_bound():
@@ -347,9 +328,8 @@ def test_printing_refuses_an_exponent_over_the_bound():
         str(high)
     with pytest.raises(ValueError, match=f"exceeds the bound {MAX_EXPONENT}"):
         str(high * y - 1)
-    # degree and evaluation still read it
+    # its degree still reads it
     assert high.degree == MAX_EXPONENT + 1
-    assert high.evaluate({"x": 1}) == 1
     assert parse_poly(str(x**MAX_EXPONENT * y)) == x**MAX_EXPONENT * y
 
 
