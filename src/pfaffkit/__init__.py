@@ -13,13 +13,11 @@ dataclasses: `dataclasses` would import `inspect`, `ast`, `dis` and
 """
 
 from .rings import Poly, PolyParseError, Scalar, parse_poly, parse_rational
-from .indexing import complement_sign, split_sign
 from .linalg import SingularMatrixError
 from .pfaffian import (
     AlternatingMatrix,
     AntiAlternatingMatrix,
     ShapeError,
-    cofactor_pfaffian,
     complementary_minor_check,
     copfaffian_expansion_check,
     copfaffian_expansion_residuals,
@@ -47,7 +45,6 @@ from .uea import (
     nc_pfaffian_unrestricted,
     normal_order,
     parse_element,
-    shifted_minor_determinant,
     signed_generator,
 )
 from .grassmann import (

@@ -10,6 +10,10 @@ this layout cannot violate anti-alternation.
 
 ``full 2m`` -- a full alternating matrix as 2m rows of 2m entries.
 
+Header sizes are ASCII integer literals.  The rows are counted off as
+they are read, so a header that promises more rows than the file holds
+fails at the first short or missing row, whatever size it names.
+
 Entries are whitespace-separated, so each entry must itself be free of
 spaces: a rational like ``-3/4`` or a polynomial literal like
 ``2*x[1,2]+1``.  Blank lines and ``#`` comments are skipped.
@@ -24,7 +28,7 @@ line and column of a bad entry.  The grammar is the same on both paths.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from itertools import repeat
 from typing import Callable
 
 from .pfaffian import AlternatingMatrix, AntiAlternatingMatrix, ShapeError
@@ -113,6 +117,18 @@ def _expect_label(reader: _LineReader, label: str):
         raise MatrixParseError(f"expected block label {label!r}, found {body.strip()!r}", lineno)
 
 
+def _header_ints(fields: list, count: int, lineno: int, message: str) -> list:
+    """`count` header fields read as ints: ASCII integer literals, as in
+    the int-row fast path, within int's digit limit; else a parse error
+    carrying `message`."""
+    if len(fields) == count and all(map(_INT_LITERAL.fullmatch, fields)):
+        try:
+            return [int(f) for f in fields]
+        except ValueError:  # past int's digit limit
+            pass
+    raise MatrixParseError(message, lineno)
+
+
 def loads(text: str, ring: str = "poly"):
     """Parse matrix text into an AlternatingMatrix or AntiAlternatingMatrix."""
     parse_entry = _entry_parser(ring)
@@ -120,19 +136,17 @@ def loads(text: str, ring: str = "poly"):
     lineno, header = reader.next_line("a header line")
     fields = header.split()
     if fields and fields[0] == "full":
-        if len(fields) != 2 or not fields[1].isdigit():
+        size = _header_ints(fields[1:], 1, lineno, "full header must read 'full <size>'")[0]
+        if size < 0:
             raise MatrixParseError("full header must read 'full <size>'", lineno)
-        size = int(fields[1])
-        rows = _read_rows(reader, "row", [size] * size, parse_entry)
+        rows = _read_rows(reader, "row", repeat(size, size), parse_entry)
         _expect_eof(reader)
         return AlternatingMatrix(rows)
-    if len(fields) != 3 or not all(f.lstrip("-").isdigit() for f in fields):
-        raise MatrixParseError("header must read 'n p q' or 'full <size>'", lineno)
-    n, p, q = (int(f) for f in fields)
+    n, p, q = _header_ints(fields, 3, lineno, "header must read 'n p q' or 'full <size>'")
     if p + q != 2 * n or p < 1 or q < 1:
         raise MatrixParseError(f"coloring ({p}, {q}) does not match half-size {n}", lineno)
     _expect_label(reader, "a")
-    a_rows = _read_rows(reader, "a row", [q] * p, parse_entry)
+    a_rows = _read_rows(reader, "a row", repeat(q, p), parse_entry)
     _expect_label(reader, "b")
     b_upper = _read_rows(reader, "b row", range(p - 1, 0, -1), parse_entry)
     _expect_label(reader, "c")

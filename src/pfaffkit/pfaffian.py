@@ -30,7 +30,10 @@ the memo that computed Pf A, and `complementary_minor_check` computes
 Pf A, the co-Pfaffian matrix and their memos once per matrix and keeps
 them on the matrix.  A memo is a plain argument, not a closure cell, so
 it is freed when the call that made it returns.
-Each caller turns its index set into a mask once; the shuffle signs
+Masks are the package's one index form: `complementary_minor_check`,
+the one entry point that takes an index set as integers, checks it and
+turns it into a mask once, and the block sum builds its masks from the
+subsets it enumerates.  The shuffle signs
 sgn(I, Ic) of that check and sgn(Ic, I), sgn(Jc, J) of the block sum
 are `indexing.merge_sign` of the two masks.  `minor_summation_rhs`
 keeps one memo per block for a call: Pf(b_I) and Pf(c_J) come from the
@@ -84,7 +87,7 @@ from math import gcd, lcm
 from operator import attrgetter, eq, neg
 from typing import Callable, Iterable, Sequence
 
-from .indexing import cycle_sign, index_mask, index_set, merge_sign
+from .indexing import cycle_sign, index_mask, merge_sign
 from .linalg import (
     SingularMatrixError,
     clear_denominators,
@@ -188,14 +191,6 @@ class AlternatingMatrix:
 
     def entry(self, i: int, j: int):
         return self.rows[i - 1][j - 1]
-
-    def submatrix(self, indices: Iterable[int]) -> "AlternatingMatrix":
-        """Principal submatrix on the given increasing 1-based indices, even
-        in number (else ShapeError, as in the constructor)."""
-        idx = index_set(indices, self.size)
-        if len(idx) % 2:
-            raise ShapeError(f"alternating matrices must have even size, got {len(idx)}")
-        return AlternatingMatrix._trusted(tuple(tuple(self.rows[i - 1][j - 1] for j in idx) for i in idx))
 
     def scale(self, s) -> "AlternatingMatrix":
         return AlternatingMatrix._trusted(tuple(tuple(s * x for x in row) for row in self.rows))
@@ -534,41 +529,28 @@ def pfaffian(A: AlternatingMatrix):
     return _pf(A, (1 << A.size) - 1, {})
 
 
-def cofactor_pfaffian(A: AlternatingMatrix, i: int, j: int, memo: dict | None = None):
-    """Entry (i, j) of the co-Pfaffian matrix.
-
-    Zero on the diagonal; off the diagonal it is the Pfaffian of A with
-    rows/columns i and j removed, carrying the sign (-1)^(i+j-1) for
-    i < j and (-1)^(i+j) for i > j.  `memo` is a sub-Pfaffian memo of A,
-    keyed by masks (see `_pf`), to read from and add to.  Both indices
-    must lie in 1..size.
-    """
-    if not (1 <= i <= A.size and 1 <= j <= A.size):
-        raise ValueError(f"cofactor ({i}, {j}) out of range for size {A.size}")
-    if i == j:
-        return 0
-    keep = ((1 << A.size) - 1) ^ (1 << (i - 1)) ^ (1 << (j - 1))
-    pf = _pf(A, keep, {} if memo is None else memo)
-    exponent = i + j - 1 if i < j else i + j
-    return -pf if exponent % 2 else pf
-
-
 def copfaffian_matrix(A: AlternatingMatrix, memo: dict | None = None) -> AlternatingMatrix:
     """The alternating matrix of all Pfaffian cofactors.
 
-    All cofactors share one mask-keyed sub-Pfaffian memo of A: `memo` if
-    given (say, the one that computed Pf A), else a fresh one.  The grid
-    is skew by construction, so it is wrapped without a second check.
+    Entry (i, j), i < j, is Pf A with rows and columns i and j removed,
+    signed (-1)^(i+j-1) (1-based), and entry (j, i) is its negative; the
+    diagonal is the int 0.  All cofactors share one mask-keyed
+    sub-Pfaffian memo of A: `memo` if given (say, the one that computed
+    Pf A), else a fresh one.  The grid is skew by construction, so it is
+    wrapped without a second check.
     """
     if memo is None:
         memo = {}
     m = A.size
+    full = (1 << m) - 1
     grid = [[0] * m for _ in range(m)]
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            g = cofactor_pfaffian(A, i, j, memo)
-            grid[i - 1][j - 1] = g
-            grid[j - 1][i - 1] = -g
+    for i in range(m):
+        for j in range(i + 1, m):
+            g = _pf(A, full ^ 1 << i ^ 1 << j, memo)
+            if not (i + j) % 2:  # 0-based i + j even: 1-based i + j - 1 odd
+                g = -g
+            grid[i][j] = g
+            grid[j][i] = -g
     return AlternatingMatrix._trusted(tuple(map(tuple, grid)))
 
 

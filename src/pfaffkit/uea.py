@@ -17,8 +17,9 @@ The canonical matrix X = (X[i,j]) is a `pfaffian.AntiAlternatingMatrix`
 in the square coloring (n, n) with `UEAElement` entries, so its signed
 layout, X J, the minor summation block sum and its first-column minor
 determinant `pfaffian._minor_det` (at a scalar shift, the shifted column
-determinant) are those of the commutative layer; only the Pfaffian
-(ordered products) is specific to the enveloping algebra.
+determinant, read on masks of the a block) are those of the commutative
+layer; only the Pfaffian (ordered products) is specific to the
+enveloping algebra.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial, prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .indexing import cycle_sign, index_mask, index_set
-from .pfaffian import AntiAlternatingMatrix, _minor_det, minor_summation_rhs
+from .indexing import cycle_sign
+from .pfaffian import AntiAlternatingMatrix, minor_summation_rhs
 from .rings import (
     Combination,
     Poly,
@@ -392,23 +393,6 @@ def nc_pfaffian_unrestricted(X: AntiAlternatingMatrix) -> UEAElement:
             words = longer
         add_into(free, words)
     return UEAElement(free).scale(Fraction(1, 2**n * factorial(n)))
-
-
-def shifted_minor_determinant(X: AntiAlternatingMatrix, I: Sequence[int], J: Sequence[int],
-                              u: ScalarLike = 0) -> UEAElement:
-    """Column determinant of the a-block minor rows I, columns J with the
-    diagonal shift u + r - t added in column t (r = len(J)):
-    sum_s sgn(s) M[s(1)][1] M[s(2)][2] ..., factors kept in column order.
-
-    I and J must be strictly increasing, within 1..p and 1..q.  The
-    determinant is `pfaffian._minor_det` of the a block at the shift u,
-    a first-column expansion in which each entry multiplies its
-    complementary minor on the left.
-    """
-    I, J = index_set(I, X.p), index_set(J, X.q)
-    if len(I) != len(J):
-        raise ValueError("shifted minors must be square")
-    return _minor_det(X.a, index_mask(I), index_mask(J), {}, Fraction(u))
 
 
 def nc_minor_summation_rhs(n: int) -> UEAElement:

@@ -168,6 +168,14 @@ def test_pfaffian_malformed_is_parse_error(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_pfaffian_huge_header_is_parse_error(tmp_path, capsys):
+    f = tmp_path / "huge.txt"
+    f.write_text("full 1000000000000\n0 1\n")
+    code, out, err = run(capsys, "pfaffian", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("pfaffkit: parse error: line 2, column 1: expected 1000000000000 entries for row 1")
+
+
 def test_pfaffian_exponent_over_the_bound_is_parse_error(tmp_path, capsys):
     f = tmp_path / "huge.txt"
     f.write_text("full 2\n0 x^4097*y\n-x^4097*y 0\n")

@@ -23,7 +23,6 @@ from pfaffkit.grassmann import (
     pfaffian_from_top_form,
     xi_shifted_power,
 )
-from pfaffkit.indexing import permutation_sign
 from pfaffkit.pfaffian import AntiAlternatingMatrix, pfaffian_of_anti_alternating
 from pfaffkit.rings import Combination, Poly
 from pfaffkit.uea import UEAElement, build_canonical_x, canonical_generators, nc_pfaffian
@@ -101,6 +100,10 @@ def _slots(mask):
     return [b for b in range(mask.bit_length()) if mask >> b & 1]
 
 
+def _inversion_sign(seq):
+    return (-1) ** sum(x > y for k, x in enumerate(seq) for y in seq[k + 1:])
+
+
 def reference_product(x, y):
     """Sum of sign * c1 * c2 over disjoint mask pairs, through the ring's own
     * and +, with the sign of sorting the concatenated slot lists."""
@@ -109,7 +112,7 @@ def reference_product(x, y):
         for m2, c2 in y.terms.items():
             if m1 & m2:
                 continue
-            term = c1 * c2 * permutation_sign(_slots(m1) + _slots(m2))
+            term = c1 * c2 * _inversion_sign(_slots(m1) + _slots(m2))
             out[m1 | m2] = out[m1 | m2] + term if m1 | m2 in out else term
     return {m: c for m, c in out.items() if c != 0}
 

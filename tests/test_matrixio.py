@@ -71,6 +71,14 @@ def test_bad_header():
         loads("full x\n")
     with pytest.raises(MatrixParseError):
         loads("2 2 3\n")  # p + q != 2n
+    # digits that str.isdigit accepts and int refuses, a doubled sign, a
+    # negative size, and a size far past memory: the row counts are not
+    # built up front, so it fails at its first short row
+    for text, line in (("full \u00b2\n", 1), ("1 1 \u00b9\n", 1), ("--1 1 1\n", 1), ("full -2\n", 1),
+                       ("full 1000000000000\n0 1\n", 2)):
+        with pytest.raises(MatrixParseError) as err:
+            loads(text)
+        assert err.value.line == line, text
 
 
 def test_wrong_entry_count_reports_position():

@@ -1,5 +1,5 @@
 """The README's library quick start and eigenvalue examples print what it
-says, and every qualified name it cites exists."""
+says, and every qualified or snake_case name it cites exists."""
 
 import contextlib
 import importlib
@@ -47,8 +47,9 @@ def test_qualified_names_resolve():
     classes = {name: obj for module in modules.values() for name, obj in vars(module).items()
                if isinstance(obj, type) and not name.startswith("_")}
     prose = re.sub(r"```.*?```", "", README, flags=re.S)
+    spans = re.findall(r"`([^`]+)`", prose)
     cited = set()
-    for span in re.findall(r"`([^`]+)`", prose):
+    for span in spans:
         for dotted in re.findall(r"(?<![\w.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span):
             head, *rest = dotted.split(".")
             if head in modules or head in classes:
@@ -58,3 +59,9 @@ def test_qualified_names_resolve():
                     assert hasattr(obj, attr), f"README cites {dotted}, which does not exist"
                     obj = getattr(obj, attr)
     assert len(cited) >= 15
+    # a bare snake_case span such as `det_exact` must name an attribute of
+    # some module or public class
+    names = {name for obj in (*modules.values(), *classes.values()) for name in dir(obj)}
+    bare = {span for span in spans if re.fullmatch(r"_?[a-z][a-z0-9]*(?:_[a-z0-9]+)+", span)}
+    assert not bare - names, f"README cites {sorted(bare - names)}, which do not exist"
+    assert len(bare) >= 15

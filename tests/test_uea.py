@@ -32,7 +32,6 @@ from pfaffkit.uea import (
     nc_pfaffian_unrestricted,
     normal_order,
     parse_element,
-    shifted_minor_determinant,
     signed_generator,
 )
 
@@ -370,8 +369,8 @@ def test_minor_summation_explicit_matrix():
         assert minor_summation_rhs(X, shift=0) == nc_minor_summation_rhs(n)
         zero = [[UEAElement.zero()] * n for _ in range(n)]
         no_bc = AntiAlternatingMatrix(n, n, X.a, zero, zero)
-        full = tuple(range(1, n + 1))
-        assert minor_summation_rhs(no_bc, shift=0) == shifted_minor_determinant(X, full, full, 0)
+        full = (1 << n) - 1
+        assert minor_summation_rhs(no_bc, shift=0) == _minor_det(X.a, full, full, {}, Fraction(0))
 
 
 def test_restricted_equals_unrestricted():
@@ -411,14 +410,14 @@ def test_column_determinant_order_matters():
     # either would differ by [b12, c12] = a11 + a22
     zero = [[UEAElement.zero()] * 2 for _ in range(2)]
     X = AntiAlternatingMatrix(2, 2, [list(r) for r in rows], zero, zero)
-    assert shifted_minor_determinant(X, (1, 2), (1, 2), 0) == got + el(A22)
-    assert shifted_minor_determinant(X, (1, 2), (1, 2), -1) == got - el(A11)
+    assert _minor_det(X.a, 0b11, 0b11, {}, Fraction(0)) == got + el(A22)
+    assert _minor_det(X.a, 0b11, 0b11, {}, Fraction(-1)) == got - el(A11)
 
 
 @pytest.mark.parametrize("u", [0, Fraction(-3, 2), 2, Fraction(1, 2)])
 def test_shifted_determinant_matches_leibniz(u):
     # every (I, J) at n <= 3, against the column-order Leibniz sum of the
-    # explicitly shifted rows; the kernel behind it also under one memo per
+    # explicitly shifted rows, under a fresh memo and also under one memo per
     # (n, u), as minor_summation_rhs and the Xi power check share it.  A
     # shift with denominator 2 scales the lift by 2, so its memo holds the
     # int minors of 2 (a + shift) and each result is divided back
@@ -431,16 +430,12 @@ def test_shifted_determinant_matches_leibniz(u):
                     rows = tuple(tuple(X.a[i - 1][j - 1] + (u + r - t if i == j else 0)
                                        for t, j in enumerate(J, start=1)) for i in I)
                     expected = det_leibniz(rows)
-                    assert shifted_minor_determinant(X, I, J, u) == expected, (n, I, J)
-                    assert _minor_det(X.a, index_mask(I), index_mask(J), memo, Fraction(u)) == expected, (n, I, J)
+                    masks = index_mask(I), index_mask(J)
+                    assert _minor_det(X.a, *masks, {}, Fraction(u)) == expected, (n, I, J)
+                    assert _minor_det(X.a, *masks, memo, Fraction(u)) == expected, (n, I, J)
         assert len(memo) > 0
         assert memo[None].scale == Fraction(u).denominator
         assert all(type(c) is int for key, terms in memo.items() if key is not None for c in terms.values())
-    # a non-square minor, an unsorted or a repeated I and an out-of-range J
-    # raise: a mask would drop the order and the repeats silently
-    for I, J in (((1, 2), (1,)), ((2, 1), (1, 2)), ((1, 1), (1, 2)), ((1, 2), (1, 4))):
-        with pytest.raises(ValueError):
-            shifted_minor_determinant(X, I, J, u)
 
 
 def test_abelianized_symbol_matches_commutative():
