@@ -36,7 +36,6 @@ from .uea import (
     UEAElement,
     bracket,
     build_canonical_x,
-    canonical_generators,
     centrality_failures,
     eigenvalue_product,
     hc_coefficient,

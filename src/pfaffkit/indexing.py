@@ -8,8 +8,10 @@ signs sgn(Ic, I), sgn(Jc, J) of the minor summation formula.
 `cycle_sign` is the sign of a permutation of range(m), read off its
 cycles with no sort.  The Leibniz determinant and the permutation-sum
 Pfaffian of the enveloping algebra apply it to each term's index
-sequence; the matching-sum Pfaffian applies it to each matching's flat
-pair sequence once per matrix size, when it builds its walk.
+sequence.  The matching-sum Pfaffian builds its walk's signs from the
+walk two sizes down, not from this function; the tests check each
+stored leaf sign against it, applied to the matching's flat pair
+sequence, at every size up to 12.
 """
 
 from __future__ import annotations

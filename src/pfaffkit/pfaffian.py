@@ -3,12 +3,13 @@
 Independent evaluation routes are kept side by side: a recursive
 first-row cofactor expansion over any commutative ring, fraction-free
 Pfaffian condensation for rational matrices, a brute-force sum over
-perfect matchings whose signs come from each matching's own pair
-sequence (read along `_matching_walk`, a table of the walk built once
-per matrix size), and, for anti-alternating matrices, the right-hand
-side of the minor summation identity, which expands the Pfaffian into
-determinant times sub-Pfaffian contributions over the block
-decomposition.
+perfect matchings read along `_matching_walk` (a table of the walk
+with one stored sign per matching, built once per matrix size from the
+table two sizes down in byte operations, its signs checked by the tests
+against `indexing.cycle_sign` of each matching's own pair sequence),
+and, for anti-alternating matrices, the right-hand side of the minor
+summation identity, which expands the Pfaffian into determinant times
+sub-Pfaffian contributions over the block decomposition.
 `pfaffian` picks its route by the entry types, as `linalg.det_exact`
 does: int and Fraction matrices go to `_pf_condensed` (after clearing
 denominators), every other ring to the recursion `_pf`.
@@ -87,7 +88,7 @@ from math import gcd, lcm
 from operator import attrgetter, eq, neg
 from typing import Callable, Iterable, Sequence
 
-from .indexing import cycle_sign, index_mask, merge_sign
+from .indexing import index_mask, merge_sign
 from .linalg import (
     SingularMatrixError,
     clear_denominators,
@@ -107,8 +108,12 @@ class ShapeError(ValueError):
         self.cell = cell
 
 
+_INT_ONLY = frozenset((int,))
+
+
 def _all_int(rows: tuple) -> bool:
-    return all(type(x) is int for x in chain.from_iterable(rows))
+    """Every entry's type is int (so no bool), in one pass of C-level calls."""
+    return _INT_ONLY.issuperset(map(type, chain.from_iterable(rows)))
 
 
 def _is_skew(rows: tuple) -> bool:
@@ -204,8 +209,12 @@ class AlternatingMatrix:
         return f"AlternatingMatrix(size={self.size})"
 
 
-# The walks of `pfaffian_definitional` built so far, by matrix size.
+# The walks of `pfaffian_definitional` built so far, by matrix size: every
+# even size from 2 up to the largest one asked for.
 _WALKS: dict[int, bytes] = {}
+
+# each depth byte d to d + 1
+_DEEPER = bytes(range(1, 256)) + b"\0"
 
 
 def _matching_walk(m: int) -> bytes:
@@ -220,33 +229,63 @@ def _matching_walk(m: int) -> bytes:
     to depth m/2 - 1 is one matching, and the leaf at its end carries
     its sign: the flag is 1 when `cycle_sign` of the flat pair sequence
     (row, column of each node on the path, top down) is -1, else 0, and
-    it is 0 at every inner node.  The signs are computed here, once per
-    size, from the whole sequence, never carried down the walk.  A
-    subtree's node count depends on its depth alone, 1 at depth
-    m/2 - 1 and 1 + (m - 2d - 3) times that of depth d + 1 at depth d,
-    so a node stores no subtree end.  The walk holds (m - 1)!! leaves
-    and n(m) = (m - 1)(1 + n(m - 2)) nodes: 2 277 nodes in 9 108 bytes
-    at size 10, 25 058 in about 100 KB at size 12.  It is a table of the
-    walk's shape, the same for every matrix of the size, and holds no
-    entry or product."""
+    it is 0 at every inner node.  A subtree's node count depends on its
+    depth alone, 1 at depth m/2 - 1 and 1 + (m - 2d - 3) times that of
+    depth d + 1 at depth d, so a node stores no subtree end.  The walk
+    holds (m - 1)!! leaves and n(m) = (m - 1)(1 + n(m - 2)) nodes:
+    2 277 nodes in 9 108 bytes at size 10, 25 058 in about 100 KB at
+    size 12.  It is a table of the walk's shape, the same for every
+    matrix of the size, and holds no entry or product.
+
+    The table of m is built from that of m - 2 (`_walk_above`), starting
+    from the largest size already in `_WALKS`, and every size passed
+    through is kept there too.  No sign is computed from a pair sequence
+    here; `test_matching_walk_signs_at_12` and
+    `test_matching_walk_structure` check every leaf flag against
+    `cycle_sign` of its flat pair sequence."""
     walk = _WALKS.get(m)
     if walk is None:
-        last = m // 2 - 1
-        nodes = bytearray()
-
-        def visit(flat: tuple, rest: tuple, depth: int) -> None:
-            first = rest[0]
-            for k in range(1, len(rest)):
-                pairs = flat + (first, rest[k])
-                if depth < last:
-                    nodes.extend((first, rest[k], depth, 0))
-                    visit(pairs, rest[1:k] + rest[k + 1:], depth + 1)
-                else:
-                    nodes.extend((first, rest[k], depth, cycle_sign(pairs) < 0))
-
-        visit((), tuple(range(m)), 0)
-        walk = _WALKS[m] = bytes(nodes)
+        size = m - 2
+        while size and size not in _WALKS:
+            size -= 2
+        walk = _WALKS.get(size, b"")
+        while size < m:
+            walk = _WALKS[size + 2] = _walk_above(walk, size)
+            size += 2
     return walk
+
+
+def _walk_above(sub: bytes, size: int) -> bytes:
+    """The walk of size + 2 from `sub`, the walk of `size` (b"" at 0), in
+    C-level byte operations with no work per node.
+
+    Under the first pair (0, k) hangs the walk of the indices
+    1..size + 1 without k, which is `sub` with its rows and columns
+    relabelled i -> that list's i-th entry (one `bytes.translate` each,
+    an increasing map, so the order stays), its depths one deeper, and
+    its leaf flags flipped when k is even: putting k in front of the
+    indices below it is k - 1 transpositions, so the sign of the flat
+    pair sequence is (-1)^(k - 1) times that of the sub-matching's.  The
+    four streams of the pieces for k = 1..size + 1 are then interleaved
+    by extended-slice assignment."""
+    m = size + 2
+    rows, cols, flags = sub[0::4], sub[1::4], sub[3::4]
+    depths = sub[2::4].translate(_DEEPER)
+    leaves = depths.translate(bytes(m // 2 - 1) + b"\1" + bytes(256 - m // 2))  # 1 at depth m/2 - 1
+    flipped = (int.from_bytes(flags, "big") ^ int.from_bytes(leaves, "big")).to_bytes(len(flags), "big")
+    labels, later = bytes(range(size)), bytes(range(1, m))
+    row_parts, col_parts, flag_parts = [], [], []
+    for k in later:
+        relabel = bytes.maketrans(labels, later[:k - 1] + later[k:])
+        row_parts += b"\0", rows.translate(relabel)
+        col_parts += bytes((k,)), cols.translate(relabel)
+        flag_parts += b"\0", flags if k % 2 else flipped
+    walk = bytearray(4 * (m - 1) * (1 + len(rows)))
+    walk[0::4] = b"".join(row_parts)
+    walk[1::4] = b"".join(col_parts)
+    walk[2::4] = (b"\0" + depths) * (m - 1)
+    walk[3::4] = b"".join(flag_parts)
+    return bytes(walk)
 
 
 def pfaffian_definitional(A: AlternatingMatrix):
@@ -258,13 +297,16 @@ def pfaffian_definitional(A: AlternatingMatrix):
     multiplied out once for all the matchings through it (at size 10,
     2 277 entries read and 2 268 products, against 945 x 4 = 3 780 for
     the matchings one by one).  A zero entry skips its whole subtree.  A
-    leaf adds its product with the sign the walk stores for it, read
-    from the matching's own flat pair sequence and never carried down
-    the walk, which would be the cofactor recursion's rule; so this
-    route stays independent of `_pf`.  Scalar products go into a plain
-    scalar sum (an all-int matrix sums in ints) and ring products into
-    one raw term dict through `add_into`, wrapped once; no
-    `_product_into` is used.  The empty matrix gives the int 1, and a
+    leaf adds its product with the sign the walk stores for it, one
+    stored flag per matching, never carried down the walk.  The table
+    builds those flags by the cofactor rule, a flip under each first
+    pair (0, k) with k even, so the route's independence of `_pf` rests
+    on the tests that check every flag against `cycle_sign` of the
+    matching's own flat pair sequence at each size up to 12, beyond
+    every size a check or benchmark item uses.  Scalar products go into
+    a plain scalar sum (an all-int matrix sums in ints) and ring
+    products into one raw term dict through `add_into`, wrapped once;
+    no `_product_into` is used.  The empty matrix gives the int 1, and a
     matrix with no nonzero matching the int 0.
     """
     m = A.size

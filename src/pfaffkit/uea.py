@@ -111,13 +111,6 @@ class Generator:
 Word = tuple[Generator, ...]
 
 
-def canonical_generators(n: int) -> tuple[Generator, ...]:
-    """The n(2n-1) basis generators for half-size n, in PBW order."""
-    gens = [Generator("a", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    gens += [Generator(k, i, j) for k in ("b", "c") for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return tuple(sorted(gens, key=lambda g: g.sort_key))
-
-
 def _signed_pair(g: Generator) -> tuple[int, int]:
     """The X[i,j] realisation of a generator."""
     if g.kind == "a":

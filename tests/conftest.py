@@ -3,7 +3,14 @@
 import pytest
 
 from pfaffkit import grassmann, uea
-from pfaffkit.uea import UEAElement, canonical_generators
+from pfaffkit.uea import Generator, UEAElement
+
+
+def canonical_generators(n: int) -> tuple[Generator, ...]:
+    """The n(2n-1) basis generators for half-size n, in PBW order."""
+    gens = [Generator("a", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    gens += [Generator(k, i, j) for k in ("b", "c") for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return tuple(sorted(gens, key=lambda g: g.sort_key))
 
 
 def _all_generator_failures(z, n):

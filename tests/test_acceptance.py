@@ -34,7 +34,6 @@ from pfaffkit.pfaffian import (
 from pfaffkit.uea import (
     HighestWeight,
     build_canonical_x,
-    canonical_generators,
     centrality_failures,
     eigenvalue_product,
     hc_coefficient,
@@ -42,6 +41,7 @@ from pfaffkit.uea import (
     nc_pfaffian,
 )
 from pfaffkit.verify import GENERIC_SYMMETRIC_S, INTRO_COMMUTATIVE_STR, INTRO_UEA_TERMS
+from conftest import canonical_generators
 
 
 def report(criterion: str, ok: bool) -> bool:

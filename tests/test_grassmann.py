@@ -25,7 +25,8 @@ from pfaffkit.grassmann import (
 )
 from pfaffkit.pfaffian import AntiAlternatingMatrix, pfaffian_of_anti_alternating
 from pfaffkit.rings import Combination, Poly
-from pfaffkit.uea import UEAElement, build_canonical_x, canonical_generators, nc_pfaffian
+from pfaffkit.uea import UEAElement, build_canonical_x, nc_pfaffian
+from conftest import canonical_generators
 
 
 def w(labels, coeff=Fraction(1), p=2, q=2):

@@ -290,6 +290,41 @@ def test_matching_walk_structure(m):
     assert len(matchings) == prod(range(1, m, 2))
 
 
+def test_matching_walk_signs_at_12():
+    # one pass down the walk, linear in its 25 058 nodes
+    m, last = 12, 5
+    walk = _matching_walk(m)
+    assert len(walk) == 4 * 25_058
+    path, flats = [], []
+    for i, j, depth, negative in zip(*(iter(walk),) * 4):
+        del path[depth:]
+        assert depth == len(path)
+        matched = {x for pair in path for x in pair}
+        assert i == min(set(range(m)) - matched) and i < j and j not in matched
+        path.append((i, j))
+        if depth == last:
+            flat = [x for pair in path for x in pair]
+            assert negative == (cycle_sign(flat) < 0), flat
+            flats.append(flat)
+        else:
+            assert negative == 0
+    # the leaves in ascending order of their flat pair sequences, each matching once
+    assert len(flats) == 10_395 and flats == sorted(flats)
+    assert len({frozenset(zip(flat[0::2], flat[1::2])) for flat in flats}) == 10_395
+
+
+def test_matching_walk_built_at_12_first_equals_built_upward(monkeypatch):
+    module = importlib.import_module("pfaffkit.pfaffian")
+    monkeypatch.setattr(module, "_WALKS", {})
+    _matching_walk(12)
+    assert sorted(module._WALKS) == [2, 4, 6, 8, 10, 12]
+    built_down = dict(module._WALKS)
+    module._WALKS.clear()
+    for m in range(2, 13, 2):
+        assert _matching_walk(m) == built_down[m], m
+    assert sorted(module._WALKS) == [2, 4, 6, 8, 10, 12]
+
+
 def test_routes_agree_symbolic():
     for size in (2, 4, 6):
         A = AlternatingMatrix.generic(size)

@@ -21,7 +21,6 @@ from pfaffkit.uea import (
     ad,
     bracket,
     build_canonical_x,
-    canonical_generators,
     centrality_failures,
     chevalley_generators,
     eigenvalue_factored_str,
@@ -34,6 +33,7 @@ from pfaffkit.uea import (
     parse_element,
     signed_generator,
 )
+from conftest import canonical_generators
 
 A11 = Generator("a", 1, 1)
 A12 = Generator("a", 1, 2)
