@@ -12,7 +12,7 @@ dataclasses: `dataclasses` would import `inspect`, `ast`, `dis` and
 `tokenize` on every start.
 """
 
-from .rings import Poly, PolyParseError, Scalar, parse_poly, parse_rational
+from .rings import Poly, PolyParseError, parse_poly, parse_rational
 from .linalg import SingularMatrixError
 from .pfaffian import (
     AlternatingMatrix,
@@ -43,7 +43,6 @@ from .uea import (
     nc_pfaffian,
     nc_pfaffian_unrestricted,
     normal_order,
-    parse_element,
     signed_generator,
 )
 from .grassmann import (

@@ -82,6 +82,20 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _print_all_digits(*values) -> None:
+    """Print the values, however many digits their ints have.
+
+    Python refuses to turn an int of more than 4300 digits into text,
+    and `matrixio` relies on that limit to refuse oversized input, so it
+    is lifted only while the values are printed."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        print(*values)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_eigenvalue(args) -> int:
     if args.symbolic == (args.lam is not None):
         print("eigenvalue: give exactly one of --lambda or --symbolic", file=sys.stderr)
@@ -110,15 +124,15 @@ def cmd_eigenvalue(args) -> int:
         return uea.hc_coefficient(z, weight)
 
     if args.via == "product":
-        print(via_product())
+        _print_all_digits(via_product())
         return 0
     if args.via == "pfaffian":
-        print(via_pfaffian())
+        _print_all_digits(via_pfaffian())
         return 0
     left = via_pfaffian()
     right = via_product()
     agree = left == uea.eigenvalue_product(weight)
-    print(f"{left} = {right}")
+    _print_all_digits(left, "=", right)
     if not agree:
         print("eigenvalue: routes disagree", file=sys.stderr)
         return 1

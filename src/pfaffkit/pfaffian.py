@@ -122,6 +122,18 @@ def _is_skew(rows: tuple) -> bool:
     return all(map(eq, chain.from_iterable(rows), map(neg, chain.from_iterable(zip(*rows)))))
 
 
+def _mirror(size: int, upper) -> list[list]:
+    """The size x size skew grid whose strict upper triangle is `upper`:
+    row i (from 1) holds the entries (i, i+1) .. (i, size).  The diagonal
+    is the int 0 and each (j, i) is the negated (i, j)."""
+    grid = [[0] * size for _ in range(size)]
+    for i, row in enumerate(upper):
+        for j, v in enumerate(row, start=i + 1):
+            grid[i][j] = v
+            grid[j][i] = -v
+    return grid
+
+
 class AlternatingMatrix:
     """Even-sized matrix with zero diagonal and A[j][i] == -A[i][j].
 
@@ -170,15 +182,9 @@ class AlternatingMatrix:
 
     @classmethod
     def from_upper(cls, size: int, value_at: Callable[[int, int], object]) -> "AlternatingMatrix":
-        """Build from a callable giving the strict upper triangle (1-based);
-        the diagonal is the int 0."""
-        grid = [[0] * size for _ in range(size)]
-        for i in range(1, size + 1):
-            for j in range(i + 1, size + 1):
-                v = value_at(i, j)
-                grid[i - 1][j - 1] = v
-                grid[j - 1][i - 1] = -v
-        return cls(grid)
+        """Build from a callable giving the strict upper triangle (1-based),
+        called row by row; the diagonal is the int 0."""
+        return cls(_mirror(size, [[value_at(i, j) for j in range(i + 1, size + 1)] for i in range(1, size)]))
 
     @classmethod
     def generic(cls, size: int) -> "AlternatingMatrix":
@@ -193,12 +199,6 @@ class AlternatingMatrix:
     @property
     def size(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int):
-        return self.rows[i - 1][j - 1]
-
-    def scale(self, s) -> "AlternatingMatrix":
-        return AlternatingMatrix._trusted(tuple(tuple(s * x for x in row) for row in self.rows))
 
     def __eq__(self, other):
         return isinstance(other, AlternatingMatrix) and self.rows == other.rows
@@ -709,21 +709,13 @@ class AntiAlternatingMatrix:
         `b_upper` is a list of p-1 rows, row i holding b[i][i+1..p];
         likewise `c_upper` with q-1 rows.  Skewness is then automatic.
         """
-
-        def mirror(size, upper, name):
+        for size, upper, name in ((p, b_upper, "b"), (q, c_upper, "c")):
             if len(upper) != max(size - 1, 0):
                 raise ShapeError(f"block {name} needs {size - 1} triangle rows, got {len(upper)}")
-            grid = [[0] * size for _ in range(size)]
             for i, row in enumerate(upper, start=1):
                 if len(row) != size - i:
                     raise ShapeError(f"block {name} row {i} needs {size - i} entries, got {len(row)}")
-                for offset, v in enumerate(row):
-                    j = i + 1 + offset
-                    grid[i - 1][j - 1] = v
-                    grid[j - 1][i - 1] = -v
-            return grid
-
-        return cls(p, q, a_rows, mirror(p, b_upper, "b"), mirror(q, c_upper, "c"))
+        return cls(p, q, a_rows, _mirror(p, b_upper), _mirror(q, c_upper))
 
     @classmethod
     def generic(cls, p: int, q: int) -> "AntiAlternatingMatrix":
@@ -731,14 +723,6 @@ class AntiAlternatingMatrix:
         a_rows = [[Poly.var(f"a[{i},{j}]") for j in range(1, q + 1)] for i in range(1, p + 1)]
         b_upper = [[Poly.var(f"b[{i},{j}]") for j in range(i + 1, p + 1)] for i in range(1, p)]
         c_upper = [[Poly.var(f"c[{i},{j}]") for j in range(i + 1, q + 1)] for i in range(1, q)]
-        return cls.from_upper_blocks(p, q, a_rows, b_upper, c_upper)
-
-    @classmethod
-    def random_rational(cls, p: int, q: int, rng: random.Random) -> "AntiAlternatingMatrix":
-        """Blocks a and the strict upper triangles of b, c of seeded ints in -9..9."""
-        a_rows = [[rng.randint(-9, 9) for _ in range(q)] for _ in range(p)]
-        b_upper = [[rng.randint(-9, 9) for _ in range(i + 1, p + 1)] for i in range(1, p)]
-        c_upper = [[rng.randint(-9, 9) for _ in range(i + 1, q + 1)] for i in range(1, q)]
         return cls.from_upper_blocks(p, q, a_rows, b_upper, c_upper)
 
     @property

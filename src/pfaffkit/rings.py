@@ -1,10 +1,10 @@
 """Exact scalars, the sparse-combination core, and polynomials.
 
 Every computation in the package runs over exact rationals (ints when
-integral, `fractions.Fraction` otherwise; ``Scalar`` aliases Fraction) or
-over rings built on them.  ``Combination`` is the dict-of-terms base of
-``Poly``, of the enveloping algebra and of the exterior algebra, and
-``parse_expression`` is the one expression parser.  ``_lift`` turns the
+integral, `fractions.Fraction` otherwise) or over rings built on them.
+``Combination`` is the dict-of-terms base of ``Poly``, of the enveloping
+algebra and of the exterior algebra, and ``parse_poly`` is the one
+expression parser.  ``_lift`` turns the
 entries of a matrix, or the coefficients of exterior-algebra elements,
 into raw term dicts of their one coefficient ring, so that a sum of
 products runs on ``_product_into`` into one dict, and ``_unlift`` wraps
@@ -15,10 +15,12 @@ A ``Poly`` monomial is one int, the product of a prime per variable
 raised to its exponent, so multiplying two monomials is one int product.
 The primes are handed out per process as names are first seen, so the
 codes never leave it: names are decoded where they are read (printing,
-variables, degrees, pickling).  Exponents in parsed text and in
+homogeneous parts, pickling).  Exponents in parsed text and in
 ``Poly.__pow__`` are bounded by ``MAX_EXPONENT``; a product may exceed
 it, but then printing and pickling refuse, since the text or the pickle
-would not read back.
+would not read back.  ``parse_poly`` also bounds the size of each power
+and product it forms by ``MAX_PARSE_SIZE``, so a short text cannot ask
+for an unbounded computation.
 """
 
 from __future__ import annotations
@@ -27,10 +29,8 @@ import re
 from fractions import Fraction
 from functools import cache
 from itertools import compress
-from math import isqrt, lcm
-from typing import Callable, Collection, Iterable, Mapping, Union
-
-Scalar = Fraction
+from math import comb, isqrt, lcm
+from typing import Collection, Iterable, Mapping, Union
 
 ScalarLike = Union[int, Fraction]
 
@@ -38,7 +38,8 @@ ScalarLike = Union[int, Fraction]
 # (name, e), where p is the prime `_prime` gives the name, so 1 is the
 # constant monomial and the product of two monomials is their int product.
 # Codes are process-local: names are read back by `_decode` at the edges
-# (printing, variables, degrees), and a code is never printed or persisted.
+# (printing, homogeneous parts, pickling), and a code is never printed or
+# persisted.
 Monomial = int
 
 # The largest exponent that a parsed `^` or `Poly.__pow__` accepts, and so
@@ -428,28 +429,10 @@ class Poly(Combination):
     def var(cls, name: str) -> "Poly":
         return cls._wrap({_prime(name): 1})
 
-    def variables(self) -> set[str]:
-        return {name for _, name in _support(self.terms)}
-
-    @property
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(map(_mono_degree, _decode(self.terms)))
-
-    @property
-    def constant_term(self) -> ScalarLike:
-        return self.terms.get(self._UNIT, 0)
-
     def homogeneous_part(self, d: int) -> "Poly":
         """The sum of the terms of total degree exactly d."""
         degrees = map(_mono_degree, _decode(self.terms))
         return self._wrap({m: c for (m, c), k in zip(self.terms.items(), degrees) if k == d})
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self._UNIT in self.terms)
 
     __add__ = __radd__ = Combination.__add__
 
@@ -496,16 +479,6 @@ class Poly(Combination):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        # scalar division only; dividing by a polynomial is not defined here
-        if isinstance(other, Poly):
-            if not other.is_constant or not other.terms:
-                return NotImplemented
-            other = other.constant_term
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return self.scale(1 / Fraction(other))
-
     def sorted_terms(self) -> list[tuple[tuple[tuple[str, int], ...], ScalarLike]]:
         """(factors, coefficient) pairs in print order; each monomial is
         decoded once, and its degree and factors read from that decoding.
@@ -520,7 +493,7 @@ class Poly(Combination):
     _format_key = staticmethod(format_monomial)
 
 
-# --- shared tokenizer / parser -------------------------------------------
+# --- the parser -----------------------------------------------------------
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)"
@@ -550,17 +523,50 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def parse_expression(text: str, var: Callable[[str], Combination],
-                     const: Callable[[ScalarLike], Combination]) -> Combination:
-    """Parse a plain ASCII expression into a ring element.
+# The largest value, in bits, that `parse_poly` forms by a power or a
+# product: its term count times the bits of its largest term, monomial code
+# and coefficient together.  Each `^` and `*` is checked on an estimate of
+# its result before it is formed, so (x+1)^1000 still parses in a fraction
+# of a second, while a nested power or a power of a long sum is refused
+# without being expanded.  A code is as long as its primes, which names
+# seen earlier in the process push up, so the bound is on what is really
+# formed, and a value near it may parse in one process and not another.
+MAX_PARSE_SIZE = 1 << 22
 
-    Recursive descent over the shared tokenizer: terms joined by '+'/'-',
-    where a run of signs folds into one (so "x + -1 * y" and "x - -y"
-    parse); a term is a product of factors joined by '*' or by
-    juxtaposition; a factor is a rational literal, a name or a
-    parenthesised expression, with an optional '^' and nonnegative
-    integer exponent.  Names become elements through `var` and literals
-    through `const`; the ring's own product does the rest.
+
+def _shape(p: Poly) -> tuple[int, int]:
+    """(term count, bits of the largest term) of p; a Fraction coefficient
+    counts its numerator and its denominator."""
+    bits = 0
+    for m, c in p.terms.items():
+        if type(c) is Fraction:
+            c = c.numerator * c.denominator
+        bits = max(bits, m.bit_length() + c.bit_length())
+    return len(p.terms), bits
+
+
+def _check_size(what: str, pos: int, terms: int, bits: int) -> None:
+    """Raise PolyParseError at `pos` if `terms` terms of `bits` bits each
+    exceed MAX_PARSE_SIZE."""
+    if terms * bits > MAX_PARSE_SIZE:
+        raise PolyParseError(f"the {what} at column {pos + 1} would exceed the size bound "
+                             f"{MAX_PARSE_SIZE} (terms times bits per term)", pos)
+
+
+def parse_poly(text: str) -> Poly:
+    """Parse a plain ASCII polynomial; str(p) parses back to p.
+
+    Recursive descent over `tokenize`: terms joined by '+'/'-', where a
+    run of signs folds into one (so "x + -1 * y" and "x - -y" parse); a
+    term is a product of factors joined by '*' or by juxtaposition; a
+    factor is a rational literal, a variable name or a parenthesised
+    expression, with an optional '^' and nonnegative integer exponent of
+    at most MAX_EXPONENT.  Before each power and each product is formed,
+    its size is estimated from the `_shape` (t, b) of its operands: at most
+    comb(t + e - 1, e) terms of e * (b + log2 t) bits for a power ^e, and
+    ta * tb terms of ba + bb + log2 min(ta, tb) bits for a product.  An
+    estimate past MAX_PARSE_SIZE is a PolyParseError at the operator's
+    column ('^', '*', or the second factor of a juxtaposition).
     """
     tokens = tokenize(text)
     k = 0
@@ -580,7 +586,7 @@ def parse_expression(text: str, var: Callable[[str], Combination],
             k += 1
         return sign
 
-    def expression():
+    def expression() -> Poly:
         if peek()[0] is None:
             raise PolyParseError("empty expression", len(text))
         sign = signs()
@@ -592,7 +598,7 @@ def parse_expression(text: str, var: Callable[[str], Combination],
             total = total + term() if sign > 0 else total - term()
         return total
 
-    def term():
+    def term() -> Poly:
         nonlocal k
         product = factor()
         while True:
@@ -601,16 +607,20 @@ def parse_expression(text: str, var: Callable[[str], Combination],
                 k += 1
             elif not (tok[0] in ("number", "name") or is_op(tok, "(")):
                 return product
-            product = product * factor()
+            right = factor()
+            (ta, ba), (tb, bb) = _shape(product), _shape(right)
+            if ta and tb:
+                _check_size("product", tok[2], ta * tb, ba + bb + (min(ta, tb) - 1).bit_length())
+            product = product * right
 
-    def factor():
+    def factor() -> Poly:
         nonlocal k
         kind, lex, pos = peek()
         k += 1
         if kind == "number":
-            base = const(parse_rational(lex))
+            base = Poly.const(parse_rational(lex))
         elif kind == "name":
-            base = var(lex)
+            base = Poly.var(lex)
         elif kind == "op" and lex == "(":
             base = expression()
             if not is_op(peek(), ")"):
@@ -619,6 +629,7 @@ def parse_expression(text: str, var: Callable[[str], Combination],
         else:
             raise PolyParseError(f"expected a factor, found {lex!r}" if kind else "unexpected end of input", pos)
         if is_op(peek(), "^"):
+            caret = peek()[2]
             k += 1
             ek, el, epos = peek()
             if ek != "number" or "/" in el:
@@ -627,7 +638,11 @@ def parse_expression(text: str, var: Callable[[str], Combination],
             digits = el.lstrip("0") or "0"  # int() refuses over 4300 digits
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise PolyParseError(f"exponent {el} exceeds the bound {MAX_EXPONENT}", epos)
-            return base ** int(digits)
+            e = int(digits)
+            t, b = _shape(base)
+            if t and e:
+                _check_size("power", caret, comb(t + e - 1, e), e * (b + (t - 1).bit_length()))
+            return base ** e
         return base
 
     result = expression()
@@ -635,8 +650,3 @@ def parse_expression(text: str, var: Callable[[str], Combination],
     if kind is not None:
         raise PolyParseError(f"trailing input starting at {lex!r}", pos)
     return result
-
-
-def parse_poly(text: str) -> Poly:
-    """Parse a polynomial with parse_expression; str(p) parses back to p."""
-    return parse_expression(text, Poly.var, Poly.const)

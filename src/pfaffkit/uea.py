@@ -20,6 +20,11 @@ determinant `pfaffian._minor_det` (at a scalar shift, the shifted column
 determinant, read on masks of the a block) are those of the commutative
 layer; only the Pfaffian (ordered products) is specific to the
 enveloping algebra.
+
+`str` of an element prints its words as generator names, a repeated
+letter once with its exponent (``a[1,1]^2 a[1,2] - 1/2*c[1,2]^2 b[1,2]``).
+That text is output only: no command reads an element back, so the
+package has no parser for it.
 """
 
 from __future__ import annotations
@@ -31,18 +36,7 @@ from typing import Iterable, Mapping
 
 from .indexing import cycle_sign
 from .pfaffian import AntiAlternatingMatrix, minor_summation_rhs
-from .rings import (
-    Combination,
-    Poly,
-    PolyParseError,
-    RAISING,
-    ScalarLike,
-    _GENERATOR_NAME,
-    _prime,
-    add_into,
-    display_key,
-    parse_expression,
-)
+from .rings import Combination, Poly, RAISING, ScalarLike, _prime, add_into, display_key
 
 _KINDS = ("a", "b", "c")
 _GENERATORS: dict[tuple[str, int, int], "Generator"] = {}
@@ -556,25 +550,3 @@ def eigenvalue_factored_str(weight: HighestWeight) -> str:
         parts.append(f"(lam[{i}]+{shift})" if shift else f"lam[{i}]")
     return "*".join(parts)
 
-
-# --- text round-trip -------------------------------------------------------
-
-
-def _generator_element(name: str) -> UEAElement:
-    m = _GENERATOR_NAME.match(name)
-    if m is None:
-        raise PolyParseError(f"{name!r} is not a generator name (expected kind[i,j])")
-    try:
-        g = Generator(m.group(1), int(m.group(2)), int(m.group(3)))
-    except ValueError as exc:  # a bad kind[i,j], or an index past MAX_INDEX or int's digit limit
-        raise PolyParseError(f"{name!r}: {exc}") from None
-    return UEAElement.from_generator(g)
-
-
-def parse_element(text: str) -> UEAElement:
-    """Parse the textual PBW format that `str` of a UEAElement produces.
-
-    The grammar is that of rings.parse_expression with generator names
-    kind[i,j] as the variables.  Factors multiply left to right and are
-    normal ordered, so any factor order is accepted."""
-    return parse_expression(text, _generator_element, UEAElement.const)

@@ -3,6 +3,7 @@
 import pytest
 
 from pfaffkit import grassmann, uea
+from pfaffkit.pfaffian import AntiAlternatingMatrix
 from pfaffkit.uea import Generator, UEAElement
 
 
@@ -11,6 +12,14 @@ def canonical_generators(n: int) -> tuple[Generator, ...]:
     gens = [Generator("a", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
     gens += [Generator(k, i, j) for k in ("b", "c") for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     return tuple(sorted(gens, key=lambda g: g.sort_key))
+
+
+def random_anti_alternating(p: int, q: int, rng) -> AntiAlternatingMatrix:
+    """The block a and the strict upper triangles of b, c, of seeded ints in -9..9."""
+    a_rows = [[rng.randint(-9, 9) for _ in range(q)] for _ in range(p)]
+    b_upper = [[rng.randint(-9, 9) for _ in range(i + 1, p + 1)] for i in range(1, p)]
+    c_upper = [[rng.randint(-9, 9) for _ in range(i + 1, q + 1)] for i in range(1, q)]
+    return AntiAlternatingMatrix.from_upper_blocks(p, q, a_rows, b_upper, c_upper)
 
 
 def _all_generator_failures(z, n):

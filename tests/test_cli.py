@@ -1,8 +1,10 @@
 """Command line behavior: output goldens and exit codes."""
 
 import json
+import math
 import os
 import random
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -192,6 +194,27 @@ def test_pfaffian_exponent_over_the_bound_in_the_result_is_refused(tmp_path, cap
     assert (code, out) == (2, "")
     assert err.startswith("pfaffkit: ") and "exceeds the bound 4096" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("entry,caret", [("((2^4096)^4096)^4096", 9), ("(x+y+z+w+v)^300", 11)])
+def test_pfaffian_entry_past_the_parse_size_bound_is_parse_error(entry, caret, tmp_path):
+    # each '^' is within the exponent bound, but the nested power asks for
+    # an int of about 2^36 bits and the sum's power for about 3.5e8 terms;
+    # the child may map 1 GiB, so a lost bound ends in a MemoryError or
+    # the timeout here instead of taking the host's memory
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    f = tmp_path / "power.txt"
+    f.write_text(f"full 2\n0 {entry}\n-1 0\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "pfaffkit", "pfaffian", str(f)], env=env, capture_output=True,
+                          text=True, timeout=60, preexec_fn=limit)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-500:]
+    assert proc.stderr == (f"pfaffkit: parse error: line 2, column 3: bad entry {entry!r}: the power at column "
+                           f"{caret + 1} would exceed the size bound 4194304 (terms times bits per term)\n")
 
 
 def test_pfaffian_missing_file(capsys):
@@ -479,6 +502,23 @@ def test_eigenvalue_forced_over_bound(capsys, monkeypatch):
     assert out == ("lam[1]*lam[2]*lam[3]*lam[4] + lam[1]*lam[2]*lam[4] + 2*lam[1]*lam[3]*lam[4]"
                    " + 3*lam[2]*lam[3]*lam[4] + 2*lam[1]*lam[4] + 3*lam[2]*lam[4] + 6*lam[3]*lam[4]"
                    " + 6*lam[4] = (lam[1]+3)*(lam[2]+2)*(lam[3]+1)*lam[4]\n")
+
+
+def test_eigenvalue_prints_a_result_past_the_digit_limit(capsys):
+    # 1700! has 4 756 digits, past the 4 300 that str() of an int allows;
+    # the limit is lifted for the print alone, so matrix text is still refused
+    n = 1700
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "eigenvalue", "--n", str(n), "--lambda", ",".join(["1"] * n))
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{math.factorial(n)}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with pytest.raises(matrixio.MatrixParseError, match="Exceeds the limit"):
+        matrixio.loads("full 2\n0 " + "9" * 5000 + "\n-1 0\n", ring="rational")
 
 
 def test_eigenvalue_weight_length_mismatch(capsys):

@@ -41,15 +41,15 @@ def test_loads_colored():
 def test_loads_full_rational():
     A = loads(FULL, ring="rational")
     assert isinstance(A, AlternatingMatrix)
-    assert A.entry(1, 2) == Fraction(1, 2) and type(A.entry(1, 2)) is Fraction
-    assert A.entry(2, 1) == Fraction(-1, 2)
-    assert type(A.entry(1, 3)) is int and not A.int_entries
+    assert A.rows[0][1] == Fraction(1, 2) and type(A.rows[0][1]) is Fraction
+    assert A.rows[1][0] == Fraction(-1, 2)
+    assert type(A.rows[0][2]) is int and not A.int_entries
 
 
 def test_comments_and_blanks_skipped():
     text = "# heading\n\nfull 2\n0 7   # trailing note\n-7 0\n"
     A = loads(text, ring="rational")
-    assert A.entry(1, 2) == 7
+    assert A.rows[0][1] == 7
 
 
 def test_dumps_roundtrip_colored():

@@ -6,8 +6,6 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pfaffkit import uea
 from pfaffkit.indexing import index_mask
@@ -30,7 +28,6 @@ from pfaffkit.uea import (
     nc_pfaffian,
     nc_pfaffian_unrestricted,
     normal_order,
-    parse_element,
     signed_generator,
 )
 from conftest import canonical_generators
@@ -218,14 +215,6 @@ def test_generator_index_past_the_bound_is_refused():
     for kind, i, j in (("a", top + 1, 1), ("a", 1, top + 1), ("b", 1, top + 1), ("c", top, top + 1)):
         with pytest.raises(ValueError, match=f"at most {top}"):
             Generator(kind, i, j)
-    # parse_element reports it, and an index past int's digit limit, as parse errors
-    from pfaffkit.rings import PolyParseError
-
-    for text in (f"a[{top + 1},1]", f"2*b[1,{top + 1}] + a[1,1]", "c[1," + "9" * 5000 + "]"):
-        with pytest.raises(PolyParseError):
-            parse_element(text)
-    with pytest.raises(PolyParseError, match=f"at most {top}"):
-        parse_element(f"a[1,{top + 1}]")
 
 
 def _random_pbw(rng, gens, terms, repeat=None):
@@ -298,11 +287,12 @@ def test_every_route_holds_only_sorted_words():
     gens = canonical_generators(n)
     rng = random.Random(17)
     words = [tuple(rng.choice(gens) for _ in range(rng.randint(0, 4))) for _ in range(12)]
+    A13, A31 = Generator("a", 1, 3), Generator("a", 3, 1)
     built = UEAElement({w: k + 1 for k, w in enumerate(words)})
     z = nc_pfaffian(build_canonical_x(n))
     elements = [
         built,
-        parse_element("b[1,2] c[1,2] a[2,1] + a[1,3] a[3,1]^2 - 1/2*b[2,3] a[1,1]"),
+        el(B12, C12, A21) + el(A13, A31, A31) - Fraction(1, 2) * el(Generator("b", 2, 3), A11),
         built * built,
         z,
         nc_minor_summation_rhs(n),
@@ -596,23 +586,7 @@ def test_weight_is_an_immutable_value():
 # --- text form ----------------------------------------------------------------
 
 
-def test_text_roundtrip():
-    for n in (1, 2, 3):
-        z = nc_pfaffian(build_canonical_x(n))
-        assert parse_element(str(z)) == z
-    assert parse_element("0") == UEAElement.zero()
-    # a repeated letter prints once, with its exponent
+def test_repeated_letter_prints_once_with_its_exponent():
     e = el(A11, A11, A12) - Fraction(1, 2) * el(C12, C12, B12)
     assert str(e) == "a[1,1]^2 a[1,2] - 1/2*c[1,2]^2 b[1,2]"
-    assert parse_element(str(e)) == e
-
-
-@given(st.randoms(use_true_random=False))
-@settings(max_examples=30, deadline=None)
-def test_text_roundtrip_random(rng):
-    gens = canonical_generators(2)
-    e = UEAElement.zero()
-    for _ in range(rng.randint(0, 4)):
-        word = el(*(rng.choice(gens) for _ in range(rng.randint(0, 3))))
-        e = e + Fraction(rng.randint(-5, 5), rng.randint(1, 3)) * word
-    assert parse_element(str(e)) == e
+    assert str(UEAElement.zero()) == "0"
