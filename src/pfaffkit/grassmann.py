@@ -14,10 +14,12 @@ Products are fused with the coefficient ring: each ring supplies the raw
 `_product_into(out, left, right, scale)` of `rings.Combination`, and
 `GrassmannElement.__mul__` lifts each factor once, in one pass, to
 (mask, raw coefficient terms) pairs (`rings._lift`), adds every pair of
-disjoint masks into one raw term dict per output mask, signed by
-`merge_sign`, and wraps each dict once at the end; no coefficient
-element is built per pair.  The top-form route sums its
-coefficient pairs the same way.
+disjoint masks into one raw term dict per output mask, signed by the
+parity of the left mask against `indexing.crossing_mask` of the right
+one (one mask per right mask), and wraps each dict once at the end; no
+coefficient element is built per pair.  `GrassmannElement.from_words`
+lifts its coefficients once and adds each word's raw terms, signed, the
+same way, and the top-form route sums its coefficient pairs so too.
 Powers of an element are memoised on it, Omega^m as Omega^(m-1) Omega,
 and its 0th power is the one of the ring its coefficients name.
 tau has the ring's one for its coefficients and even degree, so it
@@ -25,15 +27,21 @@ commutes with everything, and a falling product is a linear combination
 of memoised products, Xi(v) ... Xi(v-r+1) = sum_k e_k(v, ..., v-r+1)
 tau^k Xi^(r-k) with e_k the elementary symmetric polynomials: the
 products tau^k Xi^j are memoised on their `Forms`, and every shift v
-reads them back.  Linear combinations of elements, there and in the
+reads them back.  The uea trinomial check sums the same combinations
+times Theta'^a, so each product tau^k Xi^j Theta'^a is memoised on the
+forms too, formed once for every m; the commutative one memoises
+Xi^h Theta^s.  Linear combinations of elements, there and in the
 trinomial check, add each coefficient's raw terms into one dict per
 mask.  The block Pfaffians of the Theta power check are read through
 `pfaffian._pf` on the whole b and c blocks, under one memo per block
 kept on the forms, so each block is lifted once and every power shares
-its sub-Pfaffians.
+its sub-Pfaffians; each power's expansion is kept on the forms as well.
+The Xi power check builds no right side: it compares each minor, times
+r!, with the left side's coefficient at the minor's mask.
 Each `build_forms` call starts with fresh forms and empty memos.
 Both sides of every identity are still computed independently and
-compared exactly.
+compared exactly; the left side Omega^m of the trinomial check is the
+Omega^(m-1) Omega chain, not read from the memoised products.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from itertools import combinations
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from .indexing import index_mask, merge_sign
+from .indexing import crossing_mask, index_mask, merge_sign
 from .pfaffian import AlternatingMatrix, AntiAlternatingMatrix, _minor_det, _pf, pfaffian_of_anti_alternating
 from .rings import Combination, Poly, _lift, _rational, _unlift, add_into
 from .uea import UEAElement, build_canonical_x, nc_minor_summation_rhs
@@ -118,9 +126,16 @@ class GrassmannElement(Combination):
     @classmethod
     def from_words(cls, p: int, q: int, words: Iterable[tuple[Sequence[int], object]]) -> "GrassmannElement":
         """Sum of coeff times the product of e_label factors, left to right,
-        over the (labels, coeff) pairs, added in place."""
+        over the (labels, coeff) pairs.
+
+        The coefficients are lifted once, each word's raw terms are added
+        with its sign into one dict per mask, and each dict becomes a
+        coefficient once, at the end."""
         elt = cls(p, q)
-        for labels, coeff in words:
+        words = list(words)
+        ring, (lifted,) = _lift(([coeff for _, coeff in words],))
+        sums: dict[int, dict] = {}
+        for (labels, _), t in zip(words, lifted):
             mask, sign = 0, 1
             for label in labels:
                 slot = elt._slot(label)
@@ -131,27 +146,32 @@ class GrassmannElement(Combination):
                     sign = -sign
                 mask |= bit
             else:
-                add_into(elt.terms, {mask: coeff}, sign)
-        return elt
+                out = sums.get(mask)
+                if out is None:
+                    out = sums[mask] = {}
+                add_into(out, t, sign)
+        return elt._wrap_sums(sums, ring)
 
     def __mul__(self, other: "GrassmannElement") -> "GrassmannElement":
         """Fused product: every coefficient pair of disjoint masks m1, m2 is
         added, with the sign of merging m2 into m1, straight into one raw
         term dict of the coefficient ring per output mask m1 | m2; each
-        dict becomes a coefficient once, at the end."""
+        dict becomes a coefficient once, at the end.  The sign is the
+        parity of m1 against `crossing_mask(m2)`, one mask per m2."""
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         self._coerce(other)  # rejects mixed colorings
         ring, (left, right) = _lift((self.terms, other.terms))
         product_into = (ring or Poly)._product_into  # scalars multiply on Poly's unit key
+        right = [(m2, t2, crossing_mask(m2)) for m2, t2 in right]
         sums: dict[int, dict] = {}
         for m1, t1 in left:
-            for m2, t2 in right:
+            for m2, t2, crossing in right:
                 if not m1 & m2:
                     out = sums.get(m1 | m2)
                     if out is None:
                         out = sums[m1 | m2] = {}
-                    product_into(out, t1, t2, merge_sign(m1, m2))
+                    product_into(out, t1, t2, -1 if (m1 & crossing).bit_count() & 1 else 1)
         return self._wrap_sums(sums, ring)
 
     def _wrap_sums(self, sums: dict[int, dict], ring) -> "GrassmannElement":
@@ -209,13 +229,18 @@ class Forms:
 
     `source` has UEAElement entries in uea mode and Poly ones otherwise;
     `tau` is None unless p == q.  `tau_xi[k, j]` memoises tau^k Xi^j, of
-    which the falling Xi products are combinations, `minor_dets[u]` is
-    the `pfaffian._minor_det` memo of the a block at the shift u, and
+    which the falling Xi products are combinations, and
+    `trinomial_parts[k, j, a]` the product tau^k Xi^j F^a for a >= 1 that
+    the trinomial check sums, F being Theta' in uea mode and Theta in
+    commutative mode (where k = 0).  `minor_dets[u]` is the
+    `pfaffian._minor_det` memo of the a block at the shift u,
     `block_pfs[name]` the b or c block as an `AlternatingMatrix` with its
-    `pfaffian._pf` memo; all three start empty."""
+    `pfaffian._pf` memo, and `theta_expansions[name, s]` the block's
+    expansion 2^s s! sum_I e_I Pf(block_I) that `check_theta_powers`
+    compares with a power.  All five start empty."""
 
     __slots__ = ("mode", "p", "q", "omega", "xi", "theta", "theta_prime", "tau", "source", "tau_xi",
-                 "minor_dets", "block_pfs")
+                 "trinomial_parts", "minor_dets", "block_pfs", "theta_expansions")
 
     def __init__(self, mode: str, p: int, q: int, omega: GrassmannElement, xi: GrassmannElement,
                  theta: GrassmannElement, theta_prime: GrassmannElement, tau: GrassmannElement | None,
@@ -223,8 +248,10 @@ class Forms:
         self.mode, self.p, self.q, self.source = mode, p, q, source
         self.omega, self.xi, self.theta, self.theta_prime, self.tau = omega, xi, theta, theta_prime, tau
         self.tau_xi: dict = {}
+        self.trinomial_parts: dict = {}
         self.minor_dets: dict = {}
         self.block_pfs: dict = {}
+        self.theta_expansions: dict = {}
 
     @property
     def half(self) -> int:
@@ -317,12 +344,18 @@ def xi_shifted_power(forms: Forms, u, r: int) -> GrassmannElement:
         raise ValueError("Xi(u) needs a square coloring")
     if r > forms.half:
         return GrassmannElement.zero(forms.p, forms.q)
+    return _linear_combination(forms.p, forms.q, (
+        (c, _tau_xi(forms, k, r - k)) for k, c in enumerate(_falling_coefficients(u, r))))
+
+
+def _falling_coefficients(u, r: int) -> list:
+    """[e_0, ..., e_r] of the r arguments u, u-1, ..., u-r+1."""
     u = _rational(Fraction(u))
     e = [1]  # e[k] = e_k of the factor arguments so far
     for i in range(r):
         a = u - i
         e = [_rational(x + a * y) for x, y in zip(e + [0], [0] + e)]
-    return _linear_combination(forms.p, forms.q, ((c, _tau_xi(forms, k, r - k)) for k, c in enumerate(e)))
+    return e
 
 
 def check_xi_power_formula(n: int, u, r: int, *, forms: Forms) -> bool:
@@ -332,17 +365,34 @@ def check_xi_power_formula(n: int, u, r: int, *, forms: Forms) -> bool:
     matched indices: every determinant is `pfaffian._minor_det` at the
     shift u, each I and J turned into a mask once.  A minor at the shift
     u does not depend on r, so its memo is kept on the forms, one per u,
-    and the checks at every r share it."""
+    and the checks at every r share it.
+
+    No right side is built: the word e_I e_-J (J descending) is in slot
+    order, so its sign is +1, and the left side's raw coefficient at its
+    mask is compared with r! times the minor's raw terms, term by term.
+    The left side must hold no mask beyond those of the nonzero minors."""
     forms = _forms_for(n, forms)
     lhs = xi_shifted_power(forms, Fraction(u) + r - 1, r)
     scale = factorial(r)
     a, shift = forms.source.a, Fraction(u)
     memo = forms.minor_dets.setdefault(shift, {})
-    subsets = [(K, index_mask(K)) for K in combinations(range(1, n + 1), r)]
-    rhs = GrassmannElement.from_words(forms.p, forms.q, (
-        (list(I) + [-j for j in reversed(J)], scale * _minor_det(a, rows, cols, memo, shift))
-        for I, rows in subsets for J, cols in subsets))
-    return lhs == rhs
+    top = forms.p + forms.q + 1  # e_-j sits in slot top - j
+    subsets = [(index_mask(K), index_mask(top - k for k in K)) for K in combinations(range(1, n + 1), r)]
+    minors = [_minor_det(a, rows, cols, memo, shift) for rows, _ in subsets for cols, _ in subsets]
+    _, (left, right) = _lift((lhs.terms, minors))
+    left = dict(left)
+    nonzero = 0
+    words = (low | high for low, _ in subsets for _, high in subsets)
+    for mask, minor in zip(words, right):
+        got = left.get(mask)
+        if not minor:
+            if got is not None:
+                return False
+            continue
+        if got is None or len(got) != len(minor) or any(got.get(k) != scale * c for k, c in minor.items()):
+            return False
+        nonzero += 1
+    return nonzero == len(left)
 
 
 def eta(forms: Forms, j: int, u) -> GrassmannElement:
@@ -368,18 +418,23 @@ def check_eta_anticommute(n: int, u, *, forms: Forms) -> bool:
 def check_theta_powers(n: int, s: int, t: int, mode: str = "uea", *, forms: Forms) -> bool:
     """Theta^s = 2^s s! sum_{|I|=2s} e_I Pf(b_I) and the mirror statement
     Theta'^t = 2^t t! sum_{|J|=2t} e_-J Pf(c_J), each block's Pfaffians
-    read by `_pf` under its memo on the forms."""
+    read by `_pf` under its memo on the forms.  Each expansion is built
+    once per forms, in `theta_expansions`, and every call compares the
+    power with it."""
     forms = _forms_for(n, forms, mode)
     X = forms.source
 
     def expands(form: GrassmannElement, exp: int, name: str, word) -> bool:
-        got = forms.block_pfs.get(name)
-        if got is None:
-            got = forms.block_pfs[name] = (AlternatingMatrix._trusted(getattr(X, name)), {})
-        B, memo = got
-        coeff = 2**exp * factorial(exp)
-        rhs = GrassmannElement.from_words(forms.p, forms.q, (
-            (word(I), coeff * _pf(B, index_mask(I), memo)) for I in combinations(range(1, B.size + 1), 2 * exp)))
+        rhs = forms.theta_expansions.get((name, exp))
+        if rhs is None:
+            got = forms.block_pfs.get(name)
+            if got is None:
+                got = forms.block_pfs[name] = (AlternatingMatrix._trusted(getattr(X, name)), {})
+            B, memo = got
+            coeff = 2**exp * factorial(exp)
+            rhs = forms.theta_expansions[name, exp] = GrassmannElement.from_words(forms.p, forms.q, (
+                (word(I), coeff * _pf(B, index_mask(I), memo))
+                for I in combinations(range(1, B.size + 1), 2 * exp)))
         return form.power(exp) == rhs
 
     return (expands(forms.theta, s, "b", lambda I: I)
@@ -405,23 +460,37 @@ def check_trinomial(n: int, m: int, mode: str = "uea", *, forms: Forms) -> bool:
 
     outer = []
     if forms.mode == "uea":
-        # sum_b (sum_a c X(b-a+r-1, r) Theta'^a) Theta^b
+        # sum_b (sum_a c X(b-a+r-1, r) Theta'^a) Theta^b, with
+        # X(v, r) Theta'^a = sum_k e_k(v, ..., v-r+1) tau^k Xi^(r-k) Theta'^a
         for b in range(m + 1):
             inner = []
             for a in range(m + 1 - b):
                 r = m - a - b
-                term = times_power(xi_shifted_power(forms, b - a + r - 1, r), forms.theta_prime, a)
-                inner.append((multinomial(r, a, b), term))
+                c = multinomial(r, a, b)
+                inner += [(c * e, _trinomial_part(forms, k, r - k, a))
+                          for k, e in enumerate(_falling_coefficients(b - a + r - 1, r)) if e]
             outer.append((1, times_power(_linear_combination(forms.p, forms.q, inner), forms.theta, b)))
     else:
         # sum_t (sum_h c Xi^h Theta^s) Theta'^t
         for t in range(m + 1):
-            inner = []
-            for h in range(m + 1 - t):
-                s = m - h - t
-                inner.append((multinomial(h, s, t), times_power(forms.xi.power(h), forms.theta, s)))
+            inner = [(multinomial(h, m - h - t, t), _trinomial_part(forms, 0, h, m - h - t))
+                     for h in range(m + 1 - t)]
             outer.append((1, times_power(_linear_combination(forms.p, forms.q, inner), forms.theta_prime, t)))
     return lhs == _linear_combination(forms.p, forms.q, outer)
+
+
+def _trinomial_part(forms: Forms, k: int, j: int, a: int) -> GrassmannElement:
+    """tau^k Xi^j F^a, F = Theta' in uea mode and Theta in commutative
+    mode (k = 0 there): `_tau_xi` for a = 0, else one product past it,
+    memoised on the forms for every m of the trinomial check."""
+    head = _tau_xi(forms, k, j)
+    if not a or not head:
+        return head
+    got = forms.trinomial_parts.get((k, j, a))
+    if got is None:
+        form = forms.theta_prime if forms.mode == "uea" else forms.theta
+        got = forms.trinomial_parts[k, j, a] = head * form.power(a)
+    return got
 
 
 def pfaffian_from_top_form(forms: Forms):

@@ -4,7 +4,9 @@ The package names an index set by an int mask, bit k - 1 standing for
 index k (`index_mask`).  Splitting a sorted index set into two pieces
 carries the sign of the permutation that rearranges it, (-1)^c for the
 c crossings that `merge_sign` counts on the two masks: the shuffle
-signs sgn(Ic, I), sgn(Jc, J) of the minor summation formula.
+signs sgn(Ic, I), sgn(Jc, J) of the minor summation formula.  It reads
+their parity off `crossing_mask` of the right mask, which a product
+loop computes once per right mask and applies to every left one.
 `cycle_sign` is the sign of a permutation of range(m), read off its
 cycles with no sort.  The Leibniz determinant and the permutation-sum
 Pfaffian of the enveloping algebra apply it to each term's index
@@ -44,13 +46,22 @@ def index_mask(indices: Iterable[int]) -> int:
     return mask
 
 
+def crossing_mask(right: int) -> int:
+    """The XOR over the set bits y of `right` of every bit above y: bit x
+    is set when an odd number of bits of `right` lie below x, so the
+    parity of `(left & crossing_mask(right)).bit_count()` is that of the
+    pairs x in left, y in right with x > y.  The mask is infinite, a
+    negative int, when `right` has an odd number of bits."""
+    mask = 0
+    while right:
+        low = right & -right
+        mask ^= -(low << 1)
+        right ^= low
+    return mask
+
+
 def merge_sign(left: int, right: int) -> int:
     """(-1)^c for the c pairs x in `left`, y in `right` with x > y, both
     given as masks: the sign of interleaving two ascending sequences into
     one."""
-    count = 0
-    while right:
-        low = right & -right
-        count += (left >> low.bit_length()).bit_count()
-        right ^= low
-    return -1 if count & 1 else 1
+    return -1 if (left & crossing_mask(right)).bit_count() & 1 else 1

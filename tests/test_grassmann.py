@@ -7,10 +7,12 @@ from math import comb, factorial
 
 import pytest
 
+from pfaffkit import grassmann
 from pfaffkit.grassmann import (
     Forms,
     GrassmannElement,
     _linear_combination,
+    _trinomial_part,
     build_forms,
     check_eta_anticommute,
     check_sl2,
@@ -225,6 +227,88 @@ def test_memoised_falling_product_equals_loop():
         assert set(f.tau_xi) == {(k, r - k) for r in range(n + 1) for k in range(r + 1)}
 
 
+@pytest.mark.parametrize("mode,n", [("uea", 2), ("uea", 3), ("commutative", 2), ("commutative", 3)])
+def test_memoised_trinomial_parts_equal_products_from_scratch(mode, n):
+    f = build_forms(mode, n=n)
+    tail = f.theta_prime if mode == "uea" else f.theta
+    taus = range(n + 1) if mode == "uea" else range(1)
+    keys = [(k, j, a) for k in taus for j in range(n + 1 - k) for a in range(1, n + 1 - k - j)]
+    random.Random(f"parts:{mode}:{n}").shuffle(keys)  # out of order, so the power memos skip ahead
+    for k, j, a in keys:
+        scratch = f.omega.power(0)
+        for factor, exp in ((f.tau, k), (f.xi, j), (tail, a)):
+            for _ in range(exp):
+                scratch = scratch * factor
+        assert _trinomial_part(f, k, j, a) == scratch
+        assert _trinomial_part(f, k, j, a) is _trinomial_part(f, k, j, a)
+    assert set(f.trinomial_parts) == set(keys)
+    assert _trinomial_part(f, 0, 2, 0) is f.xi.power(2)  # a = 0 is the tau^k Xi^j memo itself
+
+
+def test_trinomial_sweep_forms_each_product_once():
+    # one uea Forms at n = 3, m = 0..3, cold: Omega^2, Omega^3 and two more
+    # powers each of Theta', Theta, Xi and tau (8), tau^k Xi^j for k, j >= 1
+    # (3), tau^k Xi^j Theta'^a for a >= 1 and a nonzero e_k (9), and one
+    # (sum_a ...) Theta^b per m and b >= 1 (6); warm, only those last 6.
+    # Forming X(v, r) Theta'^a afresh for each (m, b, a) reads 29 and 16.
+    calls = []
+    mul = GrassmannElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    GrassmannElement.__mul__ = counted
+    try:
+        f = build_forms("uea", n=3)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert all(check_trinomial(3, m, forms=f) for m in range(4))
+            counts.append(len(calls))
+    finally:
+        GrassmannElement.__mul__ = mul
+    assert counts == [27, 6]
+
+
+def _generator(p, q, label):
+    """e_label by itself, with the scalar coefficient 1."""
+    return GrassmannElement(p, q, {1 << ((label if label > 0 else p + q + 1 + label) - 1): 1})
+
+
+def _word_sum(p, q, words):
+    """Sum of coeff e_l1 e_l2 ... over the words, each formed by products."""
+    total = GrassmannElement.zero(p, q)
+    for labels, coeff in words:
+        term = GrassmannElement.scalar(p, q, coeff)
+        for label in labels:
+            term = term * _generator(p, q, label)
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("ring", ["poly", "uea"])
+def test_from_words_equals_the_sum_of_its_words(ring):
+    if ring == "poly":
+        x, y = Poly.var("x"), Poly.var("y")
+    else:
+        x, y = (UEAElement.from_generator(g) for g in canonical_generators(2)[:2])
+    words = [
+        ([1, -1], x), ([-1, 1], x),  # collide and cancel
+        ([2, 1], Fraction(3, 2)), ([1, 2], y), ([1, 2], 2),  # scalars and ring elements on one mask
+        ([1, 1], x), ([1, -2, 1], y),  # a repeated label gives nothing
+        ([-2], x * y), ([-2], -(x * y)), ([-2], 0),  # cancel, and a zero
+        ([-2, 2, 1], Fraction(-1, 3)), ([1, 2, -2], x), ([], Fraction(5, 2)), ([-1], -1),
+    ]
+    got = GrassmannElement.from_words(2, 2, words)
+    assert got == _word_sum(2, 2, words)
+    assert set(got.terms) == {0b0011, 0b0111, 0b0000, 0b1000}
+    assert type(got.terms[0b0011]) is type(x)
+    assert got.terms[0] == Fraction(5, 2) and got.terms[0b1000] == -1  # scalar masks stay scalars
+    assert all(got.terms.values())
+    assert not GrassmannElement.from_words(2, 2, [])
+
+
 def test_linear_combination_adds_in_place():
     f = build_forms("uea", n=2)
     pairs = [(2, f.omega), (Fraction(-1, 2), f.xi), (-1, f.theta), (0, f.tau), (3, GrassmannElement.zero(2, 2))]
@@ -246,6 +330,14 @@ def test_forms_from_separate_builds_share_no_memo():
     assert f2.minor_dets == {} and f2.minor_dets is not f1.minor_dets
     assert check_theta_powers(2, 1, 1, forms=f1) and f1.block_pfs
     assert f2.block_pfs == {} and f2.block_pfs is not f1.block_pfs
+    assert f1.trinomial_parts and f1.theta_expansions
+    for name in ("trinomial_parts", "theta_expansions"):
+        assert getattr(f2, name) == {} and getattr(f2, name) is not getattr(f1, name)
+    c1 = build_forms("commutative", n=2)
+    assert check_trinomial(2, 2, mode="commutative", forms=c1) and c1.trinomial_parts
+    assert check_theta_powers(2, 1, 1, mode="commutative", forms=c1) and c1.theta_expansions
+    c2 = build_forms("commutative", n=2)
+    assert c2.trinomial_parts == {} and c2.theta_expansions == {} and c2.tau_xi == {}
     for name in ("omega", "xi", "theta", "theta_prime", "tau"):
         a, b = getattr(f1, name), getattr(f2, name)
         assert a is not b and a == b
@@ -260,8 +352,13 @@ def test_memos_leave_no_cyclic_garbage():
     try:
         f = build_forms("uea", n=2)
         assert check_trinomial(2, 2, forms=f) and check_xi_power_formula(2, Fraction(1), 2, forms=f)
-        assert check_top_form_route(forms=f)
-        del f
+        assert check_theta_powers(2, 1, 1, forms=f) and check_top_form_route(forms=f)
+        assert f.trinomial_parts and f.theta_expansions
+        c = build_forms("commutative", n=2)
+        assert check_trinomial(2, 2, mode="commutative", forms=c)
+        assert check_theta_powers(2, 1, 1, mode="commutative", forms=c)
+        assert c.trinomial_parts and c.theta_expansions
+        del f, c
         assert gc.collect() == 0
     finally:
         if was_enabled:
@@ -429,6 +526,47 @@ def test_xi_power_and_uea_trinomial_detect_corrupted_forms(n, name):
     for m in range(1, n + 1):
         # the m = 1 expansion, Omega = Theta' + 2 Xi(0) + Theta, has no tau
         assert check_trinomial(n, m, forms=f) == (name == "tau" and m == 1)
+
+
+@pytest.mark.parametrize("change", ["extra", "missing", "coefficient"])
+def test_xi_power_formula_detects_a_changed_left_side(monkeypatch, change):
+    # the left side with one more mask (a word of another degree, which only
+    # the mask count sees), one mask fewer, or one coefficient plus 1; r = 0
+    # is the scalar case, its one mask 0 against the empty minor 1
+    n, us = 3, (Fraction(-1), Fraction(0), Fraction(2))
+    f = build_forms("uea", n=n)
+    assert all(check_xi_power_formula(n, u, r, forms=f) for r in range(n + 1) for u in us)
+    xi_shifted_power = grassmann.xi_shifted_power
+    top, e1_e_minus1 = (1 << 2 * n) - 1, 1 | 1 << 2 * n - 1
+
+    def changed(forms, u, r):
+        terms = dict(xi_shifted_power(forms, u, r).terms)
+        if change == "extra":
+            terms[top if r != n else e1_e_minus1] = UEAElement.one()
+        elif change == "missing":
+            del terms[max(terms)]
+        else:
+            mask = min(terms)
+            terms[mask] = terms[mask] + 1
+        return GrassmannElement(forms.p, forms.q, terms)
+
+    monkeypatch.setattr(grassmann, "xi_shifted_power", changed)
+    for r in range(n + 1):
+        for u in us:
+            assert not check_xi_power_formula(n, u, r, forms=f), (r, u)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_theta_powers_detect_a_corrupted_theta_prime_with_a_warm_memo(n):
+    # every t >= 1 fails; past t = n // 2 any 2-form on the n negative slots
+    # has a zero t-th power, so both sides vanish there.  The second sweep
+    # reads every expansion from the memo.
+    f = _corrupted(build_forms("uea", n=n), "theta_prime")
+    for sweep in range(2):
+        for s in range(n + 1):
+            for t in range(n + 1):
+                assert check_theta_powers(n, s, t, forms=f) == (t == 0 or 2 * t > n), (sweep, s, t)
+        assert len(f.theta_expansions) == 2 * (n + 1)
 
 
 @pytest.mark.parametrize("n", [2, 3])

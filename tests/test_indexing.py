@@ -2,7 +2,7 @@
 
 from itertools import permutations, product
 
-from pfaffkit.indexing import cycle_sign, index_mask, merge_sign
+from pfaffkit.indexing import crossing_mask, cycle_sign, index_mask, merge_sign
 
 
 def _perm_sign(seq):
@@ -39,6 +39,26 @@ def test_merge_sign_matches_permutation_sign_of_the_concatenation():
             right = tuple(k for k in range(n) if places[k] == 2)
             masks = sum(1 << k for k in left), sum(1 << k for k in right)
             assert merge_sign(*masks) == _perm_sign(left + right), (left, right)
+
+
+def _counted_merge_sign(left, right):
+    """The crossing count one set bit of `right` at a time."""
+    count = 0
+    while right:
+        low = right & -right
+        count += (left >> low.bit_length()).bit_count()
+        right ^= low
+    return -1 if count & 1 else 1
+
+
+def test_crossing_mask_parity_matches_the_counted_crossings():
+    # every disjoint (left, right) pair of 9-bit masks
+    for places in product(range(3), repeat=9):
+        left = sum(1 << k for k in range(9) if places[k] == 1)
+        right = sum(1 << k for k in range(9) if places[k] == 2)
+        expected = _counted_merge_sign(left, right)
+        assert (-1 if (left & crossing_mask(right)).bit_count() & 1 else 1) == expected, (left, right)
+        assert merge_sign(left, right) == expected
 
 
 def test_cycle_sign_matches_inversion_count():
