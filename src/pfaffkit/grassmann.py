@@ -384,14 +384,10 @@ def check_xi_power_formula(n: int, u, r: int, *, forms: Forms) -> bool:
     nonzero = 0
     words = (low | high for low, _ in subsets for _, high in subsets)
     for mask, minor in zip(words, right):
-        got = left.get(mask)
-        if not minor:
-            if got is not None:
-                return False
-            continue
-        if got is None or len(got) != len(minor) or any(got.get(k) != scale * c for k, c in minor.items()):
+        got = left.get(mask, {})
+        if len(got) != len(minor) or any(got.get(k) != scale * c for k, c in minor.items()):
             return False
-        nonzero += 1
+        nonzero += bool(minor)
     return nonzero == len(left)
 
 
