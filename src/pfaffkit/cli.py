@@ -20,7 +20,6 @@ from .pfaffian import (
 )
 from .rings import PolyParseError, parse_rational
 from .uea import HighestWeight
-from .verify import BoundExceededError
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -170,37 +169,23 @@ def cmd_forms(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    command = {"pfaffian": cmd_pfaffian, "verify": cmd_verify,
+               "eigenvalue": cmd_eigenvalue, "forms": cmd_forms}[args.command]
     try:
-        if args.command == "pfaffian":
-            return cmd_pfaffian(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "eigenvalue":
-            return cmd_eigenvalue(args)
-        if args.command == "forms":
-            return cmd_forms(args)
-    except BoundExceededError as exc:
-        print(f"pfaffkit: {exc}", file=sys.stderr)
-        return 2
+        return command(args)
     except (MatrixParseError, PolyParseError) as exc:
         print(f"pfaffkit: parse error: {exc}", file=sys.stderr)
         return 2
     except ShapeError as exc:
         print(f"pfaffkit: shape violation: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:  # missing file, a directory, no permission
+    except (OSError, ValueError) as exc:  # OSError: a missing file, a directory, no permission
         print(f"pfaffkit: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"pfaffkit: {exc}", file=sys.stderr)
-        return 2
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

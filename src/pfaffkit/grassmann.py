@@ -16,8 +16,11 @@ Products are fused with the coefficient ring: each ring supplies the raw
 (mask, raw coefficient terms) pairs (`rings._lift`), adds every pair of
 disjoint masks into one raw term dict per output mask, signed by the
 parity of the left mask against `indexing.crossing_mask` of the right
-one (one mask per right mask), and wraps each dict once at the end; no
-coefficient element is built per pair.  `GrassmannElement.from_words`
+one (one mask per right mask), and wraps each dict once at the end
+with the ring's `_wrap`; no coefficient element is built per pair.
+Scalar coefficients are no special case: `_lift` names the ring
+`rings._Scalars` for them, whose raw sums sit on Poly's unit key and
+wrap back to ints and Fractions.  `GrassmannElement.from_words`
 lifts its coefficients once and adds each word's raw terms, signed, the
 same way, and the top-form route sums its coefficient pairs so too.
 Powers of an element are memoised on it, Omega^m as Omega^(m-1) Omega,
@@ -25,14 +28,15 @@ and its 0th power is the one of the ring its coefficients name.
 tau has the ring's one for its coefficients and even degree, so it
 commutes with everything, and a falling product is a linear combination
 of memoised products, Xi(v) ... Xi(v-r+1) = sum_k e_k(v, ..., v-r+1)
-tau^k Xi^(r-k) with e_k the elementary symmetric polynomials: the
-products tau^k Xi^j are memoised on their `Forms`, and every shift v
-reads them back.  The uea trinomial check sums the same combinations
-times Theta'^a, so each product tau^k Xi^j Theta'^a is memoised on the
-forms too, formed once for every m; the commutative one memoises
-Xi^h Theta^s.  Linear combinations of elements, there and in the
-trinomial check, add each coefficient's raw terms into one dict per
-mask.  The block Pfaffians of the Theta power check are read through
+tau^k Xi^(r-k) with e_k the elementary symmetric polynomials.  The
+trinomial check has one body for both modes: it sums the same
+combinations times Theta'^a, then times Theta^b, and in commutative mode
+the falling product is Xi^r itself (the one coefficient 1), since Xi,
+Theta and Theta' are even forms with commuting coefficients there.  So
+one memo on the `Forms` (`_product`) holds every product
+tau^k Xi^j Theta'^a, formed once for every shift v and every m.  Linear
+combinations of elements, there and in the trinomial check, add each
+coefficient's raw terms into one dict per mask.  The block Pfaffians of the Theta power check are read through
 `pfaffian._pf` on the whole b and c blocks, under one memo per block
 kept on the forms, so each block is lifted once and every power shares
 its sub-Pfaffians; each power's expansion is kept on the forms as well.
@@ -53,7 +57,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .indexing import crossing_mask, index_mask, merge_sign
 from .pfaffian import AlternatingMatrix, AntiAlternatingMatrix, _minor_det, _pf, pfaffian_of_anti_alternating
-from .rings import Combination, Poly, _lift, _rational, _unlift, add_into
+from .rings import Combination, Poly, _lift, _rational, add_into
 from .uea import UEAElement, build_canonical_x, nc_minor_summation_rhs
 
 
@@ -162,7 +166,7 @@ class GrassmannElement(Combination):
             return NotImplemented
         self._coerce(other)  # rejects mixed colorings
         ring, (left, right) = _lift((self.terms, other.terms))
-        product_into = (ring or Poly)._product_into  # scalars multiply on Poly's unit key
+        product_into = ring._product_into
         right = [(m2, t2, crossing_mask(m2)) for m2, t2 in right]
         sums: dict[int, dict] = {}
         for m1, t1 in left:
@@ -176,8 +180,6 @@ class GrassmannElement(Combination):
 
     def _wrap_sums(self, sums: dict[int, dict], ring) -> "GrassmannElement":
         """Element of raw coefficient term dicts by mask; empty dicts drop."""
-        if ring is None:
-            return self._wrap({m: t[Poly._UNIT] for m, t in sums.items() if t})
         return self._wrap({m: ring._wrap(t) for m, t in sums.items() if t})
 
     def power(self, exp: int) -> "GrassmannElement":
@@ -189,8 +191,7 @@ class GrassmannElement(Combination):
         if exp < 0:
             raise ValueError("negative Grassmann powers do not exist")
         if exp == 0:
-            ring = _lift((self.terms,))[0]
-            return GrassmannElement.scalar(self.p, self.q, ring.const(1) if ring else 1)
+            return GrassmannElement.scalar(self.p, self.q, _lift((self.terms,))[0].const(1))
         if exp == 1:
             return self
         # self^2, self^3, ...; holding self too would make a reference cycle
@@ -228,27 +229,24 @@ class Forms:
     """The canonical 2-forms of a matrix, plus the data to cross-check them.
 
     `source` has UEAElement entries in uea mode and Poly ones otherwise;
-    `tau` is None unless p == q.  `tau_xi[k, j]` memoises tau^k Xi^j, of
-    which the falling Xi products are combinations, and
-    `trinomial_parts[k, j, a]` the product tau^k Xi^j F^a for a >= 1 that
-    the trinomial check sums, F being Theta' in uea mode and Theta in
-    commutative mode (where k = 0).  `minor_dets[u]` is the
-    `pfaffian._minor_det` memo of the a block at the shift u,
+    `tau` is None unless p == q.  `products[k, j, a]` memoises
+    tau^k Xi^j Theta'^a (`_product`), of which the falling Xi products
+    and the trinomial check's sums are combinations.  `minor_dets[u]` is
+    the `pfaffian._minor_det` memo of the a block at the shift u,
     `block_pfs[name]` the b or c block as an `AlternatingMatrix` with its
     `pfaffian._pf` memo, and `theta_expansions[name, s]` the block's
     expansion 2^s s! sum_I e_I Pf(block_I) that `check_theta_powers`
-    compares with a power.  All five start empty."""
+    compares with a power.  All four start empty."""
 
-    __slots__ = ("mode", "p", "q", "omega", "xi", "theta", "theta_prime", "tau", "source", "tau_xi",
-                 "trinomial_parts", "minor_dets", "block_pfs", "theta_expansions")
+    __slots__ = ("mode", "p", "q", "omega", "xi", "theta", "theta_prime", "tau", "source", "products",
+                 "minor_dets", "block_pfs", "theta_expansions")
 
     def __init__(self, mode: str, p: int, q: int, omega: GrassmannElement, xi: GrassmannElement,
                  theta: GrassmannElement, theta_prime: GrassmannElement, tau: GrassmannElement | None,
                  source: AntiAlternatingMatrix):
         self.mode, self.p, self.q, self.source = mode, p, q, source
         self.omega, self.xi, self.theta, self.theta_prime, self.tau = omega, xi, theta, theta_prime, tau
-        self.tau_xi: dict = {}
-        self.trinomial_parts: dict = {}
+        self.products: dict = {}
         self.minor_dets: dict = {}
         self.block_pfs: dict = {}
         self.theta_expansions: dict = {}
@@ -318,18 +316,25 @@ def check_sl2(n: int, *, forms: Forms) -> bool:
     return ok1 and ok2 and ok3
 
 
-def _tau_xi(forms: Forms, k: int, j: int) -> GrassmannElement:
-    """tau^k Xi^j, memoised on the forms: one product, none by a 0th power."""
-    key = (k, j)
-    got = forms.tau_xi.get(key)
+def _product(forms: Forms, k: int, j: int, a: int = 0) -> GrassmannElement:
+    """tau^k Xi^j Theta'^a, memoised on the forms for every shift and m.
+
+    tau^k Xi^j takes one product, none by a 0th power; a >= 1 takes one
+    more, past it, unless it vanishes."""
+    key = (k, j, a)
+    got = forms.products.get(key)
     if got is None:
-        if not k:
+        if a:
+            got = _product(forms, k, j)
+            if got:
+                got = got * forms.theta_prime.power(a)
+        elif not k:
             got = forms.xi.power(j)
         elif not j:
             got = forms.tau.power(k)
         else:
             got = forms.tau.power(k) * forms.xi.power(j)
-        forms.tau_xi[key] = got
+        forms.products[key] = got
     return got
 
 
@@ -338,14 +343,14 @@ def xi_shifted_power(forms: Forms, u, r: int) -> GrassmannElement:
 
     tau is central, so the product of the r factors Xi + (u-i) tau is
     sum_k e_k(u, u-1, ..., u-r+1) tau^k Xi^(r-k), a linear combination of
-    the products memoised by `_tau_xi`.  Past r = n every product of r
+    the products memoised by `_product`.  Past r = n every product of r
     2-forms vanishes."""
     if forms.tau is None:
         raise ValueError("Xi(u) needs a square coloring")
     if r > forms.half:
         return GrassmannElement.zero(forms.p, forms.q)
     return _linear_combination(forms.p, forms.q, (
-        (c, _tau_xi(forms, k, r - k)) for k, c in enumerate(_falling_coefficients(u, r))))
+        (c, _product(forms, k, r - k)) for k, c in enumerate(_falling_coefficients(u, r))))
 
 
 def _falling_coefficients(u, r: int) -> list:
@@ -438,55 +443,30 @@ def check_theta_powers(n: int, s: int, t: int, mode: str = "uea", *, forms: Form
 
 
 def check_trinomial(n: int, m: int, mode: str = "uea", *, forms: Forms) -> bool:
-    """Trinomial expansion of Omega^m.
+    """Trinomial expansion of Omega^m,
+    Omega^m = sum m!/(r! a! b!) 2^r X(b-a+r-1, r) Theta'^a Theta^b over
+    r + a + b = m, summed as sum_b (sum_a c X(b-a+r-1, r) Theta'^a) Theta^b.
 
-    uea mode: Omega^m = sum m!/(p! q! r!) 2^r Xi^(r)(q-p+r-1) Theta'^p Theta^q
-    over p+q+r = m, with the falling Xi product shifted as shown.
-    commutative mode: the unshifted expansion
-    Omega^m = sum m!/(h! s! t!) 2^h Xi^h Theta^s Theta'^t."""
+    uea mode: X(v, r) is the falling product Xi(v) ... Xi(v-r+1), so
+    X(v, r) Theta'^a = sum_k e_k(v, ..., v-r+1) tau^k Xi^(r-k) Theta'^a.
+    commutative mode: X(v, r) = Xi^r, the one term k = 0 with e_0 = 1;
+    there Xi, Theta and Theta' are even forms with commuting coefficients,
+    so the order of the factors is free.  Each tau^k Xi^j Theta'^a is
+    read from `_product`."""
     forms = _forms_for(n, forms, mode)
     lhs = forms.omega.power(m)
-
-    def multinomial(h: int, k: int, r: int) -> int:
-        """m! 2^h / (h! k! r!), an integer since h + k + r = m."""
-        return factorial(m) * 2**h // (factorial(h) * factorial(k) * factorial(r))
-
-    def times_power(x: GrassmannElement, form: GrassmannElement, exp: int) -> GrassmannElement:
-        return x * form.power(exp) if exp and x else x
-
+    falling = forms.mode == "uea"
     outer = []
-    if forms.mode == "uea":
-        # sum_b (sum_a c X(b-a+r-1, r) Theta'^a) Theta^b, with
-        # X(v, r) Theta'^a = sum_k e_k(v, ..., v-r+1) tau^k Xi^(r-k) Theta'^a
-        for b in range(m + 1):
-            inner = []
-            for a in range(m + 1 - b):
-                r = m - a - b
-                c = multinomial(r, a, b)
-                inner += [(c * e, _trinomial_part(forms, k, r - k, a))
-                          for k, e in enumerate(_falling_coefficients(b - a + r - 1, r)) if e]
-            outer.append((1, times_power(_linear_combination(forms.p, forms.q, inner), forms.theta, b)))
-    else:
-        # sum_t (sum_h c Xi^h Theta^s) Theta'^t
-        for t in range(m + 1):
-            inner = [(multinomial(h, m - h - t, t), _trinomial_part(forms, 0, h, m - h - t))
-                     for h in range(m + 1 - t)]
-            outer.append((1, times_power(_linear_combination(forms.p, forms.q, inner), forms.theta_prime, t)))
+    for b in range(m + 1):
+        inner = []
+        for a in range(m + 1 - b):
+            r = m - a - b
+            c = factorial(m) * 2**r // (factorial(r) * factorial(a) * factorial(b))
+            e = _falling_coefficients(b - a + r - 1, r) if falling else (1,)
+            inner += [(c * e_k, _product(forms, k, r - k, a)) for k, e_k in enumerate(e) if e_k]
+        x = _linear_combination(forms.p, forms.q, inner)
+        outer.append((1, x * forms.theta.power(b) if b and x else x))
     return lhs == _linear_combination(forms.p, forms.q, outer)
-
-
-def _trinomial_part(forms: Forms, k: int, j: int, a: int) -> GrassmannElement:
-    """tau^k Xi^j F^a, F = Theta' in uea mode and Theta in commutative
-    mode (k = 0 there): `_tau_xi` for a = 0, else one product past it,
-    memoised on the forms for every m of the trinomial check."""
-    head = _tau_xi(forms, k, j)
-    if not a or not head:
-        return head
-    got = forms.trinomial_parts.get((k, j, a))
-    if got is None:
-        form = forms.theta_prime if forms.mode == "uea" else forms.theta
-        got = forms.trinomial_parts[k, j, a] = head * form.power(a)
-    return got
 
 
 def pfaffian_from_top_form(forms: Forms):
@@ -496,13 +476,15 @@ def pfaffian_from_top_form(forms: Forms):
     pairs each mask of Omega^a with the one complementary mask of Omega^b,
     signed by `merge_sign`, the left coefficient on the left.  The split
     is a = n // 2, which builds no power past Omega^b, unless Omega^n is
-    already memoised on Omega: then a = n and Omega^b is the one."""
+    already memoised on Omega: then a = n and Omega^b is the one.
+    Scalar coefficients give a scalar under the scalar rule (an int when
+    integral), ring coefficients an element of the ring."""
     half = forms.half
     memoised = len(getattr(forms.omega, "_powers", ())) + 1  # see GrassmannElement.power
     a = half if memoised >= half else half // 2
     left, right = forms.omega.power(a).terms, forms.omega.power(half - a).terms
     ring, (left_raw, right_raw) = _lift((left, right))
-    product_into = (ring or Poly)._product_into
+    product_into = ring._product_into
     right_by_mask = dict(right_raw)
     full = (1 << forms.omega.slots) - 1
     top: dict = {}
@@ -510,7 +492,7 @@ def pfaffian_from_top_form(forms: Forms):
         rest = full ^ m
         if rest in right_by_mask:
             product_into(top, c, right_by_mask[rest], merge_sign(m, rest))
-    return _unlift(ring, top) * Fraction(1, 2**half * factorial(half))
+    return _rational(ring._wrap(top) * Fraction(1, 2**half * factorial(half)))
 
 
 def check_top_form_route(mode: str = "uea", n: int | None = None,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .indexing import cycle_sign
@@ -45,16 +46,7 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     if A and B and len(A[0]) != len(B):
         raise ValueError("inner dimensions do not match")
     Bt = transpose(B)
-    out = []
-    for row in A:
-        out_row = []
-        for col in Bt:
-            acc = row[0] * col[0]
-            for x, y in zip(row[1:], col[1:]):
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
+    return tuple(tuple(sum(map(mul, row, col)) for col in Bt) for row in A)
 
 
 def det_leibniz(M: Matrix):

@@ -28,7 +28,6 @@ line and column of a bad entry.  The grammar is the same on both paths.
 from __future__ import annotations
 
 import re
-from itertools import repeat
 from typing import Callable
 
 from .pfaffian import AlternatingMatrix, AntiAlternatingMatrix, ShapeError
@@ -139,14 +138,14 @@ def loads(text: str, ring: str = "poly"):
         size = _header_ints(fields[1:], 1, lineno, "full header must read 'full <size>'")[0]
         if size < 0:
             raise MatrixParseError("full header must read 'full <size>'", lineno)
-        rows = _read_rows(reader, "row", repeat(size, size), parse_entry)
+        rows = _read_rows(reader, "row", (size for _ in range(size)), parse_entry)
         _expect_eof(reader)
         return AlternatingMatrix(rows)
     n, p, q = _header_ints(fields, 3, lineno, "header must read 'n p q' or 'full <size>'")
     if p + q != 2 * n or p < 1 or q < 1:
         raise MatrixParseError(f"coloring ({p}, {q}) does not match half-size {n}", lineno)
     _expect_label(reader, "a")
-    a_rows = _read_rows(reader, "a row", repeat(q, p), parse_entry)
+    a_rows = _read_rows(reader, "a row", (q for _ in range(p)), parse_entry)
     _expect_label(reader, "b")
     b_upper = _read_rows(reader, "b row", range(p - 1, 0, -1), parse_entry)
     _expect_label(reader, "c")

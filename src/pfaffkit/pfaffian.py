@@ -49,15 +49,17 @@ determinant of the enveloping algebra.
 
 The cofactor sums run on raw term dicts of one coefficient ring.  A
 matrix or block is lifted once (`rings._lift`: a ring element gives its
-own terms, a scalar sits on the ring's unit key) into a `_Lift`, which a
+own terms, a scalar sits on the ring's unit key, and an all-scalar
+matrix names the ring `rings._Scalars`) into a `_Lift`, which a
 memo of `_pf` or `_minor_det` keeps under the key None.  Each node of
 the kernels `_pf_terms` and `_det_terms` adds every signed product
 entry * cofactor, the entry on the left, through the ring's
 `_product_into` straight into one fresh dict, and the memos hold those
 dicts, only read once stored.  `_pf`, `_minor_det` and the block sum
-wrap a result once, at the end: the int 1 for the empty minor, the int 0
-when no product was added, a scalar for an all-scalar matrix, else an
-element of the ring (its zero when the products cancel);
+wrap a result once, at the end, by the ring's `_wrap`: the int 1 for
+the empty minor, the int 0 when no product was added, a scalar for an
+all-scalar matrix, else an element of the ring (its zero when the
+products cancel);
 `copfaffian_expansion_residuals` sums each residual the same way.  The
 block sum regroups as sum_I (sum_J sgn(Jc, J) det(a-minor) Pf(c_J))
 sgn(Ic, I) Pf(b_I), which keeps every left factor on the left, so it
@@ -98,7 +100,7 @@ from .linalg import (
     mat_mul,
     transpose,
 )
-from .rings import Combination, Poly, _lift, _rational, _unlift, add_into
+from .rings import Combination, Poly, _lift, _rational, add_into
 
 class ShapeError(ValueError):
     """Raised when a matrix violates the structural constraints of its type."""
@@ -365,6 +367,10 @@ def _common_denominator(lines: list, shift=None) -> int:
 class _Lift:
     """The entries of one matrix as raw term dicts of one coefficient ring.
 
+    `ring` is the one `rings._lift` names, whose `_product_into` and unit
+    key the kernels use and whose `_wrap` gives `value`: a `Combination`
+    type, or `rings._Scalars` for an all-scalar matrix, whose raw values
+    sit on Poly's unit key and wrap back to ints and Fractions.
     `lines` holds the lifted rows for the Pfaffian kernel and the lifted
     columns for the determinant kernel.  At a scalar `shift` the
     determinant's diagonal entry (k, k) gains shift + t in a column with
@@ -381,7 +387,6 @@ class _Lift:
     __slots__ = ("ring", "lines", "product_into", "unit", "one", "shift", "diagonal", "scale")
 
     def __init__(self, ring, lines: list, shift=None, scale: int | None = None):
-        carrier = ring or Poly  # scalars multiply on Poly's unit key
         if scale is None:
             scale = _common_denominator(lines, shift)
         if scale > 1:
@@ -390,7 +395,7 @@ class _Lift:
             if shift is not None:
                 shift = _rational(scale * shift)
         self.ring, self.lines, self.shift, self.diagonal, self.scale = ring, lines, shift, {}, scale
-        self.product_into, self.unit = carrier._product_into, carrier._UNIT
+        self.product_into, self.unit = ring._product_into, ring._UNIT
         self.one = {self.unit: 1}
 
     def shifted(self, k: int, t: int) -> dict:
@@ -402,11 +407,11 @@ class _Lift:
 
     def value(self, terms: dict, degree: int):
         """The public value of a raw sum whose products have `degree`
-        factors: the int 0 if no product was added, else `rings._unlift`
-        of it.  At d = 1 that is an element wrapping `terms` (which a memo
-        may share: elements are never written); at d > 1 an element owning
-        a fresh dict of the coefficients divided by d ** degree, under the
-        scalar rule."""
+        factors: the int 0 if no product was added, else the ring's
+        `_wrap` of it.  At d = 1 that is an element wrapping `terms`
+        (which a memo may share: elements are never written); at d > 1 an
+        element owning a fresh dict of the coefficients divided by
+        d ** degree, under the scalar rule."""
         if terms is _NO_PRODUCT:
             return 0
         if self.scale > 1:
@@ -420,7 +425,7 @@ class _Lift:
                     q = quotients[c] = c // power if g == power else Fraction(c // g, power // g)
                 divided[k] = q
             terms = divided
-        return _unlift(self.ring, terms)
+        return self.ring._wrap(terms)
 
 
 def _pf(A: AlternatingMatrix, mask: int, memo: dict):
@@ -613,14 +618,14 @@ def copfaffian_expansion_residuals(A: AlternatingMatrix) -> dict[tuple[int, int]
                 out[(i, j)] = total - pf if i == j else total
         return out
     ring, lines = _lift(A.rows + gamma.rows)
-    product_into = (ring or Poly)._product_into
+    product_into = ring._product_into
     for i, row in enumerate(lines[:m], start=1):
         for j, gamma_row in enumerate(lines[m:], start=1):
             terms: dict = {}
             for a, g in zip(row, gamma_row):
                 if a and g:
                     product_into(terms, a, g)
-            total = _unlift(ring, terms)
+            total = ring._wrap(terms)
             out[(i, j)] = total - pf if i == j else total
     return out
 

@@ -7,8 +7,10 @@ algebra and of the exterior algebra, and ``parse_poly`` is the one
 expression parser.  ``_lift`` turns the
 entries of a matrix, or the coefficients of exterior-algebra elements,
 into raw term dicts of their one coefficient ring, so that a sum of
-products runs on ``_product_into`` into one dict, and ``_unlift`` wraps
-the result once.  No floats anywhere: all comparisons in the
+products runs on ``_product_into`` into one dict, and the ring's
+``_wrap`` wraps the result once.  Plain scalars are a ring too:
+``_Scalars`` keeps them on Poly's unit key, so no caller tells an
+all-scalar lift apart.  No floats anywhere: all comparisons in the
 verification suites are exact equalities.
 
 A ``Poly`` monomial is one int, the product of a prime per variable
@@ -240,37 +242,31 @@ def add_into(out: dict, terms: Mapping, scale=1) -> dict:
 _SCALAR_TYPES = frozenset((int, Fraction))
 
 
-def _lift(groups: Iterable[Collection]) -> tuple[type | None, list[list]]:
+def _lift(groups: Iterable[Collection]) -> tuple[type, list[list]]:
     """Lift values to raw term dicts of their one coefficient ring.
 
     The values are ints, Fractions and elements of at most one
-    `Combination` type, the ring (TypeError on two).  Returns (ring,
-    lifted), ring None if every value is a scalar, with each group lifted
-    in one pass to a list: a dict group (the terms of an exterior-algebra
-    element) to its (key, raw terms) pairs, any other collection of
-    values (a matrix row) to the raw terms in its order.  A ring element
-    gives its own ``terms``, which are read and never written; a nonzero
-    scalar sits on the ring's unit key (Poly's when ring is None) and a
-    zero gives {}.  Each group is read twice, so it must be a collection,
-    not an iterator."""
+    `Combination` type, the ring (TypeError on two); if every value is a
+    scalar, the ring is `_Scalars`.  Returns (ring, lifted), each group
+    lifted in one pass to a list: a dict group (the terms of an
+    exterior-algebra element) to its (key, raw terms) pairs, any other
+    collection of values (a matrix row) to the raw terms in its order.  A
+    ring element gives its own ``terms``, which are read and never
+    written; a nonzero scalar sits on the ring's unit key and a zero gives
+    {}.  ``ring._wrap`` turns a raw sum back into a value.  Each group is
+    read twice, so it must be a collection, not an iterator."""
     groups = list(groups)
     rings = {type(c) for group in groups for c in (group.values() if type(group) is dict else group)}
     rings -= _SCALAR_TYPES
     if len(rings) > 1:
         raise TypeError(f"mixed coefficient rings: {sorted(r.__name__ for r in rings)}")
-    ring = rings.pop() if rings else None
-    unit = (ring or Poly)._UNIT
+    ring = rings.pop() if rings else _Scalars
+    unit = ring._UNIT
     return ring, [
         [(k, c.terms if type(c) is ring else {unit: c} if c else {}) for k, c in group.items()]
         if type(group) is dict else
         [c.terms if type(c) is ring else {unit: c} if c else {} for c in group]
         for group in groups]
-
-
-def _unlift(ring: type | None, terms: dict):
-    """The value of a raw term dict of `ring` from `_lift`: an element of
-    ring owning `terms`, or for ring None the scalar on Poly's unit key."""
-    return ring._wrap(terms) if ring is not None else terms.get(Poly._UNIT, 0)
 
 
 class Combination:
@@ -491,6 +487,24 @@ class Poly(Combination):
         return terms
 
     _format_key = staticmethod(format_monomial)
+
+
+class _Scalars:
+    """The coefficient ring that `_lift` names when every value is an int
+    or a Fraction: a scalar rides on Poly's unit key and multiplies by
+    Poly's `_product_into`, and `_wrap` reads a raw sum back as the scalar
+    on that key (0 when it is absent)."""
+
+    _UNIT = Poly._UNIT
+    _product_into = staticmethod(Poly._product_into)
+
+    @staticmethod
+    def _wrap(terms: dict) -> ScalarLike:
+        return terms.get(Poly._UNIT, 0)
+
+    @staticmethod
+    def const(c: ScalarLike) -> ScalarLike:
+        return c
 
 
 # --- the parser -----------------------------------------------------------

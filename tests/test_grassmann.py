@@ -12,7 +12,7 @@ from pfaffkit.grassmann import (
     Forms,
     GrassmannElement,
     _linear_combination,
-    _trinomial_part,
+    _product,
     build_forms,
     check_eta_anticommute,
     check_sl2,
@@ -180,6 +180,17 @@ def test_fused_product_mixes_scalars_into_a_ring():
     assert scalars.terms == {0b11: 2} and type(scalars.terms[0b11]) is int
 
 
+def test_top_form_of_scalar_coefficients_is_an_int():
+    # Omega of an int matrix: its powers and the top-form Pfaffian stay ints
+    X = AntiAlternatingMatrix.from_upper_blocks(2, 2, [[1, 2], [3, 4]], [[5]], [[6]])
+    omega = GrassmannElement.from_words(2, 2, (((i, -j), X.entry(i, j))
+                                               for i in X.row_labels() for j in X.col_labels()))
+    f = _rebuilt(build_forms("commutative", n=2), omega=omega, source=X)
+    assert set(map(type, omega.power(2).terms.values())) == {int}
+    pf = pfaffian_from_top_form(f)
+    assert pf == pfaffian_of_anti_alternating(X) and type(pf) is int
+
+
 def test_product_rejects_mixed_colorings_and_rings():
     with pytest.raises(ValueError):
         w([1], 1) * w([1], 1, p=1, q=3)
@@ -213,6 +224,11 @@ def test_power_zero_is_the_rings_one(coeff, one):
     assert type(x.power(0).terms[0]) is type(one)
     assert GrassmannElement.zero(2, 2).power(0).terms == {0: 1}
     assert x.power(0) * x == x == x * x.power(0)
+    if type(one) is int:  # integral products of scalar coefficients are ints, as in every ring
+        z = w([2], Fraction(4, 2))
+        for got in (z.power(0) * z, z * z.power(0), z * w([1], Fraction(1, 2))):
+            assert set(map(type, got.terms.values())) == {int}
+        assert (z * w([1], Fraction(1, 2))).terms == {0b11: -1}
 
 
 def test_memoised_falling_product_equals_loop():
@@ -224,25 +240,27 @@ def test_memoised_falling_product_equals_loop():
                 loops.append(loops[-1] * (f.xi + f.tau.scale(Fraction(u) - k)))
             for r in (3, 0, 1, n + 1, 2, n):
                 assert xi_shifted_power(f, u, r) == loops[r]
-        assert set(f.tau_xi) == {(k, r - k) for r in range(n + 1) for k in range(r + 1)}
+        assert set(f.products) == {(k, r - k, 0) for r in range(n + 1) for k in range(r + 1)}
 
 
 @pytest.mark.parametrize("mode,n", [("uea", 2), ("uea", 3), ("commutative", 2), ("commutative", 3)])
-def test_memoised_trinomial_parts_equal_products_from_scratch(mode, n):
-    f = build_forms(mode, n=n)
-    tail = f.theta_prime if mode == "uea" else f.theta
-    taus = range(n + 1) if mode == "uea" else range(1)
-    keys = [(k, j, a) for k in taus for j in range(n + 1 - k) for a in range(1, n + 1 - k - j)]
-    random.Random(f"parts:{mode}:{n}").shuffle(keys)  # out of order, so the power memos skip ahead
-    for k, j, a in keys:
-        scratch = f.omega.power(0)
-        for factor, exp in ((f.tau, k), (f.xi, j), (tail, a)):
-            for _ in range(exp):
-                scratch = scratch * factor
-        assert _trinomial_part(f, k, j, a) == scratch
-        assert _trinomial_part(f, k, j, a) is _trinomial_part(f, k, j, a)
-    assert set(f.trinomial_parts) == set(keys)
-    assert _trinomial_part(f, 0, 2, 0) is f.xi.power(2)  # a = 0 is the tau^k Xi^j memo itself
+def test_memoised_products_equal_products_from_scratch(mode, n):
+    # tau^k Xi^j Theta'^a in both modes, and with k = 0 at a rectangular
+    # commutative coloring, which has no tau
+    for f in (build_forms(mode, n=n), build_forms("commutative", p=n - 1, q=n + 1)):
+        taus = range(n + 1) if f.tau is not None else range(1)
+        keys = [(k, j, a) for k in taus for j in range(n + 1 - k) for a in range(n + 1 - k - j)]
+        random.Random(f"products:{mode}:{n}").shuffle(keys)  # out of order, so the power memos skip ahead
+        for k, j, a in keys:
+            scratch = f.omega.power(0)
+            for factor, exp in ((f.tau, k), (f.xi, j), (f.theta_prime, a)):
+                for _ in range(exp):
+                    scratch = scratch * factor
+            assert _product(f, k, j, a) == scratch
+            assert _product(f, k, j, a) is _product(f, k, j, a)
+        assert set(f.products) == set(keys)
+        assert _product(f, 0, 2) is f.xi.power(2)  # no product by a 0th power
+        assert _product(f, 0, 0, 2) == f.theta_prime.power(2)
 
 
 def test_trinomial_sweep_forms_each_product_once():
@@ -251,6 +269,8 @@ def test_trinomial_sweep_forms_each_product_once():
     # (3), tau^k Xi^j Theta'^a for a >= 1 and a nonzero e_k (9), and one
     # (sum_a ...) Theta^b per m and b >= 1 (6); warm, only those last 6.
     # Forming X(v, r) Theta'^a afresh for each (m, b, a) reads 29 and 16.
+    # Commutative mode runs the same body with k = 0 only: 20 cold, 6 warm,
+    # at (3, 3) and at the rectangular (2, 4).
     calls = []
     mul = GrassmannElement.__mul__
 
@@ -260,15 +280,15 @@ def test_trinomial_sweep_forms_each_product_once():
 
     GrassmannElement.__mul__ = counted
     try:
-        f = build_forms("uea", n=3)
         counts = []
-        for _ in range(2):
-            calls.clear()
-            assert all(check_trinomial(3, m, forms=f) for m in range(4))
-            counts.append(len(calls))
+        for f in (build_forms("uea", n=3), build_forms("commutative", n=3), build_forms("commutative", p=2, q=4)):
+            for _ in range(2):
+                calls.clear()
+                assert all(check_trinomial(3, m, f.mode, forms=f) for m in range(4))
+                counts.append(len(calls))
     finally:
         GrassmannElement.__mul__ = mul
-    assert counts == [27, 6]
+    assert counts == [27, 6, 20, 6, 20, 6]
 
 
 def _generator(p, q, label):
@@ -323,21 +343,20 @@ def test_forms_from_separate_builds_share_no_memo():
     f1.omega.power(2)
     xi_shifted_power(f1, Fraction(1), 2)
     assert check_trinomial(2, 2, forms=f1)
-    assert f1.tau_xi
+    assert f1.products
     f2 = build_forms("uea", n=2)
-    assert f2.tau_xi == {} and f2.tau_xi is not f1.tau_xi
+    assert f2.products == {} and f2.products is not f1.products
     assert check_xi_power_formula(2, Fraction(1), 2, forms=f1) and f1.minor_dets
     assert f2.minor_dets == {} and f2.minor_dets is not f1.minor_dets
     assert check_theta_powers(2, 1, 1, forms=f1) and f1.block_pfs
     assert f2.block_pfs == {} and f2.block_pfs is not f1.block_pfs
-    assert f1.trinomial_parts and f1.theta_expansions
-    for name in ("trinomial_parts", "theta_expansions"):
-        assert getattr(f2, name) == {} and getattr(f2, name) is not getattr(f1, name)
+    assert f1.theta_expansions
+    assert f2.theta_expansions == {} and f2.theta_expansions is not f1.theta_expansions
     c1 = build_forms("commutative", n=2)
-    assert check_trinomial(2, 2, mode="commutative", forms=c1) and c1.trinomial_parts
+    assert check_trinomial(2, 2, mode="commutative", forms=c1) and c1.products
     assert check_theta_powers(2, 1, 1, mode="commutative", forms=c1) and c1.theta_expansions
     c2 = build_forms("commutative", n=2)
-    assert c2.trinomial_parts == {} and c2.theta_expansions == {} and c2.tau_xi == {}
+    assert c2.products == {} and c2.theta_expansions == {}
     for name in ("omega", "xi", "theta", "theta_prime", "tau"):
         a, b = getattr(f1, name), getattr(f2, name)
         assert a is not b and a == b
@@ -353,11 +372,11 @@ def test_memos_leave_no_cyclic_garbage():
         f = build_forms("uea", n=2)
         assert check_trinomial(2, 2, forms=f) and check_xi_power_formula(2, Fraction(1), 2, forms=f)
         assert check_theta_powers(2, 1, 1, forms=f) and check_top_form_route(forms=f)
-        assert f.trinomial_parts and f.theta_expansions
+        assert f.products and f.theta_expansions
         c = build_forms("commutative", n=2)
         assert check_trinomial(2, 2, mode="commutative", forms=c)
         assert check_theta_powers(2, 1, 1, mode="commutative", forms=c)
-        assert c.trinomial_parts and c.theta_expansions
+        assert c.products and c.theta_expansions
         del f, c
         assert gc.collect() == 0
     finally:
@@ -517,7 +536,7 @@ def _corrupted(f, name):
 @pytest.mark.parametrize("name", ["xi", "tau"])
 def test_xi_power_and_uea_trinomial_detect_corrupted_forms(n, name):
     f = _corrupted(build_forms("uea", n=n), name)
-    assert f.tau_xi == {} and f.minor_dets == {}
+    assert f.products == {} and f.minor_dets == {}
     for r in range(1, n + 1):
         for u in (Fraction(-1), Fraction(0), Fraction(2)):
             # tau enters Xi(u+r-1) ... Xi(u) unless the one factor is Xi(0)
@@ -571,8 +590,10 @@ def test_theta_powers_detect_a_corrupted_theta_prime_with_a_warm_memo(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_commutative_trinomial_detects_corrupted_xi(n):
-    f = _corrupted(build_forms("commutative", n=n), "xi")
-    assert not any(check_trinomial(n, m, mode="commutative", forms=f) for m in range(1, n + 1))
+    # and a corrupted Theta or Theta': the one body reads all three forms
+    for name in ("xi", "theta", "theta_prime"):
+        f = _corrupted(build_forms("commutative", n=n), name)
+        assert not any(check_trinomial(n, m, mode="commutative", forms=f) for m in range(1, n + 1)), name
 
 
 @pytest.mark.parametrize("check", [
