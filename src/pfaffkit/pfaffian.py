@@ -60,13 +60,17 @@ wrap a result once, at the end, by the ring's `_wrap`: the int 1 for
 the empty minor, the int 0 when no product was added, a scalar for an
 all-scalar matrix, else an element of the ring (its zero when the
 products cancel);
-`copfaffian_expansion_residuals` sums each residual the same way.  The
-block sum regroups as sum_I (sum_J sgn(Jc, J) det(a-minor) Pf(c_J))
+`copfaffian_expansion_residuals` sums each residual the same way, and
+the matching walk of `pfaffian_definitional` runs on a `_Lift` of its
+own: each prefix product and each signed leaf product goes through the
+ring's `_product_into`, and the leaf sum is wrapped once.  The block
+sum regroups as sum_I (sum_J sgn(Jc, J) det(a-minor) Pf(c_J))
 sgn(Ic, I) Pf(b_I), which keeps every left factor on the left, so it
 needs no intermediate element and multiplies by each Pf(b_I) once.  A
 matrix whose entries are all ints
 (`AlternatingMatrix.int_entries`) takes `_pf`'s own recursion in plain
-int arithmetic instead, its memo holding ints.  A lift with Fraction
+int arithmetic instead, its memo holding ints, and the matching walk
+sums in ints too.  A lift with Fraction
 coefficients is scaled once by their common denominator d (`_Lift`), so
 the kernels run in ints on d A and only a returned value is divided back,
 by d to its degree, as `pfaffian` does for rational matrices.
@@ -86,8 +90,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import chain, combinations, islice
-from math import gcd, lcm
-from operator import attrgetter, eq, neg
+from math import lcm
+from operator import attrgetter, eq, mul, neg
 from typing import Callable, Iterable, Sequence
 
 from .indexing import index_mask, merge_sign
@@ -100,7 +104,7 @@ from .linalg import (
     mat_mul,
     transpose,
 )
-from .rings import Combination, Poly, _lift, _rational, add_into
+from .rings import Poly, _lift, _rational, add_into
 
 class ShapeError(ValueError):
     """Raised when a matrix violates the structural constraints of its type."""
@@ -294,22 +298,27 @@ def pfaffian_definitional(A: AlternatingMatrix):
     """Pfaffian as the signed sum over perfect matchings.
 
     One pass down `_matching_walk(A.size)`: each node multiplies its
-    entry onto the product of its parent, left to right with the ring's
-    `*`, and keeps it as the prefix of its depth, so a prefix is
-    multiplied out once for all the matchings through it (at size 10,
-    2 277 entries read and 2 268 products, against 945 x 4 = 3 780 for
-    the matchings one by one).  A zero entry skips its whole subtree.  A
-    leaf adds its product with the sign the walk stores for it, one
-    stored flag per matching, never carried down the walk.  The table
-    builds those flags by the cofactor rule, a flip under each first
-    pair (0, k) with k even, so the route's independence of `_pf` rests
-    on the tests that check every flag against `cycle_sign` of the
-    matching's own flat pair sequence at each size up to 12, beyond
-    every size a check or benchmark item uses.  Scalar products go into
-    a plain scalar sum (an all-int matrix sums in ints) and ring
-    products into one raw term dict through `add_into`, wrapped once;
-    no `_product_into` is used.  The empty matrix gives the int 1, and a
-    matrix with no nonzero matching the int 0.
+    entry onto the product of its parent, left to right, and keeps it as
+    the prefix of its depth, so a prefix is multiplied out once for all
+    the matchings through it (at size 10, 2 277 entries read and 2 268
+    products, against 945 x 4 = 3 780 for the matchings one by one).  A
+    zero entry skips its whole subtree.  A leaf adds its product with the
+    sign the walk stores for it, one stored flag per matching, never
+    carried down the walk.  The table builds those flags by the cofactor
+    rule, a flip under each first pair (0, k) with k even, so the route's
+    independence of `_pf` rests on the tests that check every flag
+    against `cycle_sign` of the matching's own flat pair sequence at each
+    size up to 12, beyond every size a check or benchmark item uses.
+
+    An all-int matrix walks in plain int arithmetic.  Any other matrix is
+    lifted once into a `_Lift` of its rows, as `_pf` lifts it (d-scaled
+    ints when the coefficients hold Fractions): each prefix is the ring's
+    `_product_into` of its parent and its entry into a fresh dict, each
+    leaf adds its signed product straight into one raw dict, and
+    `_Lift.value` wraps that sum once.  The walk shares no expansion with
+    `_pf`, only the lift and the ring's product.  The empty matrix gives
+    the int 1, a matrix with no nonzero matching the int 0, and matchings
+    that cancel the ring's zero.
     """
     m = A.size
     if m == 0:
@@ -319,11 +328,29 @@ def pfaffian_definitional(A: AlternatingMatrix):
     after = [0] * (last + 1)  # bytes after a node of each depth up to the end of its subtree
     for d in range(last - 1, -1, -1):
         after[d] = (m - 2 * d - 3) * (after[d + 1] + 4)
-    rows = A.rows
-    prefix = [None] * last
-    scalar = 0
-    ring = None
+    if A.int_entries:
+        rows = A.rows
+        prefix = [1] * (last + 1)  # prefix[d]: the product of the entries above depth d
+        total = 0
+        for i, j, depth, negative in zip(nodes, nodes, nodes, nodes):
+            entry = rows[i][j]
+            if not entry:
+                skip = after[depth]
+                if skip:
+                    next(islice(nodes, skip, skip), None)
+                continue
+            if depth < last:
+                prefix[depth + 1] = prefix[depth] * entry
+            elif negative:
+                total -= prefix[depth] * entry
+            else:
+                total += prefix[depth] * entry
+        return total
+    lift = _Lift(*_lift(A.rows))
+    rows, product_into = lift.lines, lift.product_into
+    prefix = [lift.one] * (last + 1)
     terms: dict = {}
+    survived = False
     for i, j, depth, negative in zip(nodes, nodes, nodes, nodes):
         entry = rows[i][j]
         if not entry:
@@ -331,23 +358,12 @@ def pfaffian_definitional(A: AlternatingMatrix):
             if skip:
                 next(islice(nodes, skip, skip), None)
             continue
-        if depth:
-            entry = prefix[depth - 1] * entry
         if depth < last:
-            prefix[depth] = entry
-        elif isinstance(entry, Combination):
-            ring = type(entry)
-            add_into(terms, entry.terms, -1 if negative else 1)
-        elif negative:
-            scalar -= entry
+            prefix[depth + 1] = product_into({}, prefix[depth], entry) if depth else entry
         else:
-            scalar += entry
-    scalar = _rational(scalar)
-    if ring is None:
-        return scalar
-    if scalar:
-        add_into(terms, {ring._UNIT: scalar})
-    return ring._wrap(terms)
+            product_into(terms, prefix[depth], entry, -1 if negative else 1)
+            survived = True
+    return lift.value(terms if survived else _NO_PRODUCT, m // 2)
 
 
 # The raw value of a node to which no product was added; shared, never written.
@@ -371,10 +387,11 @@ class _Lift:
     key the kernels use and whose `_wrap` gives `value`: a `Combination`
     type, or `rings._Scalars` for an all-scalar matrix, whose raw values
     sit on Poly's unit key and wrap back to ints and Fractions.
-    `lines` holds the lifted rows for the Pfaffian kernel and the lifted
-    columns for the determinant kernel.  At a scalar `shift` the
-    determinant's diagonal entry (k, k) gains shift + t in a column with
-    t columns right of it; `shifted` builds it once per (k, t).
+    `lines` holds the lifted rows for the Pfaffian kernel and the matching
+    walk, and the lifted columns for the determinant kernel.  At a scalar
+    `shift` the determinant's diagonal entry (k, k) gains shift + t in a
+    column with t columns right of it; `shifted` builds it once per
+    (k, t).
 
     `scale` is a common denominator d of the coefficients and the shift
     (their least one unless the caller names one, as the block sum does
@@ -420,9 +437,8 @@ class _Lift:
             divided = {}
             for k, c in terms.items():
                 q = quotients.get(c)
-                if q is None:
-                    g = gcd(c, power)
-                    q = quotients[c] = c // power if g == power else Fraction(c // g, power // g)
+                if q is None:  # one gcd, the constructor's, and none for an integral quotient
+                    q = quotients[c] = Fraction(c, power) if c % power else c // power
                 divided[k] = q
             terms = divided
         return self.ring._wrap(terms)
@@ -614,7 +630,7 @@ def copfaffian_expansion_residuals(A: AlternatingMatrix) -> dict[tuple[int, int]
     if A.int_entries and gamma.int_entries:
         for i, row in enumerate(A.rows, start=1):
             for j, gamma_row in enumerate(gamma.rows, start=1):
-                total = sum(a * g for a, g in zip(row, gamma_row))
+                total = sum(map(mul, row, gamma_row))
                 out[(i, j)] = total - pf if i == j else total
         return out
     ring, lines = _lift(A.rows + gamma.rows)
@@ -955,7 +971,14 @@ def equivariance_check(A: AlternatingMatrix, g) -> bool:
     """Pf(g A tg) == det(g) Pf(A) for a rational matrix g.
 
     Tested as Pf(G A tG) == det(G) Pf(A) with the int matrix G = d g, d the
-    common denominator of g: both sides are the former ones times d^m."""
+    common denominator of g: both sides are the former ones times d^m.
+    G A tG is alternating by construction, so only its strict upper
+    triangle, the part a Pfaffian reads, is formed, entry (i, j) as row i
+    of G A dotted with row j of G, and the grid is mirrored and wrapped
+    without a second check."""
     G = clear_denominators(g)[0]
-    conjugated = AlternatingMatrix(mat_mul(mat_mul(G, A.rows), transpose(G)))
+    GA = mat_mul(G, A.rows)
+    m = len(GA)
+    upper = [[sum(map(mul, GA[i], G[j])) for j in range(i + 1, m)] for i in range(m - 1)]
+    conjugated = AlternatingMatrix._trusted(tuple(map(tuple, _mirror(m, upper))))
     return pfaffian(conjugated) == det_exact(G) * pfaffian(A)

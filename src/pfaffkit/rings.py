@@ -252,9 +252,10 @@ def _lift(groups: Iterable[Collection]) -> tuple[type, list[list]]:
     exterior-algebra element) to its (key, raw terms) pairs, any other
     collection of values (a matrix row) to the raw terms in its order.  A
     ring element gives its own ``terms``, which are read and never
-    written; a nonzero scalar sits on the ring's unit key and a zero gives
-    {}.  ``ring._wrap`` turns a raw sum back into a value.  Each group is
-    read twice, so it must be a collection, not an iterator."""
+    written; a nonzero scalar sits on the ring's unit key, under the
+    scalar rule of `_rational`, and a zero gives {}.  ``ring._wrap``
+    turns a raw sum back into a value.  Each group is read twice, so it
+    must be a collection, not an iterator."""
     groups = list(groups)
     rings = {type(c) for group in groups for c in (group.values() if type(group) is dict else group)}
     rings -= _SCALAR_TYPES
@@ -263,9 +264,9 @@ def _lift(groups: Iterable[Collection]) -> tuple[type, list[list]]:
     ring = rings.pop() if rings else _Scalars
     unit = ring._UNIT
     return ring, [
-        [(k, c.terms if type(c) is ring else {unit: c} if c else {}) for k, c in group.items()]
+        [(k, c.terms if type(c) is ring else {unit: _rational(c)} if c else {}) for k, c in group.items()]
         if type(group) is dict else
-        [c.terms if type(c) is ring else {unit: c} if c else {} for c in group]
+        [c.terms if type(c) is ring else {unit: _rational(c)} if c else {} for c in group]
         for group in groups]
 
 

@@ -163,6 +163,11 @@ def test_matching_sum_of_the_generic_matrix_has_one_unit_term_per_matching():
             assert sorted(ends) == list(range(1, 2 * m + 1))
 
 
+def _poly_fraction_entry(rng, i, j, top=9):
+    """a[i,j] times a Fraction, plus a Fraction constant (possibly 0)."""
+    return a(i, j) * Fraction(rng.randint(1, top), rng.randint(1, 4)) + Fraction(rng.randint(-top, top), rng.randint(1, 3))
+
+
 def _sparse_entry(kind, rng, i, j):
     if rng.random() < 0.2:
         return 0
@@ -170,6 +175,8 @@ def _sparse_entry(kind, rng, i, j):
         return rng.randint(-5, 5)
     if kind == "fraction":
         return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    if kind == "poly-fraction":
+        return _poly_fraction_entry(rng, i, j, 5)
     return a(i, j) * rng.randint(1, 3)
 
 
@@ -225,26 +232,38 @@ def _permutation_sum_pfaffian(A):
 
 
 def _oracle_draws(kind, rng):
-    """Dense and sparse draws at sizes 2..8, and each size with a zero
-    first and a zero last row; no dense Fraction draw at size 8, whose
-    8! products of four Fractions take about 0.6 s."""
+    """(matrix, whether every matching meets a zero entry) pairs: dense and
+    sparse draws at sizes 2..8, and each size with a zero first and a zero
+    last row; at size 6, a draw whose only zeros join the first three
+    indices to the other three, an odd block that every matching must
+    leave.  No dense Fraction draw at size 8, whose 8! products of four
+    Fractions take about 0.6 s, and at size 8 only the vanishing draws of
+    Poly entries with Fraction coefficients (a sparse one takes about
+    1.8 s)."""
     dense = {"int": lambda i, j: rng.randint(-9, 9),
              "fraction": lambda i, j: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
-             "poly": a}[kind]
+             "poly": a,
+             "poly-fraction": lambda i, j: _poly_fraction_entry(rng, i, j)}[kind]
     for size in (2, 4, 6, 8):
-        if not (kind == "fraction" and size == 8):
-            yield AlternatingMatrix.from_upper(size, dense)
-        yield AlternatingMatrix.from_upper(size, lambda i, j: _sparse_entry(kind, rng, i, j))
+        if size < 8 or kind in ("int", "poly"):
+            yield AlternatingMatrix.from_upper(size, dense), False
+        if size < 8 or kind != "poly-fraction":
+            yield AlternatingMatrix.from_upper(size, lambda i, j: _sparse_entry(kind, rng, i, j)), False
         for zero_row in (1, size):
             yield AlternatingMatrix.from_upper(
-                size, lambda i, j: 0 if zero_row in (i, j) else _sparse_entry(kind, rng, i, j))
+                size, lambda i, j: 0 if zero_row in (i, j) else _sparse_entry(kind, rng, i, j)), True
+        if size == 6:
+            yield AlternatingMatrix.from_upper(size, lambda i, j: 0 if i <= 3 < j else dense(i, j)), True
 
 
-@pytest.mark.parametrize("kind", ["int", "fraction", "poly"])
+@pytest.mark.parametrize("kind", ["int", "fraction", "poly", "poly-fraction"])
 def test_matching_sum_equals_the_permutation_sum(kind):
     rng = random.Random(41)
-    for A in _oracle_draws(kind, rng):
-        assert pfaffian_definitional(A) == _permutation_sum_pfaffian(A), (kind, A.rows)
+    for A, vanishes in _oracle_draws(kind, rng):
+        pf = pfaffian_definitional(A)
+        assert pf == _permutation_sum_pfaffian(A), (kind, A.rows)
+        if vanishes:  # no matching survives: the int 0, whatever the ring
+            assert type(pf) is int and pf == 0, (kind, A.rows)
     # matchings that cancel: a Poly zero on both sides
     one, x, y = Poly.const(1), Poly.var("x"), Poly.var("y")
     upper = {(1, 2): x, (3, 4): y, (1, 3): x, (2, 4): y, (1, 4): 0, (2, 3): 0}
@@ -252,6 +271,25 @@ def test_matching_sum_equals_the_permutation_sum(kind):
               AlternatingMatrix.from_upper(4, lambda i, j: upper[i, j])):
         pf = pfaffian_definitional(A)
         assert type(pf) is Poly and not pf.terms and _permutation_sum_pfaffian(A) == 0
+
+
+def test_matching_sum_makes_no_poly_product():
+    # the walk multiplies raw term dicts through the lift, never Poly elements
+    A = AlternatingMatrix.generic(8)
+    expected = pfaffian(A)
+    original, calls = Poly.__mul__, []
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    Poly.__mul__ = counted
+    try:
+        pf = pfaffian_definitional(A)
+    finally:
+        Poly.__mul__ = original
+    assert not calls
+    assert type(pf) is Poly and pf == expected and len(pf.terms) == 105
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8, 10])
@@ -1115,6 +1153,12 @@ def test_equivariance():
             g = random_orthogonal_cayley(S, rng)
             A = AlternatingMatrix.random_rational(n2, rng)
             assert equivariance_check(A, g)
+    # the identity holds for every square g, so the conjugate's upper
+    # triangle is also checked on Fraction and Poly entries under a g
+    # that is no isometry
+    g = tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)) for _ in range(4))
+    for A in (AlternatingMatrix.generic(4), AlternatingMatrix.from_upper(4, lambda i, j: Fraction(i - 2 * j, 3))):
+        assert equivariance_check(A, g)
 
 
 @given(st.integers(min_value=1, max_value=3), st.randoms(use_true_random=False))

@@ -20,6 +20,8 @@ from pfaffkit.rings import (
     Poly,
     PolyParseError,
     _decode,
+    _Scalars,
+    _lift,
     _mono_code,
     _rational,
     parse_poly,
@@ -380,6 +382,12 @@ def test_scalar_grassmann_product_stores_ints():
     prod = left * right
     assert prod.terms == {0b11: 1, 0b01: Fraction(1, 3), 0b10: 3, 0: 1}
     assert type(prod.terms[0b11]) is int and type(prod.terms[0]) is int and type(prod.terms[0b10]) is int
+    # a lifted scalar follows the scalar rule, so an integral Fraction that
+    # lands alone on its mask is stored as an int
+    alone = GrassmannElement.from_words(2, 2, [([1], Fraction(2))]).terms
+    assert alone == {1: 2} and type(alone[1]) is int
+    assert _lift(([Fraction(4, 2), Fraction(1, 2), 0],)) == (_Scalars, [[{1: 2}, {1: Fraction(1, 2)}, {}]])
+    assert type(_lift(([Fraction(4, 2)],))[1][0][0][1]) is int
 
 
 @given(small_polys(), small_polys(), small_polys())
