@@ -65,9 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_pfaffian(args) -> int:
     X = matrixio.load_path(args.file, ring=args.ring)
     if isinstance(X, AntiAlternatingMatrix):
-        print(pfaffian_of_anti_alternating(X))
+        _print_all_digits(pfaffian_of_anti_alternating(X))
     else:
-        print(pfaffian(X))
+        _print_all_digits(pfaffian(X))
     return 0
 
 
@@ -163,8 +163,8 @@ def cmd_forms(args) -> int:
         forms = grassmann.build_forms("commutative", p=p, q=q)
     for label, form in (("omega", forms.omega), ("xi", forms.xi),
                         ("theta", forms.theta), ("theta'", forms.theta_prime)):
-        print(f"{label} = {form}")
-    print(f"tau = {forms.tau}")
+        _print_all_digits(f"{label} =", form)
+    _print_all_digits("tau =", forms.tau)
     return 0
 
 

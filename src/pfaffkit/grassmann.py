@@ -10,21 +10,27 @@ The module builds the canonical 2-forms attached to an (anti-alternating)
 matrix and verifies the closed formulas for their powers, including the
 top-degree route to the Pfaffian.
 
-Products are fused with the coefficient ring: each ring supplies the raw
-`_product_into(out, left, right, scale)` of `rings.Combination`, and
-`GrassmannElement.__mul__` lifts each factor once, in one pass, to
-(mask, raw coefficient terms) pairs (`rings._lift`), adds every pair of
-disjoint masks into one raw term dict per output mask, signed by the
-parity of the left mask against `indexing.crossing_mask` of the right
-one (one mask per right mask), and wraps each dict once at the end
-with the ring's `_wrap`; no coefficient element is built per pair.
-Scalar coefficients are no special case: `_lift` names the ring
-`rings._Scalars` for them, whose raw sums sit on Poly's unit key and
-wrap back to ints and Fractions.  `GrassmannElement.from_words`
-lifts its coefficients once and adds each word's raw terms, signed, the
-same way, and the top-form route sums its coefficient pairs so too.
+An element keeps its coefficients raw: `GrassmannElement.terms` maps each
+slot mask to a raw term dict of the one coefficient ring that
+`GrassmannElement.ring` names (`Poly`, `UEAElement`, or `rings._Scalars`
+when every coefficient is an int or a Fraction, and for 0), and it holds
+no empty dict.  Values are lifted once on the way in, by the constructor
+and `GrassmannElement.from_words` (`rings._lift`), and wrapped once on
+the way out, by `GrassmannElement.coefficient` (and so
+`top_coefficient`, printing and pickling).  In between nothing is lifted
+or wrapped.  `GrassmannElement.__mul__` adds every coefficient pair of
+disjoint masks through the ring's raw `_product_into(out, left, right,
+scale)` into one dict per output mask, signed by the parity of the left
+mask against `indexing.crossing_mask` of the right one (one mask per
+right mask).  `_linear_combination` is the one linear operation, behind
+`+`, `-`, negation and `scale`: it copies the first contribution to a
+mask and adds the others into it with `rings.add_into`.  `==` compares
+the raw dicts.  Operands of two rings meet under one rule, `_adopt`: an
+element of scalars moves each scalar onto the other ring's unit key, and
+two rings that are not `_Scalars` raise TypeError.
+
 Powers of an element are memoised on it, Omega^m as Omega^(m-1) Omega,
-and its 0th power is the one of the ring its coefficients name.
+and its 0th power is the one of its ring; `**` is that memoised power.
 tau has the ring's one for its coefficients and even degree, so it
 commutes with everything, and a falling product is a linear combination
 of memoised products, Xi(v) ... Xi(v-r+1) = sum_k e_k(v, ..., v-r+1)
@@ -34,14 +40,15 @@ combinations times Theta'^a, then times Theta^b, and in commutative mode
 the falling product is Xi^r itself (the one coefficient 1), since Xi,
 Theta and Theta' are even forms with commuting coefficients there.  So
 one memo on the `Forms` (`_product`) holds every product
-tau^k Xi^j Theta'^a, formed once for every shift v and every m.  Linear
-combinations of elements, there and in the trinomial check, add each
-coefficient's raw terms into one dict per mask.  The block Pfaffians of the Theta power check are read through
-`pfaffian._pf` on the whole b and c blocks, under one memo per block
-kept on the forms, so each block is lifted once and every power shares
-its sub-Pfaffians; each power's expansion is kept on the forms as well.
-The Xi power check builds no right side: it compares each minor, times
-r!, with the left side's coefficient at the minor's mask.
+tau^k Xi^j Theta'^a, formed once for every shift v and every m.  The
+block Pfaffians of the Theta power check are read through `pfaffian._pf`
+on the whole b and c blocks, under one memo per block kept on the forms,
+so each block is lifted once and every power shares its sub-Pfaffians;
+each power's expansion is kept on the forms as well.
+The Xi power check and the top-form route read raw terms: the former
+lifts only its minors and compares each, times r!, with the left side's
+raw dict at the minor's mask; the latter sums the raw coefficient pairs
+of two powers and wraps the one result.
 Each `build_forms` call starts with fresh forms and empty memos.
 Both sides of every identity are still computed independently and
 compared exactly; the left side Omega^m of the trinomial check is the
@@ -57,64 +64,88 @@ from typing import Iterable, Mapping, Sequence
 
 from .indexing import crossing_mask, index_mask, merge_sign
 from .pfaffian import AlternatingMatrix, AntiAlternatingMatrix, _minor_det, _pf, pfaffian_of_anti_alternating
-from .rings import Combination, Poly, _lift, _rational, add_into
+from .rings import Poly, _lift, _rational, _Scalars, add_into
 from .uea import UEAElement, build_canonical_x, nc_minor_summation_rhs
+
+
+def _adopt(elements: Sequence["GrassmannElement"]) -> tuple[type, list[Mapping[int, dict]]]:
+    """The one coefficient ring of the elements, and each one's raw terms in it.
+
+    The adoption rule: an element of scalars (`_Scalars`, which 0 also
+    names) moves each scalar onto the other ring's unit key; two rings
+    that are not `_Scalars` raise TypeError."""
+    rings = {x.ring for x in elements}
+    if len(rings) > 1:
+        rings.discard(_Scalars)
+        if len(rings) > 1:
+            raise TypeError(f"mixed coefficient rings: {sorted(r.__name__ for r in rings)}")
+    ring = rings.pop() if rings else _Scalars
+    unit, scalar = ring._UNIT, _Scalars._UNIT
+    return ring, [x.terms if x.ring is ring else {m: {unit: t[scalar]} for m, t in x.terms.items()}
+                  for x in elements]
 
 
 def _linear_combination(p: int, q: int, scaled: Iterable[tuple[object, "GrassmannElement"]]) -> "GrassmannElement":
     """Sum of s * x over the (scalar s, element x) pairs.
 
-    Each coefficient's raw terms are added, scaled, straight into one dict
-    per mask, and each dict becomes a coefficient once, at the end."""
-    scaled = [(s, x) for s, x in scaled if s and x]
-    ring, lifted = _lift(x.terms for _, x in scaled)
+    The first contribution to a mask is copied, scaled, and every later
+    one is added into it (`add_into`), all on raw term dicts."""
+    scaled = [(s, x) for s, x in scaled if s and x.terms]
+    ring, lifted = _adopt([x for _, x in scaled])
     sums: dict[int, dict] = {}
-    for (s, _), coefficients in zip(scaled, lifted):
-        for m, t in coefficients:
+    for (s, _), terms in zip(scaled, lifted):
+        for m, t in terms.items():
             out = sums.get(m)
             if out is None:
-                out = sums[m] = {}
-            add_into(out, t, s)
-    return GrassmannElement(p, q)._wrap_sums(sums, ring)
+                sums[m] = dict(t) if s == 1 else add_into({}, t, s)
+            else:
+                add_into(out, t, s)
+    return GrassmannElement._raw(p, q, ring, sums)
 
 
-class GrassmannElement(Combination):
+class GrassmannElement:
     """Sparse exterior-algebra element over the coloring (p, q).
 
-    ``terms`` maps slot bitmasks to coefficients; a mask encodes the
-    ascending product of its slots, and mask 0 holds the scalar part."""
+    ``terms`` maps slot bitmasks to the nonempty raw term dicts of the
+    coefficient ring ``ring``; a mask encodes the ascending product of its
+    slots, and mask 0 holds the scalar part.  The dicts may be shared with
+    other elements and ring values, so they are read and never written.
+    Instances are treated as immutable; all arithmetic returns fresh
+    objects."""
 
-    __slots__ = ("p", "q", "_powers")  # _powers: see power(); unset until then
-
-    _UNIT = 0
+    __slots__ = ("p", "q", "ring", "terms", "_powers")  # _powers: see power(); unset until then
 
     def __init__(self, p: int, q: int, terms: Mapping[int, object] | None = None):
-        self.p = p
-        self.q = q
-        super().__init__(terms)
+        """The element of coefficient values (ring elements, ints and
+        Fractions) by mask, lifted once."""
+        terms = terms or {}
+        ring, (lifted,) = _lift((list(terms.values()),))
+        self.p, self.q = p, q
+        self.terms = {m: t for m, t in zip(terms, lifted) if t}
+        self.ring = ring if self.terms else _Scalars
 
-    def _wrap(self, terms: dict) -> "GrassmannElement":
-        res = GrassmannElement.__new__(GrassmannElement)
-        res.p, res.q, res.terms = self.p, self.q, terms
+    @classmethod
+    def _raw(cls, p: int, q: int, ring, terms: dict[int, dict]) -> "GrassmannElement":
+        """The element of raw term dicts of `ring` by mask; empty dicts drop."""
+        res = cls.__new__(cls)
+        res.p, res.q = p, q
+        res.terms = {m: t for m, t in terms.items() if t}
+        res.ring = ring if res.terms else _Scalars
         return res
 
-    def _coerce(self, other):
-        if isinstance(other, GrassmannElement) and (self.p, self.q) != (other.p, other.q):
-            raise ValueError("mixed colorings")
-        return Combination._coerce(self, other)
+    def _coerce(self, other) -> "GrassmannElement | None":
+        """`other` as an element of this coloring (a scalar on mask 0), or None."""
+        if isinstance(other, GrassmannElement):
+            if (self.p, self.q) != (other.p, other.q):
+                raise ValueError("mixed colorings")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return GrassmannElement.scalar(self.p, self.q, other)
+        return None
 
     @property
     def slots(self) -> int:
         return self.p + self.q
-
-    def _slot(self, label: int) -> int:
-        if label > 0:
-            if label > self.p:
-                raise ValueError(f"label {label} exceeds row block size {self.p}")
-            return label
-        if label < 0 and -label <= self.q:
-            return self.p + self.q + 1 + label
-        raise ValueError(f"label {label} out of range for coloring ({self.p}, {self.q})")
 
     def _label(self, slot: int) -> int:
         return slot if slot <= self.p else slot - (self.p + self.q + 1)
@@ -132,21 +163,24 @@ class GrassmannElement(Combination):
         """Sum of coeff times the product of e_label factors, left to right,
         over the (labels, coeff) pairs.
 
-        The coefficients are lifted once, each word's raw terms are added
-        with its sign into one dict per mask, and each dict becomes a
-        coefficient once, at the end."""
-        elt = cls(p, q)
+        The coefficients are lifted once, each label's bit is read from one
+        table, and each word's raw terms are added with its sign into one
+        dict per mask."""
         words = list(words)
         ring, (lifted,) = _lift(([coeff for _, coeff in words],))
+        bits = {label: 1 << slot for slot, label in enumerate([*range(1, p + 1), *range(-q, 0)])}
         sums: dict[int, dict] = {}
         for (labels, _), t in zip(words, lifted):
             mask, sign = 0, 1
             for label in labels:
-                slot = elt._slot(label)
-                bit = 1 << (slot - 1)
+                bit = bits.get(label)
+                if bit is None:
+                    if label > p:
+                        raise ValueError(f"label {label} exceeds row block size {p}")
+                    raise ValueError(f"label {label} out of range for coloring ({p}, {q})")
                 if mask & bit:
                     break
-                if (mask >> slot).bit_count() % 2:
+                if (mask & -bit).bit_count() & 1:  # the factors already placed in later slots
                     sign = -sign
                 mask |= bit
             else:
@@ -154,44 +188,64 @@ class GrassmannElement(Combination):
                 if out is None:
                     out = sums[mask] = {}
                 add_into(out, t, sign)
-        return elt._wrap_sums(sums, ring)
+        return cls._raw(p, q, ring, sums)
 
     def __mul__(self, other: "GrassmannElement") -> "GrassmannElement":
         """Fused product: every coefficient pair of disjoint masks m1, m2 is
         added, with the sign of merging m2 into m1, straight into one raw
-        term dict of the coefficient ring per output mask m1 | m2; each
-        dict becomes a coefficient once, at the end.  The sign is the
-        parity of m1 against `crossing_mask(m2)`, one mask per m2."""
+        term dict of the coefficient ring per output mask m1 | m2.  The
+        sign is the parity of m1 against `crossing_mask(m2)`, one mask per
+        m2."""
         if not isinstance(other, GrassmannElement):
             return NotImplemented
         self._coerce(other)  # rejects mixed colorings
-        ring, (left, right) = _lift((self.terms, other.terms))
+        ring, (left, right) = _adopt((self, other))
         product_into = ring._product_into
-        right = [(m2, t2, crossing_mask(m2)) for m2, t2 in right]
+        right = [(m2, t2, crossing_mask(m2)) for m2, t2 in right.items()]
         sums: dict[int, dict] = {}
-        for m1, t1 in left:
+        for m1, t1 in left.items():
             for m2, t2, crossing in right:
                 if not m1 & m2:
                     out = sums.get(m1 | m2)
                     if out is None:
                         out = sums[m1 | m2] = {}
                     product_into(out, t1, t2, -1 if (m1 & crossing).bit_count() & 1 else 1)
-        return self._wrap_sums(sums, ring)
+        return GrassmannElement._raw(self.p, self.q, ring, sums)
 
-    def _wrap_sums(self, sums: dict[int, dict], ring) -> "GrassmannElement":
-        """Element of raw coefficient term dicts by mask; empty dicts drop."""
-        return self._wrap({m: ring._wrap(t) for m, t in sums.items() if t})
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _linear_combination(self.p, self.q, ((1, self), (1, o)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _linear_combination(self.p, self.q, ((1, self), (-1, o)))
+
+    def __neg__(self) -> "GrassmannElement":
+        return _linear_combination(self.p, self.q, ((-1, self),))
+
+    def scale(self, s) -> "GrassmannElement":
+        """The scalar s times every coefficient."""
+        return _linear_combination(self.p, self.q, ((s, self),))
+
+    def commutator(self, other: "GrassmannElement") -> "GrassmannElement":
+        return self * other - other * self
 
     def power(self, exp: int) -> "GrassmannElement":
-        """self^exp; self^0 is the one of the coefficient ring that the
-        coefficients name, or the scalar 1 if they are scalars or self is 0.
+        """self^exp; self^0 is the one of the coefficient ring, the scalar 1
+        if the coefficients are scalars or self is 0.
 
         Positive powers are memoised on the element, each computed as the
         one below times self, so self^m after self^k costs m - k products."""
         if exp < 0:
             raise ValueError("negative Grassmann powers do not exist")
         if exp == 0:
-            return GrassmannElement.scalar(self.p, self.q, _lift((self.terms,))[0].const(1))
+            return GrassmannElement._raw(self.p, self.q, self.ring, {0: {self.ring._UNIT: 1}})
         if exp == 1:
             return self
         # self^2, self^3, ...; holding self too would make a reference cycle
@@ -202,19 +256,49 @@ class GrassmannElement(Combination):
             powers.append(powers[-1] * self)
         return powers[exp - 2]
 
+    __pow__ = power
+
+    def __eq__(self, other):
+        if not isinstance(other, GrassmannElement):
+            if isinstance(other, (int, Fraction)):  # the scalar's raw terms; nothing is built
+                return self.terms == ({0: {self.ring._UNIT: _rational(other)}} if other else {})
+            return NotImplemented
+        self._coerce(other)  # rejects mixed colorings
+        try:
+            _, (left, right) = _adopt((self, other))
+        except TypeError:  # no nonzero element of one ring equals one of another
+            return False
+        return left == right
+
+    __hash__ = None
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def coefficient(self, mask: int):
+        """The coefficient at `mask`, wrapped by the ring: a ring element, or
+        a scalar under the scalar rule (an int when integral); the int 0
+        when the mask is absent."""
+        t = self.terms.get(mask)
+        return 0 if t is None else self.ring._wrap(t)
+
     def top_coefficient(self):
         """Coefficient of the full ascending product e_1...e_p e_-q...e_-1."""
-        return self.terms.get((1 << self.slots) - 1, 0)
+        return self.coefficient((1 << self.slots) - 1)
+
+    def __reduce__(self):
+        """Pickle the coefficient values, so no raw term dict (whose `Poly`
+        monomial codes belong to this process) leaves it."""
+        return GrassmannElement, (self.p, self.q, {m: self.coefficient(m) for m in self.terms})
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         pieces = []
         for mask in sorted(self.terms, key=lambda m: (m.bit_count(), m)):
-            coeff = self.terms[mask]
             labels = [self._label(b + 1) for b in range(self.slots) if mask >> b & 1]
             estr = "".join(f"e[{lab}]" for lab in labels)
-            cstr = str(coeff)
+            cstr = str(self.coefficient(mask))
             plain = cstr and " " not in cstr and not cstr.startswith("-")
             if mask == 0:
                 pieces.append(cstr if plain else f"({cstr})")
@@ -224,12 +308,16 @@ class GrassmannElement(Combination):
                 pieces.append(f"{cstr} {estr}" if plain else f"({cstr}) {estr}")
         return " + ".join(pieces)
 
+    def __repr__(self) -> str:
+        return f"GrassmannElement({self})"
+
 
 class Forms:
     """The canonical 2-forms of a matrix, plus the data to cross-check them.
 
-    `source` has UEAElement entries in uea mode and Poly ones otherwise;
-    `tau` is None unless p == q.  `products[k, j, a]` memoises
+    `source` has UEAElement entries in uea mode and Poly ones otherwise,
+    and each form holds raw term dicts of that ring (an empty form names
+    `_Scalars`); `tau` is None unless p == q.  `products[k, j, a]` memoises
     tau^k Xi^j Theta'^a (`_product`), of which the falling Xi products
     and the trinomial check's sums are combinations.  `minor_dets[u]` is
     the `pfaffian._minor_det` memo of the a block at the shift u,
@@ -372,8 +460,8 @@ def check_xi_power_formula(n: int, u, r: int, *, forms: Forms) -> bool:
     u does not depend on r, so its memo is kept on the forms, one per u,
     and the checks at every r share it.
 
-    No right side is built: the word e_I e_-J (J descending) is in slot
-    order, so its sign is +1, and the left side's raw coefficient at its
+    The minors alone are lifted: the word e_I e_-J (J descending) is in
+    slot order, so its sign is +1, and the left side's raw dict at its
     mask is compared with r! times the minor's raw terms, term by term.
     The left side must hold no mask beyond those of the nonzero minors."""
     forms = _forms_for(n, forms)
@@ -384,16 +472,12 @@ def check_xi_power_formula(n: int, u, r: int, *, forms: Forms) -> bool:
     top = forms.p + forms.q + 1  # e_-j sits in slot top - j
     subsets = [(index_mask(K), index_mask(top - k for k in K)) for K in combinations(range(1, n + 1), r)]
     minors = [_minor_det(a, rows, cols, memo, shift) for rows, _ in subsets for cols, _ in subsets]
-    _, (left, right) = _lift((lhs.terms, minors))
-    left = dict(left)
-    nonzero = 0
+    ring, (lifted,) = _lift((minors,))
     words = (low | high for low, _ in subsets for _, high in subsets)
-    for mask, minor in zip(words, right):
-        got = left.get(mask, {})
-        if len(got) != len(minor) or any(got.get(k) != scale * c for k, c in minor.items()):
-            return False
-        nonzero += bool(minor)
-    return nonzero == len(left)
+    by_mask = GrassmannElement._raw(forms.p, forms.q, ring, dict(zip(words, lifted)))
+    _, (left, right) = _adopt((lhs, by_mask))
+    return len(left) == len(right) and all(
+        left.get(mask) == {k: scale * c for k, c in minor.items()} for mask, minor in right.items())
 
 
 def eta(forms: Forms, j: int, u) -> GrassmannElement:
@@ -476,23 +560,22 @@ def pfaffian_from_top_form(forms: Forms):
     pairs each mask of Omega^a with the one complementary mask of Omega^b,
     signed by `merge_sign`, the left coefficient on the left.  The split
     is a = n // 2, which builds no power past Omega^b, unless Omega^n is
-    already memoised on Omega: then a = n and Omega^b is the one.
-    Scalar coefficients give a scalar under the scalar rule (an int when
+    already memoised on Omega: then a = n and Omega^b is the one.  The
+    pairs are summed on raw terms, and the one result is scaled and
+    wrapped by the ring.  Scalar coefficients give a scalar under the scalar rule (an int when
     integral), ring coefficients an element of the ring."""
     half = forms.half
     memoised = len(getattr(forms.omega, "_powers", ())) + 1  # see GrassmannElement.power
     a = half if memoised >= half else half // 2
-    left, right = forms.omega.power(a).terms, forms.omega.power(half - a).terms
-    ring, (left_raw, right_raw) = _lift((left, right))
+    ring, (left, right) = _adopt((forms.omega.power(a), forms.omega.power(half - a)))
     product_into = ring._product_into
-    right_by_mask = dict(right_raw)
     full = (1 << forms.omega.slots) - 1
     top: dict = {}
-    for m, c in left_raw:
+    for m, c in left.items():
         rest = full ^ m
-        if rest in right_by_mask:
-            product_into(top, c, right_by_mask[rest], merge_sign(m, rest))
-    return _rational(ring._wrap(top) * Fraction(1, 2**half * factorial(half)))
+        if rest in right:
+            product_into(top, c, right[rest], merge_sign(m, rest))
+    return ring._wrap(add_into({}, top, Fraction(1, 2**half * factorial(half))))
 
 
 def check_top_form_route(mode: str = "uea", n: int | None = None,

@@ -2,15 +2,15 @@
 
 Every computation in the package runs over exact rationals (ints when
 integral, `fractions.Fraction` otherwise) or over rings built on them.
-``Combination`` is the dict-of-terms base of ``Poly``, of the enveloping
-algebra and of the exterior algebra, and ``parse_poly`` is the one
-expression parser.  ``_lift`` turns the
-entries of a matrix, or the coefficients of exterior-algebra elements,
-into raw term dicts of their one coefficient ring, so that a sum of
-products runs on ``_product_into`` into one dict, and the ring's
-``_wrap`` wraps the result once.  Plain scalars are a ring too:
-``_Scalars`` keeps them on Poly's unit key, so no caller tells an
-all-scalar lift apart.  No floats anywhere: all comparisons in the
+``Combination`` is the dict-of-terms base of ``Poly`` and of the
+enveloping algebra, and ``parse_poly`` is the one expression parser.
+``_lift`` turns the entries of a matrix, or the coefficients given to an
+exterior-algebra element, into raw term dicts of their one coefficient
+ring, so that a sum of products runs on ``_product_into`` into one dict,
+and the ring's ``_wrap`` wraps the result once; an exterior-algebra
+element keeps its coefficients as such raw dicts.  Plain scalars are a
+ring too: ``_Scalars`` keeps them on Poly's unit key, so no caller tells
+an all-scalar lift apart.  No floats anywhere: all comparisons in the
 verification suites are exact equalities.
 
 A ``Poly`` monomial is one int, the product of a prime per variable
@@ -248,26 +248,21 @@ def _lift(groups: Iterable[Collection]) -> tuple[type, list[list]]:
     The values are ints, Fractions and elements of at most one
     `Combination` type, the ring (TypeError on two); if every value is a
     scalar, the ring is `_Scalars`.  Returns (ring, lifted), each group
-    lifted in one pass to a list: a dict group (the terms of an
-    exterior-algebra element) to its (key, raw terms) pairs, any other
-    collection of values (a matrix row) to the raw terms in its order.  A
-    ring element gives its own ``terms``, which are read and never
-    written; a nonzero scalar sits on the ring's unit key, under the
-    scalar rule of `_rational`, and a zero gives {}.  ``ring._wrap``
+    (a matrix row, or the coefficients given to an exterior-algebra
+    element) lifted in one pass to the list of its values' raw terms, in
+    its order.  A ring element gives its own ``terms``, which are read
+    and never written; a nonzero scalar sits on the ring's unit key, under
+    the scalar rule of `_rational`, and a zero gives {}.  ``ring._wrap``
     turns a raw sum back into a value.  Each group is read twice, so it
     must be a collection, not an iterator."""
     groups = list(groups)
-    rings = {type(c) for group in groups for c in (group.values() if type(group) is dict else group)}
-    rings -= _SCALAR_TYPES
+    rings = {type(c) for group in groups for c in group} - _SCALAR_TYPES
     if len(rings) > 1:
         raise TypeError(f"mixed coefficient rings: {sorted(r.__name__ for r in rings)}")
     ring = rings.pop() if rings else _Scalars
     unit = ring._UNIT
-    return ring, [
-        [(k, c.terms if type(c) is ring else {unit: _rational(c)} if c else {}) for k, c in group.items()]
-        if type(group) is dict else
-        [c.terms if type(c) is ring else {unit: _rational(c)} if c else {} for c in group]
-        for group in groups]
+    return ring, [[c.terms if type(c) is ring else {unit: _rational(c)} if c else {} for c in group]
+                  for group in groups]
 
 
 class Combination:
@@ -492,7 +487,8 @@ class Poly(Combination):
 
 class _Scalars:
     """The coefficient ring that `_lift` names when every value is an int
-    or a Fraction: a scalar rides on Poly's unit key and multiplies by
+    or a Fraction, and that an exterior-algebra element of scalars, or 0,
+    names: a scalar rides on Poly's unit key and multiplies by
     Poly's `_product_into`, and `_wrap` reads a raw sum back as the scalar
     on that key (0 when it is absent)."""
 

@@ -196,6 +196,27 @@ def test_pfaffian_exponent_over_the_bound_in_the_result_is_refused(tmp_path, cap
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("size,entry,bits,suffix", [(4, "(2^4096)^4", 32768, ""), (2, "(2^4096)^4*x", 16384, "*x")],
+                         ids=["full4", "full2-poly"])
+def test_pfaffian_prints_a_result_past_the_digit_limit(tmp_path, capsys, size, entry, bits, suffix):
+    # every entry parses within the size bound, and the Pfaffian, 2^32768
+    # (9 865 digits) or 2^16384*x (4 933), passes the 4 300 digits that
+    # str() of an int allows: it is printed in full, with exit 0, and the
+    # limit is back after the print
+    rows = [" ".join("0" if i == j else entry if i < j else f"-{entry}" for j in range(size)) for i in range(size)]
+    f = tmp_path / "big.txt"
+    f.write_text(f"full {size}\n" + "\n".join(rows) + "\n")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "pfaffian", str(f))
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{2**bits}{suffix}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @pytest.mark.parametrize("entry,caret", [("((2^4096)^4096)^4096", 9), ("(x+y+z+w+v)^300", 11)])
 def test_pfaffian_entry_past_the_parse_size_bound_is_parse_error(entry, caret, tmp_path):
     # each '^' is within the exponent bound, but the nested power asks for

@@ -1,13 +1,19 @@
 """Exterior algebra with module coefficients: canonical 2-forms and their identities."""
 
 import gc
+import os
+import pickle
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
-from pfaffkit import grassmann
+from pfaffkit import grassmann, rings
 from pfaffkit.grassmann import (
     Forms,
     GrassmannElement,
@@ -26,13 +32,18 @@ from pfaffkit.grassmann import (
     xi_shifted_power,
 )
 from pfaffkit.pfaffian import AntiAlternatingMatrix, pfaffian_of_anti_alternating
-from pfaffkit.rings import Combination, Poly
+from pfaffkit.rings import Combination, Poly, _Scalars
 from pfaffkit.uea import UEAElement, build_canonical_x, nc_pfaffian
 from conftest import canonical_generators
 
 
 def w(labels, coeff=Fraction(1), p=2, q=2):
     return GrassmannElement.from_words(p, q, [(labels, coeff)])
+
+
+def coefficients(x):
+    """The coefficient values of x by mask, each wrapped by `coefficient`."""
+    return {m: x.coefficient(m) for m in x.terms}
 
 
 # --- the exterior algebra itself ---------------------------------------------
@@ -111,8 +122,8 @@ def reference_product(x, y):
     """Sum of sign * c1 * c2 over disjoint mask pairs, through the ring's own
     * and +, with the sign of sorting the concatenated slot lists."""
     out = {}
-    for m1, c1 in x.terms.items():
-        for m2, c2 in y.terms.items():
+    for m1, c1 in coefficients(x).items():
+        for m2, c2 in coefficients(y).items():
             if m1 & m2:
                 continue
             term = c1 * c2 * _inversion_sign(_slots(m1) + _slots(m2))
@@ -153,9 +164,9 @@ def test_fused_product_matches_reference(coeff, pq):
     for _ in range(30):
         x, y = _random_element(rng, *pq, coeff), _random_element(rng, *pq, coeff)
         prod = x * y
-        assert prod.terms == reference_product(x, y)
+        assert coefficients(prod) == reference_product(x, y)
         assert (prod.p, prod.q) == pq
-        for c in prod.terms.values():
+        for c in coefficients(prod).values():
             assert c != 0
             if isinstance(c, Combination):  # no zero inside a coefficient either
                 assert all(v != 0 for v in c.terms.values())
@@ -167,7 +178,7 @@ def test_fused_product_drops_cancelled_masks():
     assert (x * x).terms == {}  # c c e1 e2 + c c e2 e1 cancels on mask e1 e2
     y = GrassmannElement.from_words(2, 2, [([1], c), ([-1], UEAElement.one())])
     assert set((y * x).terms) == {0b0011, 0b1001, 0b1010}  # e1e2, e1e-1, e2e-1
-    assert all((y * x).terms.values())
+    assert all(coefficients(y * x).values())
 
 
 def test_fused_product_mixes_scalars_into_a_ring():
@@ -175,9 +186,9 @@ def test_fused_product_mixes_scalars_into_a_ring():
     x = Poly.var("x")
     lhs = w([1], Fraction(3)) * w([2], x)
     assert lhs == w([1, 2], 3 * x)
-    assert isinstance(lhs.terms[0b11], Poly)
+    assert isinstance(lhs.coefficient(0b11), Poly)
     scalars = w([1], Fraction(1, 2)) * w([2], Fraction(4))
-    assert scalars.terms == {0b11: 2} and type(scalars.terms[0b11]) is int
+    assert coefficients(scalars) == {0b11: 2} and type(scalars.coefficient(0b11)) is int
 
 
 def test_top_form_of_scalar_coefficients_is_an_int():
@@ -186,7 +197,7 @@ def test_top_form_of_scalar_coefficients_is_an_int():
     omega = GrassmannElement.from_words(2, 2, (((i, -j), X.entry(i, j))
                                                for i in X.row_labels() for j in X.col_labels()))
     f = _rebuilt(build_forms("commutative", n=2), omega=omega, source=X)
-    assert set(map(type, omega.power(2).terms.values())) == {int}
+    assert set(map(type, coefficients(omega.power(2)).values())) == {int}
     pf = pfaffian_from_top_form(f)
     assert pf == pfaffian_of_anti_alternating(X) and type(pf) is int
 
@@ -200,6 +211,103 @@ def test_product_rejects_mixed_colorings_and_rings():
         uea * poly
 
 
+def test_scalar_forms_adopt_the_other_ring():
+    # a form of scalars moves each scalar onto the other ring's unit key;
+    # two rings that are not scalars do not mix
+    a11 = UEAElement.from_generator(canonical_generators(2)[0])
+    x = Poly.var("x")
+    scalars = GrassmannElement.from_words(2, 2, [([1], Fraction(3, 2)), ([], 2)])
+    uea = GrassmannElement.from_words(2, 2, [([2], a11)])
+    poly = GrassmannElement.from_words(2, 2, [([1], x), ([-1], 1)])
+    assert scalars.ring is _Scalars and uea.ring is UEAElement and poly.ring is Poly
+    prod = scalars * uea
+    assert prod.ring is UEAElement
+    assert coefficients(prod) == {0b0011: a11.scale(Fraction(3, 2)), 0b0010: a11.scale(2)}
+    total = scalars + poly
+    assert total.ring is Poly
+    assert coefficients(total) == {0b0001: x + Fraction(3, 2), 0: Poly.const(2), 0b1000: Poly.const(1)}
+    assert all(type(c) is Poly for c in coefficients(total).values())
+    assert total == poly + scalars and total - scalars == poly
+    with pytest.raises(TypeError):
+        poly * uea
+    with pytest.raises(TypeError):
+        poly + uea
+    assert poly != uea
+
+
+def test_coefficient_keeps_the_scalar_rule():
+    x = GrassmannElement.from_words(2, 2, [([1], Fraction(4, 2)), ([2], Fraction(1, 2)), ([2], Fraction(1, 2)),
+                                           ([-1], Fraction(3, 4))])
+    got = coefficients(x)
+    assert got == {0b0001: 2, 0b0010: 1, 0b1000: Fraction(3, 4)}
+    assert [type(got[m]) for m in (0b0001, 0b0010, 0b1000)] == [int, int, Fraction]
+    absent = x.coefficient(0b0100)
+    assert absent == 0 and type(absent) is int
+    scaled = x.scale(Fraction(4, 3))
+    assert scaled.coefficient(0b1000) == 1 and type(scaled.coefficient(0b1000)) is int
+
+
+@pytest.mark.parametrize("label,message", [(3, "label 3 exceeds row block size 2"),
+                                           (0, "label 0 out of range for coloring (2, 2)"),
+                                           (-3, "label -3 out of range for coloring (2, 2)")])
+def test_from_words_rejects_a_bad_label(label, message):
+    # also when the word's coefficient is 0, and after a valid word
+    for coeff in (1, 0, Poly.var("x"), Poly.zero()):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GrassmannElement.from_words(2, 2, [([1], 1), ([2, label], coeff)])
+
+
+def test_forms_arithmetic_neither_lifts_nor_wraps(monkeypatch):
+    # products, sums, scale, linear combinations and powers stay on raw
+    # term dicts; the top-form route wraps its one result and nothing else
+    built = [build_forms("uea", n=3), build_forms("commutative", n=2)]
+    expected = [pfaffian_from_top_form(build_forms("uea", n=3)), pfaffian_from_top_form(build_forms("commutative", n=2))]
+    scalars = [GrassmannElement.from_words(f.p, f.q, [([1, -1], Fraction(1, 2)), ([], 3)]) for f in built]
+
+    def lift(*args):
+        raise AssertionError("lifted a coefficient")
+
+    wrapped = []
+    wrap, scalar_wrap = Combination._wrap.__func__, _Scalars._wrap
+    monkeypatch.setattr(rings, "_lift", lift)
+    monkeypatch.setattr(grassmann, "_lift", lift)
+    monkeypatch.setattr(Combination, "_wrap", classmethod(lambda cls, terms: wrapped.append(cls) or wrap(cls, terms)))
+    monkeypatch.setattr(_Scalars, "_wrap", staticmethod(lambda terms: wrapped.append(_Scalars) or scalar_wrap(terms)))
+    for f, pf, s in zip(built, expected, scalars):
+        x, y = f.omega, f.xi
+        for got in (x * y, x + y, x - y, -x, x.scale(Fraction(1, 2)), x.power(f.half), x**2, s * y, y + s,
+                    _linear_combination(f.p, f.q, [(2, x), (Fraction(-1, 3), y), (1, f.theta)])):
+            assert got
+        assert x**2 == x.power(2) and x.power(0) == 1 and not x.power(f.half + 1)
+        assert x.commutator(y) == x * y - y * x and f.tau * y == y * f.tau
+        assert not wrapped
+        assert pfaffian_from_top_form(f) == pf
+        assert wrapped == [type(pf)]
+        wrapped.clear()
+    assert xi_shifted_power(built[0], Fraction(1, 2), 2) and not wrapped
+
+
+def test_form_pickle_round_trip_in_a_fresh_process(tmp_path):
+    # a pickle carries coefficient values, so another process, which codes
+    # the same variable names by other primes, reads back the same form
+    x, y = Poly.var("x"), Poly.var("y")
+    form = GrassmannElement.from_words(2, 2, [([1, -1], (x - 2 * y) ** 2), ([2], Fraction(1, 3)),
+                                              ([], Poly.var("a[1,2]")), ([-2, 1], x)])
+    form.power(2)  # the memo stays behind
+    loaded = pickle.loads(pickle.dumps(form))
+    assert loaded == form and loaded.ring is Poly and getattr(loaded, "_powers", None) is None
+    path = tmp_path / "form.pickle"
+    path.write_bytes(pickle.dumps(form))
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = ("import pickle; from pfaffkit.rings import Poly; Poly.var('zz'); Poly.var('y');"
+            f"f = pickle.loads(open({str(path)!r}, 'rb').read()); print(f); print(f.ring.__name__, sorted(f.terms))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{form}\nPoly {sorted(form.terms)}\n"
+
+
 # --- memoised powers and falling products ----------------------------------------
 
 
@@ -209,7 +317,8 @@ def test_memoised_powers_equal_binary_powers(mode, n):
     for form in (f.omega, f.theta, f.theta_prime, f.xi):
         # ask out of order, so later powers extend a memo that skipped ahead
         for m in (2, n + 1, 1, n):
-            assert form.power(m) == form**m
+            # `**` is the memo too, so binary powering is called by name
+            assert form.power(m) == Combination.__pow__(form, m)
         assert form.power(n) is form.power(n)
         assert form.power(0) == f.omega.power(0)
 
@@ -220,15 +329,15 @@ def test_memoised_powers_equal_binary_powers(mode, n):
                          ids=["poly", "uea", "scalar"])
 def test_power_zero_is_the_rings_one(coeff, one):
     x = w([1, -1], coeff)
-    assert x.power(0).terms == {0: one}
-    assert type(x.power(0).terms[0]) is type(one)
-    assert GrassmannElement.zero(2, 2).power(0).terms == {0: 1}
+    assert coefficients(x.power(0)) == {0: one}
+    assert type(x.power(0).coefficient(0)) is type(one)
+    assert coefficients(GrassmannElement.zero(2, 2).power(0)) == {0: 1}
     assert x.power(0) * x == x == x * x.power(0)
     if type(one) is int:  # integral products of scalar coefficients are ints, as in every ring
         z = w([2], Fraction(4, 2))
         for got in (z.power(0) * z, z * z.power(0), z * w([1], Fraction(1, 2))):
-            assert set(map(type, got.terms.values())) == {int}
-        assert (z * w([1], Fraction(1, 2))).terms == {0b11: -1}
+            assert set(map(type, coefficients(got).values())) == {int}
+        assert coefficients(z * w([1], Fraction(1, 2))) == {0b11: -1}
 
 
 def test_memoised_falling_product_equals_loop():
@@ -323,9 +432,9 @@ def test_from_words_equals_the_sum_of_its_words(ring):
     got = GrassmannElement.from_words(2, 2, words)
     assert got == _word_sum(2, 2, words)
     assert set(got.terms) == {0b0011, 0b0111, 0b0000, 0b1000}
-    assert type(got.terms[0b0011]) is type(x)
-    assert got.terms[0] == Fraction(5, 2) and got.terms[0b1000] == -1  # scalar masks stay scalars
-    assert all(got.terms.values())
+    assert type(got.coefficient(0b0011)) is type(x)
+    assert got.coefficient(0) == Fraction(5, 2) and got.coefficient(0b1000) == -1  # scalars on the ring's unit
+    assert all(coefficients(got).values())
     assert not GrassmannElement.from_words(2, 2, [])
 
 
@@ -529,7 +638,7 @@ def _corrupted(f, name):
     """A fresh copy of the forms with one coefficient of `name` changed."""
     form = getattr(f, name)
     mask = min(form.terms)
-    return _rebuilt(f, **{name: form + GrassmannElement(f.p, f.q, {mask: f.omega.power(0).terms[0]})})
+    return _rebuilt(f, **{name: form + GrassmannElement(f.p, f.q, {mask: f.omega.power(0).coefficient(0)})})
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -559,7 +668,7 @@ def test_xi_power_formula_detects_a_changed_left_side(monkeypatch, change):
     top, e1_e_minus1 = (1 << 2 * n) - 1, 1 | 1 << 2 * n - 1
 
     def changed(forms, u, r):
-        terms = dict(xi_shifted_power(forms, u, r).terms)
+        terms = coefficients(xi_shifted_power(forms, u, r))
         if change == "extra":
             terms[top if r != n else e1_e_minus1] = UEAElement.one()
         elif change == "missing":

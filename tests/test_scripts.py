@@ -14,7 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
     ["form_expansion.py", "--rank", "2", "--mode", "uea"],
     ["form_expansion.py", "--rank", "2", "--mode", "commutative"],
     ["weight_table.py", "--rank", "2", "--max-part", "2"],
-], ids=["form_expansion-uea", "form_expansion-commutative", "weight_table"])
+    ["ab_pairs.py", str(ROOT), str(ROOT), "--workload", "msf-rational", "--pairs", "1"],
+], ids=["form_expansion-uea", "form_expansion-commutative", "weight_table", "ab_pairs"])
 def test_script_runs(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

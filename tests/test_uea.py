@@ -302,7 +302,7 @@ def test_every_route_holds_only_sorted_words():
     elements += [ad(g, built) for g in gens] + [ad(g, z) for g in chevalley_generators(n)]
     forms = build_forms("uea", n=n)
     for form in (forms.omega, forms.xi, forms.theta, forms.theta_prime):
-        elements += [c for m in range(1, n + 1) for c in form.power(m).terms.values()]
+        elements += [x.coefficient(mask) for x in map(form.power, range(1, n + 1)) for mask in x.terms]
     for k, x in enumerate(elements):
         assert _all_sorted(x), k
     assert sum(len(x.terms) for x in elements) > 1000
