@@ -14,7 +14,11 @@ faster.  Exits 1 if an item failed or the two sides' item digests differ
 in some pair.
 
 Both checkouts should be fresh copies (`git archive`) without __pycache__
-directories, so that both sides compile pfaffkit alike on every pass.
+directories, so that both sides compile pfaffkit alike on every pass: the
+passes write no bytecode, but they read what is there, and a side that
+reads it sets up much faster.  So the script exits 2, before any pass,
+when only one side holds a __pycache__ under src/pfaffkit or bench; the
+same checkout on both sides is compared as it is.
 
 Usage: python3 scripts/ab_pairs.py BASE CHANGE [--workload uea-central]
            [--pairs 10] [--seed 11]
@@ -49,6 +53,11 @@ def one_pass(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def holds_bytecode(checkout: Path) -> bool:
+    """Whether `checkout` holds a __pycache__ directory under src/pfaffkit or bench."""
+    return any(next((checkout / d).rglob("__pycache__"), None) is not None for d in ("src/pfaffkit", "bench"))
+
+
 def scaled_ms(record: dict, metric: str) -> float:
     return 1000 * record[metric] / record[SCALED_BY[metric]]
 
@@ -68,6 +77,11 @@ def main() -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     sides = (args.base.resolve(), args.change.resolve())
+    held = [holds_bytecode(side) for side in sides]
+    if held[0] != held[1]:
+        print(f"ab_pairs: only {sides[held.index(True)]} holds __pycache__ under src/pfaffkit or bench; "
+              "compare two fresh copies", file=sys.stderr)
+        return 2
 
     pairs = []
     for k in range(args.pairs):

@@ -21,6 +21,19 @@ from .pfaffian import (
 from .rings import PolyParseError, parse_rational
 from .uea import HighestWeight
 
+# The largest matrix size `pfaffian` takes without --force, by entry ring
+# (measured single cold runs, Python 3.11 on 2 vCPUs).  Over the
+# polynomials it takes the first-row recursion, whose generic result holds
+# (m - 1)!! terms: 2.9 s and 200 MiB at size 14, and at 16 a MemoryError
+# in 1 GiB after 14 s.  Rationals take the O(m^3) condensation: 1.7 s at
+# size 256 with one-digit entries.
+PFAFFIAN_BOUNDS = {"poly": 14, "rational": 256}
+# The largest half-size n = (p + q) / 2 that `forms` prints without
+# --force: 0.12 s in uea mode and 0.43 s in commutative mode at n = 32;
+# the commutative print grows as n^4 (3.0 s at p = q = 48).
+FORMS_BOUND = 32
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pfaffkit",
@@ -33,6 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pf.add_argument("file", help="matrix file (full alternating or colored blocks)")
     p_pf.add_argument("--ring", choices=("poly", "rational"), default="poly",
                       help="entry ring (default: poly)")
+    p_pf.add_argument("--force", action="store_true",
+                      help="lift the default size bound")
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
     p_ver.add_argument("--suite", choices=verify.SUITE_NAMES, default="all")
@@ -59,11 +74,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_forms.add_argument("--mode", choices=("uea", "commutative"), default="uea")
     p_forms.add_argument("--n", type=int, default=None)
     p_forms.add_argument("--pq", type=int, nargs=2, metavar=("P", "Q"), default=None)
+    p_forms.add_argument("--force", action="store_true",
+                         help="lift the default size bound")
     return parser
 
 
 def cmd_pfaffian(args) -> int:
     X = matrixio.load_path(args.file, ring=args.ring)
+    bound = PFAFFIAN_BOUNDS[args.ring]
+    if X.size > bound and not args.force:
+        raise verify.BoundExceededError(f"matrix size {X.size} exceeds the bound {bound} of --ring {args.ring}")
     if isinstance(X, AntiAlternatingMatrix):
         _print_all_digits(pfaffian_of_anti_alternating(X))
     else:
@@ -139,7 +159,7 @@ def cmd_eigenvalue(args) -> int:
 
 
 def cmd_forms(args) -> int:
-    verify.check_n_bound(args.n, force=True)  # forms has no size bound, only 1 <= n <= uea.MAX_INDEX
+    verify.check_n_bound(args.n, args.force, bound=FORMS_BOUND)
     if args.mode == "uea":
         if args.n is None:
             print("forms: --mode uea needs --n", file=sys.stderr)
@@ -155,6 +175,8 @@ def cmd_forms(args) -> int:
         if args.pq is not None:
             p, q = args.pq
             verify.check_coloring(p, q)
+            if p + q > 2 * FORMS_BOUND and not args.force:
+                raise verify.BoundExceededError(f"p + q = {p + q} exceeds the bound {2 * FORMS_BOUND}")
         elif args.n is not None:
             p = q = args.n
         else:

@@ -47,33 +47,38 @@ first-column expansion, so the determinant for commuting entries and,
 with the shift u + r - t on the diagonal of column t, the column
 determinant of the enveloping algebra.
 
-The cofactor sums run on raw term dicts of one coefficient ring.  A
-matrix or block is lifted once (`rings._lift`: a ring element gives its
-own terms, a scalar sits on the ring's unit key, and an all-scalar
-matrix names the ring `rings._Scalars`) into a `_Lift`, which a
-memo of `_pf` or `_minor_det` keeps under the key None.  Each node of
-the kernels `_pf_terms` and `_det_terms` adds every signed product
-entry * cofactor, the entry on the left, through the ring's
-`_product_into` straight into one fresh dict, and the memos hold those
-dicts, only read once stored.  `_pf`, `_minor_det` and the block sum
-wrap a result once, at the end, by the ring's `_wrap`: the int 1 for
-the empty minor, the int 0 when no product was added, a scalar for an
-all-scalar matrix, else an element of the ring (its zero when the
-products cancel);
-`copfaffian_expansion_residuals` sums each residual the same way, and
-the matching walk of `pfaffian_definitional` runs on a `_Lift` of its
-own: each prefix product and each signed leaf product goes through the
-ring's `_product_into`, and the leaf sum is wrapped once.  The block
+The cofactor sums run on raw term dicts of one coefficient ring, every
+coefficient an int.  A matrix or block is lifted once (`rings._lift`: a
+ring element gives its own terms, a scalar sits on the ring's unit key,
+and an all-scalar matrix names the ring `rings._Scalars`) into a
+`_Lift`, which a memo of `_pf` or `_minor_det` keeps under the key None;
+a lift with Fraction coefficients is scaled once by their common
+denominator d, taken from one scan of the cells the kernels read, so
+the kernels run in ints on d A and only a returned value is divided
+back, by d to its degree, as `pfaffian` does for rational matrices.
+Each node of the kernels `_pf_terms` and `_det_terms` adds every signed
+product entry * cofactor, the entry on the left, through the ring's
+`_int_product_into` (its product without the scalar rule, which int
+sums never need) straight into one fresh dict, and the memos hold those
+dicts, only read once stored.  A leaf needs no product: a Pfaffian of
+two indices, and a determinant of one row and one column, is its lifted
+entry (shifted on the diagonal), which the memo shares with the lift.
+`_pf`, `_minor_det` and the block sum wrap a result once, at the end,
+by the ring's `_wrap`: the int 1 for the empty minor, the int 0 when no
+product was added, a scalar for an all-scalar matrix, else an element
+of the ring (its zero when the products cancel);
+`copfaffian_expansion_residuals` sums each residual the same way, by
+the ring's `_product_into` on an unscaled lift, and the matching walk
+of `pfaffian_definitional` runs on a `_Lift` of its own: each prefix
+product and each signed leaf product goes through the ring's
+`_int_product_into`, and the leaf sum is wrapped once.  The block
 sum regroups as sum_I (sum_J sgn(Jc, J) det(a-minor) Pf(c_J))
 sgn(Ic, I) Pf(b_I), which keeps every left factor on the left, so it
 needs no intermediate element and multiplies by each Pf(b_I) once.  A
 matrix whose entries are all ints
 (`AlternatingMatrix.int_entries`) takes `_pf`'s own recursion in plain
 int arithmetic instead, its memo holding ints, and the matching walk
-sums in ints too.  A lift with Fraction
-coefficients is scaled once by their common denominator d (`_Lift`), so
-the kernels run in ints on d A and only a returned value is divided back,
-by d to its degree, as `pfaffian` does for rational matrices.
+sums in ints too.
 
 Rational entries follow the rings' scalar rule (an int when integral,
 else a Fraction), and so do the identities and zero fills here, so an
@@ -313,7 +318,7 @@ def pfaffian_definitional(A: AlternatingMatrix):
     An all-int matrix walks in plain int arithmetic.  Any other matrix is
     lifted once into a `_Lift` of its rows, as `_pf` lifts it (d-scaled
     ints when the coefficients hold Fractions): each prefix is the ring's
-    `_product_into` of its parent and its entry into a fresh dict, each
+    `_int_product_into` of its parent and its entry into a fresh dict, each
     leaf adds its signed product straight into one raw dict, and
     `_Lift.value` wraps that sum once.  The walk shares no expansion with
     `_pf`, only the lift and the ring's product.  The empty matrix gives
@@ -346,7 +351,7 @@ def pfaffian_definitional(A: AlternatingMatrix):
             else:
                 total += prefix[depth] * entry
         return total
-    lift = _Lift(*_lift(A.rows))
+    lift = _Lift(*_lift(A.rows), alternating=True)
     rows, product_into = lift.lines, lift.product_into
     prefix = [lift.one] * (last + 1)
     terms: dict = {}
@@ -373,46 +378,64 @@ _NO_PRODUCT: dict = {}
 _DENOMINATOR = attrgetter("denominator")
 
 
-def _common_denominator(lines: list, shift=None) -> int:
+def _upper(lines: list) -> Iterable[dict]:
+    """The strict upper triangle of the square lifted `lines`, row by row:
+    every cell that `_pf_terms` and the matching walk read."""
+    return chain.from_iterable(islice(line, i + 1, None) for i, line in enumerate(lines))
+
+
+def _common_denominator(cells: Iterable[dict], shift=None) -> int:
     """The least common denominator of every coefficient of the lifted
-    `lines` and of a scalar `shift`; 1 when all of them are ints."""
-    coefficients = chain.from_iterable(map(dict.values, chain.from_iterable(lines)))
+    `cells` and of a scalar `shift`; 1 when all of them are ints."""
+    coefficients = chain.from_iterable(map(dict.values, cells))
     return lcm(*set(map(_DENOMINATOR, coefficients)), 1 if shift is None else shift.denominator)
 
 
 class _Lift:
-    """The entries of one matrix as raw term dicts of one coefficient ring.
+    """The entries of one matrix as raw term dicts of one coefficient ring,
+    every coefficient an int.
 
-    `ring` is the one `rings._lift` names, whose `_product_into` and unit
-    key the kernels use and whose `_wrap` gives `value`: a `Combination`
-    type, or `rings._Scalars` for an all-scalar matrix, whose raw values
-    sit on Poly's unit key and wrap back to ints and Fractions.
-    `lines` holds the lifted rows for the Pfaffian kernel and the matching
-    walk, and the lifted columns for the determinant kernel.  At a scalar
+    `ring` is the one `rings._lift` names, whose `_int_product_into` and
+    unit key the kernels use and whose `_wrap` gives `value`: a
+    `Combination` type, or `rings._Scalars` for an all-scalar matrix,
+    whose raw values sit on Poly's unit key and wrap back to ints and
+    Fractions.  `lines` holds the lifted rows of an `alternating` matrix
+    for the Pfaffian kernel and the matching walk, which read only its
+    strict upper triangle (`_upper`), and the lifted columns of a block
+    for the determinant kernel, which reads all of them.  At a scalar
     `shift` the determinant's diagonal entry (k, k) gains shift + t in a
     column with t columns right of it; `shifted` builds it once per
     (k, t).
 
-    `scale` is a common denominator d of the coefficients and the shift
-    (their least one unless the caller names one, as the block sum does
-    for its three blocks).  At d > 1 `lines` holds int copies of the
-    entries times d and `shifted` adds d (shift + t), so the kernels and
-    their memos run in ints on the raw values of d A; `value` divides a
-    result back by d to its degree.  At d = 1 the entries' own term dicts
-    are kept."""
+    `scale` is a common denominator d of the coefficients read and the
+    shift (their least one, from one scan of the cells read, unless the
+    caller names one, as the block sum does for its three blocks).  At
+    d > 1 `lines` holds int copies of the entries read times d, an
+    alternating lift {} below its diagonal, and `shifted` adds
+    d (shift + t), so the kernels and their memos run in ints on the raw
+    values of d A; `value` divides a result back by d to its degree.  At
+    d = 1 the entries' own term dicts are kept, whose coefficients the
+    scalar rule has made ints.  Either way every sum the kernels form is
+    of ints, so they multiply by the ring's `_int_product_into`."""
 
     __slots__ = ("ring", "lines", "product_into", "unit", "one", "shift", "diagonal", "scale")
 
-    def __init__(self, ring, lines: list, shift=None, scale: int | None = None):
+    def __init__(self, ring, lines: list, shift=None, scale: int | None = None, alternating: bool = False):
         if scale is None:
-            scale = _common_denominator(lines, shift)
+            scale = _common_denominator(_upper(lines) if alternating else chain.from_iterable(lines), shift)
         if scale > 1:
-            lines = [[{k: c.numerator * (scale // c.denominator) for k, c in terms.items()} for terms in line]
-                     for line in lines]
+            def scaled(terms):
+                return {k: c.numerator * (scale // c.denominator) for k, c in terms.items()}
+
+            if alternating:
+                lines = [[{}] * (i + 1) + list(map(scaled, islice(line, i + 1, None)))
+                         for i, line in enumerate(lines)]
+            else:
+                lines = [list(map(scaled, line)) for line in lines]
             if shift is not None:
                 shift = _rational(scale * shift)
         self.ring, self.lines, self.shift, self.diagonal, self.scale = ring, lines, shift, {}, scale
-        self.product_into, self.unit = ring._product_into, ring._UNIT
+        self.product_into, self.unit = ring._int_product_into, ring._UNIT
         self.one = {self.unit: 1}
 
     def shifted(self, k: int, t: int) -> dict:
@@ -464,7 +487,7 @@ def _pf(A: AlternatingMatrix, mask: int, memo: dict):
         lift = memo.get(None)
         if lift is None:
             ring, rows = _lift(A.rows)
-            lift = memo[None] = _Lift(ring, rows)
+            lift = memo[None] = _Lift(ring, rows, alternating=True)
             memo[0] = lift.one
         terms = memo.get(mask)
         if terms is None:
@@ -498,18 +521,22 @@ def _pf(A: AlternatingMatrix, mask: int, memo: dict):
 
 def _pf_terms(lift: _Lift, mask: int, memo: dict) -> dict:
     """Raw Pfaffian of the principal submatrix on the nonempty `mask`,
-    stored in `memo`, whose key 0 holds the unit dict; callers read the
-    memo first.
+    stored in `memo`; callers read the memo first.
 
-    The lowest set bit is the first row; each later set bit, in
+    Two indices i < j give the lifted entry (i, j) itself, shared with
+    the lift and never written, or `_NO_PRODUCT` for a zero entry.  Above
+    that the lowest set bit is the first row; each later set bit, in
     increasing order, pairs with it, its cofactor the Pfaffian at
     `rest ^ bit` and its sign alternating over the set bits.  Each
     nonzero entry times its nonzero cofactor, the entry on the left, is
-    added into one fresh dict; with no such product the node is
-    `_NO_PRODUCT`."""
+    added by the ring's `_int_product_into` into one fresh dict; with no
+    such product the node is `_NO_PRODUCT`."""
     low = mask & -mask
     rest = bits = mask ^ low
     row = lift.lines[low.bit_length() - 1]
+    if mask.bit_count() == 2:
+        memo[mask] = out = row[rest.bit_length() - 1] or _NO_PRODUCT
+        return out
     product_into = lift.product_into
     out: dict = {}
     survived = False
@@ -823,18 +850,27 @@ def _minor_det(M: tuple, rows: int, cols: int, memo: dict, shift=None):
 
 def _det_terms(lift: _Lift, rows: int, cols: int, memo: dict) -> dict:
     """Raw column determinant of the minor on the masks `rows` and the
-    nonempty `cols`, stored in `memo`, whose key (0, 0) holds the unit
-    dict; callers read the memo first.
+    nonempty `cols`, stored in `memo`; callers read the memo first.
 
-    Each set row bit, in increasing order, gives an entry of the lowest
-    column (shifted on the diagonal, see `_Lift.shifted`) that multiplies
-    its cofactor at `rows ^ bit` on the left, the sign alternating over
-    the set row bits; each such product with no zero factor is added into
+    One row i and one column k give the lifted entry (i, k) itself, or at
+    i = k with a shift its `_Lift.shifted` entry, shared and never
+    written, or `_NO_PRODUCT` for a zero.  Above that each set row bit,
+    in increasing order, gives an entry of the lowest column (shifted on
+    the diagonal) that multiplies its cofactor at `rows ^ bit` on the
+    left, the sign alternating over the set row bits; each such product
+    with no zero factor is added by the ring's `_int_product_into` into
     one fresh dict, and with none the node is `_NO_PRODUCT`."""
     low = cols & -cols
     rest = cols ^ low
     col = low.bit_length() - 1
     column = lift.lines[col]
+    if not rest:
+        if rows == low and lift.shift is not None:
+            entry = lift.shifted(col, 0)
+        else:
+            entry = column[rows.bit_length() - 1]
+        memo[rows, cols] = out = entry or _NO_PRODUCT
+        return out
     if rows & low and lift.shift is not None:
         column = list(column)
         column[col] = lift.shifted(col, rest.bit_count())
@@ -874,15 +910,19 @@ def minor_summation_rhs(X: AntiAlternatingMatrix, shift=None):
     sum_I (sum_J sgn(Jc, J) d Pf(c_J)) sgn(Ic, I) Pf(b_I): each factor keeps
     its place in the product d Pf(c_J) Pf(b_I), which that identity needs,
     and Pf(b_I) multiplies once per I.  The three lifts share one common
-    denominator D of every coefficient and the shift, so the memos and the
+    denominator D of the coefficients the kernels read (all of a, the
+    strict upper triangles of b and c) and the shift, so the memos and the
     sum hold raw values of D X in ints; each term has X.half factors, and
     the sum is divided by D ** X.half once, at the end.
     """
     p, q = X.p, X.q
     ring, lines = _lift(X.a + X.b + X.c)
-    scale = _common_denominator(lines, shift)  # one d for all three: each term mixes their factors
+    b_lines, c_lines = lines[p:2 * p], lines[2 * p:]
+    # one d for all three, since each term mixes their factors, from the cells the kernels read
+    scale = _common_denominator(chain(chain.from_iterable(lines[:p]), _upper(b_lines), _upper(c_lines)), shift)
     a = _Lift(ring, list(zip(*lines[:p])), shift, scale)
-    b, c = _Lift(ring, lines[p:2 * p], scale=scale), _Lift(ring, lines[2 * p:], scale=scale)
+    b = _Lift(ring, b_lines, scale=scale, alternating=True)
+    c = _Lift(ring, c_lines, scale=scale, alternating=True)
     product_into, one = a.product_into, a.one
     b_memo, c_memo, det_memo = {0: one}, {0: one}, {(0, 0): one}
     full_p, full_q = (1 << p) - 1, (1 << q) - 1

@@ -282,7 +282,10 @@ class Combination:
     product as the raw ``_product_into(out, left, right, scale)``: add
     scale * left * right, all three term dicts, into `out` in place and
     return it.  Its ``*`` is that call into an empty dict, and the exterior
-    algebra multiplies its coefficients through the same call.
+    algebra multiplies its coefficients through the same call.  It also
+    supplies ``_int_product_into``, the same contract for int coefficients
+    and an int scale, which the Pfaffian kernels call on their lifts of
+    ints (`pfaffian._Lift`); a ring may name its ``_product_into`` there.
     """
 
     __slots__ = ("terms",)
@@ -462,6 +465,29 @@ class Poly(Combination):
                 out[m] = c
         return out
 
+    @staticmethod
+    def _int_product_into(out: dict, left: Mapping, right: Mapping, scale: int = 1) -> dict:
+        """`_product_into` for int coefficients and an int `scale`, as the
+        kernels on a `pfaffian._Lift` multiply: every product and sum is an
+        int, so no stored value needs the scalar rule."""
+        if not scale:
+            return out
+        get = out.get
+        rows = right.items()
+        for m1, c1 in left.items():
+            c1 = scale * c1
+            for m2, c2 in rows:
+                m = m1 * m2
+                c = c1 * c2
+                s = get(m)
+                if s is not None:
+                    c = s + c
+                    if not c:
+                        del out[m]
+                        continue
+                out[m] = c
+        return out
+
     def __mul__(self, other):
         if isinstance(other, Poly):
             return self._wrap(self._product_into({}, self.terms, other.terms))
@@ -489,11 +515,13 @@ class _Scalars:
     """The coefficient ring that `_lift` names when every value is an int
     or a Fraction, and that an exterior-algebra element of scalars, or 0,
     names: a scalar rides on Poly's unit key and multiplies by
-    Poly's `_product_into`, and `_wrap` reads a raw sum back as the scalar
-    on that key (0 when it is absent)."""
+    Poly's `_product_into` (or its `_int_product_into` on a lift of
+    ints), and `_wrap` reads a raw sum back as the scalar on that key (0
+    when it is absent)."""
 
     _UNIT = Poly._UNIT
     _product_into = staticmethod(Poly._product_into)
+    _int_product_into = staticmethod(Poly._int_product_into)
 
     @staticmethod
     def _wrap(terms: dict) -> ScalarLike:

@@ -304,8 +304,8 @@ def _product_into(out: dict[Word, ScalarLike], left: Mapping[Word, ScalarLike],
     return out
 
 
-# the raw product of the coefficient-ring protocol (see rings.Combination)
-UEAElement._product_into = staticmethod(_product_into)
+# the raw products of the coefficient-ring protocol (see rings.Combination)
+UEAElement._product_into = UEAElement._int_product_into = staticmethod(_product_into)
 
 
 def normal_order(word: Iterable[Generator], coeff: ScalarLike = 1) -> UEAElement:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from pfaffkit import matrixio, uea, verify
+from pfaffkit import cli, matrixio, uea, verify
 from pfaffkit.cli import main
 from pfaffkit.pfaffian import AlternatingMatrix, _pf, pfaffian_definitional
 
@@ -248,6 +248,69 @@ def test_pfaffian_directory_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "directory" in err
+
+
+# --- size bounds of pfaffian and forms ---------------------------------------
+
+
+def _generic_full(size):
+    """The text of a generic `full size` file: size + 1 lines, one variable per upper cell."""
+    rows = [" ".join("0" if i == j else f"x{min(i, j)}_{max(i, j)}" if i < j else f"-x{j}_{i}"
+                     for j in range(size)) for i in range(size)]
+    return f"full {size}\n" + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("pfaffian", "{file}"), "matrix size 16 exceeds the bound 14 of --ring poly"),
+    (("forms", "--mode", "uea", "--n", "300"), "n = 300 exceeds the bound 32"),
+    (("forms", "--mode", "commutative", "--pq", "600", "600"), "p + q = 1200 exceeds the bound 64"),
+], ids=["pfaffian-generic-16", "forms-uea-n300", "forms-commutative-pq600"])
+def test_unbounded_probes_exit_2_without_force(argv, message, tmp_path):
+    # each probe once ran unbounded: the generic full 16 into a MemoryError
+    # traceback after 14 s, the two forms past 20 s; the child may map
+    # 1 GiB and gets 20 s, so a lost bound fails here
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    f = tmp_path / "generic16.txt"
+    f.write_text(_generic_full(16))
+    assert len(f.read_text().splitlines()) == 17
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "pfaffkit", *(a.format(file=f) for a in argv)], env=env,
+                          capture_output=True, text=True, timeout=20, preexec_fn=limit)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-500:]
+    assert proc.stderr == f"pfaffkit: {message}; pass --force to lift the bound\n"
+
+
+def test_pfaffian_bound_is_by_ring_and_force_lifts_it(colored_file, tmp_path, capsys, monkeypatch):
+    _, expected, _ = run(capsys, "pfaffian", colored_file)
+    f = tmp_path / "int4.txt"
+    f.write_text("full 4\n0 1 -2 3\n-1 0 4 -5\n2 -4 0 6\n-3 5 -6 0\n")
+    monkeypatch.setitem(cli.PFAFFIAN_BOUNDS, "poly", 4)  # at the bound: taken
+    assert run(capsys, "pfaffian", colored_file) == (0, expected, "")
+    monkeypatch.setitem(cli.PFAFFIAN_BOUNDS, "poly", 2)
+    assert run(capsys, "pfaffian", colored_file) == (
+        2, "", "pfaffkit: matrix size 4 exceeds the bound 2 of --ring poly; pass --force to lift the bound\n")
+    assert run(capsys, "pfaffian", colored_file, "--force") == (0, expected, "")
+    # the rational bound is the other one
+    assert run(capsys, "pfaffian", str(f), "--ring", "rational") == (0, "8\n", "")
+    monkeypatch.setitem(cli.PFAFFIAN_BOUNDS, "rational", 2)
+    assert run(capsys, "pfaffian", str(f), "--ring", "rational")[0] == 2
+    assert run(capsys, "pfaffian", str(f), "--ring", "rational", "--force") == (0, "8\n", "")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--mode", "uea", "--n", "2"), "n = 2 exceeds the bound 1"),
+    (("--mode", "commutative", "--n", "2"), "n = 2 exceeds the bound 1"),
+    (("--mode", "commutative", "--pq", "1", "3"), "p + q = 4 exceeds the bound 2"),
+], ids=["uea", "commutative-n", "commutative-pq"])
+def test_forms_bound_and_force(argv, message, capsys, monkeypatch):
+    _, expected, _ = run(capsys, "forms", *argv)
+    monkeypatch.setattr(cli, "FORMS_BOUND", 1)
+    assert run(capsys, "forms", *argv) == (2, "", f"pfaffkit: {message}; pass --force to lift the bound\n")
+    assert run(capsys, "forms", *argv, "--force") == (0, expected, "")
 
 
 # --- verify --------------------------------------------------------------------

@@ -1046,6 +1046,150 @@ def test_specialised_colorings_run_the_kernels_in_ints(total, monkeypatch):
     assert scaled == total - 1  # every coloring holds a non-integral coefficient
 
 
+class _Watch:
+    """The kernels and every lift of `pfaffian`, watched until `monkeypatch`
+    is undone: `lifts` holds each `_Lift` built, `nodes` each kernel node
+    computed as (kind, lift, memo, key), and `calls` the innermost kernel
+    node active at each product call of a lift, as (kind, size) with the
+    mask's bit count for "pf" and the column count for "det", or None
+    outside every kernel."""
+
+    def __init__(self, monkeypatch):
+        module = importlib.import_module("pfaffkit.pfaffian")
+        real_pf, real_det, real_lift = module._pf_terms, module._det_terms, module._Lift
+        self.lifts, self.nodes, self.calls = [], [], []
+        active = []
+        watch = self
+
+        class WatchedLift(real_lift):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                watch.lifts.append(self)
+                product = self.product_into
+
+                def counted(out, left, right, scale=1):
+                    watch.calls.append(active[-1] if active else None)
+                    return product(out, left, right, scale)
+
+                self.product_into = counted
+
+        def node(kind, real, size):
+            def run(lift, *key_and_memo):
+                *key, memo = key_and_memo
+                self.nodes.append((kind, lift, memo, tuple(key) if kind == "det" else key[0]))
+                active.append((kind, size(*key)))
+                try:
+                    return real(lift, *key_and_memo)
+                finally:
+                    active.pop()
+            return run
+
+        monkeypatch.setattr(module, "_Lift", WatchedLift)
+        monkeypatch.setattr(module, "_pf_terms", node("pf", real_pf, int.bit_count))
+        monkeypatch.setattr(module, "_det_terms", node("det", real_det, lambda rows, cols: cols.bit_count()))
+
+
+def _lift_coefficients(lift):
+    """Every coefficient a lift holds: its lines and its shifted diagonal entries."""
+    cells = [terms for line in lift.lines for terms in line] + list(lift.diagonal.values())
+    return [c for terms in cells for c in terms.values()]
+
+
+@pytest.mark.parametrize("kind", ["poly", "poly-fraction", "fraction"])
+def test_every_lift_holds_int_coefficients(kind, monkeypatch):
+    # d = 1 keeps the entries' own term dicts, whose coefficients the scalar
+    # rule made ints; d > 1 scales them to ints, so the kernels may use the
+    # ring's int product
+    X = {"poly": lambda: AntiAlternatingMatrix.generic(3, 3),
+         "poly-fraction": lambda: _fraction_coefficient_coloring(3, 3),
+         "fraction": lambda: _partly_zero_rational(3, 3, random.Random(8))}[kind]()
+    A = X.to_alternating()
+    watch = _Watch(monkeypatch)
+    pf = pfaffian_of_anti_alternating(X)
+    rhs = [minor_summation_rhs(X, shift) for shift in (None, 0, Fraction(1, 2))]
+    definitional = pfaffian_definitional(A)
+    for shift in (None, 0, Fraction(1, 2)):
+        memo = {}
+        for size in range(4):
+            for rows in combinations(range(1, 4), size):
+                for cols in combinations(range(1, 4), size):
+                    _minor_det(X.a, index_mask(rows), index_mask(cols), memo, shift)
+        assert all(type(c) is int for terms in _minors(memo).values() for c in terms.values())
+    monkeypatch.undo()
+    # the all-scalar Pfaffian is condensed, with no lift; each other route lifts once per call
+    assert len(watch.lifts) == (kind != "fraction") + 3 * 3 + 1 + 3
+    assert all(type(c) is int for lift in watch.lifts for c in _lift_coefficients(lift))
+    assert any(lift.diagonal for lift in watch.lifts)
+    # a generic matrix is scaled only at the shift 1/2: three block lifts and one minor memo
+    assert sum(lift.scale > 1 for lift in watch.lifts) == (4 if kind == "poly" else len(watch.lifts))
+    assert pf == rhs[0] == definitional
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_int_product_equals_the_product_on_int_terms(seed):
+    rng = random.Random(seed)
+    monos = [next(iter(Poly.var(name).terms)) * k for name in "xyz" for k in (1, 2, 3)]
+
+    def terms():
+        return {m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in rng.sample(monos, rng.randint(1, 5))}
+
+    for _ in range(30):
+        left, right = terms(), terms()
+        scale = rng.choice((-2, -1, 0, 1, 3))
+        start = terms()
+        for out in (start, Poly._product_into({}, left, right, -scale), {}):
+            expected = Poly._product_into(dict(out), left, right, scale)
+            got = Poly._int_product_into(dict(out), left, right, scale)
+            assert got == expected and all(type(c) is int and c for c in got.values())
+    # the product of the negated terms cancels every key of `out`
+    assert Poly._int_product_into(Poly._product_into({}, left, right), left, right, -1) == {}
+
+
+@pytest.mark.parametrize("kind", ["generic-6", "coloring-3-3"])
+def test_leaf_nodes_are_the_lifted_entries_without_a_product(kind, monkeypatch):
+    watch = _Watch(monkeypatch)
+    if kind == "generic-6":
+        A = AlternatingMatrix.generic(6)
+        memo = {}
+        pfs = {I: _pf(A, index_mask(I), memo) for even in (2, 4, 6) for I in combinations(range(1, 7), even)}
+        monkeypatch.undo()
+        assert all(pf == pfaffian_definitional(_principal(A.rows, I)) for I, pf in pfs.items())
+    else:
+        X = AntiAlternatingMatrix.generic(3, 3)
+        rhs = minor_summation_rhs(X)
+        minor_summation_rhs(X, 0)
+        memo, u = {}, Fraction(-1, 2)
+        shifted = {(rows, cols): _minor_det(X.a, index_mask(rows), index_mask(cols), memo, u)
+                   for size in (1, 2, 3) for rows in combinations(range(1, 4), size)
+                   for cols in combinations(range(1, 4), size)}
+        monkeypatch.undo()
+        assert rhs == pfaffian_of_anti_alternating(X) == pfaffian_definitional(X.to_alternating())
+        # at a shift u the entry (i, i) of column t of r gains u + r - t
+        for (rows, cols), d in shifted.items():
+            r = len(cols)
+            assert d == det_leibniz(tuple(tuple(X.a[i - 1][j - 1] + (u + r - t if i == j else 0)
+                                                for t, j in enumerate(cols, start=1)) for i in rows))
+    # no product is made while a two-index or a one-by-one node is the innermost
+    assert ("pf", 2) not in watch.calls and ("det", 1) not in watch.calls
+    assert (("pf", 4) if kind == "generic-6" else ("det", 2)) in watch.calls  # the watch sees products
+    leaves = 0
+    for node, lift, memo, key in watch.nodes:
+        if node == "pf" and key.bit_count() == 2:
+            i, j = (k - 1 for k in _indices(key))
+            assert memo[key] is lift.lines[i][j]
+            leaves += 1
+        elif node == "det" and key[1].bit_count() == 1:
+            (row,), (col,) = (_indices(mask) for mask in key)
+            entry = lift.diagonal[col - 1, 0] if row == col and lift.shift is not None else lift.lines[col - 1][row - 1]
+            assert memo[key] is entry
+            leaves += 1
+    # generic-6: the 15 pairs; coloring-3-3: the 3 pairs of b and of c and the
+    # 9 entries of a at two shifts, and the 9 entries at the shift u
+    assert leaves == (15 if kind == "generic-6" else 2 * (3 + 3 + 9) + 9)
+
+
 def _all_terms(*values):
     """A copy of the term dict of every ring element among `values`, nested in tuples."""
     out = []

@@ -23,3 +23,22 @@ def test_script_runs(argv):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_ab_pairs_refuses_checkouts_that_differ_in_bytecode(tmp_path):
+    # a side that reads bytecode sets up faster, so the pairs would not
+    # compare like with like: exit 2 before any pass
+    sides = []
+    for name, cached in (("base", "src/pfaffkit"), ("change", None), ("bench-cached", "bench")):
+        side = tmp_path / name
+        (side / "src" / "pfaffkit").mkdir(parents=True)
+        (side / "bench").mkdir()
+        if cached:
+            (side / cached / "__pycache__").mkdir()
+        sides.append(side)
+    for base, change, cached in ((sides[0], sides[1], sides[0]), (sides[1], sides[2], sides[2])):
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "ab_pairs.py"), str(base), str(change),
+                               "--pairs", "1"], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"ab_pairs: only {cached.resolve()} holds __pycache__ under src/pfaffkit or bench; "
+                               "compare two fresh copies\n")
