@@ -63,7 +63,7 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .indexing import crossing_mask, index_mask, merge_sign
-from .pfaffian import AlternatingMatrix, AntiAlternatingMatrix, _minor_det, _pf, pfaffian_of_anti_alternating
+from .pfaffian import AlternatingMatrix, AntiAlternatingMatrix, _det_raw, _pf, pfaffian_of_anti_alternating
 from .rings import Poly, _lift, _rational, _Scalars, add_into
 from .uea import UEAElement, build_canonical_x, nc_minor_summation_rhs
 
@@ -455,29 +455,40 @@ def check_xi_power_formula(n: int, u, r: int, *, forms: Forms) -> bool:
     """Xi^(r)(u+r-1) = r! sum_{|I|=|J|=r} e_I e_-J cdet(a^I_J + shift(u)).
 
     The determinant entry in column t carries the extra u + r - t on
-    matched indices: every determinant is `pfaffian._minor_det` at the
-    shift u, each I and J turned into a mask once.  A minor at the shift
-    u does not depend on r, so its memo is kept on the forms, one per u,
-    and the checks at every r share it.
+    matched indices: every determinant is read raw by `pfaffian._det_raw`
+    from the `_minor_det` memo of the a block at the shift u, each I and J
+    turned into a mask once.  A minor at the shift u does not depend on
+    r, so its memo is kept on the forms, one per u, and the checks at
+    every r share it.
 
-    The minors alone are lifted: the word e_I e_-J (J descending) is in
-    slot order, so its sign is +1, and the left side's raw dict at its
-    mask is compared with r! times the minor's raw terms, term by term.
-    The left side must hold no mask beyond those of the nonzero minors."""
+    The memo holds the raw minors of d (a + shift), d its lift's common
+    denominator, so d^r times the left side is compared with r! times
+    each raw minor, term by term.  The word e_I e_-J (J descending) is in
+    slot order, so its sign is +1.  The left side must hold exactly the
+    masks of the nonzero minors."""
     forms = _forms_for(n, forms)
     lhs = xi_shifted_power(forms, Fraction(u) + r - 1, r)
-    scale = factorial(r)
-    a, shift = forms.source.a, Fraction(u)
+    shift = Fraction(u)
     memo = forms.minor_dets.setdefault(shift, {})
+    a = forms.source.a
+    lift, _ = _det_raw(a, 0, 0, memo, shift)
     top = forms.p + forms.q + 1  # e_-j sits in slot top - j
     subsets = [(index_mask(K), index_mask(top - k for k in K)) for K in combinations(range(1, n + 1), r)]
-    minors = [_minor_det(a, rows, cols, memo, shift) for rows, _ in subsets for cols, _ in subsets]
-    ring, (lifted,) = _lift((minors,))
-    words = (low | high for low, _ in subsets for _, high in subsets)
-    by_mask = GrassmannElement._raw(forms.p, forms.q, ring, dict(zip(words, lifted)))
+    raw = {}
+    for rows, _ in subsets:  # the row mask is e_I's mask
+        for cols, high in subsets:
+            _, minor = _det_raw(a, rows, cols, memo, shift)
+            if minor:
+                raw[rows | high] = minor
+    by_mask = GrassmannElement._raw(forms.p, forms.q, lift.ring, raw)
     _, (left, right) = _adopt((lhs, by_mask))
-    return len(left) == len(right) and all(
-        left.get(mask) == {k: scale * c for k, c in minor.items()} for mask, minor in right.items())
+    left_scale, right_scale = lift.scale ** r, factorial(r)
+
+    def agrees(got, minor) -> bool:
+        return got is not None and len(got) == len(minor) and all(
+            left_scale * got.get(k, 0) == right_scale * c for k, c in minor.items())
+
+    return len(left) == len(right) and all(agrees(left.get(mask), minor) for mask, minor in right.items())
 
 
 def eta(forms: Forms, j: int, u) -> GrassmannElement:

@@ -837,6 +837,15 @@ def _minor_det(M: tuple, rows: int, cols: int, memo: dict, shift=None):
     """
     if not cols:
         return 1
+    lift, terms = _det_raw(M, rows, cols, memo, shift)
+    return lift.value(terms, cols.bit_count())
+
+
+def _det_raw(M: tuple, rows: int, cols: int, memo: dict, shift=None):
+    """The lift of M and the raw minor on the masks `rows` and `cols`, read
+    from or added to a `_minor_det` memo.  The lift is made on the first
+    call and kept under the key None, with the empty minor's unit under
+    (0, 0)."""
     lift = memo.get(None)
     if lift is None:
         ring, lines = _lift(M)
@@ -845,7 +854,7 @@ def _minor_det(M: tuple, rows: int, cols: int, memo: dict, shift=None):
     terms = memo.get((rows, cols))
     if terms is None:
         terms = _det_terms(lift, rows, cols, memo)
-    return lift.value(terms, cols.bit_count())
+    return lift, terms
 
 
 def _det_terms(lift: _Lift, rows: int, cols: int, memo: dict) -> dict:
@@ -955,7 +964,11 @@ def minor_summation_rhs(X: AntiAlternatingMatrix, shift=None):
                 d = det_memo.get((comp, comp_j))
                 if d is None:
                     d = _det_terms(a, comp, comp_j, det_memo)
-                if d:
+                if not d:
+                    continue
+                if pf_c is one:  # J empty: Pf(c_J) = 1, so d is added as it is
+                    add_into(inner, d, sign_j)
+                else:
                     product_into(inner, d, pf_c, sign_j)
             if inner:
                 if mask:

@@ -36,7 +36,7 @@ from typing import Iterable, Mapping
 
 from .indexing import cycle_sign
 from .pfaffian import AntiAlternatingMatrix, minor_summation_rhs
-from .rings import Combination, Poly, RAISING, ScalarLike, _prime, add_into, display_key
+from .rings import CARTAN, Combination, Poly, RAISING, ScalarLike, _prime, _rational, add_into, display_key
 
 _KINDS = ("a", "b", "c")
 _GENERATORS: dict[tuple[str, int, int], "Generator"] = {}
@@ -93,10 +93,6 @@ class Generator:
     def root_class(self) -> int:
         """LOWERING, CARTAN or RAISING (see `rings.display_key`)."""
         return self.sort_key >> (2 * _INDEX_BITS + 2)
-
-    @property
-    def is_cartan(self) -> bool:
-        return self.kind == "a" and self.i == self.j
 
     def __str__(self) -> str:
         return self.name
@@ -233,37 +229,41 @@ def _normal_order_sums(out: dict[Word, ScalarLike],
     The first out-of-order adjacent pair x y at or after `start` becomes
     y x + [x, y]; the bracket terms are strictly shorter, so the rewrite
     terminates.  Both rewrites leave the word sorted before the pair, so
-    they are pushed back with the scan restarting one step to its left.
-    Each sorted word is added into `out` in place under the scalar rule of
-    `rings._rational`, and a word whose sum cancels leaves at once, so
-    `out` never holds a zero coefficient if it started without and no
-    zero coefficient is pushed."""
+    the scan of each restarts one step to its left.  The bracket terms are
+    pushed; the swapped word, with the same coefficient, is rewritten on
+    in place until it is sorted, so a swap costs no stack entry.  The
+    normal form is unique, so the order in which words are rewritten does
+    not change the result.  Each sorted word is added into `out` in place
+    under the scalar rule of `rings._rational`, and a word whose sum
+    cancels leaves at once, so `out` never holds a zero coefficient if it
+    started without and no zero coefficient is pushed."""
     pop, push, get, brackets = stack.pop, stack.append, out.get, _BRACKETS.get
     while stack:
         w, c, t = pop()
         last = len(w) - 1
-        while t < last and w[t].sort_key <= w[t + 1].sort_key:
-            t += 1
-        if t >= last:
-            s = get(w)
-            if s is not None:
-                c = s + c
-                if not c:
-                    del out[w]
-                    continue
-            if type(c) is Fraction and c.denominator == 1:
-                c = c.numerator
-            out[w] = c
-            continue
-        x, y = w[t], w[t + 1]
-        head, tail = w[:t], w[t + 2:]
-        back = t - 1 if t else 0
-        push((head + (y, x) + tail, c, back))
-        terms = brackets((x, y))
-        if terms is None:
-            terms = _bracket_terms(x, y)
-        for bw, bc in terms:
-            push((head + bw + tail, c * bc, back))
+        while True:
+            while t < last and w[t].sort_key <= w[t + 1].sort_key:
+                t += 1
+            if t >= last:
+                break
+            x, y = w[t], w[t + 1]
+            head, tail = w[:t], w[t + 2:]
+            back = t - 1 if t else 0
+            terms = brackets((x, y))
+            if terms is None:
+                terms = _bracket_terms(x, y)
+            for bw, bc in terms:
+                push((head + bw + tail, c * bc, back))
+            w, t = head + (y, x) + tail, back
+        s = get(w)
+        if s is not None:
+            c = s + c
+            if not c:
+                del out[w]
+                continue
+        if type(c) is Fraction and c.denominator == 1:
+            c = c.numerator
+        out[w] = c
     return out
 
 
@@ -519,15 +519,24 @@ def hc_coefficient(z: UEAElement, weight: HighestWeight):
 
     Words containing any raising or lowering factor act by zero there;
     the remaining words are products of diagonal generators a[i,i], each
-    acting by lam_i, a `Poly` variable or a Fraction."""
+    acting by lam_i, a `Poly` variable or a Fraction.  The n components
+    are read once, under the scalar rule, keyed by their generators
+    a[i,i], and a word counts only if every letter is a key.  A word of
+    diagonal letters with one past n raises the `ValueError` of
+    `HighestWeight.component`."""
+    lams = {Generator("a", i, i): _rational(weight.component(i)) for i in range(1, weight.n + 1)}
     total = 0
     for word, coeff in z.terms.items():
-        if any(not g.is_cartan for g in word):
-            continue
         val = coeff
         for g in word:
-            val = weight.component(g.i) * val
-        total = total + val
+            lam = lams.get(g)
+            if lam is None:
+                if all(h.root_class == CARTAN for h in word):  # g is a[i,i] with i > n
+                    weight.component(g.i)
+                break
+            val = lam * val
+        else:
+            total = total + val
     return total
 
 

@@ -1,5 +1,7 @@
 """Shared test oracles."""
 
+from fractions import Fraction
+
 import pytest
 
 from pfaffkit import grassmann, uea
@@ -20,6 +22,33 @@ def random_anti_alternating(p: int, q: int, rng) -> AntiAlternatingMatrix:
     b_upper = [[rng.randint(-9, 9) for _ in range(i + 1, p + 1)] for i in range(1, p)]
     c_upper = [[rng.randint(-9, 9) for _ in range(i + 1, q + 1)] for i in range(1, q)]
     return AntiAlternatingMatrix.from_upper_blocks(p, q, a_rows, b_upper, c_upper)
+
+
+def push_every_swap_drain(out, stack):
+    """The PBW drain that pushes every rewrite: an out-of-order pair x y
+    pushes the swapped word y x and each bracket term, all scanned again
+    from one step left of the pair.  The oracle for `uea._normal_order_sums`,
+    which rewrites the swapped word in place instead; both add each
+    sorted word into `out` under the scalar rule and drop cancelled words."""
+    while stack:
+        w, c, t = stack.pop()
+        last = len(w) - 1
+        while t < last and w[t].sort_key <= w[t + 1].sort_key:
+            t += 1
+        if t >= last:
+            c = out.get(w, 0) + c
+            if not c:
+                out.pop(w, None)
+                continue
+            out[w] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            continue
+        x, y = w[t], w[t + 1]
+        head, tail = w[:t], w[t + 2:]
+        back = t - 1 if t else 0
+        stack.append((head + (y, x) + tail, c, back))
+        for bw, bc in uea._bracket_terms(x, y):
+            stack.append((head + bw + tail, c * bc, back))
+    return out
 
 
 def _all_generator_failures(z, n):

@@ -1604,3 +1604,45 @@ def test_equivariance_with_fraction_entries():
         assert equivariance_check(A, g)
     singular = ((1, 2, 0, 0), (Fraction(1, 2), 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     assert equivariance_check(A, singular)
+
+
+@pytest.mark.parametrize("kind", ["poly", "fraction", "rational", "uea"])
+def test_block_sum_adds_each_empty_j_term_without_a_unit_product(kind, monkeypatch):
+    # for J empty Pf(c_J) is the memos' unit, so each determinant is added
+    # with its sign: no product call has a lift's unit dict on the right
+    # (a scalar sub-Pfaffian or entry equal to 1 is another dict)
+    module = importlib.import_module("pfaffkit.pfaffian")
+    real_lift = module._Lift
+    ones, units = [], []
+
+    class WatchedLift(real_lift):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            ones.append(self.one)
+            product = self.product_into
+
+            def watched(out, left, right, scale=1):
+                units.append(any(right is one for one in ones))
+                return product(out, left, right, scale)
+
+            self.product_into = watched
+
+    rng = random.Random(38)
+    shapes = [(2, 2), (3, 3), (3, 1), (4, 2), (2, 4)]
+    X = {"poly": [AntiAlternatingMatrix.generic(p, q) for p, q in shapes],
+         "fraction": [_fraction_coefficient_coloring(p, q) for p, q in shapes],
+         "rational": [random_anti_alternating(p, q, rng) for p, q in shapes],
+         "uea": [build_canonical_x(n) for n in (1, 2, 3)]}[kind]
+    shift = 0 if kind == "uea" else None
+    monkeypatch.setattr(module, "_Lift", WatchedLift)
+    got = [minor_summation_rhs(x, shift) for x in X]
+    monkeypatch.undo()
+    assert units and not any(units)
+    if kind == "uea":
+        from pfaffkit.uea import nc_pfaffian
+
+        assert got == [nc_pfaffian(x) for x in X]
+    else:
+        assert got == [pfaffian_definitional(x.to_alternating()) for x in X]

@@ -1,5 +1,6 @@
 """Each script in scripts/ runs to completion at its smallest size."""
 
+import json
 import os
 import subprocess
 import sys
@@ -42,3 +43,33 @@ def test_ab_pairs_refuses_checkouts_that_differ_in_bytecode(tmp_path):
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == (f"ab_pairs: only {cached.resolve()} holds __pycache__ under src/pfaffkit or bench; "
                                "compare two fresh copies\n")
+
+
+def _rank_ladder(tmp_path, *args):
+    out = tmp_path / "ranks.json"
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)  # the script puts its own src first for the children
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "rank_ladder.py"), *args, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out.read_text())
+
+
+def test_rank_ladder_runs_one_rung(tmp_path):
+    record = _rank_ladder(tmp_path, "--max-n", "4")
+    assert record["commit"] and record["host"] and record["budget_s"] == 30
+    assert list(record["ladders"]) == ["ncmsf", "central"]
+    for suite, (rung,) in record["ladders"].items():
+        assert rung["n"] == 4 and rung["status"] == "pass" and 0 < rung["wall_s"] < 30
+        assert rung["vmhwm_mib"] > 1
+        assert rung["top_check"]["id"].startswith(f"{suite}:") and rung["top_check"]["id"].endswith(":n4")
+
+
+def test_rank_ladder_kills_a_rung_at_the_budget(tmp_path):
+    # the interpreter alone takes longer than this budget: the first rung of
+    # each ladder is killed there, and the ladder stops
+    record = _rank_ladder(tmp_path, "--budget", "0.01")
+    for (rung,) in record["ladders"].values():
+        rung.pop("vmhwm_mib", None)  # read if the child was still there to read
+    killed = [{"n": 4, "status": "over-budget", "wall_s": 0.01}]
+    assert record["ladders"] == {"ncmsf": killed, "central": killed}

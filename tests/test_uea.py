@@ -30,7 +30,7 @@ from pfaffkit.uea import (
     normal_order,
     signed_generator,
 )
-from conftest import canonical_generators
+from conftest import canonical_generators, push_every_swap_drain
 
 A11 = Generator("a", 1, 1)
 A12 = Generator("a", 1, 2)
@@ -308,6 +308,87 @@ def test_every_route_holds_only_sorted_words():
     assert sum(len(x.terms) for x in elements) > 1000
 
 
+# --- the drain against the push-every-swap oracle ---------------------------
+
+
+class _CountingStack(list):
+    """A drain stack that records each entry pushed onto it."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.pushed = []
+
+    def append(self, entry):
+        self.pushed.append(entry)
+        super().append(entry)
+
+
+def test_a_swap_pushes_no_stack_entry():
+    # commuting letters out of order: the swaps alone sort the word, and
+    # each swapped word is rewritten in place, so nothing is pushed
+    A33 = Generator("a", 3, 3)
+    stack = _CountingStack([((A33, A22, A11), 2, 0)])
+    assert uea._normal_order_sums({}, stack) == {(A11, A22, A33): 2}
+    assert stack.pushed == []
+    # b c = c b + a11 + a22: only the two bracket terms are pushed, scanned
+    # from the pair's place; the swapped word c b is stored
+    stack = _CountingStack([((B12, C12), 3, 0)])
+    assert uea._normal_order_sums({}, stack) == {(C12, B12): 3, (A11,): 3, (A22,): 3}
+    assert sorted(stack.pushed, key=lambda e: e[0][0].sort_key) == [((A11,), 3, 0), ((A22,), 3, 0)]
+
+
+def _random_terms(rng, gens, count):
+    """Seeded words of length at most 7 with int and Fraction coefficients;
+    some come with a reordering of opposite sign, so that their normal
+    forms cancel in part."""
+    terms = {}
+    for _ in range(count):
+        word = tuple(rng.choice(gens) for _ in range(rng.randint(0, 7)))
+        c = rng.choice([1, -2, 3, Fraction(1, 2), Fraction(-3, 4), Fraction(4, 2)])
+        terms[word] = terms.get(word, 0) + c
+        if len(word) > 1 and rng.random() < 0.4:
+            other = list(word)
+            rng.shuffle(other)
+            terms[tuple(other)] = terms.get(tuple(other), 0) - c
+    return terms
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_drain_matches_the_push_every_swap_oracle(monkeypatch, n):
+    # the constructor, products, ad and the recursion route every unsorted
+    # word through the drain; under the oracle each gives the same dict,
+    # coefficient types included
+    gens = canonical_generators(n)
+    rng = random.Random(3800 + n)
+    inputs = [_random_terms(rng, gens, rng.randint(1, 5)) for _ in range(10)]
+    drained = []
+
+    def results():
+        built = [UEAElement(terms) for terms in inputs]
+        products = [x * y for x, y in zip(built, built[1:])]
+        out = dict(products[0].terms)
+        UEAElement._product_into(out, built[1].terms, built[0].terms, Fraction(-1, 2))
+        ads = [ad(g, x) for x in built[:3] for g in gens[::4]]
+        pfaffians = [nc_pfaffian(build_canonical_x(k)) for k in range(1, n + 1)]
+        return [x.terms for x in built + products + ads + pfaffians] + [out]
+
+    got = results()
+    real = uea._normal_order_sums
+
+    def oracle(out, stack):
+        drained.append(len(stack))
+        return push_every_swap_drain(out, stack)
+
+    monkeypatch.setattr(uea, "_normal_order_sums", oracle)
+    expected = results()
+    monkeypatch.setattr(uea, "_normal_order_sums", real)
+    assert len(drained) > 50
+    assert got == expected
+    assert [{w: type(c) for w, c in x.items()} for x in got] == [{w: type(c) for w, c in x.items()} for x in expected]
+    assert sum(len(x) for x in got) > 1000
+    assert any(type(c) is Fraction for x in got for c in x.values())
+
+
 def test_scalar_and_sum_arithmetic():
     e = el(A11) + 2 * el(B12)
     assert e - e == UEAElement.zero()
@@ -533,6 +614,23 @@ def test_hc_coefficient_goldens():
     assert hc_coefficient(el(C12, B12), w) == Poly.zero()
     assert hc_coefficient(el(A11, A22), w) == Poly.var("lam[1]") * Poly.var("lam[2]")
     assert hc_coefficient(UEAElement.one(), w) == Poly.const(1)
+
+
+def test_hc_coefficient_reads_only_diagonal_words_within_the_rank():
+    A33 = Generator("a", 3, 3)
+    w = HighestWeight.symbolic(2)
+    # a word with a raising or lowering letter acts by zero, even beside a[3,3]
+    z = UEAElement({(A21, A33): 1, (A33, B12): 2, (A11,): 3, (A11, A22): Fraction(1, 2)})
+    assert hc_coefficient(z, w) == 3 * Poly.var("lam[1]") + Fraction(1, 2) * Poly.var("lam[1]") * Poly.var("lam[2]")
+    # a diagonal word past the rank has no component to act by
+    with pytest.raises(ValueError, match="component 3 out of range for n=2"):
+        hc_coefficient(z + UEAElement({(A11, A33): 1}), w)
+    # numeric components are read under the scalar rule, so integral ones
+    # multiply as ints
+    assert hc_coefficient(z, HighestWeight.numeric([4, Fraction(2, 1)])) == 16
+    got = hc_coefficient(UEAElement({(A11, A22): 2, (A11,): 3}), HighestWeight.numeric([4, Fraction(2, 1)]))
+    assert got == 28 and type(got) is int
+    assert hc_coefficient(z, HighestWeight.numeric([Fraction(1, 3), 3])) == Fraction(3, 2)
 
 
 def test_eigenvalue_symbolic():
