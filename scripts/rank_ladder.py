@@ -12,8 +12,10 @@ n = 8 had reached a VmHWM of 730 MiB.  `--max-n` ends a ladder early.
 Each rung records its wall time, the child's own peak RSS (`VmHWM`, read
 by the child as it exits, or just before it is killed, so the spawning
 process's memory is not in it) and the check with the largest `millis`.
-The ladders go to `BENCH_ranks.json` (or `--out`) with the commit,
-whether `src` differs from it, and a host note.
+The ladders go to `BENCH_ranks.json` (or `--out`) with the SHA-256 of
+`src/pfaffkit/*.py` (`bench/run.py`'s digest), the commit and whether
+`src` differs from it (both null outside a git checkout), and a host
+note.
 
 Usage: python3 scripts/rank_ladder.py [--budget 30] [--max-n N] [--out BENCH_ranks.json]
 """
@@ -28,6 +30,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave no bytecode in bench/, which the benchmark's workers read
+sys.path.insert(0, str(ROOT / "bench"))
+from run import _source_digest  # noqa: E402
+
 SUITES = ("ncmsf", "central")
 FIRST_RANK = 4
 
@@ -87,9 +93,12 @@ def run_rung(suite: str, n: int, budget: float) -> dict:
     return record
 
 
-def git(*args: str) -> str:
+def git(*args: str) -> str | None:
+    """The output of a git command on this checkout; None outside a checkout, or if git fails."""
+    if not (ROOT / ".git").exists():
+        return None
     proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
-    return proc.stdout.strip() if proc.returncode == 0 else ""
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def host_note() -> str:
@@ -109,9 +118,11 @@ def main() -> int:
     if args.max_n is not None and args.max_n < FIRST_RANK:
         ap.error(f"--max-n must be at least {FIRST_RANK}")
 
+    status = git("status", "--porcelain", "--", "src")
     record = {
+        "src_sha256": _source_digest(),
         "commit": git("rev-parse", "HEAD"),
-        "src_differs_from_commit": bool(git("status", "--porcelain", "--", "src")),
+        "src_differs_from_commit": None if status is None else bool(status),
         "host": host_note(),
         "budget_s": args.budget,
         "ladders": {},

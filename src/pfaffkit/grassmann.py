@@ -320,7 +320,7 @@ class Forms:
     `_Scalars`); `tau` is None unless p == q.  `products[k, j, a]` memoises
     tau^k Xi^j Theta'^a (`_product`), of which the falling Xi products
     and the trinomial check's sums are combinations.  `minor_dets[u]` is
-    the `pfaffian._minor_det` memo of the a block at the shift u,
+    the `pfaffian._det_raw` memo of the a block at the shift u,
     `block_pfs[name]` the b or c block as an `AlternatingMatrix` with its
     `pfaffian._pf` memo, and `theta_expansions[name, s]` the block's
     expansion 2^s s! sum_I e_I Pf(block_I) that `check_theta_powers`
@@ -456,8 +456,8 @@ def check_xi_power_formula(n: int, u, r: int, *, forms: Forms) -> bool:
 
     The determinant entry in column t carries the extra u + r - t on
     matched indices: every determinant is read raw by `pfaffian._det_raw`
-    from the `_minor_det` memo of the a block at the shift u, each I and J
-    turned into a mask once.  A minor at the shift u does not depend on
+    from its memo of the a block at the shift u, each I and J turned into
+    a mask once.  A minor at the shift u does not depend on
     r, so its memo is kept on the forms, one per u, and the checks at
     every r share it.
 

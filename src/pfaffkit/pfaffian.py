@@ -41,7 +41,7 @@ keeps one memo per block for a call: Pf(b_I) and Pf(c_J) come from the
 first-row kernel on the whole b and c blocks (so do the block Pfaffians
 of `grassmann.check_theta_powers`, through `_pf`), and each a-minor
 determinant from the first-column kernel on the complement masks, so
-each block quantity is computed once.  `_minor_det`, memoised on the
+each block quantity is computed once.  `_det_raw`, memoised on the
 (rows, cols) masks, is the one minor determinant of the package: a
 first-column expansion, so the determinant for commuting entries and,
 with the shift u + r - t on the diagonal of column t, the column
@@ -51,7 +51,7 @@ The cofactor sums run on raw term dicts of one coefficient ring, every
 coefficient an int.  A matrix or block is lifted once (`rings._lift`: a
 ring element gives its own terms, a scalar sits on the ring's unit key,
 and an all-scalar matrix names the ring `rings._Scalars`) into a
-`_Lift`, which a memo of `_pf` or `_minor_det` keeps under the key None;
+`_Lift`, which a memo of `_pf` or `_det_raw` keeps under the key None;
 a lift with Fraction coefficients is scaled once by their common
 denominator d, taken from one scan of the cells the kernels read, so
 the kernels run in ints on d A and only a returned value is divided
@@ -63,10 +63,12 @@ sums never need) straight into one fresh dict, and the memos hold those
 dicts, only read once stored.  A leaf needs no product: a Pfaffian of
 two indices, and a determinant of one row and one column, is its lifted
 entry (shifted on the diagonal), which the memo shares with the lift.
-`_pf`, `_minor_det` and the block sum wrap a result once, at the end,
-by the ring's `_wrap`: the int 1 for the empty minor, the int 0 when no
-product was added, a scalar for an all-scalar matrix, else an element
-of the ring (its zero when the products cancel);
+A node to which no product survives holds the {} it was formed as.
+`_pf`, the block sum and each reader of a `_det_raw` minor wrap a result
+once, at the end, by the ring's `_wrap`: a scalar for an all-scalar
+matrix (the int 0 when it vanishes), else an element of the ring (its
+zero when it vanishes, whether no product was added or the products
+cancelled), while the empty Pfaffian is the int 1, never wrapped;
 `copfaffian_expansion_residuals` sums each residual the same way, by
 the ring's `_product_into` on an unscaled lift, and the matching walk
 of `pfaffian_definitional` runs on a `_Lift` of its own: each prefix
@@ -322,8 +324,9 @@ def pfaffian_definitional(A: AlternatingMatrix):
     leaf adds its signed product straight into one raw dict, and
     `_Lift.value` wraps that sum once.  The walk shares no expansion with
     `_pf`, only the lift and the ring's product.  The empty matrix gives
-    the int 1, a matrix with no nonzero matching the int 0, and matchings
-    that cancel the ring's zero.
+    the int 1; a vanishing sum, whether no matching survives or the
+    matchings cancel, gives the ring's zero (the int 0 for an all-scalar
+    matrix).
     """
     m = A.size
     if m == 0:
@@ -355,7 +358,6 @@ def pfaffian_definitional(A: AlternatingMatrix):
     rows, product_into = lift.lines, lift.product_into
     prefix = [lift.one] * (last + 1)
     terms: dict = {}
-    survived = False
     for i, j, depth, negative in zip(nodes, nodes, nodes, nodes):
         entry = rows[i][j]
         if not entry:
@@ -367,12 +369,7 @@ def pfaffian_definitional(A: AlternatingMatrix):
             prefix[depth + 1] = product_into({}, prefix[depth], entry) if depth else entry
         else:
             product_into(terms, prefix[depth], entry, -1 if negative else 1)
-            survived = True
-    return lift.value(terms if survived else _NO_PRODUCT, m // 2)
-
-
-# The raw value of a node to which no product was added; shared, never written.
-_NO_PRODUCT: dict = {}
+    return lift.value(terms, m // 2)
 
 
 _DENOMINATOR = attrgetter("denominator")
@@ -447,13 +444,11 @@ class _Lift:
 
     def value(self, terms: dict, degree: int):
         """The public value of a raw sum whose products have `degree`
-        factors: the int 0 if no product was added, else the ring's
-        `_wrap` of it.  At d = 1 that is an element wrapping `terms`
-        (which a memo may share: elements are never written); at d > 1 an
-        element owning a fresh dict of the coefficients divided by
-        d ** degree, under the scalar rule."""
-        if terms is _NO_PRODUCT:
-            return 0
+        factors: the ring's `_wrap` of it, so {} is the ring's zero (the
+        int 0 of `_Scalars`).  At d = 1 that is an element wrapping
+        `terms` (which a memo may share: elements are never written); at
+        d > 1 an element owning a fresh dict of the coefficients divided
+        by d ** degree, under the scalar rule."""
         if self.scale > 1:
             power = self.scale ** degree
             quotients: dict = {}  # a coefficient often recurs: divide each distinct one once
@@ -488,7 +483,6 @@ def _pf(A: AlternatingMatrix, mask: int, memo: dict):
         if lift is None:
             ring, rows = _lift(A.rows)
             lift = memo[None] = _Lift(ring, rows, alternating=True)
-            memo[0] = lift.one
         terms = memo.get(mask)
         if terms is None:
             terms = _pf_terms(lift, mask, memo)
@@ -523,23 +517,22 @@ def _pf_terms(lift: _Lift, mask: int, memo: dict) -> dict:
     """Raw Pfaffian of the principal submatrix on the nonempty `mask`,
     stored in `memo`; callers read the memo first.
 
-    Two indices i < j give the lifted entry (i, j) itself, shared with
-    the lift and never written, or `_NO_PRODUCT` for a zero entry.  Above
-    that the lowest set bit is the first row; each later set bit, in
-    increasing order, pairs with it, its cofactor the Pfaffian at
-    `rest ^ bit` and its sign alternating over the set bits.  Each
-    nonzero entry times its nonzero cofactor, the entry on the left, is
-    added by the ring's `_int_product_into` into one fresh dict; with no
-    such product the node is `_NO_PRODUCT`."""
+    Two indices i < j give the lifted entry (i, j) itself, {} for a zero,
+    shared with the lift and never written.  Above that the lowest set
+    bit is the first row; each later set bit, in increasing order, pairs
+    with it, its cofactor the Pfaffian at `rest ^ bit` and its sign
+    alternating over the set bits.  Each nonzero entry times its nonzero
+    cofactor, the entry on the left, is added by the ring's
+    `_int_product_into` into one fresh dict, which the node stores as
+    formed: {} when no product survives."""
     low = mask & -mask
     rest = bits = mask ^ low
     row = lift.lines[low.bit_length() - 1]
     if mask.bit_count() == 2:
-        memo[mask] = out = row[rest.bit_length() - 1] or _NO_PRODUCT
+        memo[mask] = out = row[rest.bit_length() - 1]
         return out
     product_into = lift.product_into
     out: dict = {}
-    survived = False
     sign = 1
     while bits:
         bit = bits & -bits
@@ -552,9 +545,8 @@ def _pf_terms(lift: _Lift, mask: int, memo: dict) -> dict:
                 sub = _pf_terms(lift, minor, memo)
             if sub:
                 product_into(out, a, sub, sign)
-                survived = True
         sign = -sign
-    memo[mask] = out = out if survived else _NO_PRODUCT
+    memo[mask] = out
     return out
 
 
@@ -821,31 +813,20 @@ def pfaffian_of_anti_alternating(X: AntiAlternatingMatrix):
     return pfaffian(X.to_alternating())
 
 
-def _minor_det(M: tuple, rows: int, cols: int, memo: dict, shift=None):
-    """Column determinant of the minor of M on the masks `rows` and `cols`
-    (bit k - 1 for index k, equal bit counts), by expansion along the
-    lowest set column bit; for commuting entries, the determinant.
+def _det_raw(M: tuple, rows: int, cols: int, memo: dict, shift=None):
+    """The lift of M and the raw column determinant of the minor of M on
+    the masks `rows` and `cols` (bit k - 1 for index k, equal bit
+    counts), by expansion along the lowest set column bit (`_det_terms`);
+    for commuting entries, the determinant.
 
     At a scalar `shift` u the entry (k, k) gains u plus the number of
     remaining columns: u + r - t in column t of r.  `memo` maps (rows,
-    cols) to raw minors of M at one shift, so each minor is computed once;
-    it keeps the lift of M under the key None.  With a Fraction
+    cols) to raw minors of M at one shift, so each minor is computed
+    once; the lift is made on the first call and kept under the key None,
+    with the empty minor's unit under (0, 0).  With a Fraction
     coefficient or shift the memo holds the raw minors of d M shifted by
-    d u in ints, d the common denominator of both, and a result is divided
-    by d ** |cols| on the way out.  The empty minor is the int 1, and the
-    result is wrapped as `_Lift.value` says.
-    """
-    if not cols:
-        return 1
-    lift, terms = _det_raw(M, rows, cols, memo, shift)
-    return lift.value(terms, cols.bit_count())
-
-
-def _det_raw(M: tuple, rows: int, cols: int, memo: dict, shift=None):
-    """The lift of M and the raw minor on the masks `rows` and `cols`, read
-    from or added to a `_minor_det` memo.  The lift is made on the first
-    call and kept under the key None, with the empty minor's unit under
-    (0, 0)."""
+    d u in ints, d the common denominator of both, and the lift's
+    `value(terms, |cols|)` divides a minor back by d ** |cols|."""
     lift = memo.get(None)
     if lift is None:
         ring, lines = _lift(M)
@@ -862,13 +843,13 @@ def _det_terms(lift: _Lift, rows: int, cols: int, memo: dict) -> dict:
     nonempty `cols`, stored in `memo`; callers read the memo first.
 
     One row i and one column k give the lifted entry (i, k) itself, or at
-    i = k with a shift its `_Lift.shifted` entry, shared and never
-    written, or `_NO_PRODUCT` for a zero.  Above that each set row bit,
-    in increasing order, gives an entry of the lowest column (shifted on
-    the diagonal) that multiplies its cofactor at `rows ^ bit` on the
-    left, the sign alternating over the set row bits; each such product
-    with no zero factor is added by the ring's `_int_product_into` into
-    one fresh dict, and with none the node is `_NO_PRODUCT`."""
+    i = k with a shift its `_Lift.shifted` entry, {} for a zero, shared
+    and never written.  Above that each set row bit, in increasing order,
+    gives an entry of the lowest column (shifted on the diagonal) that
+    multiplies its cofactor at `rows ^ bit` on the left, the sign
+    alternating over the set row bits; each such product with no zero
+    factor is added by the ring's `_int_product_into` into one fresh
+    dict, which the node stores as formed: {} when no product survives."""
     low = cols & -cols
     rest = cols ^ low
     col = low.bit_length() - 1
@@ -878,14 +859,13 @@ def _det_terms(lift: _Lift, rows: int, cols: int, memo: dict) -> dict:
             entry = lift.shifted(col, 0)
         else:
             entry = column[rows.bit_length() - 1]
-        memo[rows, cols] = out = entry or _NO_PRODUCT
-        return out
+        memo[rows, cols] = entry
+        return entry
     if rows & low and lift.shift is not None:
         column = list(column)
         column[col] = lift.shifted(col, rest.bit_count())
     product_into = lift.product_into
     out: dict = {}
-    survived = False
     sign = 1
     bits = rows
     while bits:
@@ -899,9 +879,8 @@ def _det_terms(lift: _Lift, rows: int, cols: int, memo: dict) -> dict:
                 sub = _det_terms(lift, rows ^ bit, rest, memo)
             if sub:
                 product_into(out, a, sub, sign)
-                survived = True
         sign = -sign
-    memo[rows, cols] = out = out if survived else _NO_PRODUCT
+    memo[rows, cols] = out
     return out
 
 
@@ -922,7 +901,9 @@ def minor_summation_rhs(X: AntiAlternatingMatrix, shift=None):
     denominator D of the coefficients the kernels read (all of a, the
     strict upper triangles of b and c) and the shift, so the memos and the
     sum hold raw values of D X in ints; each term has X.half factors, and
-    the sum is divided by D ** X.half once, at the end.
+    the sum is divided by D ** X.half once, at the end.  A vanishing sum,
+    whether no term was added or the terms cancelled, is the ring's zero
+    (the int 0 for an all-scalar X).
     """
     p, q = X.p, X.q
     ring, lines = _lift(X.a + X.b + X.c)
@@ -936,7 +917,6 @@ def minor_summation_rhs(X: AntiAlternatingMatrix, shift=None):
     b_memo, c_memo, det_memo = {0: one}, {0: one}, {(0, 0): one}
     full_p, full_q = (1 << p) - 1, (1 << q) - 1
     total: dict = {}
-    survived = False
     for isize in range(0, p + 1, 2):
         jsize = q - p + isize
         if jsize < 0 or jsize > q:
@@ -975,8 +955,7 @@ def minor_summation_rhs(X: AntiAlternatingMatrix, shift=None):
                     product_into(total, inner, pf_b, merge_sign(comp, mask))
                 else:  # the first I, empty: Pf(b_I) = 1 and the sign is +1
                     total = inner
-                survived = True
-    return a.value(total if survived else _NO_PRODUCT, X.half)
+    return a.value(total, X.half)
 
 
 def verify_minor_summation(p: int, q: int) -> bool:
@@ -997,15 +976,16 @@ def _cayley(Yn, d: int):
                  for i, row in enumerate(adj))
 
 
-def random_orthogonal_cayley(S, rng: random.Random, lo: int = -3, hi: int = 3):
+def random_orthogonal_cayley(S, rng: random.Random):
     """Random special-orthogonal test point for the form S via the Cayley map.
 
-    Draws Y = S^{-1} W with W alternating and retries until I + Y is
-    invertible.  With S = Sn/s for the int matrix Sn, Y = s adj(Sn) W / det(Sn),
-    so the Cayley map gets the int numerator s adj(Sn) W and the
-    denominator det(Sn).  Each draw has tY S + S Y = tW + W = 0 once S is
-    symmetric, so S is checked before drawing (ShapeError unless square
-    and symmetric, SingularMatrixError if singular), and no draw is."""
+    Draws Y = S^{-1} W with W alternating, its strict upper triangle of
+    ints in -3..3, and retries until I + Y is invertible.  With S = Sn/s
+    for the int matrix Sn, Y = s adj(Sn) W / det(Sn), so the Cayley map
+    gets the int numerator s adj(Sn) W and the denominator det(Sn).
+    Each draw has tY S + S Y = tW + W = 0 once S is symmetric, so S is
+    checked before drawing (ShapeError unless square and symmetric,
+    SingularMatrixError if singular), and no draw is."""
     m = len(S)
     Sn, s = clear_denominators(S)
     if Sn != transpose(Sn):
@@ -1013,7 +993,7 @@ def random_orthogonal_cayley(S, rng: random.Random, lo: int = -3, hi: int = 3):
     det_s, adj_s = det_adjugate(Sn)
     s_adj = tuple(tuple(s * x for x in row) for row in adj_s)
     while True:
-        W = AlternatingMatrix.from_upper(m, lambda i, j: rng.randint(lo, hi)).rows
+        W = AlternatingMatrix.from_upper(m, lambda i, j: rng.randint(-3, 3)).rows
         try:
             return _cayley(mat_mul(s_adj, W), det_s)
         except SingularMatrixError:

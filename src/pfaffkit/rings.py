@@ -20,8 +20,8 @@ codes never leave it: names are decoded where they are read (printing,
 homogeneous parts, pickling).  Exponents in parsed text and in
 ``Poly.__pow__`` are bounded by ``MAX_EXPONENT``; a product may exceed
 it, but then printing and pickling refuse, since the text or the pickle
-would not read back.  ``parse_poly`` also bounds the size of each power
-and product it forms by ``MAX_PARSE_SIZE``, so a short text cannot ask
+would not read back.  ``parse_poly`` also bounds the size of each power,
+product and sum it forms by ``MAX_PARSE_SIZE``, so a short text cannot ask
 for an unbounded computation.
 """
 
@@ -91,9 +91,19 @@ def _mono_code(factors: Iterable[tuple[str, int]]) -> Monomial:
 
 def _support(monos: Iterable[Monomial]) -> list[tuple[int, str]]:
     """The (prime, name) pairs of the variables in some monomial of
-    `monos`: the primes in use that divide the lcm of the monomials."""
-    support = lcm(*monos)
-    return [(p, name) for p, name in _NAME_OF.items() if not support % p]
+    `monos`: the lcm of the monomials divided by the primes in use, in
+    increasing order, until the cofactor left is 1 or the prime of a name
+    itself, so monomials whose lcm is one variable cost one table read."""
+    rest, out = lcm(*monos), []
+    names = iter(_NAME_OF.items())
+    while rest != 1:
+        name = _NAME_OF.get(rest)
+        p, name = (rest, name) if name else next(names)
+        if not rest % p:
+            out.append((p, name))
+            while not rest % p:
+                rest //= p
+    return out
 
 
 def _check_exponents(factors: Iterable[tuple[tuple[str, int], ...]], action: str) -> None:
@@ -562,12 +572,13 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-# The largest value, in bits, that `parse_poly` forms by a power or a
-# product: its term count times the bits of its largest term, monomial code
-# and coefficient together.  Each `^` and `*` is checked on an estimate of
-# its result before it is formed, so (x+1)^1000 still parses in a fraction
-# of a second, while a nested power or a power of a long sum is refused
-# without being expanded.  A code is as long as its primes, which names
+# The largest value, in bits, that `parse_poly` forms by a power, a
+# product or a sum: its term count times the bits of its largest term,
+# monomial code and coefficient together.  Each `^`, `*` and `+`/`-` is
+# checked on an estimate of its result before it is formed, so (x+1)^1000
+# still parses in a fraction of a second, while a nested power, a power of
+# a long sum or a long sum of large addends is refused without being
+# formed.  A code is as long as its primes, which names
 # seen earlier in the process push up, so the bound is on what is really
 # formed, and a value near it may parse in one process and not another.
 MAX_PARSE_SIZE = 1 << 22
@@ -603,9 +614,12 @@ def parse_poly(text: str) -> Poly:
     at most MAX_EXPONENT.  Before each power and each product is formed,
     its size is estimated from the `_shape` (t, b) of its operands: at most
     comb(t + e - 1, e) terms of e * (b + log2 t) bits for a power ^e, and
-    ta * tb terms of ba + bb + log2 min(ta, tb) bits for a product.  An
-    estimate past MAX_PARSE_SIZE is a PolyParseError at the operator's
-    column ('^', '*', or the second factor of a juxtaposition).
+    ta * tb terms of ba + bb + log2 min(ta, tb) bits for a product.  A
+    sum keeps a running estimate: its addends' term counts add up, and its
+    bits are the largest addend's plus the bit length of the addend
+    count.  An estimate past MAX_PARSE_SIZE is a PolyParseError at the
+    operator's column ('^', '*', the second factor of a juxtaposition, or
+    the '+'/'-' before the addend that passes it).
     """
     tokens = tokenize(text)
     k = 0
@@ -629,13 +643,20 @@ def parse_poly(text: str) -> Poly:
         if peek()[0] is None:
             raise PolyParseError("empty expression", len(text))
         sign = signs()
-        total = term()
-        if sign < 0:
-            total = -total
+        addend = term()
+        if not is_op(peek(), "+-"):  # a single addend forms no sum
+            return addend if sign > 0 else -addend
+        total = add_into({}, addend.terms, sign)  # every addend goes into this one dict
+        (terms, bits), count = _shape(addend), 1
         while is_op(peek(), "+-"):
+            pos = peek()[2]
             sign = signs()
-            total = total + term() if sign > 0 else total - term()
-        return total
+            addend = term()
+            t, b = _shape(addend)
+            terms, bits, count = terms + t, max(bits, b), count + 1
+            _check_size("sum", pos, terms, bits + count.bit_length())
+            add_into(total, addend.terms, sign)
+        return Poly._wrap(total)
 
     def term() -> Poly:
         nonlocal k

@@ -16,7 +16,7 @@ increasing under the order lowering < diagonal < raising, ties broken by
 The canonical matrix X = (X[i,j]) is a `pfaffian.AntiAlternatingMatrix`
 in the square coloring (n, n) with `UEAElement` entries, so its signed
 layout, X J, the minor summation block sum and its first-column minor
-determinant `pfaffian._minor_det` (at a scalar shift, the shifted column
+determinant `pfaffian._det_raw` (at a scalar shift, the shifted column
 determinant, read on masks of the a block) are those of the commutative
 layer; only the Pfaffian (ordered products) is specific to the
 enveloping algebra.

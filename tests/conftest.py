@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pfaffkit import grassmann, uea
-from pfaffkit.pfaffian import AntiAlternatingMatrix
+from pfaffkit.pfaffian import AntiAlternatingMatrix, _det_raw
 from pfaffkit.uea import Generator, UEAElement
 
 
@@ -22,6 +22,14 @@ def random_anti_alternating(p: int, q: int, rng) -> AntiAlternatingMatrix:
     b_upper = [[rng.randint(-9, 9) for _ in range(i + 1, p + 1)] for i in range(1, p)]
     c_upper = [[rng.randint(-9, 9) for _ in range(i + 1, q + 1)] for i in range(1, q)]
     return AntiAlternatingMatrix.from_upper_blocks(p, q, a_rows, b_upper, c_upper)
+
+
+def minor_det(M, rows: int, cols: int, memo: dict, shift=None):
+    """The value of the minor of M on the masks `rows` and `cols` at
+    `shift`: the lift's `value` of the raw `pfaffian._det_raw` minor,
+    read from or added to `memo`."""
+    lift, terms = _det_raw(M, rows, cols, memo, shift)
+    return lift.value(terms, cols.bit_count())
 
 
 def push_every_swap_drain(out, stack):

@@ -238,6 +238,27 @@ def test_pfaffian_entry_past_the_parse_size_bound_is_parse_error(entry, caret, t
                            f"{caret + 1} would exceed the size bound 4194304 (terms times bits per term)\n")
 
 
+def test_pfaffian_entry_summing_past_the_parse_size_bound_is_parse_error(tmp_path):
+    # each addend is within the bound, but the 100 of them would hold about
+    # 43 MiB: refused at the first '+', before a second addend is added
+    # (joined without spaces, which would split the entry); the child may
+    # map 1 GiB, so a lost bound fails here
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    entry = "+".join(f"v{i}*(2^4096)^900" for i in range(100))
+    f = tmp_path / "sum.txt"
+    f.write_text(f"full 2\n0 {entry}\n-1 0\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "pfaffkit", "pfaffian", str(f)], env=env, capture_output=True,
+                          text=True, timeout=20, preexec_fn=limit)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr[-500:]
+    assert proc.stderr == (f"pfaffkit: parse error: line 2, column 3: bad entry {entry!r}: the sum at column "
+                           f"16 would exceed the size bound 4194304 (terms times bits per term)\n")
+
+
 def test_pfaffian_missing_file(capsys):
     code, _, err = run(capsys, "pfaffian", "/nonexistent/m.txt")
     assert code == 2

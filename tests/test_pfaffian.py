@@ -30,7 +30,6 @@ from pfaffkit.pfaffian import (
     ShapeError,
     _cayley,
     _matching_walk,
-    _minor_det,
     _pf,
     complementary_minor_check,
     copfaffian_expansion_check,
@@ -47,7 +46,7 @@ from pfaffkit.pfaffian import (
 from pfaffkit.rings import Poly, _decode, _rational
 from pfaffkit.uea import Generator, UEAElement, build_canonical_x
 from pfaffkit.verify import GENERIC_SYMMETRIC_S
-from conftest import random_anti_alternating
+from conftest import minor_det, random_anti_alternating
 
 
 def a(i, j):
@@ -180,6 +179,19 @@ def _sparse_entry(kind, rng, i, j):
     return a(i, j) * rng.randint(1, 3)
 
 
+def _has_ring_entry(A):
+    return any(isinstance(x, Poly) for row in A.rows for x in row)
+
+
+def _is_the_zero_of(value, A):
+    """The one rule for a vanishing Pfaffian or minor: a matrix with a ring
+    entry vanishes to the ring's zero, a Poly with no terms, and an int or
+    Fraction matrix to the int 0."""
+    if _has_ring_entry(A):
+        return type(value) is Poly and not value.terms
+    return type(value) is int and value == 0
+
+
 def test_matching_sum_skips_zero_entries_and_keeps_the_result_type():
     # zero entries and zero rows cut whole subtrees of the matching walk
     rng = random.Random(31)
@@ -191,13 +203,12 @@ def test_matching_sum_skips_zero_entries_and_keeps_the_result_type():
                 pf, oracle = pfaffian(A), pfaffian_definitional(A)
                 assert oracle == pf, (kind, size, zero_row)
                 if kind == "poly":
-                    # distinct monomials never cancel, so the sum is a Poly
-                    # exactly when some matching avoids every zero entry
-                    assert type(oracle) is (Poly if oracle != 0 else int)
+                    # a Poly whenever A has a Poly entry, vanishing or not
+                    assert type(oracle) is type(pf) is (Poly if _has_ring_entry(A) else int)
                 else:
                     assert type(oracle) is type(pf) is type(_rational(Fraction(oracle)))
                 if zero_row == 1:
-                    assert type(oracle) is type(pf) is int and oracle == 0
+                    assert oracle == 0 and _is_the_zero_of(oracle, A) and _is_the_zero_of(pf, A)
     # matchings that cancel leave a Poly zero with no terms, as in `pfaffian`
     one = Poly.const(1)
     A = AlternatingMatrix.from_upper(4, lambda i, j: 0 if (i, j) == (1, 4) else one)
@@ -262,8 +273,8 @@ def test_matching_sum_equals_the_permutation_sum(kind):
     for A, vanishes in _oracle_draws(kind, rng):
         pf = pfaffian_definitional(A)
         assert pf == _permutation_sum_pfaffian(A), (kind, A.rows)
-        if vanishes:  # no matching survives: the int 0, whatever the ring
-            assert type(pf) is int and pf == 0, (kind, A.rows)
+        if vanishes:  # no matching survives: the ring's zero, the int 0 for scalars
+            assert pf == 0 and _is_the_zero_of(pf, A), (kind, A.rows)
     # matchings that cancel: a Poly zero on both sides
     one, x, y = Poly.const(1), Poly.var("x"), Poly.var("y")
     upper = {(1, 2): x, (3, 4): y, (1, 3): x, (2, 4): y, (1, 4): 0, (2, 3): 0}
@@ -718,7 +729,7 @@ def test_memoised_minor_determinant_matches_leibniz(p, q):
         for size in range(min(p, q) + 1):
             for rows in combinations(range(1, p + 1), size):
                 for cols in combinations(range(1, q + 1), size):
-                    d = _minor_det(X.a, index_mask(rows), index_mask(cols), memo)
+                    d = minor_det(X.a, index_mask(rows), index_mask(cols), memo)
                     assert d == det_leibniz(_a_minor(X, rows, cols)), (rows, cols)
         assert pfaffian_of_anti_alternating(X) == minor_summation_rhs(X)
 
@@ -735,7 +746,7 @@ def test_shifted_minor_determinant_of_commuting_entries_matches_det_exact():
             for cols in combinations(range(1, 6), size):
                 shifted = tuple(tuple(a_rows[i - 1][j - 1] + (u + size - t if i == j else 0)
                                       for t, j in enumerate(cols, start=1)) for i in rows)
-                d = _minor_det(a_rows, index_mask(rows), index_mask(cols), memo, u)
+                d = minor_det(a_rows, index_mask(rows), index_mask(cols), memo, u)
                 assert d == det_exact(shifted), (rows, cols)
 
 
@@ -799,7 +810,7 @@ def test_fused_sums_agree_with_the_oracles_on_mixed_entries(seed):
         for size in range(min(p, q) + 1):
             for rows in combinations(range(1, p + 1), size):
                 for cols in combinations(range(1, q + 1), size):
-                    d = _minor_det(X.a, index_mask(rows), index_mask(cols), memo)
+                    d = minor_det(X.a, index_mask(rows), index_mask(cols), memo)
                     assert d == det_leibniz(_a_minor(X, rows, cols)) and _no_zero_coefficient(d)
         assert minor_summation_rhs(X) == pfaffian_definitional(X.to_alternating())
 
@@ -820,7 +831,7 @@ def test_fused_sums_of_int_and_integral_fraction_matrices_are_ints():
         memo = {}
         for rows in combinations(range(1, 4), 2):
             for cols in combinations(range(1, 6), 2):
-                assert type(_minor_det(Y.a, index_mask(rows), index_mask(cols), memo)) is int
+                assert type(minor_det(Y.a, index_mask(rows), index_mask(cols), memo)) is int
         rhs = minor_summation_rhs(Y)
         assert type(rhs) is int and rhs == pfaffian_of_anti_alternating(X)
 
@@ -841,14 +852,21 @@ def test_cancelling_cofactors_give_a_poly_zero_without_zero_coefficients():
     assert all(not value for mask, value in _minors(memo).items() if mask.bit_count() >= 4)
 
 
-def test_an_all_zero_first_row_gives_the_int_zero():
+def test_an_all_zero_first_row_gives_the_rings_zero():
+    # no product survives: the ring's zero for a Poly matrix, the int 0
+    # for an int or Fraction one, by every route
     for zero in (0, Poly.zero()):
         A = AlternatingMatrix.from_upper(4, lambda i, j: zero if i == 1 else Poly.var(f"x[{i},{j}]"))
-        assert pfaffian(A) == 0 and type(pfaffian(A)) is int
+        for pf in (pfaffian(A), pfaffian_definitional(A)):
+            assert pf == 0 and _is_the_zero_of(pf, A)
+    for entry in (lambda i, j: i * j, lambda i, j: Fraction(i, j)):
+        A = AlternatingMatrix.from_upper(4, lambda i, j: 0 if i == 1 else entry(i, j))
+        for pf in (pfaffian(A), pfaffian_definitional(A), _pf(A, 0b1111, {})):
+            assert pf == 0 and _is_the_zero_of(pf, A)
     a_rows = [[0, 0], [Poly.var("y"), 1]]
-    assert type(_minor_det(a_rows, 0b11, 0b11, {})) is int
-    assert _minor_det(a_rows, 0b11, 0b11, {}) == 0
-    assert _pf(AlternatingMatrix.generic(4), 0, {}) == 1 and _minor_det(a_rows, 0, 0, {}) == 1
+    d = minor_det(a_rows, 0b11, 0b11, {})
+    assert d == 0 and type(d) is Poly and not d.terms
+    assert _pf(AlternatingMatrix.generic(4), 0, {}) == 1 and minor_det(a_rows, 0, 0, {}) == 1
 
 
 def _snapshot(memo):
@@ -872,9 +890,9 @@ def test_a_second_sum_on_a_shared_memo_leaves_earlier_values_unchanged():
     det_memo = {}
     pairs = [(index_mask(rows), index_mask(cols)) for size in range(4)
              for rows in combinations(range(1, 4), size) for cols in combinations(range(1, 4), size)]
-    first = {key: _minor_det(X.a, *key, det_memo) for key in pairs if key[1].bit_count() < 3}
+    first = {key: minor_det(X.a, *key, det_memo) for key in pairs if key[1].bit_count() < 3}
     before = _snapshot(det_memo)
-    second = {key: _minor_det(X.a, *key, det_memo) for key in pairs}
+    second = {key: minor_det(X.a, *key, det_memo) for key in pairs}
     after = _snapshot(det_memo)
     assert all(second[key] == value and type(second[key]) is type(value) for key, value in first.items())
     assert all(second[key].terms is value.terms for key, value in first.items() if isinstance(value, Poly))
@@ -885,9 +903,9 @@ def test_a_second_sum_on_a_shared_memo_leaves_earlier_values_unchanged():
     # copy: equal values of the same type, in fresh elements
     Y = _fraction_coefficient_coloring(3, 3)
     det_memo = {}
-    first = {key: _minor_det(Y.a, *key, det_memo) for key in pairs if key[1].bit_count() < 3}
+    first = {key: minor_det(Y.a, *key, det_memo) for key in pairs if key[1].bit_count() < 3}
     before = _snapshot(det_memo)
-    second = {key: _minor_det(Y.a, *key, det_memo) for key in pairs}
+    second = {key: minor_det(Y.a, *key, det_memo) for key in pairs}
     after = _snapshot(det_memo)
     assert det_memo[None].scale > 1
     assert all(second[key] == value and type(second[key]) is type(value) for key, value in first.items())
@@ -1029,7 +1047,7 @@ def test_specialised_colorings_run_the_kernels_in_ints(total, monkeypatch):
         for size in range(min(p, total - p) + 1):
             for rows in combinations(range(1, p + 1), size):
                 for cols in combinations(range(1, total - p + 1), size):
-                    d = _minor_det(X.a, index_mask(rows), index_mask(cols), det_memo)
+                    d = minor_det(X.a, index_mask(rows), index_mask(cols), det_memo)
                     assert _obeys_the_scalar_rule(d)
         block_memos.clear()
         monkeypatch.setattr(module, "_pf_terms", seeing_pf)
@@ -1115,7 +1133,7 @@ def test_every_lift_holds_int_coefficients(kind, monkeypatch):
         for size in range(4):
             for rows in combinations(range(1, 4), size):
                 for cols in combinations(range(1, 4), size):
-                    _minor_det(X.a, index_mask(rows), index_mask(cols), memo, shift)
+                    minor_det(X.a, index_mask(rows), index_mask(cols), memo, shift)
         assert all(type(c) is int for terms in _minors(memo).values() for c in terms.values())
     monkeypatch.undo()
     # the all-scalar Pfaffian is condensed, with no lift; each other route lifts once per call
@@ -1161,7 +1179,7 @@ def test_leaf_nodes_are_the_lifted_entries_without_a_product(kind, monkeypatch):
         rhs = minor_summation_rhs(X)
         minor_summation_rhs(X, 0)
         memo, u = {}, Fraction(-1, 2)
-        shifted = {(rows, cols): _minor_det(X.a, index_mask(rows), index_mask(cols), memo, u)
+        shifted = {(rows, cols): minor_det(X.a, index_mask(rows), index_mask(cols), memo, u)
                    for size in (1, 2, 3) for rows in combinations(range(1, 4), size)
                    for cols in combinations(range(1, 4), size)}
         monkeypatch.undo()
@@ -1222,9 +1240,9 @@ def test_every_route_reads_its_inputs_and_memoised_values_without_writing(kind):
     det_memo = {}
     for rows in combinations(range(1, 4), 2):
         for cols in combinations(range(1, 4), 2):
-            _minor_det(X.a, index_mask(rows), index_mask(cols), det_memo, shift)
+            minor_det(X.a, index_mask(rows), index_mask(cols), det_memo, shift)
     minors = _snapshot(det_memo)
-    _minor_det(X.a, 0b111, 0b111, det_memo, shift)
+    minor_det(X.a, 0b111, 0b111, det_memo, shift)
     minor_summation_rhs(X, shift)
     assert (memo[None].scale > 1) is (det_memo[None].scale > 1) is (kind == "fraction")
     if kind == "fraction":
@@ -1251,7 +1269,7 @@ def test_cofactor_sums_keep_each_entry_on_the_left():
     (a11, a12), (a21, a22) = X.a
     b12, c12 = X.b[0][1], X.c[0][1]
     assert a21 * a12 != a12 * a21 and c12 * b12 != b12 * c12
-    assert _minor_det(X.a, 0b11, 0b11, {}) == a11 * a22 - a21 * a12
+    assert minor_det(X.a, 0b11, 0b11, {}) == a11 * a22 - a21 * a12
     assert minor_summation_rhs(X) == a11 * a22 - a21 * a12 + c12 * b12
     # Pf = x12 x34 - x13 x24 + x14 x23, each first-row entry on the left
     x = {(1, 2): a12, (3, 4): a21, (1, 3): b12, (2, 4): c12, (1, 4): a11, (2, 3): a22}
@@ -1509,13 +1527,13 @@ def inverse_fraction(M):
     return tuple(tuple(_rational(Fraction(d * x, det)) for x in row) for row in adj)
 
 
-def _old_random_orthogonal_cayley(S, rng, lo, hi, draws):
+def _old_random_orthogonal_cayley(S, rng, draws):
     # the former route: Y = S^-1 W, g = (I - Y)(I + Y)^-1, retried while
     # I + Y is singular; `draws` counts the W drawn
     m = len(S)
     s_inv = inverse_fraction(S)
     while True:
-        W = AlternatingMatrix.from_upper(m, lambda i, j: rng.randint(lo, hi)).rows
+        W = AlternatingMatrix.from_upper(m, lambda i, j: rng.randint(-3, 3)).rows
         draws.append(W)
         Y = mat_mul(s_inv, W)
         try:
@@ -1530,15 +1548,14 @@ def test_random_orthogonal_cayley_matches_the_old_formula():
     forms = (anti_identity(4), anti_identity(6), anti_identity(8), GENERIC_SYMMETRIC_S, FRACTION_FORM)
     retries = 0
     for k, S in enumerate(forms):
-        for lo, hi in ((-3, 3), (-1, 1)):
-            new_rng, old_rng = random.Random(k), random.Random(k)
-            draws = []
-            for _ in range(10):
-                g = random_orthogonal_cayley(S, new_rng, lo, hi)
-                assert g == _old_random_orthogonal_cayley(S, old_rng, lo, hi, draws)
-                assert mat_mul(mat_mul(transpose(g), S), g) == tuple(map(tuple, S))
-            assert new_rng.getstate() == old_rng.getstate()
-            retries += len(draws) - 10
+        new_rng, old_rng = random.Random(k), random.Random(k)
+        draws = []
+        for _ in range(10):
+            g = random_orthogonal_cayley(S, new_rng)
+            assert g == _old_random_orthogonal_cayley(S, old_rng, draws)
+            assert mat_mul(mat_mul(transpose(g), S), g) == tuple(map(tuple, S))
+        assert new_rng.getstate() == old_rng.getstate()
+        retries += len(draws) - 10
     assert retries > 0  # the retry on a singular I + Y ran
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfaffkit import rings
 from pfaffkit.grassmann import GrassmannElement
 from pfaffkit.rings import (
     MAX_EXPONENT,
@@ -334,6 +335,8 @@ def test_exponent_bound():
     ("(x+y+z+w+v)^300", "power", 11),
     ("(2^4096)^600*(2^4096)^600", "product", 12),
     ("(2^4096)^600 (2^4096)^600", "product", 13),
+    ("x*(2^4096)^600 + y*(2^4096)^600", "sum", 15),
+    ("x*(2^4096)^600 - -y*(2^4096)^600", "sum", 15),
 ])
 def test_parse_size_bound(text, what, pos):
     # every operand is within the bound, the value formed from two of them
@@ -350,6 +353,67 @@ def test_parse_size_bound_admits_the_operands():
     assert parse_poly("(2^4096)^600") == 2 ** (4096 * 600)
     assert parse_poly("(x+y+z+w+v)^3") == (x + y + Poly.var("z") + Poly.var("w") + Poly.var("v")) ** 3
     assert parse_poly("(x+1)^4*(y+1)^4 (x-1)") == (x + 1) ** 4 * (y + 1) ** 4 * (x - 1)
+
+
+@pytest.fixture
+def fresh_names(monkeypatch):
+    """Name tables of the test's own, so the names it registers leave the
+    primes that later tests get unchanged."""
+    for table in ("_PRIME_OF", "_NAME_OF"):
+        monkeypatch.setattr(rings, table, dict(getattr(rings, table)))
+    monkeypatch.setattr(rings, "_PRIMES", list(rings._PRIMES))
+    monkeypatch.setattr(rings, "_sieve_limit", rings._sieve_limit)
+
+
+def _best_of_three(call):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        value = call()
+        best = min(best, time.perf_counter() - start)
+    return value, best
+
+
+def test_a_long_sum_of_small_monomials_parses(fresh_names):
+    # 5 000 addends stay far below the sum bound, and go into one dict: the
+    # sum takes no longer than adding its parsed addends one by one
+    addends = [f"{i % 7 + 1}*v{i}" for i in range(5000)]
+    expected = Poly({((f"v{i}", 1),): i % 7 + 1 for i in range(5000)})
+    got, whole = _best_of_three(lambda: parse_poly(" + ".join(addends)))
+    assert got == expected and len(got.terms) == 5000
+    summed, one_by_one = _best_of_three(lambda: sum(map(parse_poly, addends), Poly.zero()))
+    assert summed == expected and whole <= one_by_one
+
+
+class _CountingNames(dict):
+    """A prime -> name table that counts the entries read from it."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def items(self):
+        for item in super().items():
+            self.reads += 1
+            yield item
+
+
+def test_printing_a_one_variable_poly_reads_one_name(fresh_names, monkeypatch):
+    # the support of a coefficient stops at the first cofactor that is a
+    # variable's prime, not after every name the process has seen
+    for i in range(5000):
+        Poly.var(f"n{i}")
+    names = _CountingNames(rings._NAME_OF)
+    monkeypatch.setattr(rings, "_NAME_OF", names)
+    assert str(3 * Poly.var("n4999") - 1) == "3*n4999 - 1"
+    assert names.reads == 1
+    names.reads = 0
+    assert str(Poly.const(5)) == "5" and names.reads == 0
+    # a support of several variables divides the primes up to the last one's
+    assert str(Poly.var("n0") * Poly.var("n4999") ** 2 + Poly.var("n17")) == "n0*n4999^2 + n17"
+    assert str(Poly.var("n4999") ** 2) == "n4999^2"
 
 
 def test_printing_refuses_an_exponent_over_the_bound():

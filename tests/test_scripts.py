@@ -1,5 +1,6 @@
 """Each script in scripts/ runs to completion at its smallest size."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -57,7 +58,17 @@ def _rank_ladder(tmp_path, *args):
 
 def test_rank_ladder_runs_one_rung(tmp_path):
     record = _rank_ladder(tmp_path, "--max-n", "4")
-    assert record["commit"] and record["host"] and record["budget_s"] == 30
+    # the source it ran is named by its hash, in a checkout or a copy
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "pfaffkit").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert record["src_sha256"] == digest.hexdigest()
+    if (ROOT / ".git").exists():
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
+        assert record["commit"] == (head.stdout.strip() if head.returncode == 0 else None)
+    else:
+        assert record["commit"] is None and record["src_differs_from_commit"] is None
+    assert record["host"] and record["budget_s"] == 30
     assert list(record["ladders"]) == ["ncmsf", "central"]
     for suite, (rung,) in record["ladders"].items():
         assert rung["n"] == 4 and rung["status"] == "pass" and 0 < rung["wall_s"] < 30

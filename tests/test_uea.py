@@ -10,7 +10,7 @@ import pytest
 from pfaffkit import uea
 from pfaffkit.indexing import index_mask
 from pfaffkit.linalg import det_leibniz
-from pfaffkit.pfaffian import AntiAlternatingMatrix, _minor_det, minor_summation_rhs
+from pfaffkit.pfaffian import AntiAlternatingMatrix, minor_summation_rhs
 from pfaffkit.rings import Poly
 from pfaffkit.uea import (
     Generator,
@@ -30,7 +30,7 @@ from pfaffkit.uea import (
     normal_order,
     signed_generator,
 )
-from conftest import canonical_generators, push_every_swap_drain
+from conftest import canonical_generators, minor_det, push_every_swap_drain
 
 A11 = Generator("a", 1, 1)
 A12 = Generator("a", 1, 2)
@@ -441,7 +441,7 @@ def test_minor_summation_explicit_matrix():
         zero = [[UEAElement.zero()] * n for _ in range(n)]
         no_bc = AntiAlternatingMatrix(n, n, X.a, zero, zero)
         full = (1 << n) - 1
-        assert minor_summation_rhs(no_bc, shift=0) == _minor_det(X.a, full, full, {}, Fraction(0))
+        assert minor_summation_rhs(no_bc, shift=0) == minor_det(X.a, full, full, {}, Fraction(0))
 
 
 def test_restricted_equals_unrestricted():
@@ -481,8 +481,8 @@ def test_column_determinant_order_matters():
     # either would differ by [b12, c12] = a11 + a22
     zero = [[UEAElement.zero()] * 2 for _ in range(2)]
     X = AntiAlternatingMatrix(2, 2, [list(r) for r in rows], zero, zero)
-    assert _minor_det(X.a, 0b11, 0b11, {}, Fraction(0)) == got + el(A22)
-    assert _minor_det(X.a, 0b11, 0b11, {}, Fraction(-1)) == got - el(A11)
+    assert minor_det(X.a, 0b11, 0b11, {}, Fraction(0)) == got + el(A22)
+    assert minor_det(X.a, 0b11, 0b11, {}, Fraction(-1)) == got - el(A11)
 
 
 @pytest.mark.parametrize("u", [0, Fraction(-3, 2), 2, Fraction(1, 2)])
@@ -502,8 +502,8 @@ def test_shifted_determinant_matches_leibniz(u):
                                        for t, j in enumerate(J, start=1)) for i in I)
                     expected = det_leibniz(rows)
                     masks = index_mask(I), index_mask(J)
-                    assert _minor_det(X.a, *masks, {}, Fraction(u)) == expected, (n, I, J)
-                    assert _minor_det(X.a, *masks, memo, Fraction(u)) == expected, (n, I, J)
+                    assert minor_det(X.a, *masks, {}, Fraction(u)) == expected, (n, I, J)
+                    assert minor_det(X.a, *masks, memo, Fraction(u)) == expected, (n, I, J)
         assert len(memo) > 0
         assert memo[None].scale == Fraction(u).denominator
         assert all(type(c) is int for key, terms in memo.items() if key is not None for c in terms.values())
