@@ -2,12 +2,15 @@
 """Rank ladder: the largest rank each forced suite verifies within a wall budget.
 
 Runs `pfaffkit verify --suite S --n k --force --format json` for each
-suite S in `ncmsf` and `central` at k = 4, 5, ..., one child process at
-a time.  A ladder stops at its first rung that does not pass: a child
-still running at the wall budget is killed there and recorded as
-`over-budget`, a failed check as `fail`, any other exit as `error`.  The
-budget bounds a child's memory too: at 30 s the killed central rung at
-n = 8 had reached a VmHWM of 730 MiB.  `--max-n` ends a ladder early.
+suite S in `ncmsf` and `central`, and `pfaffkit verify --suite msf --pq
+k k --force --format json`, at k = 4, 5, ..., one child process at a
+time; every rung is a 2k x 2k matrix, and its record names k as `n`.  A
+ladder stops at its first rung that does not pass: a child still running
+at the wall budget is killed there and recorded as `over-budget`, a
+failed check as `fail`, any other exit as `error`.  The budget bounds a
+child's memory too: at 30 s the killed central rung at n = 8 had reached
+a VmHWM of 730 MiB.  `--max-n` ends a ladder early.  The msf ladder ends
+at k = 8 whatever `--max-n` and `--budget` say (`MSF_LAST_RANK`).
 
 Each rung records its wall time, the child's own peak RSS (`VmHWM`, read
 by the child as it exits, or just before it is killed, so the spawning
@@ -27,15 +30,20 @@ import platform
 import subprocess
 import sys
 import time
+from itertools import count
 from pathlib import Path
+from typing import Iterable
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave no bytecode in bench/, which the benchmark's workers read
 sys.path.insert(0, str(ROOT / "bench"))
 from run import _source_digest  # noqa: E402
 
-SUITES = ("ncmsf", "central")
+SUITES = ("ncmsf", "central", "msf")
 FIRST_RANK = 4
+# The msf ladder never starts p = q = 9 (p + q = 18): the last whole (9, 9)
+# run took 7.6 GiB of an 8 GiB host, so no budget makes that rung safe.
+MSF_LAST_RANK = 8
 
 # the child: the pfaffkit CLI, reporting its own VmHWM on stderr as it exits
 CHILD = """
@@ -59,12 +67,21 @@ def vmhwm_mib(status_path: str) -> float:
     return round(int(kib) / 1024, 1)
 
 
+def ranks(suite: str, max_n: int | None) -> Iterable[int]:
+    """The ranks a ladder may start, in order: from `FIRST_RANK` to `max_n`,
+    and for msf never past `MSF_LAST_RANK`."""
+    last = min(filter(None, (max_n, MSF_LAST_RANK if suite == "msf" else None)), default=None)
+    return count(FIRST_RANK) if last is None else range(FIRST_RANK, last + 1)
+
+
 def run_rung(suite: str, n: int, budget: float) -> dict:
-    """One forced verify run of `suite` at rank n, as a JSON-ready record."""
+    """One forced verify run of `suite` at rank n (msf: the coloring (n, n)),
+    as a JSON-ready record."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    cmd = [sys.executable, "-c", CHILD, "verify", "--suite", suite, "--n", str(n), "--force", "--format", "json"]
+    rank = ["--pq", str(n), str(n)] if suite == "msf" else ["--n", str(n)]
+    cmd = [sys.executable, "-c", CHILD, "verify", "--suite", suite, *rank, "--force", "--format", "json"]
     start = time.monotonic()
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
@@ -129,8 +146,7 @@ def main() -> int:
     }
     for suite in SUITES:
         rungs = record["ladders"][suite] = []
-        n = FIRST_RANK
-        while args.max_n is None or n <= args.max_n:
+        for n in ranks(suite, args.max_n):
             rung = run_rung(suite, n, args.budget)
             rungs.append(rung)
             top = rung.get("top_check", {})
@@ -139,7 +155,6 @@ def main() -> int:
                   f"{top.get('millis', '-')} ms", flush=True)
             if rung["status"] != "pass":
                 break
-            n += 1
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -29,7 +29,7 @@ the raw dicts.  Operands of two rings meet under one rule, `_adopt`: an
 element of scalars moves each scalar onto the other ring's unit key, and
 two rings that are not `_Scalars` raise TypeError.
 
-Powers of an element are memoised on it, Omega^m as Omega^(m-1) Omega,
+Powers of an element are memoised on it, Omega^m as Omega Omega^(m-1),
 and its 0th power is the one of its ring; `**` is that memoised power.
 tau has the ring's one for its coefficients and even degree, so it
 commutes with everything, and a falling product is a linear combination
@@ -52,7 +52,7 @@ of two powers and wraps the one result.
 Each `build_forms` call starts with fresh forms and empty memos.
 Both sides of every identity are still computed independently and
 compared exactly; the left side Omega^m of the trinomial check is the
-Omega^(m-1) Omega chain, not read from the memoised products.
+Omega Omega^(m-1) chain, not read from the memoised products.
 """
 
 from __future__ import annotations
@@ -240,8 +240,12 @@ class GrassmannElement:
         """self^exp; self^0 is the one of the coefficient ring, the scalar 1
         if the coefficients are scalars or self is 0.
 
-        Positive powers are memoised on the element, each computed as the
-        one below times self, so self^m after self^k costs m - k products."""
+        Positive powers are memoised on the element, each computed as self
+        times the one below, so self^m after self^k costs m - k products.
+        The value is that of the power below times self, by associativity.
+        With the base on the left, the outer loop of the ring's raw product
+        runs over the base's few one-word coefficients, and no inner loop
+        starts for every word of the larger factor."""
         if exp < 0:
             raise ValueError("negative Grassmann powers do not exist")
         if exp == 0:
@@ -253,7 +257,7 @@ class GrassmannElement:
         if powers is None:
             powers = self._powers = [self * self]
         while len(powers) < exp - 1:
-            powers.append(powers[-1] * self)
+            powers.append(self * powers[-1])
         return powers[exp - 2]
 
     __pow__ = power
@@ -547,7 +551,8 @@ def check_trinomial(n: int, m: int, mode: str = "uea", *, forms: Forms) -> bool:
     commutative mode: X(v, r) = Xi^r, the one term k = 0 with e_0 = 1;
     there Xi, Theta and Theta' are even forms with commuting coefficients,
     so the order of the factors is free.  Each tau^k Xi^j Theta'^a is
-    read from `_product`."""
+    read from `_product`.  The left side is `GrassmannElement.power`'s
+    chain Omega Omega^(m-1), independent of those products."""
     forms = _forms_for(n, forms, mode)
     lhs = forms.omega.power(m)
     falling = forms.mode == "uea"

@@ -537,10 +537,6 @@ class _Scalars:
     def _wrap(terms: dict) -> ScalarLike:
         return terms.get(Poly._UNIT, 0)
 
-    @staticmethod
-    def const(c: ScalarLike) -> ScalarLike:
-        return c
-
 
 # --- the parser -----------------------------------------------------------
 

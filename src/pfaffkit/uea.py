@@ -54,9 +54,14 @@ class Generator:
     `sort_key` is computed once per generator: one int that packs
     (root class, kind rank, i, j) into fixed-width fields, so that int
     order is the order of those tuples.  Indices past `MAX_INDEX` do not
-    fit a field and are refused."""
+    fit a field and are refused.
 
-    __slots__ = ("kind", "i", "j", "sort_key")
+    `brackets` is the generator's bracket row, a cache: for each letter h
+    already met on its right, the terms of [self, h] as `_bracket_terms`
+    formed them.  The normal-ordering drain and `ad` read a bracket as
+    `x.brackets.get(y)`, one lookup keyed by a letter."""
+
+    __slots__ = ("kind", "i", "j", "sort_key", "brackets")
 
     def __new__(cls, kind: str, i: int, j: int) -> "Generator":
         g = _GENERATORS.get((kind, i, j))
@@ -72,7 +77,7 @@ class Generator:
             g = _GENERATORS[(kind, i, j)] = super().__new__(cls)
             root_class, kind_rank = display_key(f"{kind}[{i},{j}]")[:2]
             sort_key = (((root_class << 2 | kind_rank) << _INDEX_BITS | i) << _INDEX_BITS) | j
-            for attr, value in (("kind", kind), ("i", i), ("j", j), ("sort_key", sort_key)):
+            for attr, value in (("kind", kind), ("i", i), ("j", j), ("sort_key", sort_key), ("brackets", {})):
                 object.__setattr__(g, attr, value)
         return g
 
@@ -198,13 +203,11 @@ def signed_generator(i: int, j: int) -> UEAElement:
     return -UEAElement.from_generator(Generator("a", -j, -i))
 
 
-# Bracket terms by generator pair.  They are kept as tuples, so no caller
-# can change them; bracket() hands out a fresh element on every call.
-_BRACKETS: dict[tuple[Generator, Generator], tuple[tuple[Word, ScalarLike], ...]] = {}
-
-
 def _bracket_terms(g: Generator, h: Generator) -> tuple[tuple[Word, ScalarLike], ...]:
-    terms = _BRACKETS.get((g, h))
+    """The terms of [g, h] in the basis, filled into g's bracket row on
+    first use.  They are kept as a tuple, so no caller can change them;
+    `bracket` hands out a fresh element on every call."""
+    terms = g.brackets.get(h)
     if terms is None:
         i, j = _signed_pair(g)
         k, l = _signed_pair(h)
@@ -213,7 +216,7 @@ def _bracket_terms(g: Generator, h: Generator) -> tuple[tuple[Word, ScalarLike],
                                 (j == -l, i, -k, -1), (i == -k, -j, l, -1)):
             if hit:
                 add_into(out, signed_generator(x, y).terms, sign)
-        terms = _BRACKETS[(g, h)] = tuple(out.items())
+        terms = g.brackets[h] = tuple(out.items())
     return terms
 
 
@@ -229,15 +232,16 @@ def _normal_order_sums(out: dict[Word, ScalarLike],
     The first out-of-order adjacent pair x y at or after `start` becomes
     y x + [x, y]; the bracket terms are strictly shorter, so the rewrite
     terminates.  Both rewrites leave the word sorted before the pair, so
-    the scan of each restarts one step to its left.  The bracket terms are
-    pushed; the swapped word, with the same coefficient, is rewritten on
-    in place until it is sorted, so a swap costs no stack entry.  The
-    normal form is unique, so the order in which words are rewritten does
-    not change the result.  Each sorted word is added into `out` in place
-    under the scalar rule of `rings._rational`, and a word whose sum
-    cancels leaves at once, so `out` never holds a zero coefficient if it
-    started without and no zero coefficient is pushed."""
-    pop, push, get, brackets = stack.pop, stack.append, out.get, _BRACKETS.get
+    the scan of each restarts one step to its left.  The bracket terms,
+    read off x's own row as `x.brackets.get(y)` (`_bracket_terms` fills it
+    on a miss), are pushed; the swapped word, with the same coefficient, is
+    rewritten on in place until it is sorted, so a swap costs no stack
+    entry.  The normal form is unique, so the order in which words are
+    rewritten does not change the result.  Each sorted word is added into
+    `out` in place under the scalar rule of `rings._rational`, and a word
+    whose sum cancels leaves at once, so `out` never holds a zero
+    coefficient if it started without and no zero coefficient is pushed."""
+    pop, push, get = stack.pop, stack.append, out.get
     while stack:
         w, c, t = pop()
         last = len(w) - 1
@@ -249,7 +253,7 @@ def _normal_order_sums(out: dict[Word, ScalarLike],
             x, y = w[t], w[t + 1]
             head, tail = w[:t], w[t + 2:]
             back = t - 1 if t else 0
-            terms = brackets((x, y))
+            terms = x.brackets.get(y)
             if terms is None:
                 terms = _bracket_terms(x, y)
             for bw, bc in terms:
@@ -413,11 +417,17 @@ def ad(g: Generator, z: UEAElement) -> UEAElement:
     ad_g is a derivation, so [g, w_1...w_k] is the sum over positions i of
     w_1...[g, w_i]...w_k: each bracket term replaces one factor of a sorted
     word, and the scan of the one normal-ordering stack restarts just left
-    of it.  No product of degree k + 1 is formed."""
+    of it.  Each [g, w_i] is read off g's bracket row, `g.brackets.get`
+    (`_bracket_terms` fills it on a miss).  No product of degree k + 1 is
+    formed."""
     stack: list[tuple[Word, ScalarLike, int]] = []
+    row = g.brackets.get
     for w, c in z.terms.items():
         for i, h in enumerate(w):
-            for bw, bc in _bracket_terms(g, h):
+            terms = row(h)
+            if terms is None:
+                terms = _bracket_terms(g, h)
+            for bw, bc in terms:
                 stack.append((w[:i] + bw + w[i + 1:], c * bc, i - 1 if i else 0))
     return UEAElement._wrap(_normal_order_sums({}, stack))
 

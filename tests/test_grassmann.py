@@ -323,6 +323,40 @@ def test_memoised_powers_equal_binary_powers(mode, n):
         assert form.power(0) == f.omega.power(0)
 
 
+def _typed_terms(x):
+    # the raw terms with each scalar's type, so an int and an equal Fraction differ
+    return x.ring, {m: {k: (type(c), c) for k, c in t.items()} for m, t in x.terms.items()}
+
+
+@pytest.mark.parametrize("mode,shape", [("uea", n) for n in (1, 2, 3, 4)]
+                         + [("commutative", (p, q)) for p in range(1, 5) for q in range(1, 5) if (p + q) % 2 == 0])
+def test_powers_equal_the_chain_of_the_power_below_times_the_base(mode, shape):
+    f = build_forms(mode, n=shape) if mode == "uea" else build_forms(mode, p=shape[0], q=shape[1])
+    for form in (f.omega, f.xi, f.theta, f.theta_prime, f.tau):
+        if form is None:  # tau exists only when p == q
+            continue
+        chain = form
+        for m in range(2, f.half + 2):
+            chain = chain * form
+            assert _typed_terms(form.power(m)) == _typed_terms(chain)
+
+
+def test_each_power_has_the_base_as_its_left_operand(monkeypatch):
+    omega = build_forms("uea", n=3).omega
+    mul = GrassmannElement.__mul__
+    operands = []
+
+    def spy(left, right):
+        operands.append((left, right))
+        return mul(left, right)
+
+    monkeypatch.setattr(GrassmannElement, "__mul__", spy)
+    top = omega.power(4)
+    assert len(operands) == 3 and not top  # omega^4 is past the top degree 2n = 6
+    assert all(left is omega for left, _ in operands)
+    assert [right for _, right in operands] == [omega, omega.power(2), omega.power(3)]
+
+
 @pytest.mark.parametrize("coeff,one", [(Poly.var("x"), Poly.const(1)),
                                         (UEAElement.from_generator(canonical_generators(1)[0]), UEAElement.one()),
                                         (Fraction(3, 2), 1)],

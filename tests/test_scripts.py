@@ -69,11 +69,13 @@ def test_rank_ladder_runs_one_rung(tmp_path):
     else:
         assert record["commit"] is None and record["src_differs_from_commit"] is None
     assert record["host"] and record["budget_s"] == 30
-    assert list(record["ladders"]) == ["ncmsf", "central"]
+    assert list(record["ladders"]) == ["ncmsf", "central", "msf"]
     for suite, (rung,) in record["ladders"].items():
         assert rung["n"] == 4 and rung["status"] == "pass" and 0 < rung["wall_s"] < 30
         assert rung["vmhwm_mib"] > 1
-        assert rung["top_check"]["id"].startswith(f"{suite}:") and rung["top_check"]["id"].endswith(":n4")
+        # the msf rung is the coloring (4, 4), named by --pq
+        rank = ":p4q4" if suite == "msf" else ":n4"
+        assert rung["top_check"]["id"].startswith(f"{suite}:") and rung["top_check"]["id"].endswith(rank)
 
 
 def test_rank_ladder_kills_a_rung_at_the_budget(tmp_path):
@@ -83,4 +85,19 @@ def test_rank_ladder_kills_a_rung_at_the_budget(tmp_path):
     for (rung,) in record["ladders"].values():
         rung.pop("vmhwm_mib", None)  # read if the child was still there to read
     killed = [{"n": 4, "status": "over-budget", "wall_s": 0.01}]
-    assert record["ladders"] == {"ncmsf": killed, "central": killed}
+    assert record["ladders"] == {"ncmsf": killed, "central": killed, "msf": killed}
+
+
+def test_rank_ladder_never_starts_msf_past_its_last_rank():
+    # read in a child, so the script's import-time settings stay out of this process
+    code = ("import json, sys; from itertools import islice; sys.path.insert(0, sys.argv[1]); import rank_ladder as r; "
+            "print(json.dumps([r.MSF_LAST_RANK, {s: [list(islice(r.ranks(s, m), 12)) for m in (None, 6, 20)] "
+            "for s in r.SUITES}]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "scripts")], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    last, ranks = json.loads(proc.stdout)
+    unbounded = list(range(4, 16))  # the first 12 rungs
+    assert last == 8
+    assert ranks == {"ncmsf": [unbounded, [4, 5, 6], unbounded], "central": [unbounded, [4, 5, 6], unbounded],
+                     "msf": [[4, 5, 6, 7, 8], [4, 5, 6], [4, 5, 6, 7, 8]]}

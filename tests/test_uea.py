@@ -110,6 +110,38 @@ def test_bracket_matches_product_commutator():
         assert el(g) * el(h) - el(h) * el(g) == bracket(g, h)
 
 
+def test_bracket_rows_hold_the_bracket_terms():
+    for n in (1, 2, 3):
+        gens = canonical_generators(n)
+        for g, h in product(gens, gens):
+            terms = uea._bracket_terms(g, h)
+            assert g.brackets[h] is terms and type(terms) is tuple
+            assert dict(terms) == bracket(g, h).terms
+        for g in gens:
+            # a row is keyed by the right-hand letter and holds only bracket terms
+            assert all(type(h) is Generator and dict(t) == bracket(g, h).terms for h, t in g.brackets.items())
+
+
+def test_a_pickled_generator_reads_back_as_the_interned_one():
+    for g in canonical_generators(2):
+        uea._bracket_terms(g, g)  # a filled row is a cache: it does not travel
+        assert pickle.loads(pickle.dumps(g)) is g is Generator(g.kind, g.i, g.j)
+    with pytest.raises(AttributeError):
+        A11.brackets = {}
+
+
+def test_warm_bracket_rows_make_no_bracket_call(monkeypatch):
+    z = nc_pfaffian(build_canonical_x(3))
+    assert centrality_failures(z, 3) == []
+
+    def bracket_terms(g, h):
+        raise AssertionError(f"[{g}, {h}] is not read off {g}'s row")
+
+    monkeypatch.setattr(uea, "_bracket_terms", bracket_terms)
+    assert centrality_failures(z, 3) == []
+    assert nc_pfaffian(build_canonical_x(3)) == z
+
+
 # --- normal ordering --------------------------------------------------------
 
 
